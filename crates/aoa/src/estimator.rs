@@ -37,7 +37,7 @@ use crate::pseudospectrum::Pseudospectrum;
 use crate::source_count::SourceCount;
 use sa_array::geometry::{Array, ArrayKind};
 use sa_linalg::complex::C64;
-use sa_linalg::eigen::{EigBackend, EigH, EighWorkspace};
+use sa_linalg::eigen::{EigH, EighWorkspace};
 use sa_linalg::CMat;
 use sa_sigproc::covariance::{forward_backward_into, sample_covariance, smooth_fb_into};
 use sa_sigproc::snr::eig_split_snr;
@@ -168,11 +168,6 @@ pub struct AoaConfig {
     pub grid_step_deg: f64,
     /// Capon diagonal loading (fraction of mean eigenvalue).
     pub capon_loading: f64,
-    /// Eigensolver backend. The default tridiagonal path is the fast
-    /// one; [`EigBackend::Jacobi`] selects the reference oracle (same
-    /// bearings to well below the grid resolution — pinned by the
-    /// estimator oracle test — at several times the per-packet cost).
-    pub eig_backend: EigBackend,
     /// How the MUSIC spectrum search is executed. The default
     /// exhaustive scan is the oracle the other backends are pinned to.
     pub scan_backend: ScanBackend,
@@ -192,7 +187,6 @@ impl Default for AoaConfig {
             circular: CircularHandling::ModeSpace,
             grid_step_deg: 1.0,
             capon_loading: 1e-6,
-            eig_backend: EigBackend::Tridiagonal,
             scan_backend: ScanBackend::Exhaustive,
             confidence: ConfidenceModel::PeakPower,
         }
@@ -349,6 +343,10 @@ pub struct AoaEngine {
     steer_buf: Vec<C64>,
     /// Reusable eigensolver buffers.
     eig_ws: EighWorkspace,
+    /// Test hook: run the cyclic Jacobi reference eigensolver instead of
+    /// the tridiagonal one, so the oracle test can pin bearings.
+    #[cfg(test)]
+    jacobi_oracle: bool,
     /// Reusable eigendecomposition output.
     eig: EigH,
     /// Analysis-domain covariance scratch (mode-space output).
@@ -434,7 +432,9 @@ impl AoaEngine {
             backend,
             root,
             steer_buf: Vec::new(),
-            eig_ws: EighWorkspace::with_backend(cfg.eig_backend),
+            eig_ws: EighWorkspace::new(),
+            #[cfg(test)]
+            jacobi_oracle: false,
             eig: EigH {
                 values: Vec::new(),
                 vectors: CMat::default(),
@@ -506,7 +506,16 @@ impl AoaEngine {
         //    aperture allows (m ≥ 4): a 1-dimensional noise subspace makes
         //    MUSIC peaks fragile under the residual inter-path correlation
         //    that smoothing cannot fully remove.
-        self.eig_ws.eigh(ra, &mut self.eig);
+        #[cfg(test)]
+        let jacobi_oracle = self.jacobi_oracle;
+        #[cfg(not(test))]
+        let jacobi_oracle = false;
+        if jacobi_oracle {
+            let params = sa_linalg::eigen::JacobiParams::default();
+            self.eig_ws.eigh_into(ra, params, &mut self.eig);
+        } else {
+            self.eig_ws.eigh(ra, &mut self.eig);
+        }
         let m = self.eig.values.len();
         let n_sources = if m >= 2 {
             let k = self
@@ -953,12 +962,9 @@ mod tests {
                 },
             ),
         ] {
-            let jacobi_cfg = AoaConfig {
-                eig_backend: sa_linalg::EigBackend::Jacobi,
-                ..base
-            };
             let mut fast = AoaEngine::new(&array, &base);
-            let mut oracle = AoaEngine::new(&array, &jacobi_cfg);
+            let mut oracle = AoaEngine::new(&array, &base);
+            oracle.jacobi_oracle = true;
             for seed in 0..6u64 {
                 let az1 = (20.0 + 50.0 * seed as f64).to_radians();
                 let az2 = (140.0 + 30.0 * seed as f64).to_radians();

@@ -7,8 +7,7 @@
 //! data frames — the realistic regime where stage-1 decode dominates the
 //! coordinator) with the stage-1 decode run serially vs fanned across a
 //! 4-thread decode pool. Fused output is byte-identical either way (see
-//! the `fusion_shards` e2e suite and `tests/proptest_fleet.rs`); only
-//! the wall-clock changes. Dividing the per-window time into the
+//! `tests/proptest_fleet.rs`); only the wall-clock changes. Dividing the per-window time into the
 //! `fixes/window` info line printed per operating point gives aggregate
 //! fused-fix throughput.
 //!
@@ -68,7 +67,6 @@ fn bench_deploy_fleet(c: &mut Criterion) {
                 snapshot_cap: 64,
                 windows_in_flight: DEPTH,
                 decode_shards,
-                fusion_shards: 16,
                 ..DeployConfig::default()
             };
             let mut deployment = Deployment::new(campus_aps(n_clients), cfg);

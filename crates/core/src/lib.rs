@@ -10,7 +10,6 @@
 //! * [`signature`] — AoA signatures, comparison metrics and the
 //!   drift-tracking EWMA profile;
 //! * [`spoof`] — the §2.3.2 address-spoofing detector;
-//! * [`store`] — the sharded per-client signature store behind it;
 //! * [`mod@localize`] — multi-AP bearing intersection (§2.3.1);
 //! * [`fence`] — polygonal virtual fences with fail-closed policy;
 //! * [`pipeline`] — the full AP: detection → calibration → correlation →
@@ -34,7 +33,6 @@ pub mod pipeline;
 pub mod rss;
 pub mod signature;
 pub mod spoof;
-pub mod store;
 pub mod tracking;
 
 pub use attacker::{Attacker, AttackerGear};
@@ -49,5 +47,4 @@ pub use signature::{AoaSignature, MatchConfig, SignatureMatch, SignatureTracker}
 pub use spoof::{
     ConsensusConfig, ConsensusVerdict, CrossApConsensus, SpoofConfig, SpoofDetector, SpoofVerdict,
 };
-pub use store::{OccupancySummary, ShardedSignatureStore};
 pub use tracking::{MobilityTracker, TrackerConfig};

@@ -15,7 +15,6 @@
 
 use crate::localize::Fix;
 use crate::signature::{AoaSignature, MatchConfig, SignatureTracker};
-use crate::store::ShardedSignatureStore;
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use std::collections::HashMap;
@@ -77,30 +76,22 @@ impl Default for SpoofConfig {
 
 /// Per-AP spoofing detector: MAC → tracked signature.
 ///
-/// Client state lives in a [`ShardedSignatureStore`] — a fixed-shard
-/// hash map over MAC addresses — so lookups and training scale with
-/// client count instead of funnelling through one flat map.
+/// Each AP owns its detector outright (a deployment runs one AP per
+/// worker thread), so client state is two plain maps with one writer.
 #[derive(Debug)]
 pub struct SpoofDetector {
     cfg: SpoofConfig,
-    store: ShardedSignatureStore,
+    profiles: HashMap<MacAddr, SignatureTracker>,
+    flags: HashMap<MacAddr, usize>,
 }
 
 impl SpoofDetector {
-    /// New detector with the default shard count
-    /// ([`crate::store::DEFAULT_SHARDS`]).
+    /// New detector with no trained clients.
     pub fn new(cfg: SpoofConfig) -> Self {
         Self {
             cfg,
-            store: ShardedSignatureStore::default(),
-        }
-    }
-
-    /// New detector with an explicit signature-store shard count.
-    pub fn with_shards(cfg: SpoofConfig, shards: usize) -> Self {
-        Self {
-            cfg,
-            store: ShardedSignatureStore::new(shards),
+            profiles: HashMap::new(),
+            flags: HashMap::new(),
         }
     }
 
@@ -109,68 +100,53 @@ impl SpoofDetector {
         &self.cfg
     }
 
-    /// The sharded per-client store (occupancy diagnostics, iteration).
-    pub fn store(&self) -> &ShardedSignatureStore {
-        &self.store
-    }
-
     /// Train (or retrain) the profile for a MAC from a signature captured
     /// during authentication — the paper's "initial training stage".
+    /// Clears the MAC's flags.
     pub fn train(&mut self, mac: MacAddr, signature: AoaSignature) {
-        self.train_shared(mac, signature);
-    }
-
-    /// [`SpoofDetector::train`] through a shared reference: the store's
-    /// shards carry their own locks, so concurrent enforcement threads
-    /// can train disjoint (or even colliding) MACs without a detector-
-    /// wide writer lock.
-    pub fn train_shared(&self, mac: MacAddr, signature: AoaSignature) {
-        self.store
+        self.profiles
             .insert(mac, SignatureTracker::new(signature, self.cfg.track_alpha));
+        self.flags.remove(&mac);
     }
 
     /// True if a profile exists for the MAC.
     pub fn is_trained(&self, mac: &MacAddr) -> bool {
-        self.store.contains(mac)
+        self.profiles.contains_key(mac)
     }
 
-    /// A snapshot of the tracked signature for a MAC, if trained.
-    /// Returned by value: the tracker lives behind its shard's lock,
-    /// which is released before this returns.
-    pub fn profile(&self, mac: &MacAddr) -> Option<AoaSignature> {
-        self.store.signature(mac)
+    /// The tracked signature for a MAC, if trained.
+    pub fn profile(&self, mac: &MacAddr) -> Option<&AoaSignature> {
+        self.profiles.get(mac).map(SignatureTracker::signature)
     }
 
     /// Number of trained clients.
     pub fn trained_count(&self) -> usize {
-        self.store.len()
+        self.profiles.len()
     }
 
     /// Number of frames flagged for a MAC so far.
     pub fn flag_count(&self, mac: &MacAddr) -> usize {
-        self.store.flag_count(mac)
+        self.flags.get(mac).copied().unwrap_or(0)
     }
 
     /// Check one observed frame's signature against the profile for its
-    /// claimed source MAC, updating the tracker on a match.
+    /// claimed source MAC. A score at or above the threshold folds the
+    /// observation into the tracker; below it flags the MAC and leaves
+    /// the profile untouched.
     pub fn check(&mut self, mac: MacAddr, observed: &AoaSignature) -> SpoofVerdict {
-        self.check_shared(mac, observed)
-    }
-
-    /// [`SpoofDetector::check`] through a shared reference. The
-    /// compare-and-update (or compare-and-flag) runs atomically under
-    /// the MAC's shard lock
-    /// ([`ShardedSignatureStore::check_and_track`]), so concurrent
-    /// checkers of the same MAC serialise per shard and no flag or
-    /// tracker update is lost.
-    pub fn check_shared(&self, mac: MacAddr, observed: &AoaSignature) -> SpoofVerdict {
-        match self
-            .store
-            .check_and_track(mac, observed, &self.cfg.match_config, self.cfg.threshold)
-        {
-            None => SpoofVerdict::Untrained,
-            Some((score, true)) => SpoofVerdict::Match { score },
-            Some((score, false)) => SpoofVerdict::Spoof { score },
+        let Some(tracker) = self.profiles.get_mut(&mac) else {
+            return SpoofVerdict::Untrained;
+        };
+        let score = tracker
+            .signature()
+            .compare(observed, &self.cfg.match_config)
+            .score;
+        if score >= self.cfg.threshold {
+            tracker.update(observed);
+            SpoofVerdict::Match { score }
+        } else {
+            *self.flags.entry(mac).or_insert(0) += 1;
+            SpoofVerdict::Spoof { score }
         }
     }
 }
@@ -446,6 +422,72 @@ mod tests {
         let v = det.check(mac(1), &bump(&[(10.0, 1.0)]));
         assert_eq!(v, SpoofVerdict::Untrained);
         assert!(!det.is_trained(&mac(1)));
+        // An untrained check leaves no state behind.
+        assert!(det.profile(&mac(1)).is_none());
+        assert_eq!(det.flag_count(&mac(1)), 0);
+        assert_eq!(det.trained_count(), 0);
+    }
+
+    #[test]
+    fn train_then_profile_roundtrip() {
+        let mut det = SpoofDetector::new(SpoofConfig::default());
+        det.train(mac(1), bump(&[(100.0, 1.0)]));
+        assert!(det.is_trained(&mac(1)));
+        assert_eq!(det.trained_count(), 1);
+        let bearing = det.profile(&mac(1)).expect("trained").bearing_deg();
+        assert!(
+            angle_diff_deg(bearing, 100.0, true) < 1.0,
+            "bearing {bearing}"
+        );
+        assert!(det.profile(&mac(2)).is_none());
+        // Retraining replaces the profile rather than adding a client.
+        det.train(mac(1), bump(&[(200.0, 1.0)]));
+        assert_eq!(det.trained_count(), 1);
+        let bearing = det.profile(&mac(1)).expect("trained").bearing_deg();
+        assert!(
+            angle_diff_deg(bearing, 200.0, true) < 1.0,
+            "bearing {bearing}"
+        );
+    }
+
+    #[test]
+    fn check_folds_matches_and_flags_misses() {
+        let mut det = SpoofDetector::new(SpoofConfig::default());
+        det.train(mac(3), bump(&[(90.0, 1.0)]));
+        let spectrum = |det: &SpoofDetector| {
+            det.profile(&mac(3))
+                .expect("trained")
+                .spectrum()
+                .values
+                .clone()
+        };
+        let trained = spectrum(&det);
+        // A match folds the observation into the tracker…
+        match det.check(mac(3), &bump(&[(94.0, 1.0)])) {
+            SpoofVerdict::Match { .. } => {}
+            other => panic!("expected match, got {other:?}"),
+        }
+        assert_eq!(det.flag_count(&mac(3)), 0);
+        let folded = spectrum(&det);
+        assert_ne!(folded, trained, "match not folded in");
+        // …while a miss flags and leaves the profile where it was.
+        match det.check(mac(3), &bump(&[(270.0, 1.0)])) {
+            SpoofVerdict::Spoof { score } => assert!(score < 0.4, "score {score}"),
+            other => panic!("expected spoof, got {other:?}"),
+        }
+        assert_eq!(det.flag_count(&mac(3)), 1);
+        assert_eq!(spectrum(&det), folded);
+    }
+
+    #[test]
+    fn flags_follow_their_mac() {
+        let mut det = SpoofDetector::new(SpoofConfig::default());
+        det.train(mac(7), bump(&[(100.0, 1.0)]));
+        det.train(mac(8), bump(&[(300.0, 1.0)]));
+        assert!(det.check(mac(7), &bump(&[(300.0, 1.0)])).is_spoof());
+        assert!(det.check(mac(7), &bump(&[(300.0, 1.0)])).is_spoof());
+        assert_eq!(det.flag_count(&mac(7)), 2);
+        assert_eq!(det.flag_count(&mac(8)), 0);
     }
 
     #[test]

@@ -193,16 +193,6 @@ pub struct DeployConfig {
     /// counting and every downstream byte are identical to the serial
     /// path. `0` is treated as `1`.
     pub decode_shards: usize,
-    /// Fusion/tracking/consensus shard count. Per-client state (α–β
-    /// tracker, consensus baseline, flags) is partitioned by the same
-    /// seedless MAC hash as the signature store
-    /// ([`secureangle::store::mac_shard`]); at window close each shard
-    /// drains independently (on scoped threads when `> 1`) and the
-    /// shard outputs merge back into global MAC order. A client's whole
-    /// window is a function of its own reports and its own shard state,
-    /// so fused windows are byte-identical at any shard count (pinned
-    /// by `tests/proptest_fleet.rs`). `0` is treated as `1`.
-    pub fusion_shards: usize,
     /// Probability that an AP's end-of-window *marker* is lost in `[0,
     /// 1]`. The marker rides the control path, which earlier releases
     /// modeled as perfectly reliable even when the bulk report link was
@@ -238,7 +228,7 @@ pub struct DeployConfig {
     /// layer is zero-cost-off, pinned by `tests/proptest_chaos.rs`.
     /// Every injected fault is a pure function of the plan and the
     /// window number, so seeded chaos runs are byte-reproducible at any
-    /// shard/stream knob setting.
+    /// decode-shard/stream knob setting.
     pub faults: Option<FaultPlan>,
     /// AP health scoring, quarantine and the stall watchdog
     /// ([`crate::health::FleetHealth`]). Disabled by default — the
@@ -271,7 +261,6 @@ impl Default for DeployConfig {
             weight_bearings_by_confidence: false,
             windows_in_flight: 1,
             decode_shards: 1,
-            fusion_shards: 1,
             marker_loss_rate: 0.0,
             marker_timeout_windows: 0,
             faults: None,
@@ -348,11 +337,10 @@ mod tests {
         // Streaming off by default: depth-1 pipelining is the
         // synchronous submit-then-collect behavior exactly.
         assert_eq!(cfg.windows_in_flight, 1);
-        // Fleet knobs off by default: inline serial decode, one fusion
-        // shard, reliable markers, no gap detection — byte-compatible
-        // with the pre-fleet coordinator.
+        // Fleet knobs off by default: inline serial decode, reliable
+        // markers, no gap detection — byte-compatible with the
+        // pre-fleet coordinator.
         assert_eq!(cfg.decode_shards, 1);
-        assert_eq!(cfg.fusion_shards, 1);
         assert_eq!(cfg.marker_loss_rate, 0.0);
         assert_eq!(cfg.marker_timeout_windows, 0);
         // Telemetry off by default: the report's snapshot stays empty

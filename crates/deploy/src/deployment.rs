@@ -12,7 +12,7 @@
 //! [`crate::DeployConfig::marker_timeout_windows`]), and workers may
 //! join, leave, or die mid-run (a window never waits on an AP that is
 //! no longer live). All of it is deterministic for a seeded run, at
-//! any decode/fusion shard count.
+//! any decode shard count.
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
@@ -141,7 +141,8 @@ impl DecodePool {
             // Per-shard `stage.decode` histogram handle (None unless
             // stage timing is on) — write-only, so the pooled decode
             // path stays byte-identical with telemetry on or off.
-            let hist = telemetry.and_then(|t| t.stage("stage.decode", "shard", shard));
+            let hist =
+                telemetry.and_then(|t| t.stage("stage.decode", &[("shard", &shard.to_string())]));
             let join = std::thread::Builder::new()
                 .name(format!("sa-deploy-decode{}", shard))
                 .spawn(move || {
@@ -293,7 +294,7 @@ impl Deployment {
         let telemetry = DeployTelemetry::new(cfg.telemetry);
         let inline_decode_hist = telemetry
             .as_ref()
-            .and_then(|t| t.stage("stage.decode", "shard", 0));
+            .and_then(|t| t.stage("stage.decode", &[("shard", "0")]));
         let decode_pool = (cfg.decode_shards > 1)
             .then(|| DecodePool::new(cfg.decode_shards, modulation, telemetry.as_ref()));
 
@@ -615,7 +616,7 @@ impl Deployment {
         // live AP's) — fanned across the decode pool when it exists,
         // inline otherwise. Either way the results are consumed in
         // sequence order below, so metrics and dispatches are
-        // byte-identical across shard counts.
+        // byte-identical across decode shard counts.
         let decoded_by_seq: Vec<Option<Arc<DecodedPacket>>> = match &self.decode_pool {
             Some(pool) => pool.decode_window(&transmissions),
             None => transmissions
@@ -1097,7 +1098,7 @@ impl Deployment {
     /// and apply the resulting actions. The evidence is assembled from
     /// order-independent aggregates (flags, counts, maxima), so the
     /// scores — and every quarantine/readmit/reap decision — are
-    /// byte-deterministic at any shard count or pipelining depth.
+    /// byte-deterministic at any decode shard count or pipelining depth.
     fn observe_health(&mut self, bin: &WindowBin, fused: &FusedWindow) {
         let mut ev = vec![ApWindowEvidence::default(); self.slots.len()];
         for e in &fused.ap_bearing_errors {
@@ -1326,23 +1327,12 @@ impl Deployment {
                     if let Some(p) = &prior {
                         stats.absorb(p);
                     }
-                    // Store-occupancy gauges, tapped now that the AP's
+                    // Store-occupancy gauge, tapped now that the AP's
                     // trained signature store is back in hand.
                     if let Some(t) = &telemetry {
-                        let occ = ap.spoof.store().occupancy_summary();
-                        let label = ap_id.to_string();
                         t.registry
-                            .gauge("store.occupancy", &[("ap", &label)])
-                            .set(occ.total as i64);
-                        t.registry
-                            .gauge("store.max_shard_occupancy", &[("ap", &label)])
-                            .set(occ.max as i64);
-                        // Shard imbalance is a ratio; gauges are
-                        // integers, so export it in milli-units
-                        // (1000 = perfectly balanced).
-                        t.registry
-                            .gauge("store.shard_imbalance_milli", &[("ap", &label)])
-                            .set_milli(occ.imbalance());
+                            .gauge("store.occupancy", &[("ap", &ap_id.to_string())])
+                            .set(ap.spoof.trained_count() as i64);
                     }
                     aps.push(ap);
                     stats
@@ -1421,15 +1411,9 @@ fn mirror_counters(
     t.registry
         .gauge("fusion.rebaselines", &[])
         .set(fusion.rebaseline_count() as i64);
-    let per_shard = fusion.tracked_clients_per_shard();
     t.registry
         .gauge("fusion.tracked_clients", &[])
-        .set(per_shard.iter().sum::<usize>() as i64);
-    for (shard, n) in per_shard.iter().enumerate() {
-        t.registry
-            .gauge("fusion.shard_clients", &[("shard", &shard.to_string())])
-            .set(*n as i64);
-    }
+        .set(fusion.tracked_clients() as i64);
     t.registry
         .gauge("recorder.clients", &[])
         .set(t.recorder.client_count() as i64);
@@ -1440,8 +1424,8 @@ fn mirror_counters(
 fn worker_tap(telemetry: Option<&Arc<DeployTelemetry>>, ap_id: usize) -> Option<WorkerTap> {
     let t = telemetry?;
     Some(WorkerTap {
-        dsp: t.stage("stage.worker_dsp", "ap", ap_id)?,
-        enforce: t.stage("stage.enforce", "ap", ap_id)?,
+        dsp: t.stage("stage.worker_dsp", &[("ap", &ap_id.to_string())])?,
+        enforce: t.stage("stage.enforce", &[("ap", &ap_id.to_string())])?,
     })
 }
 

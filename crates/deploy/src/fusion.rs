@@ -7,26 +7,20 @@
 //! the output is independent of how the worker threads interleaved on
 //! the report channel.
 //!
-//! Since the fleet-scale work, per-client state (α–β tracker, consensus
-//! baseline, flags) lives in [`DeployConfig::fusion_shards`] shards
-//! partitioned by the same seedless MAC hash as the signature store
-//! ([`secureangle::store::mac_shard`]). At window close each shard
-//! drains independently — on scoped threads when there is more than one
-//! — and the per-shard client lists (each already in MAC order) merge
-//! back into one global MAC-ordered list. A client's fused window is a
-//! pure function of its own reports and its own shard's state, so the
-//! merged output is byte-identical at any shard count; the determinism
-//! pin is `tests/proptest_fleet.rs`.
+//! The stage is the single owner of all per-client fusion state (α–β
+//! tracker, consensus baseline, flags): one [`CrossApConsensus`] and
+//! one MAC-ordered map of client states, drained on the coordinator's
+//! thread. Fusion is well under 1% of a deployment window, so there is
+//! nothing to gain from spreading it over threads.
 
 use crate::config::DeployConfig;
 use crate::report::{ApBearingError, ApPacket, ClientFix, ClientSummary, FusedWindow};
-use crate::telemetry::{BearingEvidence, ClientWindowEvent, DeployTelemetry, FusionTaps, ShardTap};
+use crate::telemetry::{BearingEvidence, ClientWindowEvent, DeployTelemetry, FusionTaps};
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use sa_telemetry::StageTimer;
 use secureangle::localize::{localize_robust, localize_robust_weighted, BearingObservation};
 use secureangle::spoof::{ConsensusVerdict, CrossApConsensus};
-use secureangle::store::mac_shard;
 use secureangle::tracking::MobilityTracker;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,44 +31,6 @@ struct ClientState {
     last_window: u64,
     fixes: u64,
     residual_sum: f64,
-}
-
-/// One fusion shard: the consensus baselines and client trackers whose
-/// MACs hash here. Shards never share client state, so draining them
-/// concurrently needs no locks at all — each scoped thread gets `&mut`
-/// to exactly one shard.
-struct FusionShard {
-    consensus: CrossApConsensus,
-    clients: BTreeMap<MacAddr, ClientState>,
-}
-
-/// Everything one shard produced for one window drain.
-struct ShardOutput {
-    clients: Vec<ClientFix>,
-    bearings: usize,
-    localize_failures: usize,
-    /// Per-AP bearing-residual aggregates (keyed by AP id), measured
-    /// against every fused fix this shard produced. Counts and maxima
-    /// only, so the merge across shards is order-independent.
-    ap_errors: BTreeMap<usize, ApBearingError>,
-}
-
-/// The read-only drain context shared by every shard of one window.
-#[derive(Clone, Copy)]
-struct DrainCtx<'a> {
-    cfg: &'a DeployConfig,
-    ap_positions: &'a [Point],
-    window: u64,
-    quorum: usize,
-    expected_aps: usize,
-    missing_aps: usize,
-    /// APs withheld from this window by the health layer's quarantine
-    /// — recorded in flight-recorder events; earns no consensus slack.
-    quarantined_aps: usize,
-    /// Pre-size for per-client report groups: the live membership is
-    /// the expected number of reports per client per window, so groups
-    /// allocate once instead of growing through the doubling ladder.
-    group_capacity: usize,
 }
 
 /// The fusion stage. [`crate::Deployment`] owns one, but it is usable
@@ -102,26 +58,22 @@ pub struct Fusion {
     /// their position slot (historical packets may still reference it)
     /// but stop counting toward the expected quorum.
     live: Vec<bool>,
-    shards: Vec<FusionShard>,
-    /// Telemetry taps (per-shard drain/consensus histograms and the
-    /// flight recorder) — `None` until a deployment attaches its
-    /// telemetry bundle. Strictly out-of-band: every fused byte is
-    /// identical with taps attached or not.
+    consensus: CrossApConsensus,
+    /// Per-client state in MAC order, which is the order fixes leave in.
+    clients: BTreeMap<MacAddr, ClientState>,
+    /// Telemetry taps (drain/consensus histograms and the flight
+    /// recorder) — `None` until a deployment attaches its telemetry
+    /// bundle. Strictly out-of-band: every fused byte is identical with
+    /// taps attached or not.
     taps: Option<FusionTaps>,
 }
 
 impl Fusion {
-    /// New fusion stage for APs at the given positions (all live), with
-    /// [`DeployConfig::fusion_shards`] state shards (`0` treated as 1).
+    /// New fusion stage for APs at the given positions (all live).
     pub fn new(ap_positions: Vec<Point>, cfg: DeployConfig) -> Self {
-        let n_shards = cfg.fusion_shards.max(1);
         Self {
-            shards: (0..n_shards)
-                .map(|_| FusionShard {
-                    consensus: CrossApConsensus::new(cfg.consensus),
-                    clients: BTreeMap::new(),
-                })
-                .collect(),
+            consensus: CrossApConsensus::new(cfg.consensus),
+            clients: BTreeMap::new(),
             cfg,
             live: vec![true; ap_positions.len()],
             ap_positions,
@@ -129,28 +81,22 @@ impl Fusion {
         }
     }
 
-    /// Attach a deployment's telemetry bundle: creates one
-    /// `stage.fusion_drain` and one `stage.consensus` histogram per
-    /// shard (when stage timing is on) and routes per-client window
-    /// events into the flight recorder (when it is on).
+    /// Attach a deployment's telemetry bundle: creates the
+    /// `stage.fusion_drain` and `stage.consensus` histograms (when
+    /// stage timing is on) and routes per-client window events into the
+    /// flight recorder (when it is on).
     pub(crate) fn attach_telemetry(&mut self, telemetry: &Arc<DeployTelemetry>) {
-        let n = self.shards.len();
         self.taps = Some(FusionTaps {
-            drain: (0..n)
-                .filter_map(|i| telemetry.stage("stage.fusion_drain", "shard", i))
-                .collect(),
-            consensus: (0..n)
-                .filter_map(|i| telemetry.stage("stage.consensus", "shard", i))
-                .collect(),
+            drain: telemetry.stage("stage.fusion_drain", &[]),
+            consensus: telemetry.stage("stage.consensus", &[]),
             telemetry: telemetry.clone(),
         });
     }
 
     /// Number of clients with fusion state (tracker + consensus
-    /// baseline) on each shard — the occupancy view behind the
-    /// `fusion.tracked_clients` / shard-imbalance gauges.
-    pub fn tracked_clients_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.clients.len()).collect()
+    /// baseline) — the `fusion.tracked_clients` gauge.
+    pub fn tracked_clients(&self) -> usize {
+        self.clients.len()
     }
 
     /// Register a new AP at `position`; returns its stable id. Does
@@ -183,23 +129,14 @@ impl Fusion {
     }
 
     /// How many consensus re-baselines this stage has performed
-    /// (membership churn plus health quarantine/readmit events). Every
-    /// re-baseline touches all shards identically, so shard 0's count
-    /// is the stage's — shard-count invariant by construction.
+    /// (membership churn plus health quarantine/readmit events).
     pub fn rebaseline_count(&self) -> u64 {
-        self.shards
-            .first()
-            .map_or(0, |s| s.consensus.rebaseline_count())
+        self.consensus.rebaseline_count()
     }
 
     /// Number of live APs.
     pub fn live_aps(&self) -> usize {
         self.live.iter().filter(|&&l| l).count()
-    }
-
-    /// The shard a client's state lives on.
-    fn shard_idx(&self, mac: &MacAddr) -> usize {
-        mac_shard(mac, self.shards.len())
     }
 
     /// Forget every trained consensus reference (flag history is kept)
@@ -210,26 +147,23 @@ impl Fusion {
     /// Mobility trackers are *not* reset (a client's position estimate
     /// stays valid; only the spoof baseline is geometry-dependent).
     pub fn rebaseline(&mut self) {
-        for shard in &mut self.shards {
-            shard.consensus.rebaseline();
-        }
+        self.consensus.rebaseline();
     }
 
     /// Train (or move) a client's consensus reference position by hand
     /// (e.g. from a commissioning survey instead of auto-training).
     pub fn train_reference(&mut self, mac: MacAddr, position: Point) {
-        let idx = self.shard_idx(&mac);
-        self.shards[idx].consensus.train(mac, position);
+        self.consensus.train(mac, position);
     }
 
     /// A client's trained consensus reference position.
     pub fn reference(&self, mac: &MacAddr) -> Option<Point> {
-        self.shards[self.shard_idx(mac)].consensus.reference(mac)
+        self.consensus.reference(mac)
     }
 
     /// Consensus flags accumulated for a client.
     pub fn consensus_flags(&self, mac: &MacAddr) -> usize {
-        self.shards[self.shard_idx(mac)].consensus.flag_count(mac)
+        self.consensus.flag_count(mac)
     }
 
     /// Fuse one closed window. `packets` is everything every AP
@@ -278,107 +212,228 @@ impl Fusion {
     pub fn fuse_window_degraded(
         &mut self,
         window: u64,
-        packets: Vec<ApPacket>,
+        mut packets: Vec<ApPacket>,
         expected_aps: usize,
         missing_aps: usize,
         quarantined_aps: usize,
     ) -> FusedWindow {
+        // A detached fusion stage — or one whose deployment left
+        // telemetry disabled — gets all-`None` taps, so every span and
+        // recorder call below is a single branch.
+        let taps = self.taps.as_ref();
+        let recorder = taps.and_then(|t| t.telemetry.recorder());
+        let consensus_hist = taps.and_then(|t| t.consensus.as_deref());
+        // Times the whole drain (sort + group + fuse + consensus).
+        let _drain_span = StageTimer::start(taps.and_then(|t| t.drain.as_deref()));
+
         // Degrade the fix quorum with the membership: a 4-AP policy on
         // a deployment temporarily down to 2 live APs must still fix
         // (two bearings are the geometric minimum), but never fix on a
         // single bearing.
         let quorum = self.cfg.min_aps_for_fix.min(expected_aps).max(2);
         let n_packets = packets.len();
-        let n_shards = self.shards.len();
+        // One (ap, seq) sort; every per-client group below then comes
+        // out pre-ordered for free.
+        packets.sort_by_key(|p| (p.ap_id, p.seq));
 
-        // Partition by client MAC shard. Packets without a decoded MAC
-        // carry no client state — they count toward the window's packet
-        // total and nothing else, exactly as before sharding.
-        let mut per_shard: Vec<Vec<ApPacket>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for p in packets {
+        // Group by claimed MAC, preserving the (ap, seq) order. Packets
+        // without a decoded MAC carry no client state — they count
+        // toward the window's packet total and nothing else. Groups are
+        // pre-sized from the live membership — the expected report
+        // count per client — instead of growing through reallocation.
+        let group_capacity = self.live_aps().max(1);
+        let mut by_mac: BTreeMap<MacAddr, Vec<&ApPacket>> = BTreeMap::new();
+        for p in &packets {
             if let Some(mac) = p.mac {
-                per_shard[mac_shard(&mac, n_shards)].push(p);
+                by_mac
+                    .entry(mac)
+                    .or_insert_with(|| Vec::with_capacity(group_capacity))
+                    .push(p);
             }
         }
 
-        let ctx = DrainCtx {
-            cfg: &self.cfg,
-            ap_positions: &self.ap_positions,
-            window,
-            quorum,
-            expected_aps,
-            missing_aps,
-            quarantined_aps,
-            group_capacity: self.live.iter().filter(|&&l| l).count().max(1),
-        };
-        // Per-shard tap views (Copy refs into the attached bundle). A
-        // detached fusion stage — or one whose deployment left
-        // telemetry disabled — gets all-`None` taps, so every span and
-        // recorder call below is a single branch.
-        let taps: Vec<ShardTap<'_>> = match &self.taps {
-            Some(t) => (0..n_shards)
-                .map(|i| ShardTap {
-                    drain: t.drain.get(i).map(|h| &**h),
-                    consensus: t.consensus.get(i).map(|h| &**h),
-                    recorder: t.telemetry.recorder(),
-                })
-                .collect(),
-            None => vec![ShardTap::NONE; n_shards],
-        };
-        let shards = &mut self.shards;
-        let outputs: Vec<ShardOutput> = if n_shards == 1 {
-            vec![drain_shard(
-                &mut shards[0],
-                per_shard.pop().expect("one shard"),
-                ctx,
-                taps[0],
-            )]
-        } else {
-            // Shards share no client state, so each scoped thread takes
-            // `&mut` to exactly one of them; outputs are collected by
-            // shard index, which keeps the merge deterministic no
-            // matter which shard finishes first.
-            std::thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(per_shard)
-                    .zip(&taps)
-                    .map(|((shard, pkts), &tap)| {
-                        s.spawn(move || drain_shard(shard, pkts, ctx, tap))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fusion shard panicked"))
-                    .collect()
-            })
-        };
-
-        let mut clients = Vec::with_capacity(outputs.iter().map(|o| o.clients.len()).sum());
+        let mut clients = Vec::with_capacity(by_mac.len());
         let mut bearings_total = 0usize;
         let mut localize_failures = 0usize;
         let mut ap_errors: BTreeMap<usize, ApBearingError> = BTreeMap::new();
-        for o in outputs {
-            bearings_total += o.bearings;
-            localize_failures += o.localize_failures;
-            clients.extend(o.clients);
-            // Merge per-AP residual aggregates: counts add, maxima max
-            // — both commutative, so the merged evidence is identical
-            // at any shard count.
-            for (ap, e) in o.ap_errors {
-                let agg = ap_errors.entry(ap).or_insert(ApBearingError {
-                    ap_id: ap,
-                    ..ApBearingError::default()
-                });
-                agg.bearings += e.bearings;
-                agg.over_warn += e.over_warn;
-                agg.max_err_deg = agg.max_err_deg.max(e.max_err_deg);
+        for (mac, reports) in by_mac {
+            // Read the consensus reference *before* this client's check (a
+            // clean fix below may auto-train it) so the flight-recorder
+            // event shows what the verdict was actually compared against.
+            let reference_at_check = recorder
+                .and_then(|_| self.consensus.reference(&mac))
+                .map(|p| (p.x, p.y));
+            let mut evidence = Vec::new();
+            let mut bearings = Vec::new();
+            let mut bearing_aps = Vec::new();
+            let mut confidences = Vec::new();
+            let mut confidence_sum = 0.0;
+            let mut admitted_aps = 0usize;
+            let mut flagged_aps = 0usize;
+            for r in &reports {
+                if let Some(b) = &r.report {
+                    bearings.push(BearingObservation {
+                        ap_position: self.ap_positions[r.ap_id],
+                        azimuth: b.azimuth,
+                    });
+                    bearing_aps.push(r.ap_id);
+                    confidences.push(b.confidence);
+                    confidence_sum += b.confidence;
+                    if recorder.is_some() {
+                        evidence.push(BearingEvidence {
+                            ap_id: r.ap_id,
+                            azimuth_rad: b.azimuth,
+                            confidence: b.confidence,
+                        });
+                    }
+                }
+                match r.verdict {
+                    secureangle::pipeline::FrameVerdict::Admit { .. } => admitted_aps += 1,
+                    secureangle::pipeline::FrameVerdict::Drop(
+                        secureangle::pipeline::DropReason::SpoofSuspected { .. },
+                    )
+                    | secureangle::pipeline::FrameVerdict::Drop(
+                        secureangle::pipeline::DropReason::Quarantined,
+                    ) => flagged_aps += 1,
+                    _ => {}
+                }
             }
+            bearings_total += bearings.len();
+            let distinct_aps = |aps: &[usize]| {
+                let mut seen: Vec<usize> = aps.to_vec();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len()
+            };
+            let n_aps = distinct_aps(&bearing_aps);
+            let mean_confidence = if bearings.is_empty() {
+                0.0
+            } else {
+                confidence_sum / bearings.len() as f64
+            };
+
+            let (fix, track, consensus) = if n_aps >= quorum {
+                // Robust fit: a single AP's multipath ghost (a bearing
+                // the fix lands behind) is dropped and the fix refit.
+                // Optionally confidence-weighted, so marginal bearings
+                // pull degraded windows less.
+                let solved = if self.cfg.weight_bearings_by_confidence {
+                    localize_robust_weighted(&bearings, &confidences, quorum)
+                } else {
+                    localize_robust(&bearings, quorum)
+                };
+                match solved {
+                    Ok((fix, dropped)) => {
+                        // Smooth the trace.
+                        let state = self.clients.entry(mac).or_insert_with(|| ClientState {
+                            tracker: MobilityTracker::new(self.cfg.tracker),
+                            last_window: window,
+                            fixes: 0,
+                            residual_sum: 0.0,
+                        });
+                        let dt =
+                            window.saturating_sub(state.last_window) as f64 * self.cfg.window_dt_s;
+                        let track = state.tracker.update(fix.position, dt);
+                        state.last_window = window;
+                        state.fixes += 1;
+                        state.residual_sum += fix.residual_m;
+                        // Consensus: check against the reference using
+                        // the APs that actually *support* the robust
+                        // fix (dropped ghost bearings no longer count
+                        // toward the min-APs quorum), or auto-train
+                        // the reference from the first clean fix.
+                        let supporting_aps: Vec<usize> = bearing_aps
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| !dropped.contains(i))
+                            .map(|(_, &ap)| ap)
+                            .collect();
+                        // Slack only for reports the coordinator knows
+                        // went missing: the supporting count plus the
+                        // missing count is "what this fix would have
+                        // had on a healthy link", so range-limited
+                        // clients and robust-dropped ghosts earn none.
+                        let supporting = distinct_aps(&supporting_aps);
+                        let verdict = {
+                            let _span = StageTimer::start(consensus_hist);
+                            self.consensus.check_degraded(
+                                mac,
+                                &fix,
+                                supporting,
+                                supporting + missing_aps,
+                            )
+                        };
+                        if verdict == ConsensusVerdict::Untrained
+                            && self.cfg.auto_train_references
+                            && fix.behind_count == 0
+                            && fix.residual_m <= self.cfg.reference_train_max_residual_m
+                        {
+                            self.consensus.train(mac, fix.position);
+                        }
+                        (Some(fix), Some(track), verdict)
+                    }
+                    Err(_) => {
+                        localize_failures += 1;
+                        (None, None, ConsensusVerdict::Insufficient)
+                    }
+                }
+            } else {
+                (None, None, ConsensusVerdict::Insufficient)
+            };
+
+            // Health evidence: how far every bearing — including any the
+            // robust fit dropped as a ghost — sits from the azimuth the
+            // fused fix implies for its AP. A persistently biased AP shows
+            // up here window after window while honest APs hug zero.
+            if let Some(f) = fix {
+                let warn = self.cfg.health.bearing_err_warn_deg;
+                for (i, b) in bearings.iter().enumerate() {
+                    let err = bearing_err_deg(b.ap_position, f.position, b.azimuth);
+                    let agg = ap_errors.entry(bearing_aps[i]).or_insert(ApBearingError {
+                        ap_id: bearing_aps[i],
+                        ..ApBearingError::default()
+                    });
+                    agg.bearings += 1;
+                    if err > warn {
+                        agg.over_warn += 1;
+                    }
+                    agg.max_err_deg = agg.max_err_deg.max(err);
+                }
+            }
+
+            if let Some(recorder) = recorder {
+                recorder.record(
+                    mac,
+                    ClientWindowEvent {
+                        window,
+                        expected_aps,
+                        missing_aps,
+                        quarantined_aps,
+                        n_aps,
+                        bearings: evidence,
+                        fix: fix.map(|f| (f.position.x, f.position.y)),
+                        residual_m: fix.map_or(0.0, |f| f.residual_m),
+                        reference: reference_at_check,
+                        admitted_aps,
+                        flagged_aps,
+                        verdict: consensus,
+                    },
+                );
+            }
+
+            clients.push(ClientFix {
+                mac,
+                n_aps,
+                n_bearings: bearings.len(),
+                fix,
+                track,
+                consensus,
+                admitted_aps,
+                flagged_aps,
+                mean_confidence,
+                expected_aps,
+            });
         }
-        // Each shard's list is already MAC-ordered; the concatenation
-        // only needs one stable sort to interleave the shards back into
-        // global MAC order (and with one shard it is a no-op pass).
-        clients.sort_by_key(|c| c.mac);
 
         FusedWindow {
             window,
@@ -402,246 +457,21 @@ impl Fusion {
 
     /// Per-client whole-run summaries, ordered by MAC.
     pub fn client_summaries(&self) -> Vec<ClientSummary> {
-        let mut summaries: Vec<ClientSummary> = self
-            .shards
+        self.clients
             .iter()
-            .flat_map(|shard| {
-                shard.clients.iter().map(|(mac, s)| ClientSummary {
-                    mac: *mac,
-                    fixes: s.fixes,
-                    mean_residual_m: if s.fixes > 0 {
-                        s.residual_sum / s.fixes as f64
-                    } else {
-                        0.0
-                    },
-                    consensus_flags: shard.consensus.flag_count(mac),
-                    reference: shard.consensus.reference(mac),
-                    last_track: s.tracker.state().copied(),
-                })
-            })
-            .collect();
-        summaries.sort_by_key(|s| s.mac);
-        summaries
-    }
-}
-
-/// Drain one shard's packets for one window: sort once, group by MAC,
-/// fuse each client. Pure apart from the shard's own state, which is
-/// why any MAC partition yields byte-identical per-client results.
-fn drain_shard(
-    shard: &mut FusionShard,
-    mut packets: Vec<ApPacket>,
-    ctx: DrainCtx<'_>,
-    tap: ShardTap<'_>,
-) -> ShardOutput {
-    // Times the whole shard drain (sort + group + fuse + consensus).
-    let _drain_span = StageTimer::start(tap.drain);
-    // One (ap, seq) sort per shard drain; every per-client group below
-    // then comes out pre-ordered for free.
-    packets.sort_by_key(|p| (p.ap_id, p.seq));
-
-    // Group by claimed MAC, preserving the (ap, seq) order. Groups are
-    // pre-sized from the live membership — the expected report count
-    // per client — instead of growing through repeated reallocation.
-    let mut by_mac: BTreeMap<MacAddr, Vec<&ApPacket>> = BTreeMap::new();
-    for p in &packets {
-        if let Some(mac) = p.mac {
-            by_mac
-                .entry(mac)
-                .or_insert_with(|| Vec::with_capacity(ctx.group_capacity))
-                .push(p);
-        }
-    }
-
-    let mut clients = Vec::with_capacity(by_mac.len());
-    let mut bearings_total = 0usize;
-    let mut localize_failures = 0usize;
-    let mut ap_errors: BTreeMap<usize, ApBearingError> = BTreeMap::new();
-    for (mac, reports) in by_mac {
-        // Read the consensus reference *before* this client's check (a
-        // clean fix below may auto-train it) so the flight-recorder
-        // event shows what the verdict was actually compared against.
-        let reference_at_check = tap
-            .recorder
-            .and_then(|_| shard.consensus.reference(&mac))
-            .map(|p| (p.x, p.y));
-        let mut evidence = Vec::new();
-        let mut bearings = Vec::new();
-        let mut bearing_aps = Vec::new();
-        let mut confidences = Vec::new();
-        let mut confidence_sum = 0.0;
-        let mut admitted_aps = 0usize;
-        let mut flagged_aps = 0usize;
-        for r in &reports {
-            if let Some(b) = &r.report {
-                bearings.push(BearingObservation {
-                    ap_position: ctx.ap_positions[r.ap_id],
-                    azimuth: b.azimuth,
-                });
-                bearing_aps.push(r.ap_id);
-                confidences.push(b.confidence);
-                confidence_sum += b.confidence;
-                if tap.recorder.is_some() {
-                    evidence.push(BearingEvidence {
-                        ap_id: r.ap_id,
-                        azimuth_rad: b.azimuth,
-                        confidence: b.confidence,
-                    });
-                }
-            }
-            match r.verdict {
-                secureangle::pipeline::FrameVerdict::Admit { .. } => admitted_aps += 1,
-                secureangle::pipeline::FrameVerdict::Drop(
-                    secureangle::pipeline::DropReason::SpoofSuspected { .. },
-                )
-                | secureangle::pipeline::FrameVerdict::Drop(
-                    secureangle::pipeline::DropReason::Quarantined,
-                ) => flagged_aps += 1,
-                _ => {}
-            }
-        }
-        bearings_total += bearings.len();
-        let distinct_aps = |aps: &[usize]| {
-            let mut seen: Vec<usize> = aps.to_vec();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len()
-        };
-        let n_aps = distinct_aps(&bearing_aps);
-        let mean_confidence = if bearings.is_empty() {
-            0.0
-        } else {
-            confidence_sum / bearings.len() as f64
-        };
-
-        let (fix, track, consensus) = if n_aps >= ctx.quorum {
-            // Robust fit: a single AP's multipath ghost (a bearing
-            // the fix lands behind) is dropped and the fix refit.
-            // Optionally confidence-weighted, so marginal bearings
-            // pull degraded windows less.
-            let solved = if ctx.cfg.weight_bearings_by_confidence {
-                localize_robust_weighted(&bearings, &confidences, ctx.quorum)
-            } else {
-                localize_robust(&bearings, ctx.quorum)
-            };
-            match solved {
-                Ok((fix, dropped)) => {
-                    // Smooth the trace.
-                    let state = shard.clients.entry(mac).or_insert_with(|| ClientState {
-                        tracker: MobilityTracker::new(ctx.cfg.tracker),
-                        last_window: ctx.window,
-                        fixes: 0,
-                        residual_sum: 0.0,
-                    });
-                    let dt =
-                        ctx.window.saturating_sub(state.last_window) as f64 * ctx.cfg.window_dt_s;
-                    let track = state.tracker.update(fix.position, dt);
-                    state.last_window = ctx.window;
-                    state.fixes += 1;
-                    state.residual_sum += fix.residual_m;
-                    // Consensus: check against the reference using
-                    // the APs that actually *support* the robust
-                    // fix (dropped ghost bearings no longer count
-                    // toward the min-APs quorum), or auto-train
-                    // the reference from the first clean fix.
-                    let supporting_aps: Vec<usize> = bearing_aps
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !dropped.contains(i))
-                        .map(|(_, &ap)| ap)
-                        .collect();
-                    // Slack only for reports the coordinator knows
-                    // went missing: the supporting count plus the
-                    // missing count is "what this fix would have
-                    // had on a healthy link", so range-limited
-                    // clients and robust-dropped ghosts earn none.
-                    let supporting = distinct_aps(&supporting_aps);
-                    let verdict = {
-                        let _span = StageTimer::start(tap.consensus);
-                        shard.consensus.check_degraded(
-                            mac,
-                            &fix,
-                            supporting,
-                            supporting + ctx.missing_aps,
-                        )
-                    };
-                    if verdict == ConsensusVerdict::Untrained
-                        && ctx.cfg.auto_train_references
-                        && fix.behind_count == 0
-                        && fix.residual_m <= ctx.cfg.reference_train_max_residual_m
-                    {
-                        shard.consensus.train(mac, fix.position);
-                    }
-                    (Some(fix), Some(track), verdict)
-                }
-                Err(_) => {
-                    localize_failures += 1;
-                    (None, None, ConsensusVerdict::Insufficient)
-                }
-            }
-        } else {
-            (None, None, ConsensusVerdict::Insufficient)
-        };
-
-        // Health evidence: how far every bearing — including any the
-        // robust fit dropped as a ghost — sits from the azimuth the
-        // fused fix implies for its AP. A persistently biased AP shows
-        // up here window after window while honest APs hug zero.
-        if let Some(f) = fix {
-            let warn = ctx.cfg.health.bearing_err_warn_deg;
-            for (i, b) in bearings.iter().enumerate() {
-                let err = bearing_err_deg(b.ap_position, f.position, b.azimuth);
-                let agg = ap_errors.entry(bearing_aps[i]).or_insert(ApBearingError {
-                    ap_id: bearing_aps[i],
-                    ..ApBearingError::default()
-                });
-                agg.bearings += 1;
-                if err > warn {
-                    agg.over_warn += 1;
-                }
-                agg.max_err_deg = agg.max_err_deg.max(err);
-            }
-        }
-
-        if let Some(recorder) = tap.recorder {
-            recorder.record(
-                mac,
-                ClientWindowEvent {
-                    window: ctx.window,
-                    expected_aps: ctx.expected_aps,
-                    missing_aps: ctx.missing_aps,
-                    quarantined_aps: ctx.quarantined_aps,
-                    n_aps,
-                    bearings: evidence,
-                    fix: fix.map(|f| (f.position.x, f.position.y)),
-                    residual_m: fix.map_or(0.0, |f| f.residual_m),
-                    reference: reference_at_check,
-                    admitted_aps,
-                    flagged_aps,
-                    verdict: consensus,
+            .map(|(mac, s)| ClientSummary {
+                mac: *mac,
+                fixes: s.fixes,
+                mean_residual_m: if s.fixes > 0 {
+                    s.residual_sum / s.fixes as f64
+                } else {
+                    0.0
                 },
-            );
-        }
-
-        clients.push(ClientFix {
-            mac,
-            n_aps,
-            n_bearings: bearings.len(),
-            fix,
-            track,
-            consensus,
-            admitted_aps,
-            flagged_aps,
-            mean_confidence,
-            expected_aps: ctx.expected_aps,
-        });
-    }
-
-    ShardOutput {
-        clients,
-        bearings: bearings_total,
-        localize_failures,
-        ap_errors,
+                consensus_flags: self.consensus.flag_count(mac),
+                reference: self.consensus.reference(mac),
+                last_track: s.tracker.state().copied(),
+            })
+            .collect()
     }
 }
 
@@ -954,45 +784,5 @@ mod tests {
         assert_eq!(s[0].fixes, 3);
         assert!(s[0].mean_residual_m < 0.1);
         assert!(s[0].last_track.is_some());
-    }
-
-    #[test]
-    fn sharded_fusion_is_byte_identical_to_single_shard() {
-        // Ten clients scattered over the square, fused across three
-        // windows (so tracker and consensus state evolves), at shard
-        // counts 1, 4 and 16: every fused window and every summary must
-        // match the single-shard reference byte for byte.
-        let aps = square_aps();
-        let run = |shards: usize| {
-            let cfg = DeployConfig {
-                fusion_shards: shards,
-                ..DeployConfig::default()
-            };
-            let mut fusion = Fusion::new(aps.clone(), cfg);
-            let mut outputs = Vec::new();
-            for w in 0..3u64 {
-                let mut pkts = Vec::new();
-                for c in 0..10u32 {
-                    let target = pt(
-                        1.0 + (c % 5) as f64 * 2.0 + w as f64 * 0.3,
-                        2.0 + (c / 5) as f64 * 5.0,
-                    );
-                    pkts.extend(bearings_to(&aps, target, c + 1));
-                }
-                outputs.push(fusion.fuse_window(w, pkts));
-            }
-            (outputs, fusion.client_summaries())
-        };
-        let (ref_windows, ref_summaries) = run(1);
-        assert_eq!(ref_windows[0].clients.len(), 10);
-        for shards in [4usize, 16] {
-            let (windows, summaries) = run(shards);
-            assert_eq!(windows, ref_windows, "fusion_shards={} windows", shards);
-            assert_eq!(
-                summaries, ref_summaries,
-                "fusion_shards={} summaries",
-                shards
-            );
-        }
     }
 }

@@ -178,9 +178,9 @@ pub struct ClientFix {
 
 /// One AP's bearing-residual evidence for one window, measured against
 /// the fused fixes its bearings fed. Order-independent aggregates
-/// (max + threshold counts, never float sums), so the values are
-/// byte-identical at any [`crate::DeployConfig::fusion_shards`] — the
-/// health layer can consume them without breaking determinism.
+/// (max + threshold counts, never float sums), so the values do not
+/// depend on the order clients are fused in — the health layer can
+/// consume them without breaking determinism.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ApBearingError {
     /// The AP.

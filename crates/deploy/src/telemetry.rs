@@ -1,6 +1,6 @@
 //! Deployment-side telemetry glue: the shared registry/flight-recorder
 //! bundle threaded through the coordinator, workers, decode pool and
-//! fusion shards, plus the rich per-client window event the flight
+//! fusion stage, plus the rich per-client window event the flight
 //! recorder keeps.
 //!
 //! Everything here is **strictly out-of-band**: stage timers record
@@ -125,7 +125,7 @@ impl ClientWindowEvent {
 
 /// The telemetry bundle a [`crate::Deployment`] owns when
 /// [`crate::DeployConfig::telemetry`] is enabled, shared (`Arc`) with
-/// the decode pool, worker threads and fusion shards.
+/// the decode pool, worker threads and fusion stage.
 pub(crate) struct DeployTelemetry {
     pub cfg: TelemetryConfig,
     pub registry: Registry,
@@ -151,12 +151,12 @@ impl DeployTelemetry {
         }))
     }
 
-    /// A per-shard stage histogram handle, or `None` when stage timing
-    /// is off (so the caller's span guard compiles down to a branch).
-    pub fn stage(&self, name: &str, label: &str, idx: usize) -> Option<Arc<Histogram>> {
+    /// A stage histogram handle, or `None` when stage timing is off (so
+    /// the caller's span guard compiles down to a branch).
+    pub fn stage(&self, name: &str, labels: &[(&str, &str)]) -> Option<Arc<Histogram>> {
         self.cfg
             .stage_timing
-            .then(|| self.registry.histogram(name, &[(label, &idx.to_string())]))
+            .then(|| self.registry.histogram(name, labels))
     }
 
     /// The flight recorder, when event recording is on.
@@ -173,33 +173,15 @@ pub(crate) struct WorkerTap {
     pub enforce: Arc<Histogram>,
 }
 
-/// Per-shard fusion tap handles, built by the deployment when it
-/// attaches telemetry to its fusion stage.
+/// Fusion tap handles, built by the deployment when it attaches
+/// telemetry to its fusion stage.
 pub(crate) struct FusionTaps {
-    /// `stage.fusion_drain` per shard (empty when stage timing is off).
-    pub drain: Vec<Arc<Histogram>>,
-    /// `stage.consensus` per shard (empty when stage timing is off).
-    pub consensus: Vec<Arc<Histogram>>,
+    /// `stage.fusion_drain` (`None` when stage timing is off).
+    pub drain: Option<Arc<Histogram>>,
+    /// `stage.consensus` (`None` when stage timing is off).
+    pub consensus: Option<Arc<Histogram>>,
     /// The shared bundle (for the flight recorder).
     pub telemetry: Arc<DeployTelemetry>,
-}
-
-/// What one fusion-shard drain sees of the taps: per-shard histogram
-/// refs plus the recorder. `Copy` so the scoped shard threads each take
-/// their own.
-#[derive(Clone, Copy)]
-pub(crate) struct ShardTap<'a> {
-    pub drain: Option<&'a Histogram>,
-    pub consensus: Option<&'a Histogram>,
-    pub recorder: Option<&'a FlightRecorder<MacAddr, ClientWindowEvent>>,
-}
-
-impl ShardTap<'_> {
-    pub const NONE: ShardTap<'static> = ShardTap {
-        drain: None,
-        consensus: None,
-        recorder: None,
-    };
 }
 
 #[cfg(test)]
@@ -210,10 +192,12 @@ mod tests {
     fn disabled_config_builds_no_bundle() {
         assert!(DeployTelemetry::new(TelemetryConfig::disabled()).is_none());
         let t = DeployTelemetry::new(TelemetryConfig::full()).expect("enabled");
-        assert!(t.stage("stage.decode", "shard", 0).is_some());
+        assert!(t.stage("stage.decode", &[("shard", "0")]).is_some());
         assert!(t.recorder().is_some());
         let counters_only = DeployTelemetry::new(TelemetryConfig::counters_only()).unwrap();
-        assert!(counters_only.stage("stage.decode", "shard", 0).is_none());
+        assert!(counters_only
+            .stage("stage.decode", &[("shard", "0")])
+            .is_none());
         assert!(counters_only.recorder().is_none());
     }
 

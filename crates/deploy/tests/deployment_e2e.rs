@@ -4,6 +4,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_deploy::{DeployConfig, DeployError, Deployment, LinkConfig, Transmission};
+use sa_mac::{AccessControlList, AclPolicy};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
 
@@ -64,6 +65,74 @@ fn four_ap_deployment_localizes_clients() {
     for ap in &aps {
         assert_eq!(ap.spoof.trained_count(), clients.len());
     }
+}
+
+/// Fixes leave every fused window sorted by client MAC, whatever order
+/// the clients transmitted in.
+#[test]
+fn fused_fixes_are_sorted_by_mac() {
+    let tb = Testbed::deployment(3, 331);
+    let mut rng = ChaCha8Rng::seed_from_u64(332);
+    let clients = [19usize, 5, 7];
+    let windows: Vec<Vec<Transmission>> = (0..2)
+        .map(|w| window(&tb, &clients, w as u16, &mut rng))
+        .collect();
+    let (_, aps) = split(tb);
+    let mut deployment = Deployment::new(aps, DeployConfig::default());
+    for w in windows {
+        let fused = deployment.run_window(w).expect("window");
+        assert_eq!(fused.clients.len(), clients.len());
+        assert!(
+            fused.clients.windows(2).all(|w| w[0].mac < w[1].mac),
+            "fixes out of MAC order in window {}",
+            fused.window
+        );
+    }
+    deployment.finish();
+}
+
+/// Eight AP worker threads, each admitting a disjoint set of clients
+/// through its ACL: every AP comes back having trained exactly the
+/// clients its own ACL lets in, and nothing else.
+#[test]
+fn workers_train_disjoint_acl_populations() {
+    const N_APS: usize = 8;
+    let tb = Testbed::deployment(N_APS, 401);
+    let mut rng = ChaCha8Rng::seed_from_u64(402);
+    let clients: Vec<usize> = (1..=20).collect();
+    let txs = window(&tb, &clients, 0, &mut rng);
+
+    let (_, mut aps) = split(tb);
+    for (k, ap) in aps.iter_mut().enumerate() {
+        let mut acl = AccessControlList::new(AclPolicy::AllowListed);
+        for &id in clients.iter().filter(|&&id| id % N_APS == k) {
+            acl.add(Testbed::client_mac(id));
+        }
+        ap.acl = acl;
+    }
+
+    let mut deployment = Deployment::new(aps, DeployConfig::default());
+    let fused = deployment.run_window(txs).expect("window");
+    assert_eq!(fused.clients.len(), clients.len());
+
+    let (report, aps) = deployment.finish();
+    for (k, ap) in aps.iter().enumerate() {
+        let own: Vec<usize> = clients
+            .iter()
+            .copied()
+            .filter(|&id| id % N_APS == k)
+            .collect();
+        assert_eq!(ap.spoof.trained_count(), own.len(), "AP {k}");
+        assert_eq!(report.per_ap[k].trained, own.len() as u64, "AP {k}");
+        for &id in &own {
+            assert!(
+                ap.spoof.is_trained(&Testbed::client_mac(id)),
+                "AP {k} client {id}"
+            );
+        }
+    }
+    let total: usize = aps.iter().map(|ap| ap.spoof.trained_count()).sum();
+    assert_eq!(total, clients.len());
 }
 
 #[test]

@@ -7,20 +7,21 @@
 //! where `M` is the antenna count (2–16 here) — once per received frame per
 //! AP, which makes this the hottest kernel in the whole pipeline.
 //!
-//! Two backends share one workspace:
+//! Two solvers share one workspace:
 //!
-//! * [`EigBackend::Tridiagonal`] (default) — the classic dense path:
-//!   Householder reduction to Hermitian tridiagonal form, diagonal phase
-//!   scaling to a *real* symmetric tridiagonal, then implicit-shift QL
-//!   iteration (Golub & Van Loan §8.3, EISPACK `htridi`/`tql2` lineage).
-//!   `O(M³)` with a small constant — each off-diagonal is eliminated once,
-//!   instead of Jacobi's repeated sweeps over the full matrix.
-//! * [`EigBackend::Jacobi`] — the original cyclic complex Jacobi method,
-//!   kept verbatim as the bit-for-bit reference oracle (it is backward
-//!   stable, computes small eigenvalues to high relative accuracy, and has
-//!   no convergence pathologies). The property suite pins the tridiagonal
-//!   solver against it; select it per workspace via
-//!   [`EighWorkspace::with_backend`] or call [`eigh_jacobi`] directly.
+//! * [`EighWorkspace::eigh`] (and the free [`eigh`]) — the classic dense
+//!   path: Householder reduction to Hermitian tridiagonal form, diagonal
+//!   phase scaling to a *real* symmetric tridiagonal, then implicit-shift
+//!   QL iteration (Golub & Van Loan §8.3, EISPACK `htridi`/`tql2`
+//!   lineage). `O(M³)` with a small constant — each off-diagonal is
+//!   eliminated once, instead of Jacobi's repeated sweeps over the full
+//!   matrix. This is what every production caller runs.
+//! * [`EighWorkspace::eigh_into`] (and the free [`eigh_jacobi`]) — the
+//!   original cyclic complex Jacobi method, kept verbatim as the
+//!   bit-for-bit reference oracle (it is backward stable, computes small
+//!   eigenvalues to high relative accuracy, and has no convergence
+//!   pathologies). The property suite pins the tridiagonal solver
+//!   against it.
 //!
 //! The Jacobi rotation for a Hermitian 2×2 block `[[α, b], [b̄, γ]]` with
 //! `b = |b|·e^{jφ}` is the unitary
@@ -81,17 +82,6 @@ impl EigH {
     }
 }
 
-/// Which algorithm an [`EighWorkspace`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EigBackend {
-    /// Householder tridiagonalization + implicit-shift QL (default; the
-    /// fast dense path).
-    #[default]
-    Tridiagonal,
-    /// Cyclic complex Jacobi — the reference oracle.
-    Jacobi,
-}
-
 /// Tolerance policy for [`eigh`]: iteration stops when every off-diagonal
 /// magnitude falls below `rel_tol * ‖A‖_F`, or after `max_sweeps` full
 /// cyclic sweeps (whichever comes first).
@@ -113,8 +103,7 @@ impl Default for JacobiParams {
     }
 }
 
-/// Eigendecomposition of a Hermitian matrix on the default
-/// ([`EigBackend::Tridiagonal`]) path.
+/// Eigendecomposition of a Hermitian matrix on the tridiagonal path.
 ///
 /// Panics if `a` is not square. The Hermitian property is *assumed*: only
 /// the upper triangle and the real parts of the diagonal are read, matching
@@ -159,8 +148,6 @@ pub fn eigh_with(a: &CMat, params: JacobiParams) -> EigH {
 /// does per packet.
 #[derive(Debug, Default)]
 pub struct EighWorkspace {
-    /// Which solver [`EighWorkspace::eigh`] runs.
-    backend: EigBackend,
     /// Working copy of the symmetrised input (destroyed by the solver);
     /// doubles as the column-permutation scratch after convergence.
     w: CMat,
@@ -177,40 +164,13 @@ pub struct EighWorkspace {
 }
 
 impl EighWorkspace {
-    /// A new, empty workspace on the default backend
-    /// ([`EigBackend::Tridiagonal`]). Buffers grow on first use.
+    /// A new, empty workspace. Buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A workspace running the given backend — pass
-    /// [`EigBackend::Jacobi`] to get the reference oracle on the
-    /// workspace API (see `docs/ARCHITECTURE.md`, "hot path").
-    pub fn with_backend(backend: EigBackend) -> Self {
-        Self {
-            backend,
-            ..Self::default()
-        }
-    }
-
-    /// The backend this workspace runs.
-    pub fn backend(&self) -> EigBackend {
-        self.backend
-    }
-
-    /// Eigendecomposition on this workspace's backend, reusing its
-    /// buffers and writing the result into `out` (whose own allocations
-    /// are also recycled). Panics if `a` is not square.
-    pub fn eigh(&mut self, a: &CMat, out: &mut EigH) {
-        match self.backend {
-            EigBackend::Tridiagonal => self.tridiagonal_into(a, out),
-            EigBackend::Jacobi => self.eigh_into(a, JacobiParams::default(), out),
-        }
-    }
-
     /// The cyclic Jacobi reference path with explicit iteration
-    /// parameters — always Jacobi, regardless of this workspace's
-    /// backend (it is what [`eigh_with`] and the oracle tests run).
+    /// parameters (it is what [`eigh_with`] and the oracle tests run).
     ///
     /// Identical results to the free function [`eigh_with`]; the only
     /// difference is allocation reuse. Panics if `a` is not square.
@@ -304,13 +264,16 @@ impl EighWorkspace {
         self.sort_and_emit(out);
     }
 
-    /// The dense tridiagonal path: Householder reduction + phase
-    /// normalisation + implicit-shift QL. Same output contract as the
-    /// Jacobi path (ascending real eigenvalues, unitary eigenvector
-    /// columns); the eigenvector *phases* may differ — both are valid
-    /// decompositions, and every consumer (MUSIC projects onto the
-    /// subspace) is phase-invariant.
-    fn tridiagonal_into(&mut self, a: &CMat, out: &mut EigH) {
+    /// Eigendecomposition on the dense tridiagonal path (Householder
+    /// reduction + phase normalisation + implicit-shift QL), reusing the
+    /// workspace's buffers and writing the result into `out` (whose own
+    /// allocations are also recycled). Panics if `a` is not square.
+    ///
+    /// Same output contract as the Jacobi path (ascending real
+    /// eigenvalues, unitary eigenvector columns); the eigenvector
+    /// *phases* may differ — both are valid decompositions, and every
+    /// consumer (MUSIC projects onto the subspace) is phase-invariant.
+    pub fn eigh(&mut self, a: &CMat, out: &mut EigH) {
         assert!(a.is_square(), "eigh: matrix must be square");
         let n = a.rows();
 
@@ -799,15 +762,14 @@ mod tests {
 
     #[test]
     fn jacobi_backend_workspace_matches_oracle_bitwise() {
-        let mut ws = EighWorkspace::with_backend(EigBackend::Jacobi);
-        assert_eq!(ws.backend(), EigBackend::Jacobi);
+        let mut ws = EighWorkspace::new();
         let mut out = EigH {
             values: Vec::new(),
             vectors: CMat::zeros(0, 0),
         };
         for (n, seed) in [(4usize, 2u64), (8, 6)] {
             let a = hermitian_from_seed(n, seed);
-            ws.eigh(&a, &mut out);
+            ws.eigh_into(&a, JacobiParams::default(), &mut out);
             let oracle = eigh_jacobi(&a);
             assert_eq!(out.values, oracle.values);
             assert_eq!(out.vectors, oracle.vectors);

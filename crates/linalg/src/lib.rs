@@ -35,6 +35,6 @@ pub mod poly;
 pub mod stats;
 
 pub use complex::{c64, C64};
-pub use eigen::{eigh, EigBackend, EigH};
+pub use eigen::{eigh, EigH};
 pub use fft::FftPlan;
 pub use matrix::CMat;

@@ -6,7 +6,7 @@
 //! one `fetch_max`. Buckets are powers of two, so a histogram covers
 //! 1 ns … ~9.2 s of latency in 64 buckets at ≤ 2× relative error —
 //! plenty for percentile dashboards, and small enough that per-shard
-//! instances (one per worker/decode/fusion shard, avoiding cross-thread
+//! instances (one per worker or decode shard, avoiding cross-thread
 //! cache-line traffic) cost nothing to keep and are simply summed into
 //! one [`HistogramSnapshot`] at snapshot time.
 

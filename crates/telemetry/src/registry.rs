@@ -61,7 +61,7 @@ impl Counter {
 }
 
 /// A gauge handle: a signed instantaneous value (queue depth, occupancy,
-/// imbalance).
+/// health score).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -79,8 +79,8 @@ impl Gauge {
     }
 
     /// Overwrite with a fractional value scaled to milli-units (the
-    /// registry convention for ratio gauges such as health scores and
-    /// shard imbalance: `0.35` is stored as `350`).
+    /// registry convention for ratio gauges such as health scores:
+    /// `0.35` is stored as `350`).
     #[inline]
     pub fn set_milli(&self, v: f64) {
         self.set((v * 1000.0).round() as i64);

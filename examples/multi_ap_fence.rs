@@ -439,12 +439,9 @@ fn main() {
             c.reference.map(|p| (p.x, p.y))
         );
     }
-    let store = aps[0].spoof.store();
     println!(
-        "  ap0 signature store: {} clients over {} shards, occupancy {:?}",
-        store.len(),
-        store.shard_count(),
-        store.shard_occupancy()
+        "  ap0 signature store: {} trained clients",
+        aps[0].spoof.trained_count()
     );
 
     // Telemetry export: Prometheus text exposition + JSON snapshot,

@@ -66,7 +66,7 @@ fn main() {
     // --- Batched ingest: all 20 clients through one PacketBatch. --------
     // Production traffic arrives many-packets-at-a-time; the batched path
     // builds the AoA engine (manifold, steering table, eigen workspace)
-    // once and shares it across the whole batch, then trains the sharded
+    // once and shares it across the whole batch, then trains the
     // signature store from the resulting observations.
     println!("\nbatched ingest: one frame from each of the 20 clients, one PacketBatch:");
     let mut tb = Testbed::single_ap(ApArray::Circular, seed);
@@ -96,11 +96,8 @@ fn main() {
             Err(e) => println!("  client {:2} ({}): no observation ({})", client, mac, e),
         }
     }
-    let store = tb.nodes[0].ap.spoof.store();
     println!(
-        "\nsharded signature store: {} clients over {} shards; occupancy {:?}",
-        store.len(),
-        store.shard_count(),
-        store.shard_occupancy()
+        "\nsignature store: {} trained clients",
+        tb.nodes[0].ap.spoof.trained_count()
     );
 }

@@ -125,14 +125,12 @@ fn main() {
         "\nSecureAngle flagged {}/5 injected frames; the ACL alone would have admitted all of them.",
         flagged
     );
-    let store = tb.nodes[0].ap.spoof.store();
+    let spoof = &tb.nodes[0].ap.spoof;
     println!(
-        "signature store: {} trained client(s) over {} shards, {} flags on {} (shard {})",
-        store.len(),
-        store.shard_count(),
-        store.flag_count(&victim_mac),
+        "signature store: {} trained client(s), {} flags on {}",
+        spoof.trained_count(),
+        spoof.flag_count(&victim_mac),
         victim_mac,
-        store.shard_of(&victim_mac),
     );
     assert!(flagged >= 4, "detector should flag the attacker");
 }

@@ -1,8 +1,8 @@
 //! Fleet determinism property (root seam test): on randomized campus
 //! scenarios, the fused windows and the (masked) deployment report must
-//! be byte-identical across every decode-shard, fusion-shard, and
-//! pipelining configuration. Sharding and streaming are performance
-//! knobs — they change thread interleavings, never bytes.
+//! be byte-identical across every decode-shard and pipelining
+//! configuration. The decode pool and streaming are performance knobs —
+//! they change thread interleavings, never bytes.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -35,7 +35,6 @@ fn run_config(
     windows: &[Vec<Transmission>],
     backend: ScanBackend,
     decode_shards: usize,
-    fusion_shards: usize,
     windows_in_flight: usize,
 ) -> (String, String) {
     let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
@@ -44,7 +43,6 @@ fn run_config(
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
-        fusion_shards,
         windows_in_flight,
         ..DeployConfig::default()
     };
@@ -60,9 +58,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fused `DeploymentReport`s are byte-identical across decode-shard
-    /// counts {1, 2, 4} × fusion-shard counts {1, 4, 16} ×
-    /// `windows_in_flight` {1, 2, 4} (and whatever worker interleavings
-    /// those induce) on randomized campus scenarios.
+    /// counts {1, 2, 4} × `windows_in_flight` {1, 2, 4} (and whatever
+    /// worker interleavings those induce) on randomized campus
+    /// scenarios.
     #[test]
     fn fused_reports_are_byte_identical_across_shard_and_stream_configs(
         seed in 0u64..1_000,
@@ -81,41 +79,41 @@ proptest! {
             .collect();
 
         let (base_fused, base_report) =
-            run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, 1, 1, 1);
-        for (decode, fusion, depth) in [(2usize, 4usize, 2usize), (4, 16, 4)] {
+            run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, 1, 1);
+        for (decode, depth) in [(2usize, 2usize), (4, 4)] {
             let (fused, report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, decode, fusion, depth,
+                n_clients, seed, &windows, ScanBackend::Exhaustive, decode, depth,
             );
             prop_assert_eq!(
                 &base_fused, &fused,
-                "fused windows diverged at decode={} fusion={} depth={}",
-                decode, fusion, depth
+                "fused windows diverged at decode={} depth={}",
+                decode, depth
             );
             prop_assert_eq!(
                 &base_report, &report,
-                "report diverged at decode={} fusion={} depth={}",
-                decode, fusion, depth
+                "report diverged at decode={} depth={}",
+                decode, depth
             );
         }
 
         // The scan-backend knob joins the matrix: each backend must be
-        // deterministic under sharding too (the backends may disagree
+        // deterministic under the decode pool too (the backends may disagree
         // *with each other* on bearings — that equivalence is
         // `proptest_backends`' contract, not this one's — but a given
         // backend must never let thread interleaving reach its bytes).
         for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
             let (b_fused, b_report) =
-                run_config(n_clients, seed, &windows, backend, 1, 1, 1);
+                run_config(n_clients, seed, &windows, backend, 1, 1);
             let (fused, report) =
-                run_config(n_clients, seed, &windows, backend, 2, 4, 2);
+                run_config(n_clients, seed, &windows, backend, 2, 2);
             prop_assert_eq!(
                 &b_fused, &fused,
-                "fused windows diverged under sharding for {:?}",
+                "fused windows diverged under the decode pool for {:?}",
                 backend
             );
             prop_assert_eq!(
                 &b_report, &report,
-                "report diverged under sharding for {:?}",
+                "report diverged under the decode pool for {:?}",
                 backend
             );
         }

@@ -1,8 +1,7 @@
 //! Telemetry out-of-band property (root seam test): on randomized
 //! campus scenarios, the fused windows and the (masked) deployment
 //! report must be byte-identical with telemetry fully enabled vs
-//! disabled, at every decode-shard / fusion-shard / pipelining
-//! configuration. Observability is a read-only tap — timers, counters
+//! disabled, at every decode-shard / pipelining configuration. Observability is a read-only tap — timers, counters
 //! and the flight recorder never feed back into the pipeline.
 
 use proptest::prelude::*;
@@ -37,7 +36,7 @@ fn run_config(
     seed: u64,
     windows: &[Vec<Transmission>],
     backend: ScanBackend,
-    (decode_shards, fusion_shards, windows_in_flight): (usize, usize, usize),
+    (decode_shards, windows_in_flight): (usize, usize),
     telemetry: TelemetryConfig,
 ) -> (String, String) {
     let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
@@ -46,7 +45,6 @@ fn run_config(
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
-        fusion_shards,
         windows_in_flight,
         telemetry,
         ..DeployConfig::default()
@@ -64,8 +62,8 @@ proptest! {
 
     /// Fused windows and masked reports are byte-identical with
     /// telemetry enabled (`TelemetryConfig::full()`) vs disabled, across
-    /// decode shards {1, 4} × fusion shards {1, 16} ×
-    /// `windows_in_flight` {1, 4} on randomized campus scenarios.
+    /// decode shards {1, 4} × `windows_in_flight` {1, 4} on randomized
+    /// campus scenarios.
     #[test]
     fn telemetry_never_changes_fused_bytes(
         seed in 0u64..1_000,
@@ -83,24 +81,24 @@ proptest! {
             })
             .collect();
 
-        for (decode, fusion, depth) in [(1usize, 1usize, 1usize), (4, 16, 4)] {
+        for (decode, depth) in [(1usize, 1usize), (4, 4)] {
             let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, fusion, depth),
+                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, depth),
                 TelemetryConfig::disabled(),
             );
             let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, fusion, depth),
+                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, depth),
                 TelemetryConfig::full(),
             );
             prop_assert_eq!(
                 &off_fused, &on_fused,
-                "fused windows diverged with telemetry at decode={} fusion={} depth={}",
-                decode, fusion, depth
+                "fused windows diverged with telemetry at decode={} depth={}",
+                decode, depth
             );
             prop_assert_eq!(
                 &off_report, &on_report,
-                "masked report diverged with telemetry at decode={} fusion={} depth={}",
-                decode, fusion, depth
+                "masked report diverged with telemetry at decode={} depth={}",
+                decode, depth
             );
         }
 
@@ -108,11 +106,11 @@ proptest! {
         // matter which spectrum-search backend the APs run.
         for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
             let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, backend, (4, 16, 4),
+                n_clients, seed, &windows, backend, (4, 4),
                 TelemetryConfig::disabled(),
             );
             let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, backend, (4, 16, 4),
+                n_clients, seed, &windows, backend, (4, 4),
                 TelemetryConfig::full(),
             );
             prop_assert_eq!(
