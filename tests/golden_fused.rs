@@ -5,13 +5,17 @@
 //! `Debug` rendering of every fused window and of the deployment
 //! report with its scheduling-dependent counters masked, so any
 //! refactor of decode, DSP, enforcement or fusion that claims to be
-//! output-preserving is held to it.
+//! output-preserving is held to it. A second digest pins the telemetry
+//! export of the same run (mid-run and final snapshots in both formats,
+//! plus the victim's flight-recorder post-mortem).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_channel::geom::pt;
 use sa_channel::pattern::TxAntenna;
-use sa_deploy::{DeployConfig, Deployment, DeploymentReport, Transmission};
+use sa_deploy::{
+    DeployConfig, Deployment, DeploymentReport, TelemetryConfig, TelemetrySnapshot, Transmission,
+};
 use sa_testbed::Testbed;
 
 const SEED: u64 = 1_207;
@@ -22,6 +26,12 @@ const VICTIM: usize = 7;
 /// together with a change that is meant to alter fused output, and say
 /// why in that change.
 const GOLDEN: u64 = 0xb14c_8abd_8b83_0d2d;
+
+/// Digest of the telemetry export of the same run with
+/// `TelemetryConfig::full()` (see [`stable_telemetry`]). Same rule as
+/// [`GOLDEN`]: it changes only with a change meant to alter exported
+/// names, labels, values or order.
+const GOLDEN_TELEMETRY: u64 = 0x6cab_f271_b6c6_900a;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -46,7 +56,33 @@ fn masked_report(r: &DeploymentReport) -> String {
     format!("{:?}", r)
 }
 
-fn rendered_run() -> String {
+/// The deterministic part of a snapshot, rendered: the Prometheus and
+/// JSON exports without the scheduling-dependent samples (the same
+/// mask as [`masked_report`]), and histograms reduced to name, labels
+/// and count, because their sums, buckets and maxima are wall-clock.
+fn stable_telemetry(s: &TelemetrySnapshot) -> String {
+    let mut s = s.clone();
+    s.counters.retain(|c| !c.name.contains("backpressure"));
+    s.gauges
+        .retain(|g| g.name != "fleet.max_fusion_queue_depth");
+    let mut out = String::new();
+    for h in std::mem::take(&mut s.histograms) {
+        out.push_str(&format!("{} {:?} {}\n", h.name, h.labels, h.count));
+    }
+    out.push_str(&s.to_prometheus());
+    out.push_str(&s.to_json());
+    out
+}
+
+struct Run {
+    /// Fused windows and the masked report.
+    fused: String,
+    /// Mid-run snapshot after window 1, the victim's post-mortem, and
+    /// the final snapshot (empty with telemetry off).
+    telemetry: String,
+}
+
+fn run(telemetry: TelemetryConfig) -> Run {
     let tb = Testbed::deployment(3, SEED);
     let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x901d);
     let others: Vec<usize> = CLIENTS.iter().copied().filter(|&c| c != VICTIM).collect();
@@ -62,24 +98,60 @@ fn rendered_run() -> String {
     w2.push(tb.transmission(apos, &TxAntenna::Omni, tx_power, &frame, 0.0, &mut rng));
 
     let aps = tb.nodes.into_iter().map(|n| n.ap).collect();
-    let mut deployment = Deployment::new(aps, DeployConfig::default());
-    let mut out = String::new();
-    for w in [w0, w1, w2] {
+    let cfg = DeployConfig {
+        telemetry,
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
+    let mut fused = String::new();
+    let mut exported = String::new();
+    for (i, w) in [w0, w1, w2].into_iter().enumerate() {
         let txs = w.into_iter().map(Transmission::new).collect();
-        let fused = deployment.run_window(txs).expect("window");
-        out.push_str(&format!("{:?}\n", fused));
+        let window = deployment.run_window(txs).expect("window");
+        fused.push_str(&format!("{:?}\n", window));
+        if i == 1 {
+            exported.push_str(&stable_telemetry(&deployment.telemetry_snapshot()));
+        }
+    }
+    if let Some(text) = deployment.explain(&Testbed::client_mac(VICTIM)) {
+        exported.push_str(&text);
     }
     let (report, _) = deployment.finish();
-    out.push_str(&masked_report(&report));
-    out
+    fused.push_str(&masked_report(&report));
+    exported.push_str(&stable_telemetry(&report.telemetry));
+    Run {
+        fused,
+        telemetry: exported,
+    }
 }
 
 #[test]
 fn fused_output_matches_the_recorded_digest() {
-    let rendered = rendered_run();
+    let rendered = run(TelemetryConfig::disabled()).fused;
     assert!(
         rendered.contains("Spoof"),
         "the attack window raised no flag"
     );
     assert_eq!(fnv1a(rendered.as_bytes()), GOLDEN, "fused output changed");
+}
+
+#[test]
+fn telemetry_export_matches_the_recorded_digest() {
+    let run = run(TelemetryConfig::full());
+    assert_eq!(
+        fnv1a(run.fused.as_bytes()),
+        GOLDEN,
+        "telemetry changed fused output"
+    );
+    assert!(
+        run.telemetry.contains("SPOOF"),
+        "the post-mortem carries no spoof verdict:\n{}",
+        run.telemetry
+    );
+    assert_eq!(
+        fnv1a(run.telemetry.as_bytes()),
+        GOLDEN_TELEMETRY,
+        "telemetry export changed: {:#x}",
+        fnv1a(run.telemetry.as_bytes())
+    );
 }
