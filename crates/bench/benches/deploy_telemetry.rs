@@ -3,10 +3,11 @@
 //! The same 4-AP window workload as `deploy_throughput` pushed through
 //! a deployment with telemetry disabled (the default, and the
 //! `deploy_throughput` operating point) vs fully enabled
-//! (`TelemetryConfig::full()`: registry + stage timers + flight
-//! recorder). The telemetry design keeps the hot path to one branch
-//! per tap site when disabled and two `Instant::now()` calls plus an
-//! atomic add per stage when enabled — the disabled point must sit
+//! (`TelemetryConfig::full()`: stage histograms + flight recorder;
+//! counters are only read when a snapshot is built). The telemetry
+//! design keeps the hot path to one branch per tap site when disabled
+//! and two `Instant::now()` calls plus one histogram record per timed
+//! span when enabled — the disabled point must sit
 //! within run-to-run noise of `deploy_throughput/aps_4`, and the
 //! enabled point prices the full instrumented mode for
 //! `docs/OBSERVABILITY.md`.

@@ -18,11 +18,11 @@
 //! the same unit phasor, which cancels in `x·x^H` — one of the quiet
 //! reasons the correlation-matrix approach is robust on real hardware.
 //!
-//! Two ingest paths share the stages above: [`AccessPoint::observe`]
-//! processes one capture synchronously, and [`PacketBatch`] (from
-//! [`AccessPoint::batch`]) stages many packets and runs the
+//! One implementation runs the stages above: [`PacketBatch`] (from
+//! [`AccessPoint::batch`]) stages packets and runs the
 //! signal-processing pass over all of them with the AoA setup built
-//! once. Results are identical; only the amortisation differs.
+//! once. [`AccessPoint::observe`] is the same path with a one-packet
+//! batch.
 //!
 //! ```
 //! use sa_channel::geom::pt;
@@ -52,7 +52,7 @@
 
 use crate::signature::AoaSignature;
 use crate::spoof::{SpoofConfig, SpoofDetector, SpoofVerdict};
-use sa_aoa::estimator::{estimate_from_covariance, AoaConfig, AoaEngine, AoaEstimate};
+use sa_aoa::estimator::{AoaConfig, AoaEngine, AoaEstimate};
 use sa_array::calib::Calibration;
 use sa_array::geometry::{Array, ArrayKind};
 use sa_array::rf::FrontEnd;
@@ -61,7 +61,7 @@ use sa_linalg::CMat;
 use sa_mac::{AccessControlList, Frame, MacAddr};
 use sa_phy::ppdu::{PhyError, Receiver, Transmitter};
 use sa_phy::Modulation;
-use sa_sigproc::covariance::{sample_covariance, sample_covariance_strided_into};
+use sa_sigproc::covariance::sample_covariance_strided_into;
 use sa_sigproc::iq::to_db;
 
 /// Static AP configuration.
@@ -402,16 +402,6 @@ impl AccessPoint {
         self.calibration = Calibration::from_tone_capture(&capture);
     }
 
-    /// Stage 1: detect + decode on the reference chain. Returns
-    /// `(frame, start, cfo, pkt_len)`.
-    fn detect_and_decode(
-        &self,
-        buffer: &CMat,
-    ) -> Result<(Option<Frame>, usize, f64, usize), ObserveError> {
-        let d = decode_reference(buffer, self.cfg.modulation)?;
-        Ok((d.frame, d.start, d.cfo, d.pkt_len))
-    }
-
     /// Run stage 1 only: detect + decode the first packet of a capture
     /// into a shareable [`DecodedPacket`] (see [`decode_reference`]).
     pub fn decode_capture(&self, buffer: &CMat) -> Result<DecodedPacket, ObserveError> {
@@ -471,27 +461,14 @@ impl AccessPoint {
     /// Process one multi-antenna capture (rows = antennas) into an
     /// [`Observation`].
     ///
-    /// This is the synchronous single-packet path; it rebuilds the AoA
-    /// estimation setup per call. For more than one capture, stage them
-    /// through a [`PacketBatch`] (see [`AccessPoint::batch`]) instead.
+    /// This is the synchronous single-packet path: a one-packet
+    /// [`PacketBatch`], so it builds the AoA estimation setup per call.
+    /// For more than one capture, stage them through one batch (see
+    /// [`AccessPoint::batch`]) instead.
     pub fn observe(&self, buffer: &CMat) -> Result<Observation, ObserveError> {
-        if buffer.rows() != self.cfg.array.len() || buffer.cols() == 0 {
-            return Err(ObserveError::BadBuffer);
-        }
-
-        // 1. Detect + decode on the reference chain.
-        let (frame, start, cfo, pkt_len) = self.detect_and_decode(buffer)?;
-
-        // 2. Extract the packet window and calibrate.
-        let mut window = self.extract_window(buffer, start, pkt_len);
-        self.calibration.apply(&mut window);
-
-        // 3–4. Correlation matrix over the whole packet, then AoA.
-        let r = sample_covariance(&window);
-        let estimate = estimate_from_covariance(&r, window.cols(), &self.cfg.array, &self.cfg.aoa);
-
-        // 5. Signature + RSS.
-        Ok(self.assemble_observation(&window, frame, start, cfo, estimate))
+        let mut batch = self.batch();
+        batch.push(buffer)?;
+        Ok(batch.process().pop().expect("one staged packet"))
     }
 
     /// Start a [`PacketBatch`]: the batched ingest path. Builds the AoA
@@ -651,13 +628,12 @@ impl PacketBatch<'_> {
         if buffer.rows() != self.ap.cfg.array.len() || buffer.cols() == 0 {
             return Err(ObserveError::BadBuffer);
         }
-        let (frame, start, cfo, pkt_len) = self.ap.detect_and_decode(buffer)?;
-        let window = self.ap.extract_window(buffer, start, pkt_len);
+        let d = decode_reference(buffer, self.ap.cfg.modulation)?;
         self.staged.push(StagedPacket {
-            window,
-            frame,
-            start,
-            cfo,
+            window: self.ap.extract_window(buffer, d.start, d.pkt_len),
+            frame: d.frame,
+            start: d.start,
+            cfo: d.cfo,
         });
         Ok(())
     }
@@ -677,16 +653,16 @@ impl PacketBatch<'_> {
             let slice = CMat::from_fn(buffer.rows(), buffer.cols() - cursor, |m, t| {
                 buffer[(m, cursor + t)]
             });
-            let Ok((frame, start, cfo, pkt_len)) = self.ap.detect_and_decode(&slice) else {
+            let Ok(d) = decode_reference(&slice, self.ap.cfg.modulation) else {
                 break;
             };
-            let window = self.ap.extract_window(&slice, start, pkt_len);
-            let advance = start + window.cols().max(1);
+            let window = self.ap.extract_window(&slice, d.start, d.pkt_len);
+            let advance = d.start + window.cols().max(1);
             self.staged.push(StagedPacket {
                 window,
-                frame,
-                start: cursor + start,
-                cfo,
+                frame: d.frame,
+                start: cursor + d.start,
+                cfo: d.cfo,
             });
             staged += 1;
             cursor += advance;

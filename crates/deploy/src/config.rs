@@ -234,8 +234,8 @@ pub struct DeployConfig {
     /// ([`crate::health::FleetHealth`]). Disabled by default — the
     /// defensive layer is byte-transparent when off.
     pub health: HealthConfig,
-    /// Observability: stage-latency histograms, the unified counter
-    /// registry and the per-client flight recorder
+    /// Observability: stage-latency histograms, counter/gauge
+    /// snapshots and the per-client flight recorder
     /// ([`sa_telemetry::TelemetryConfig`]). Disabled by default —
     /// telemetry is strictly out-of-band and fused output is
     /// byte-identical with it on or off (pinned by

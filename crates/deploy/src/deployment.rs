@@ -138,11 +138,13 @@ impl DecodePool {
         for shard in 0..shards {
             let (tx, rx) = channel::<DecodeJob>();
             let done = done_tx.clone();
-            // Per-shard `stage.decode` histogram handle (None unless
-            // stage timing is on) — write-only, so the pooled decode
-            // path stays byte-identical with telemetry on or off.
-            let hist =
-                telemetry.and_then(|t| t.stage("stage.decode", &[("shard", &shard.to_string())]));
+            // Per-shard `stage.decode` histogram handle (None when
+            // telemetry is off) — write-only, so the pooled decode path
+            // stays byte-identical with telemetry on or off.
+            let hist = telemetry.map(|t| {
+                t.registry
+                    .histogram("stage.decode", &[("shard", &shard.to_string())])
+            });
             let join = std::thread::Builder::new()
                 .name(format!("sa-deploy-decode{}", shard))
                 .spawn(move || {
@@ -255,13 +257,7 @@ pub struct Deployment {
     telemetry: Option<Arc<DeployTelemetry>>,
     /// `stage.decode` handle for the inline (poolless) decode path.
     inline_decode_hist: Option<Arc<Histogram>>,
-    /// Periodic snapshot hook: `(every_windows, callback)`, fired from
-    /// [`Deployment::collect_window`].
-    dump_hook: Option<(u64, DumpHook)>,
 }
-
-/// Boxed callback for [`Deployment::set_dump_hook`].
-type DumpHook = Box<dyn FnMut(&TelemetrySnapshot) + Send>;
 
 impl Deployment {
     /// Spawn a deployment over the given APs with synchronized clocks.
@@ -294,7 +290,7 @@ impl Deployment {
         let telemetry = DeployTelemetry::new(cfg.telemetry);
         let inline_decode_hist = telemetry
             .as_ref()
-            .and_then(|t| t.stage("stage.decode", &[("shard", "0")]));
+            .map(|t| t.registry.histogram("stage.decode", &[("shard", "0")]));
         let decode_pool = (cfg.decode_shards > 1)
             .then(|| DecodePool::new(cfg.decode_shards, modulation, telemetry.as_ref()));
 
@@ -321,7 +317,6 @@ impl Deployment {
             fusion,
             telemetry,
             inline_decode_hist,
-            dump_hook: None,
             cfg,
             health,
             modulation,
@@ -1080,17 +1075,6 @@ impl Deployment {
         if self.health.enabled() {
             self.observe_health(&bin, &fused);
         }
-        // Periodic telemetry dump: fire the hook every `every` fused
-        // windows, with the window's counters already folded in. Out of
-        // band — the hook sees a snapshot copy and cannot influence the
-        // pipeline.
-        if let Some((every, mut hook)) = self.dump_hook.take() {
-            if every > 0 && self.metrics.windows.is_multiple_of(every) {
-                let snap = self.telemetry_snapshot();
-                hook(&snap);
-            }
-            self.dump_hook = Some((every, hook));
-        }
         Ok(fused)
     }
 
@@ -1165,41 +1149,66 @@ impl Deployment {
         }
     }
 
-    /// Install a periodic telemetry dump hook: `hook` is called with a
-    /// fresh [`TelemetrySnapshot`] after every `every_windows`-th fused
-    /// window (e.g. to append exposition dumps to a file). Replaces any
-    /// previous hook. With telemetry disabled the hook still fires but
-    /// sees only empty snapshots; `every_windows = 0` never fires.
-    pub fn set_dump_hook(
-        &mut self,
-        every_windows: u64,
-        hook: impl FnMut(&TelemetrySnapshot) + Send + 'static,
-    ) {
-        self.dump_hook = Some((every_windows, Box::new(hook)));
+    /// A point-in-time [`TelemetrySnapshot`]: fleet and per-AP counters
+    /// built from the deterministic [`DeployMetrics`]/[`ApStats`]
+    /// sources, health and fusion occupancy gauges, and every per-stage
+    /// latency histogram recorded so far. Empty when telemetry is
+    /// disabled. While the run is live the per-AP counters reflect
+    /// *closed windows* (the full-run totals, including in-flight work,
+    /// arrive in [`DeploymentReport::telemetry`] from
+    /// [`Deployment::finish`]).
+    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        self.build_snapshot(&self.per_ap_window_stats, &[])
     }
 
-    /// A point-in-time [`TelemetrySnapshot`]: the unified counter
-    /// registry (fleet and per-AP counters mirrored from the
-    /// deterministic [`DeployMetrics`]/[`ApStats`] sources), fusion
-    /// occupancy gauges, and every per-stage latency histogram recorded
-    /// so far. Empty when telemetry is disabled. While the run is live
-    /// the per-AP counters reflect *closed windows* (the full-run
-    /// totals, including in-flight work, arrive in
-    /// [`DeploymentReport::telemetry`] from [`Deployment::finish`]).
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        match &self.telemetry {
-            Some(t) => {
-                mirror_counters(
-                    t,
-                    &self.metrics,
-                    &self.per_ap_window_stats,
-                    &self.fusion,
-                    &self.health,
-                );
-                t.registry.snapshot()
+    /// The snapshot behind [`Deployment::telemetry_snapshot`] and
+    /// [`Deployment::finish`], over the given per-AP totals. Only
+    /// `finish` has the APs' signature stores back in hand, so only it
+    /// passes `(ap_id, trained clients)` pairs for the
+    /// `store.occupancy` gauge.
+    fn build_snapshot(
+        &self,
+        per_ap: &[ApStats],
+        store_occupancy: &[(usize, usize)],
+    ) -> TelemetrySnapshot {
+        let Some(t) = &self.telemetry else {
+            return TelemetrySnapshot::default();
+        };
+        let mut s = t.registry.snapshot();
+        self.metrics
+            .for_each(|name, v| s.push_counter(format!("fleet.{name}"), &[], v));
+        for (ap_id, stats) in per_ap.iter().enumerate() {
+            let ap = ap_id.to_string();
+            let labels = [("ap", ap.as_str())];
+            stats.for_each(|name, v| s.push_counter(format!("ap.{name}"), &labels, v));
+            // The health score is a ratio in [0, 1]; gauges are
+            // integers, so it is exported in milli-units (1000 =
+            // perfectly healthy).
+            if ap_id < self.health.n_aps() {
+                let milli = (self.health.score(ap_id) * 1000.0).round() as i64;
+                s.push_gauge("ap.health_score".into(), &labels, milli);
             }
-            None => TelemetrySnapshot::default(),
         }
+        for &(ap_id, trained) in store_occupancy {
+            let ap = ap_id.to_string();
+            s.push_gauge("store.occupancy".into(), &[("ap", &ap)], trained as i64);
+        }
+        for (name, v) in [
+            (
+                "fleet.max_fusion_queue_depth",
+                self.metrics.max_fusion_queue_depth as u64,
+            ),
+            ("fusion.rebaselines", self.fusion.rebaseline_count()),
+            (
+                "fusion.tracked_clients",
+                self.fusion.tracked_clients() as u64,
+            ),
+            ("recorder.clients", t.recorder.client_count() as u64),
+        ] {
+            s.push_gauge(name.into(), &[], v as i64);
+        }
+        s.sort();
+        s
     }
 
     /// Render the flight recorder's per-client post-mortem for `mac`:
@@ -1208,8 +1217,7 @@ impl Deployment {
     /// each decision — the evidence trail behind a spoof flag. `None`
     /// when the flight recorder is off or has nothing for this client.
     pub fn explain(&self, mac: &MacAddr) -> Option<String> {
-        let t = self.telemetry.as_ref()?;
-        let events = t.recorder()?.events(*mac)?;
+        let events = self.telemetry.as_ref()?.recorder.events(*mac)?;
         let flags = events.iter().filter(|e| e.verdict.is_spoof()).count();
         let mut out = format!(
             "client {mac}: {} recorded window(s), {} spoof verdict(s)\n",
@@ -1315,10 +1323,10 @@ impl Deployment {
         while let Ok(done) = self.up_rx.try_recv() {
             self.route(done);
         }
-        let telemetry = self.telemetry.clone();
         let mut per_ap = Vec::with_capacity(self.slots.len());
+        let mut store_occupancy = Vec::new();
         let mut aps = Vec::new();
-        for (ap_id, slot) in self.slots.into_iter().enumerate() {
+        for (ap_id, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
             let prior = slot.final_stats;
             let mut stats = match slot.join.map(|j| j.join()) {
                 Some(Ok((ap, mut stats))) => {
@@ -1327,13 +1335,9 @@ impl Deployment {
                     if let Some(p) = &prior {
                         stats.absorb(p);
                     }
-                    // Store-occupancy gauge, tapped now that the AP's
+                    // Store occupancy, readable now that the AP's
                     // trained signature store is back in hand.
-                    if let Some(t) = &telemetry {
-                        t.registry
-                            .gauge("store.occupancy", &[("ap", &ap_id.to_string())])
-                            .set(ap.spoof.trained_count() as i64);
-                    }
+                    store_occupancy.push((ap_id, ap.spoof.trained_count()));
                     aps.push(ap);
                     stats
                 }
@@ -1352,17 +1356,11 @@ impl Deployment {
             stats.readmitted = self.per_ap_window_stats[ap_id].readmitted;
             per_ap.push(stats);
         }
-        // Final mirror from the *full-run* per-AP totals (richer than
-        // the closed-window view the live snapshot uses), then freeze
-        // the registry into the report. Disabled telemetry yields the
-        // empty default snapshot, keeping reports byte-stable.
-        let report_telemetry = match &telemetry {
-            Some(t) => {
-                mirror_counters(t, &self.metrics, &per_ap, &self.fusion, &self.health);
-                t.registry.snapshot()
-            }
-            None => TelemetrySnapshot::default(),
-        };
+        // The final snapshot uses the *full-run* per-AP totals (richer
+        // than the closed-window view the live snapshot uses). Disabled
+        // telemetry yields the empty default snapshot, keeping reports
+        // byte-stable.
+        let report_telemetry = self.build_snapshot(&per_ap, &store_occupancy);
         let report = DeploymentReport {
             n_aps: per_ap.len(),
             metrics: self.metrics,
@@ -1374,58 +1372,14 @@ impl Deployment {
     }
 }
 
-/// Mirror the deterministic counter sources into the registry — `set`,
-/// not `add`, so repeated snapshots never double-count — plus the
-/// fusion occupancy gauges. Mirroring at snapshot time, instead of
-/// incrementing registry counters on the hot paths, is what keeps
-/// control flow (and therefore every fused byte) identical with
-/// telemetry on or off.
-fn mirror_counters(
-    t: &DeployTelemetry,
-    metrics: &DeployMetrics,
-    per_ap: &[ApStats],
-    fusion: &Fusion,
-    health: &FleetHealth,
-) {
-    metrics.for_each(|name, v| {
-        t.registry.counter(&format!("fleet.{name}"), &[]).set(v);
-    });
-    t.registry
-        .gauge("fleet.max_fusion_queue_depth", &[])
-        .set(metrics.max_fusion_queue_depth as i64);
-    for (ap_id, stats) in per_ap.iter().enumerate() {
-        let label = ap_id.to_string();
-        stats.for_each(|name, v| {
-            t.registry
-                .counter(&format!("ap.{name}"), &[("ap", &label)])
-                .set(v);
-        });
-        // The health score is a ratio in [0, 1]; gauges are integers,
-        // so it is exported in milli-units (1000 = perfectly healthy).
-        if ap_id < health.n_aps() {
-            t.registry
-                .gauge("ap.health_score", &[("ap", &label)])
-                .set_milli(health.score(ap_id));
-        }
-    }
-    t.registry
-        .gauge("fusion.rebaselines", &[])
-        .set(fusion.rebaseline_count() as i64);
-    t.registry
-        .gauge("fusion.tracked_clients", &[])
-        .set(fusion.tracked_clients() as i64);
-    t.registry
-        .gauge("recorder.clients", &[])
-        .set(t.recorder.client_count() as i64);
-}
-
-/// The per-AP stage-histogram handles for one worker, when stage
-/// timing is on.
+/// The per-AP stage-histogram handles for one worker, when telemetry
+/// is on.
 fn worker_tap(telemetry: Option<&Arc<DeployTelemetry>>, ap_id: usize) -> Option<WorkerTap> {
     let t = telemetry?;
+    let ap = ap_id.to_string();
     Some(WorkerTap {
-        dsp: t.stage("stage.worker_dsp", &[("ap", &ap_id.to_string())])?,
-        enforce: t.stage("stage.enforce", &[("ap", &ap_id.to_string())])?,
+        dsp: t.registry.histogram("stage.worker_dsp", &[("ap", &ap)]),
+        enforce: t.registry.histogram("stage.enforce", &[("ap", &ap)]),
     })
 }
 

@@ -82,13 +82,12 @@ impl Fusion {
     }
 
     /// Attach a deployment's telemetry bundle: creates the
-    /// `stage.fusion_drain` and `stage.consensus` histograms (when
-    /// stage timing is on) and routes per-client window events into the
-    /// flight recorder (when it is on).
+    /// `stage.fusion_drain` and `stage.consensus` histograms and routes
+    /// per-client window events into the flight recorder.
     pub(crate) fn attach_telemetry(&mut self, telemetry: &Arc<DeployTelemetry>) {
         self.taps = Some(FusionTaps {
-            drain: telemetry.stage("stage.fusion_drain", &[]),
-            consensus: telemetry.stage("stage.consensus", &[]),
+            drain: telemetry.registry.histogram("stage.fusion_drain", &[]),
+            consensus: telemetry.registry.histogram("stage.consensus", &[]),
             telemetry: telemetry.clone(),
         });
     }
@@ -218,13 +217,13 @@ impl Fusion {
         quarantined_aps: usize,
     ) -> FusedWindow {
         // A detached fusion stage — or one whose deployment left
-        // telemetry disabled — gets all-`None` taps, so every span and
-        // recorder call below is a single branch.
+        // telemetry disabled — has no taps, so every span and recorder
+        // call below is a single branch.
         let taps = self.taps.as_ref();
-        let recorder = taps.and_then(|t| t.telemetry.recorder());
-        let consensus_hist = taps.and_then(|t| t.consensus.as_deref());
+        let recorder = taps.map(|t| &t.telemetry.recorder);
+        let consensus_hist = taps.map(|t| &*t.consensus);
         // Times the whole drain (sort + group + fuse + consensus).
-        let _drain_span = StageTimer::start(taps.and_then(|t| t.drain.as_deref()));
+        let _drain_span = StageTimer::start(taps.map(|t| &*t.drain));
 
         // Degrade the fix quorum with the membership: a 4-AP policy on
         // a deployment temporarily down to 2 live APs must still fix

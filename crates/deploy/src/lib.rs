@@ -44,8 +44,8 @@
 //!   final [`DeploymentReport`] make the behavior measurable (see the
 //!   `deploy` and `deploy_degraded` criterion groups in `sa-bench`).
 //! * Observability is **strictly out-of-band**
-//!   ([`DeployConfig::telemetry`], default off): a unified counter
-//!   registry mirrored from the deterministic stats, per-stage latency
+//!   ([`DeployConfig::telemetry`], default off): snapshot counters
+//!   built from the deterministic stats, per-stage latency
 //!   histograms (stage-1 decode, per-AP DSP, enforcement, fusion drain,
 //!   consensus), store/fusion occupancy gauges, and a per-client
 //!   flight recorder whose [`Deployment::explain`] renders the evidence

@@ -12,7 +12,7 @@ use secureangle::tracking::TrackPoint;
 /// Defines a block of `u64` counters with the plumbing every such block
 /// used to hand-roll: the struct itself, field-wise [`absorb`]
 /// (folding), and a [`for_each`] visitor that names every counter — the
-/// single source of truth the telemetry registry mirrors from, so a
+/// single source of truth telemetry snapshots are built from, so a
 /// newly added field can never silently miss `absorb` or the exported
 /// snapshot.
 ///
@@ -38,8 +38,8 @@ macro_rules! counter_block {
             }
 
             /// Visit every counter as a `(name, value)` pair, in
-            /// declaration order. This is what the telemetry snapshot
-            /// mirrors, so the visitor is exhaustive by construction.
+            /// declaration order. Telemetry snapshots are built from
+            /// it, so the visitor is exhaustive by construction.
             pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
                 $( f(stringify!($field), self.$field); )+
             }
@@ -406,10 +406,9 @@ pub struct DeploymentReport {
     pub per_ap: Vec<ApStats>,
     /// Per-client summaries, ordered by MAC.
     pub clients: Vec<ClientSummary>,
-    /// The unified telemetry snapshot: every per-AP and fleet counter
-    /// above mirrored into hierarchical registry names (`ap.*` labeled
-    /// by AP id, `fleet.*`), per-stage latency histograms when stage
-    /// timing was on, and store-occupancy gauges. Empty when
+    /// The telemetry snapshot: every per-AP and fleet counter above
+    /// under hierarchical names (`ap.*` labeled by AP id, `fleet.*`),
+    /// per-stage latency histograms, and store-occupancy gauges. Empty when
     /// [`crate::DeployConfig::telemetry`] is disabled (the default), so
     /// reports from telemetry-free runs compare byte-identical to
     /// earlier releases.

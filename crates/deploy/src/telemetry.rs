@@ -5,10 +5,10 @@
 //!
 //! Everything here is **strictly out-of-band**: stage timers record
 //! wall-clock latencies but nothing ever reads them back into control
-//! flow, counters are mirrored *from* the deterministic
-//! [`crate::ApStats`]/[`crate::DeployMetrics`] sources at snapshot time
-//! (never the other way around), and the flight recorder only copies
-//! evidence fusion already computed. Disabling telemetry
+//! flow, snapshot counters are built *from* the deterministic
+//! [`crate::ApStats`]/[`crate::DeployMetrics`] sources when a snapshot
+//! is taken (never the other way around), and the flight recorder only
+//! copies evidence fusion already computed. Disabling telemetry
 //! ([`sa_telemetry::TelemetryConfig::disabled`], the default) reduces
 //! every tap to a `None` branch — fused output is byte-identical either
 //! way, pinned by `tests/proptest_telemetry.rs`.
@@ -123,11 +123,17 @@ impl ClientWindowEvent {
     }
 }
 
+/// Events the flight recorder keeps per client.
+const RECORDER_DEPTH: usize = 8;
+
+/// Clients the flight recorder tracks; beyond it the
+/// least-recently-updated client's ring is evicted.
+const RECORDER_CLIENTS: usize = 4096;
+
 /// The telemetry bundle a [`crate::Deployment`] owns when
 /// [`crate::DeployConfig::telemetry`] is enabled, shared (`Arc`) with
 /// the decode pool, worker threads and fusion stage.
 pub(crate) struct DeployTelemetry {
-    pub cfg: TelemetryConfig,
     pub registry: Registry,
     pub recorder: FlightRecorder<MacAddr, ClientWindowEvent>,
 }
@@ -136,32 +142,12 @@ impl DeployTelemetry {
     /// Build the bundle — `None` when telemetry is disabled, which is
     /// what reduces every downstream tap to a single branch.
     pub fn new(cfg: TelemetryConfig) -> Option<Arc<Self>> {
-        if !cfg.enabled {
-            return None;
-        }
-        let depth = if cfg.flight_recorder {
-            cfg.recorder_depth
-        } else {
-            0
-        };
-        Some(Arc::new(Self {
-            cfg,
-            registry: Registry::new(),
-            recorder: FlightRecorder::new(depth, cfg.recorder_clients),
-        }))
-    }
-
-    /// A stage histogram handle, or `None` when stage timing is off (so
-    /// the caller's span guard compiles down to a branch).
-    pub fn stage(&self, name: &str, labels: &[(&str, &str)]) -> Option<Arc<Histogram>> {
-        self.cfg
-            .stage_timing
-            .then(|| self.registry.histogram(name, labels))
-    }
-
-    /// The flight recorder, when event recording is on.
-    pub fn recorder(&self) -> Option<&FlightRecorder<MacAddr, ClientWindowEvent>> {
-        self.cfg.flight_recorder.then_some(&self.recorder)
+        cfg.enabled.then(|| {
+            Arc::new(Self {
+                registry: Registry::new(),
+                recorder: FlightRecorder::new(RECORDER_DEPTH, RECORDER_CLIENTS),
+            })
+        })
     }
 }
 
@@ -176,10 +162,10 @@ pub(crate) struct WorkerTap {
 /// Fusion tap handles, built by the deployment when it attaches
 /// telemetry to its fusion stage.
 pub(crate) struct FusionTaps {
-    /// `stage.fusion_drain` (`None` when stage timing is off).
-    pub drain: Option<Arc<Histogram>>,
-    /// `stage.consensus` (`None` when stage timing is off).
-    pub consensus: Option<Arc<Histogram>>,
+    /// `stage.fusion_drain`.
+    pub drain: Arc<Histogram>,
+    /// `stage.consensus`.
+    pub consensus: Arc<Histogram>,
     /// The shared bundle (for the flight recorder).
     pub telemetry: Arc<DeployTelemetry>,
 }
@@ -192,13 +178,11 @@ mod tests {
     fn disabled_config_builds_no_bundle() {
         assert!(DeployTelemetry::new(TelemetryConfig::disabled()).is_none());
         let t = DeployTelemetry::new(TelemetryConfig::full()).expect("enabled");
-        assert!(t.stage("stage.decode", &[("shard", "0")]).is_some());
-        assert!(t.recorder().is_some());
-        let counters_only = DeployTelemetry::new(TelemetryConfig::counters_only()).unwrap();
-        assert!(counters_only
-            .stage("stage.decode", &[("shard", "0")])
-            .is_none());
-        assert!(counters_only.recorder().is_none());
+        t.registry
+            .histogram("stage.decode", &[("shard", "0")])
+            .record(5);
+        assert_eq!(t.registry.snapshot().histograms[0].count, 1);
+        assert_eq!(t.recorder.depth(), RECORDER_DEPTH);
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub(crate) struct WorkerCfg {
     /// report-loss draws.
     pub marker_loss_rate: f64,
     /// Stage-latency histogram handles (`stage.worker_dsp`,
-    /// `stage.enforce`, labeled by AP) — `None` unless stage timing is
-    /// on, so the disabled path costs one branch per span and reads no
+    /// `stage.enforce`, labeled by AP) — `None` unless telemetry is on,
+    /// so the disabled path costs one branch per span and reads no
     /// clock. Timing is write-only: nothing downstream ever reads it,
     /// keeping fused output byte-identical with telemetry on or off.
     pub tap: Option<WorkerTap>,

@@ -60,8 +60,13 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
     }
 }
 
+/// Map a label key to a valid label name: anything outside
+/// `[A-Za-z0-9_]` becomes `_`, and a key that is empty or starts with a
+/// digit gets a leading `_` (the exposition grammar, and
+/// [`parse_exposition`], reject both).
 fn sanitize_label_key(k: &str) -> String {
-    k.chars()
+    let mut out: String = k
+        .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' {
                 c
@@ -69,7 +74,11 @@ fn sanitize_label_key(k: &str) -> String {
                 '_'
             }
         })
-        .collect()
+        .collect();
+    if !out.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
+        out.insert(0, '_');
+    }
+    out
 }
 
 /// Render the snapshot as Prometheus text exposition. Output is
@@ -263,9 +272,9 @@ mod tests {
     fn label_values_are_escaped_and_parse_back() {
         let tricky = "a\\b\"c\nd";
         assert_eq!(escape_label_value(tricky), "a\\\\b\\\"c\\nd");
-        let r = Registry::new();
-        r.counter("odd.metric", &[("path", tricky)]).add(5);
-        let text = r.snapshot().to_prometheus();
+        let mut s = TelemetrySnapshot::default();
+        s.push_counter("odd.metric".into(), &[("path", tricky)], 5);
+        let text = s.to_prometheus();
         let samples = parse_exposition(&text).expect("own exposition parses");
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].name, "sa_odd_metric");
@@ -279,14 +288,15 @@ mod tests {
     #[test]
     fn full_registry_round_trips() {
         let r = Registry::new();
-        r.counter("decode.packets", &[("ap", "0")]).add(3);
-        r.counter("decode.packets", &[("ap", "1")]).add(4);
-        r.gauge("queue.depth", &[]).set(-2);
         let h = r.histogram("stage.decode", &[("shard", "0")]);
         for v in [10u64, 20, 30] {
             h.record(v);
         }
-        let text = r.snapshot().to_prometheus();
+        let mut s = r.snapshot();
+        s.push_counter("decode.packets".into(), &[("ap", "0")], 3);
+        s.push_counter("decode.packets".into(), &[("ap", "1")], 4);
+        s.push_gauge("queue.depth".into(), &[], -2);
+        let text = s.to_prometheus();
         let samples = parse_exposition(&text).expect("valid exposition");
         // 2 counters + 1 gauge + (3 quantiles + sum + count + max).
         assert_eq!(samples.len(), 9);

@@ -10,12 +10,19 @@
 
 use serde::{Serialize, Value};
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap is what keeps hostile input such as
+/// `[[[[…` from overflowing the stack; the snapshot documents this
+/// workspace emits nest five levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document into a [`Value`] tree. Errors carry the byte
-/// offset of the failure.
+/// offset of the failure; nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -49,6 +56,8 @@ impl Serialize for Raw<'_> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -86,8 +95,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other, self.pos)),
         }
@@ -292,6 +315,21 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).expect_err("unterminated deep nesting");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!(
+            "{}{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -5,47 +5,47 @@
 //! where is my pipeline spending its time?" at campus scale. This crate
 //! is the observability layer those questions run on:
 //!
-//! * [`Registry`] — a unified counter/gauge registry of atomics with
-//!   hierarchical `ap.decode.packets`-style names and optional labels,
-//!   replacing ad-hoc counter plumbing scattered across subsystems.
 //! * [`Histogram`] — fixed-bucket log2 latency histograms (HDR-lite):
 //!   an allocation-free, lock-free record path, per-shard instances
 //!   merged at snapshot time, p50/p90/p99/max read out of the buckets.
-//!   [`StageTimer`] is the span guard that feeds them.
+//!   [`StageTimer`] is the span guard that feeds them, and [`Registry`]
+//!   hands them out by hierarchical `stage.decode`-style name and
+//!   optional labels.
 //! * [`FlightRecorder`] — a bounded per-key ring buffer of recent
 //!   pipeline events, so a spoof verdict can be dumped as a
 //!   human-readable post-mortem instead of a bare boolean.
-//! * [`TelemetrySnapshot`] — one coherent point-in-time view of all of
-//!   the above, exportable as Prometheus text exposition
-//!   ([`TelemetrySnapshot::to_prometheus`]) or a JSON document
-//!   ([`TelemetrySnapshot::to_json`]). [`expo::parse_exposition`] and
-//!   [`json::parse`] are small in-repo validators used by tests and the
-//!   CI smoke.
+//! * [`TelemetrySnapshot`] — one point-in-time view: the registry's
+//!   histograms plus counters and gauges built from the owning
+//!   subsystem's own statistics, exportable as Prometheus text
+//!   exposition ([`TelemetrySnapshot::to_prometheus`]) or a JSON
+//!   document ([`TelemetrySnapshot::to_json`]).
+//!   [`expo::parse_exposition`] and [`json::parse`] are small in-repo
+//!   validators used by tests and the CI smoke.
 //!
 //! **Telemetry is strictly out-of-band.** Nothing in this crate feeds
 //! back into control flow: wall-clock timings are recorded, never
 //! consulted, so enabling or disabling telemetry cannot change a byte
 //! of the pipeline's output (the deployment layer pins exactly that
 //! property). The [`TelemetryConfig::disabled`] path reduces every
-//! record site to a branch on a `bool`/`Option`, keeping hot-path
-//! overhead within measurement noise (see the `deploy_telemetry` bench
-//! group).
+//! record site to a branch on an `Option`, keeping hot-path overhead
+//! within measurement noise (see the `deploy_telemetry` bench group).
 //!
 //! ```
-//! use sa_telemetry::{Registry, StageTimer, TelemetrySnapshot};
+//! use sa_telemetry::{Registry, StageTimer};
 //!
 //! let registry = Registry::new();
-//! let packets = registry.counter("decode.packets", &[("ap", "3")]);
-//! packets.add(17);
-//!
-//! let hist = registry.histogram("stage.decode", &[]);
+//! let hist = registry.histogram("stage.decode", &[("shard", "0")]);
 //! {
 //!     let _span = StageTimer::start(Some(&hist));
 //!     // ... the timed stage ...
 //! }
 //!
-//! let snapshot = registry.snapshot();
-//! assert!(snapshot.to_prometheus().contains("sa_decode_packets"));
+//! let mut snapshot = registry.snapshot();
+//! snapshot.push_counter("decode.packets".into(), &[("ap", "3")], 17);
+//! snapshot.sort();
+//! let text = snapshot.to_prometheus();
+//! assert!(text.contains("sa_decode_packets{ap=\"3\"} 17"));
+//! assert!(text.contains("sa_stage_decode_count{shard=\"0\"} 1"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,33 +60,22 @@ pub mod snapshot;
 
 pub use histogram::{Histogram, HistogramSnapshot, StageTimer, BUCKETS};
 pub use recorder::FlightRecorder;
-pub use registry::{Counter, Gauge, Registry};
+pub use registry::Registry;
 pub use snapshot::{CounterSample, GaugeSample, TelemetrySnapshot};
 
-/// Telemetry feature switches, carried by the subsystem configs that
-/// embed telemetry (e.g. `sa_deploy::DeployConfig::telemetry`). `Copy`
-/// on purpose so embedding configs keep their own `Copy`.
+/// The telemetry switch, carried by the subsystem configs that embed
+/// telemetry (e.g. `sa_deploy::DeployConfig::telemetry`). `Copy` on
+/// purpose so embedding configs keep their own `Copy`.
 ///
 /// The default is [`TelemetryConfig::disabled`]: observability is
 /// opt-in, and the disabled path costs one branch per record site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch: maintain the counter/gauge registry and emit a
-    /// populated [`TelemetrySnapshot`]. Off ⇒ snapshots are empty and
-    /// every other switch is ignored.
+    /// On: build populated [`TelemetrySnapshot`]s, record wall-clock
+    /// stage latencies (recorded, never consulted) and keep the
+    /// per-client flight recorder. Off: snapshots are empty, no clocks
+    /// are read and no events are kept.
     pub enabled: bool,
-    /// Record wall-clock stage latencies into the per-stage histograms
-    /// (two monotonic-clock reads per timed span). Timings are strictly
-    /// out-of-band — recorded, never consulted.
-    pub stage_timing: bool,
-    /// Keep per-client flight-recorder rings of recent pipeline events
-    /// for post-mortem dumps.
-    pub flight_recorder: bool,
-    /// Events retained per client in the flight recorder (ring depth).
-    pub recorder_depth: usize,
-    /// Maximum clients tracked by the flight recorder; beyond it the
-    /// least-recently-updated client's ring is evicted.
-    pub recorder_clients: usize,
 }
 
 impl TelemetryConfig {
@@ -94,38 +83,13 @@ impl TelemetryConfig {
     /// hot-path cost of a disabled-telemetry deployment is one branch
     /// per record site (benched within noise by `deploy_telemetry`).
     pub const fn disabled() -> Self {
-        Self {
-            enabled: false,
-            stage_timing: false,
-            flight_recorder: false,
-            recorder_depth: 0,
-            recorder_clients: 0,
-        }
-    }
-
-    /// Counters and gauges only: the registry is live but no wall
-    /// clocks are read and no event rings are kept.
-    pub const fn counters_only() -> Self {
-        Self {
-            enabled: true,
-            stage_timing: false,
-            flight_recorder: false,
-            recorder_depth: 0,
-            recorder_clients: 0,
-        }
+        Self { enabled: false }
     }
 
     /// The full observability surface: counters, gauges, per-stage
-    /// latency histograms, and an 8-deep flight recorder over up to
-    /// 4096 clients.
+    /// latency histograms and the flight recorder.
     pub const fn full() -> Self {
-        Self {
-            enabled: true,
-            stage_timing: true,
-            flight_recorder: true,
-            recorder_depth: 8,
-            recorder_clients: 4096,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -143,13 +107,11 @@ mod tests {
     fn default_is_disabled() {
         let cfg = TelemetryConfig::default();
         assert_eq!(cfg, TelemetryConfig::disabled());
-        assert!(!cfg.enabled && !cfg.stage_timing && !cfg.flight_recorder);
+        assert!(!cfg.enabled);
     }
 
     #[test]
     fn full_enables_everything() {
-        let cfg = TelemetryConfig::full();
-        assert!(cfg.enabled && cfg.stage_timing && cfg.flight_recorder);
-        assert!(cfg.recorder_depth > 0 && cfg.recorder_clients > 0);
+        assert!(TelemetryConfig::full().enabled);
     }
 }

@@ -1,6 +1,6 @@
-//! [`TelemetrySnapshot`]: the one coherent, point-in-time view of every
-//! instrument in a [`crate::Registry`], and its export surfaces
-//! (Prometheus text exposition, JSON document).
+//! [`TelemetrySnapshot`]: one point-in-time view of a subsystem's
+//! counters, gauges and [`crate::Registry`] histograms, and its export
+//! surfaces (Prometheus text exposition, JSON document).
 //!
 //! Snapshots are plain data — `Clone + PartialEq + Default` — ordered
 //! deterministically by `(name, labels)`, so two snapshots of identical
@@ -33,8 +33,8 @@ pub struct GaugeSample {
     pub value: i64,
 }
 
-/// A coherent point-in-time copy of a registry: all counters, gauges,
-/// and histograms, each sorted by `(name, labels)`.
+/// A point-in-time copy of counters, gauges and histograms, each sorted
+/// by `(name, labels)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// Counter readings, sorted by `(name, labels)`.
@@ -48,6 +48,37 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
+    /// Add a counter reading. Samples may arrive in any order; call
+    /// [`TelemetrySnapshot::sort`] once they are all in.
+    pub fn push_counter(&mut self, name: String, labels: &[(&str, &str)], value: u64) {
+        self.counters.push(CounterSample {
+            name,
+            labels: owned(labels),
+            value,
+        });
+    }
+
+    /// Add a gauge reading (see [`TelemetrySnapshot::push_counter`]).
+    pub fn push_gauge(&mut self, name: String, labels: &[(&str, &str)], value: i64) {
+        self.gauges.push(GaugeSample {
+            name,
+            labels: owned(labels),
+            value,
+        });
+    }
+
+    /// Order every sample kind by `(name, labels)`, compared as strings
+    /// (so `ap="10"` sorts before `ap="2"`). Exports render in this
+    /// order.
+    pub fn sort(&mut self) {
+        self.counters
+            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.gauges
+            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.histograms
+            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+    }
+
     /// True when nothing was ever registered — the disabled-telemetry
     /// shape.
     pub fn is_empty(&self) -> bool {
@@ -112,6 +143,13 @@ impl TelemetrySnapshot {
     pub fn to_json_value(&self) -> Value {
         self.to_value()
     }
+}
+
+fn owned(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
 }
 
 fn labels_value(labels: &[(String, String)]) -> Value {
@@ -193,14 +231,40 @@ mod tests {
 
     fn sample() -> TelemetrySnapshot {
         let r = Registry::new();
-        r.counter("decode.packets", &[("ap", "0")]).add(10);
-        r.counter("decode.packets", &[("ap", "1")]).add(7);
-        r.gauge("store.occupancy", &[]).set(42);
         let h = r.histogram("stage.decode", &[]);
         for v in [100u64, 900, 40_000] {
             h.record(v);
         }
-        r.snapshot()
+        let mut s = r.snapshot();
+        s.push_counter("decode.packets".into(), &[("ap", "1")], 7);
+        s.push_counter("decode.packets".into(), &[("ap", "0")], 10);
+        s.push_gauge("store.occupancy".into(), &[], 42);
+        s.sort();
+        s
+    }
+
+    #[test]
+    fn sort_orders_by_name_then_labels_as_strings() {
+        let mut s = TelemetrySnapshot::default();
+        for ap in ["2", "10", "1"] {
+            s.push_counter("ap.windows".into(), &[("ap", ap)], 0);
+        }
+        s.push_counter("a.first".into(), &[], 0);
+        s.sort();
+        let keys: Vec<String> = s
+            .counters
+            .iter()
+            .map(|c| format!("{}{:?}", c.name, c.labels))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "a.first[]",
+                "ap.windows[(\"ap\", \"1\")]",
+                "ap.windows[(\"ap\", \"10\")]",
+                "ap.windows[(\"ap\", \"2\")]",
+            ]
+        );
     }
 
     #[test]
