@@ -23,6 +23,10 @@ fn bench_schmidl_cox_scan(c: &mut Criterion) {
     c.bench_function("schmidl_cox_scan_8000_samples", |b| {
         b.iter(|| sc.detect(&buf))
     });
+    // What the receiver runs: stop at the first detection's region.
+    c.bench_function("schmidl_cox_first_8000_samples", |b| {
+        b.iter(|| sc.detect_first(&buf))
+    });
 }
 
 fn bench_ofdm_roundtrip(c: &mut Criterion) {
@@ -45,6 +49,23 @@ fn bench_ofdm_roundtrip(c: &mut Criterion) {
             b.iter(|| rx.decode(&buf).expect("decode"))
         });
     }
+    // One office-sized capture as stage-1 decode sees it: a 1024-B QPSK
+    // frame after a 120-sample lead-in, CFO 0.01 rad/sample, 30 dB SNR,
+    // in a 7 400-sample row.
+    let tx = Transmitter::new(Modulation::Qpsk);
+    let rx = Receiver::new(Modulation::Qpsk);
+    let payload: Vec<u8> = (0..1024u32).map(|i| (i * 7 % 251) as u8).collect();
+    let wave = tx.encode(&payload);
+    let mut buf = vec![ZERO; 7400];
+    buf[120..120 + wave.len()].copy_from_slice(&wave);
+    sa_sigproc::iq::apply_cfo(&mut buf, 0.01);
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let noise = sa_sigproc::iq::mean_power(&wave) / 1e3;
+    sa_sigproc::noise::add_noise(&mut rng, &mut buf, noise);
+    assert_eq!(rx.decode(&buf).expect("office capture").payload, payload);
+    group.bench_function("decode_1024B_qpsk_office", |b| {
+        b.iter(|| rx.decode(&buf).expect("decode"))
+    });
     group.finish();
 }
 

@@ -150,9 +150,9 @@ pub fn decode_reference(
     if buffer.rows() == 0 || buffer.cols() == 0 {
         return Err(ObserveError::BadBuffer);
     }
-    let ref_chain = buffer.row(0);
+    let ref_chain = buffer.row_view(0);
     let rx = Receiver::new(modulation);
-    match rx.decode(&ref_chain) {
+    match rx.decode(ref_chain) {
         Ok(pkt) => {
             let tx = Transmitter::new(modulation);
             let pkt_len = tx.packet_len(pkt.payload.len());
@@ -169,11 +169,7 @@ pub fn decode_reference(
             // Header or tail corrupted: still usable for AoA. Fall back
             // to the raw detector for the extent.
             let sc = sa_sigproc::schmidl_cox::SchmidlCox::new(sa_phy::preamble::SC_HALF_LEN);
-            let det = sc
-                .detect(&ref_chain)
-                .into_iter()
-                .next()
-                .ok_or(ObserveError::NoPacket)?;
+            let det = sc.detect_first(ref_chain).ok_or(ObserveError::NoPacket)?;
             let start = det.start.saturating_sub(sa_phy::params::N_CP);
             Ok(DecodedPacket {
                 frame: None,
@@ -441,7 +437,7 @@ impl AccessPoint {
             ArrayKind::Linear => None,
         };
         let mean_pow = (0..window.rows())
-            .map(|m| sa_sigproc::iq::mean_power(&window.row(m)))
+            .map(|m| sa_sigproc::iq::mean_power(window.row_view(m)))
             .sum::<f64>()
             / window.rows() as f64;
 

@@ -142,20 +142,22 @@ impl FftPlan {
         }
         // Butterflies with precomputed twiddles.
         let tw = if inverse { &self.tw_inv } else { &self.tw_fwd };
+        // Each stage walks its `len`-blocks as (low, high) half pairs
+        // zipped with the stage's twiddles, so the inner loop carries no
+        // index arithmetic or bounds checks.
         let mut len = 2;
         let mut base = 0;
         while len <= n {
             let half = len / 2;
             let stage = &tw[base..base + half];
-            let mut i = 0;
-            while i < n {
-                for (k, w) in stage.iter().enumerate() {
-                    let u = x[i + k];
-                    let v = x[i + k + half] * *w;
-                    x[i + k] = u + v;
-                    x[i + k + half] = u - v;
+            for block in x.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let u = *a;
+                    let v = *b * *w;
+                    *a = u + v;
+                    *b = u - v;
                 }
-                i += len;
             }
             base += half;
             len <<= 1;
@@ -371,6 +373,63 @@ mod tests {
             assert!(!plan.is_empty());
             assert_eq!(plan.fft_owned(&x), fft_owned(&x), "fft n={}", n);
             assert_eq!(plan.ifft_owned(&x), ifft_owned(&x), "ifft n={}", n);
+        }
+    }
+
+    /// The butterfly loop as it was before it moved to
+    /// `chunks_exact_mut`/`split_at_mut`: explicit indices, same
+    /// operations in the same order.
+    fn indexed_butterflies(plan: &FftPlan, x: &mut [C64]) {
+        let n = plan.n;
+        for i in 0..n {
+            let j = plan.bitrev[i] as usize;
+            if j > i {
+                x.swap(i, j);
+            }
+        }
+        let tw = &plan.tw_fwd;
+        let mut len = 2;
+        let mut base = 0;
+        while len <= n {
+            let half = len / 2;
+            let stage = &tw[base..base + half];
+            let mut i = 0;
+            while i < n {
+                for (k, w) in stage.iter().enumerate() {
+                    let u = x[i + k];
+                    let v = x[i + k + half] * *w;
+                    x[i + k] = u + v;
+                    x[i + k + half] = u - v;
+                }
+                i += len;
+            }
+            base += half;
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn butterflies_match_the_indexed_loop_bitwise() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        for bits in 1..=10 {
+            let n = 1usize << bits;
+            let plan = FftPlan::new(n);
+            for _ in 0..8 {
+                let x: Vec<C64> = (0..n).map(|_| c64(next(), next())).collect();
+                let mut old = x.clone();
+                indexed_butterflies(&plan, &mut old);
+                let new = plan.fft_owned(&x);
+                let same = old.iter().zip(&new).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                });
+                assert!(same, "n={} differs from the indexed loop", n);
+            }
         }
     }
 

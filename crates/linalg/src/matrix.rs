@@ -106,10 +106,18 @@ impl CMat {
         &mut self.data
     }
 
-    /// Extract row `i` as a `Vec`.
+    /// Extract row `i` as a `Vec`. Allocates; hot paths should prefer
+    /// the borrowed [`CMat::row_view`].
     pub fn row(&self, i: usize) -> Vec<C64> {
+        self.row_view(i).to_vec()
+    }
+
+    /// Borrowed view of row `i` — a contiguous slice of the row-major
+    /// storage, no allocation (stage-1 decode reads the reference
+    /// chain's whole capture row this way).
+    pub fn row_view(&self, i: usize) -> &[C64] {
         assert!(i < self.rows);
-        self.data[i * self.cols..(i + 1) * self.cols].to_vec()
+        &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Extract column `j` as a `Vec`. Allocates; hot paths should
@@ -618,6 +626,7 @@ mod tests {
         assert_eq!(a.col(2).len(), 3);
         assert!(a.row(1)[3].approx_eq(c64(1.0, 3.0), 0.0));
         assert!(a.col(2)[2].approx_eq(c64(2.0, 2.0), 0.0));
+        assert_eq!(a.row_view(2), &a.row(2)[..]);
     }
 
     #[test]

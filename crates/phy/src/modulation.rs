@@ -61,27 +61,56 @@ impl Modulation {
         }
     }
 
-    /// Hard-decision demap of one received point back to bits.
+    /// Hard-decision demap of one received point back to bits (unpacked
+    /// from [`Modulation::slice`]).
     pub fn demap(&self, z: C64) -> Vec<u8> {
+        let (bits, _) = self.slice(z);
+        (0..self.bits_per_symbol())
+            .rev()
+            .map(|i| (bits >> i) & 1)
+            .collect()
+    }
+
+    /// Hard decision on one received point: the decided bits packed MSB
+    /// first into the low [`Modulation::bits_per_symbol`] bits of a byte,
+    /// and the ideal constellation point they [`Modulation::map`] to.
+    /// This is the one decision rule: [`Modulation::demap`] unpacks it,
+    /// and the receiver writes the bits straight into its payload bytes
+    /// and measures EVM against the point without re-mapping.
+    pub fn slice(&self, z: C64) -> (u8, C64) {
         match self {
-            Modulation::Bpsk => vec![u8::from(z.re >= 0.0)],
-            Modulation::Qpsk => vec![u8::from(z.re >= 0.0), u8::from(z.im >= 0.0)],
+            Modulation::Bpsk => {
+                if z.re >= 0.0 {
+                    (1, c64(1.0, 0.0))
+                } else {
+                    (0, c64(-1.0, 0.0))
+                }
+            }
+            Modulation::Qpsk => {
+                let s = std::f64::consts::FRAC_1_SQRT_2;
+                let axis = |v: f64| if v >= 0.0 { (1, s) } else { (0, -s) };
+                let (bi, i) = axis(z.re);
+                let (bq, q) = axis(z.im);
+                ((bi << 1) | bq, c64(i, q))
+            }
             Modulation::Qam16 => {
-                let axis = |v: f64| -> (u8, u8) {
+                // Gray per axis: 00→−3, 01→−1, 11→+1, 10→+3; scale 1/√10.
+                let axis = |v: f64| -> (u8, f64) {
                     let lvl = v * 10f64.sqrt();
                     if lvl < -2.0 {
-                        (0, 0)
+                        (0b00, -3.0)
                     } else if lvl < 0.0 {
-                        (0, 1)
+                        (0b01, -1.0)
                     } else if lvl < 2.0 {
-                        (1, 1)
+                        (0b11, 1.0)
                     } else {
-                        (1, 0)
+                        (0b10, 3.0)
                     }
                 };
-                let (i1, i0) = axis(z.re);
-                let (q1, q0) = axis(z.im);
-                vec![i1, i0, q1, q0]
+                let s = 1.0 / 10f64.sqrt();
+                let (bi, li) = axis(z.re);
+                let (bq, lq) = axis(z.im);
+                ((bi << 2) | bq, c64(li * s, lq * s))
             }
         }
     }
@@ -200,6 +229,43 @@ mod tests {
         assert_eq!(bytes_to_bits(&[0x80])[0], 1);
         assert_eq!(bytes_to_bits(&[0x01])[7], 1);
         assert_eq!(bits_to_bytes(&[1, 0, 0, 0, 0, 0, 0, 0]), vec![0x80]);
+    }
+
+    #[test]
+    fn slice_point_is_the_map_of_the_demapped_bits() {
+        // Points on, between and beyond the decision boundaries, plus
+        // non-finite input: the sliced point must be exactly what the
+        // transmitter maps the decided bits to.
+        let coords = [
+            -2.0,
+            -0.95,
+            -0.6325,
+            -0.4,
+            -0.0,
+            0.0,
+            1e-300,
+            0.3,
+            0.6325,
+            0.7,
+            1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for m in [Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16] {
+            for &re in &coords {
+                for &im in &coords {
+                    let z = c64(re, im);
+                    let (packed, ideal) = m.slice(z);
+                    let bits = m.demap(z);
+                    let repacked = bits.iter().fold(0u8, |acc, &b| (acc << 1) | b);
+                    assert_eq!(packed, repacked, "{:?} {}", m, z);
+                    let mapped = m.map(&bits);
+                    assert_eq!(ideal.re.to_bits(), mapped.re.to_bits(), "{:?} {}", m, z);
+                    assert_eq!(ideal.im.to_bits(), mapped.im.to_bits(), "{:?} {}", m, z);
+                }
+            }
+        }
     }
 
     #[test]

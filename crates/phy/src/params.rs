@@ -47,9 +47,50 @@ pub fn data_carriers() -> Vec<i32> {
     v
 }
 
+/// FFT bins of [`PILOT_CARRIERS`], in the same order.
+pub const PILOT_BINS: [usize; N_PILOTS] = {
+    let mut bins = [0; N_PILOTS];
+    let mut p = 0;
+    while p < N_PILOTS {
+        bins[p] = PILOT_CARRIERS[p].rem_euclid(N_FFT as i32) as usize;
+        p += 1;
+    }
+    bins
+};
+
+/// FFT bins of the 48 data subcarriers, in [`data_carriers`] order: the
+/// static carrier table the modem walks per symbol instead of building
+/// the carrier list per packet.
+pub const DATA_BINS: [usize; N_DATA] = {
+    let mut bins = [0; N_DATA];
+    let mut n = 0;
+    let mut k = -MAX_CARRIER;
+    while k <= MAX_CARRIER {
+        let pilot = k == PILOT_CARRIERS[0]
+            || k == PILOT_CARRIERS[1]
+            || k == PILOT_CARRIERS[2]
+            || k == PILOT_CARRIERS[3];
+        if k != 0 && !pilot {
+            bins[n] = k.rem_euclid(N_FFT as i32) as usize;
+            n += 1;
+        }
+        k += 1;
+    }
+    assert!(n == N_DATA);
+    bins
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn static_bin_tables_match_the_carrier_lists() {
+        let data: Vec<usize> = data_carriers().into_iter().map(carrier_to_bin).collect();
+        assert_eq!(DATA_BINS.to_vec(), data);
+        let pilots: Vec<usize> = PILOT_CARRIERS.into_iter().map(carrier_to_bin).collect();
+        assert_eq!(PILOT_BINS.to_vec(), pilots);
+    }
 
     #[test]
     fn forty_eight_data_carriers() {

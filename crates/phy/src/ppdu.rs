@@ -3,16 +3,39 @@
 //! Transmit chain: length header + payload → bits → constellation
 //! symbols → 48-carrier OFDM symbols with BPSK pilots → IFFT + cyclic
 //! prefix → preamble prepended. Receive chain: Schmidl–Cox coarse
-//! detection + CFO correction → matched-filter fine timing on the known
+//! detection + CFO estimate → matched-filter fine timing on the known
 //! preamble → LTF least-squares channel estimate → per-symbol
 //! equalisation with pilot common-phase tracking → hard demap. This is
 //! the same structure the paper's Matlab/WARPLab receiver implements
 //! before handing samples to the AoA machinery.
+//!
+//! [`Receiver::decode`] runs that chain in one pass over the capture,
+//! touching only the samples it uses:
+//!
+//! - **Detection** stops at the first Schmidl–Cox region
+//!   ([`SchmidlCox::detect_first`]) instead of scanning the whole buffer.
+//! - **CFO correction** `e^{−jφn}` is applied where samples are read,
+//!   never to a copy of the whole capture. The matched filter's ≤192
+//!   samples get the exact per-sample phasor (so `start` is the same as
+//!   rotating everything). Each 64-sample FFT window (the LTF and every
+//!   data symbol) gets a per-window anchor `e^{−jφn₀}` times a
+//!   per-packet table `e^{−jφk}`, one `cis` per window instead of 64.
+//! - **Equalisation** multiplies by a per-packet `1/h` table (the same
+//!   arithmetic as dividing by `h`) over static pilot and data bin
+//!   tables ([`PILOT_BINS`], [`DATA_BINS`]).
+//! - **Demap** is [`Modulation::slice`]: each carrier's bits go MSB-first
+//!   straight into the payload bytes, and EVM is measured against the
+//!   same ideal point, with no per-carrier allocation.
+//!
+//! The decoder this replaced (whole-row `apply_cfo`, full detection
+//! trace, per-carrier `demap` + `map`) is kept verbatim as the oracle in
+//! `crates/phy/tests/decode_oracle.rs`, which pins identical payloads,
+//! `start` and `cfo`, and EVM to 1e-6 dB.
 
-use crate::modulation::{bits_to_bytes, bytes_to_bits, Modulation};
-use crate::params::{carrier_to_bin, data_carriers, N_CP, N_FFT, PILOT_CARRIERS, SYMBOL_LEN};
+use crate::modulation::{bytes_to_bits, Modulation};
+use crate::params::{DATA_BINS, N_CP, N_FFT, PILOT_BINS, SYMBOL_LEN};
 use crate::preamble::{
-    ltf_symbol_freq, preamble_time, preamble_time_ref, PREAMBLE_LEN, SC_HALF_LEN,
+    ltf_symbol_freq, preamble_time, preamble_time_ref, LTF_SYMBOL_OFFSET, PREAMBLE_LEN, SC_HALF_LEN,
 };
 use sa_linalg::complex::{C64, ZERO};
 use sa_linalg::fft::plan_for;
@@ -98,7 +121,6 @@ impl Transmitter {
         let bits = bytes_to_bits(&bytes);
         let symbols = self.modulation.map_stream(&bits);
 
-        let carriers = data_carriers();
         let n_sym = self.n_symbols(payload.len());
         let mut out = preamble_time();
         out.reserve(n_sym * SYMBOL_LEN);
@@ -116,11 +138,11 @@ impl Transmitter {
         let mut sym = vec![ZERO; N_FFT];
         for s in 0..n_sym {
             sym.fill(ZERO);
-            for (p, &k) in PILOT_CARRIERS.iter().enumerate() {
-                sym[carrier_to_bin(k)] = pilot_value(p, s);
+            for (p, &bin) in PILOT_BINS.iter().enumerate() {
+                sym[bin] = pilot_value(p, s);
             }
-            for &k in &carriers {
-                sym[carrier_to_bin(k)] = it.next().unwrap_or(pad);
+            for &bin in &DATA_BINS {
+                sym[bin] = it.next().unwrap_or(pad);
             }
             plan.ifft(&mut sym);
             for z in sym.iter_mut() {
@@ -169,15 +191,9 @@ impl Receiver {
     pub fn decode(&self, buffer: &[C64]) -> Result<DecodedPacket, PhyError> {
         let mut sc = SchmidlCox::new(SC_HALF_LEN);
         sc.threshold = self.detect_threshold;
-        let det = sc
-            .detect(buffer)
-            .into_iter()
-            .next()
-            .ok_or(PhyError::NoPacket)?;
-
-        // CFO-correct a working copy from the coarse start onward.
-        let mut rx = buffer.to_vec();
-        sa_sigproc::iq::apply_cfo(&mut rx, -det.cfo);
+        let det = sc.detect_first(buffer).ok_or(PhyError::NoPacket)?;
+        // Undoing the CFO multiplies sample `n` by cis(phi·n).
+        let phi = -det.cfo;
 
         // Fine timing: matched filter against the known preamble around
         // the coarse estimate (S&C points at the start of the two
@@ -185,17 +201,24 @@ impl Receiver {
         let pre = preamble_time_ref();
         let coarse = det.start.saturating_sub(N_CP);
         let lo = coarse.saturating_sub(N_CP);
-        let hi = (coarse + N_CP).min(rx.len().saturating_sub(pre.len()));
-        if lo > hi {
+        let hi = (coarse + N_CP).min(buffer.len().saturating_sub(pre.len()));
+        // The second test catches a buffer shorter than the preamble.
+        if lo > hi || hi + pre.len() > buffer.len() {
             return Err(PhyError::TooShort);
         }
+        // The filter's span, rotated by the exact per-sample phasor.
+        let mut span = [ZERO; 2 * N_CP + PREAMBLE_LEN];
+        let span = &mut span[..hi - lo + pre.len()];
+        for (i, (o, &z)) in span.iter_mut().zip(&buffer[lo..]).enumerate() {
+            *o = z * C64::cis(phi * (lo + i) as f64);
+        }
         let mut best = (lo, f64::NEG_INFINITY);
-        for p in lo..=hi {
+        for (p, win) in (lo..=hi).zip(span.windows(pre.len())) {
             let mut acc = ZERO;
             let mut energy = 1e-30;
-            for (i, &pi) in pre.iter().enumerate() {
-                acc += pi.conj() * rx[p + i];
-                energy += rx[p + i].norm_sqr();
+            for (&pi, &r) in pre.iter().zip(win) {
+                acc += pi.conj() * r;
+                energy += r.norm_sqr();
             }
             let score = acc.norm_sqr() / energy;
             if score > best.1 {
@@ -204,50 +227,68 @@ impl Receiver {
         }
         let start = best.0;
 
-        // Channel estimate from the LTF symbol. One cached FFT plan
-        // serves the LTF and every data symbol of this packet.
+        // An FFT window starting at n₀ is rotated by cis(phi·n₀)·cis(phi·k):
+        // one anchor phasor per window times this per-packet table.
+        let table: [C64; N_FFT] = std::array::from_fn(|k| C64::cis(phi * k as f64));
+        let load = |n0: usize, out: &mut [C64; N_FFT]| {
+            let anchor = C64::cis(phi * n0 as f64);
+            for ((o, &z), &t) in out.iter_mut().zip(&buffer[n0..n0 + N_FFT]).zip(&table) {
+                *o = z * (anchor * t);
+            }
+        };
+
+        // Channel estimate from the LTF symbol, kept as `1/h` plus a
+        // live-bin mask. One cached FFT plan serves the LTF and every
+        // data symbol of this packet.
         let plan = plan_for(N_FFT);
-        let ltf_start = start + crate::preamble::LTF_SYMBOL_OFFSET;
-        if ltf_start + N_FFT > rx.len() {
+        let ltf_start = start + LTF_SYMBOL_OFFSET;
+        if ltf_start + N_FFT > buffer.len() {
             return Err(PhyError::TooShort);
         }
-        let y = plan.fft_owned(&rx[ltf_start..ltf_start + N_FFT]);
-        let x = ltf_symbol_freq();
-        let mut h = vec![ZERO; N_FFT];
+        let mut yf = [ZERO; N_FFT];
+        load(ltf_start, &mut yf);
+        plan.fft(&mut yf);
+        let x = ltf_freq();
+        let mut h_inv = [ZERO; N_FFT];
+        let mut live = [false; N_FFT];
         for bin in 0..N_FFT {
-            if x[bin].norm_sqr() > 0.0 {
-                h[bin] = y[bin] / x[bin];
-            }
+            let h = if x[bin].norm_sqr() > 0.0 {
+                yf[bin] / x[bin]
+            } else {
+                ZERO
+            };
+            live[bin] = h.norm_sqr() > 1e-12;
+            h_inv[bin] = h.recip();
         }
 
         // Decode data symbols until the length header tells us to stop.
-        let carriers = data_carriers();
+        // Bits go MSB-first into `bytes` through a small accumulator.
         let bps = self.modulation.bits_per_symbol();
-        let mut bits: Vec<u8> = Vec::new();
+        let mut bytes: Vec<u8> = Vec::with_capacity(N_DATA_BYTES_MAX);
+        let mut acc = 0u32;
+        let mut n_acc = 0usize;
         let mut needed_bytes: Option<usize> = None;
         let mut evm_num = 0.0f64;
         let mut evm_den = 0.0f64;
         let mut s = 0usize;
-        let mut yf = vec![ZERO; N_FFT];
         loop {
             if let Some(nb) = needed_bytes {
-                if bits.len() >= nb * 8 {
+                if bytes.len() >= nb {
                     break;
                 }
             }
             let sym_start = start + PREAMBLE_LEN + s * SYMBOL_LEN + N_CP;
-            if sym_start + N_FFT > rx.len() {
+            if sym_start + N_FFT > buffer.len() {
                 return Err(PhyError::TooShort);
             }
-            yf.copy_from_slice(&rx[sym_start..sym_start + N_FFT]);
+            load(sym_start, &mut yf);
             plan.fft(&mut yf);
             // Equalise, then pilot common-phase correction (residual CFO
             // accumulates a per-symbol rotation).
             let mut rot_acc = ZERO;
-            for (p, &k) in PILOT_CARRIERS.iter().enumerate() {
-                let bin = carrier_to_bin(k);
-                if h[bin].norm_sqr() > 1e-12 {
-                    let z = yf[bin] / h[bin];
+            for (p, &bin) in PILOT_BINS.iter().enumerate() {
+                if live[bin] {
+                    let z = yf[bin] * h_inv[bin];
                     rot_acc += z * pilot_value(p, s).conj();
                 }
             }
@@ -256,26 +297,30 @@ impl Receiver {
             } else {
                 C64::new(1.0, 0.0)
             };
-            for &k in &carriers {
-                let bin = carrier_to_bin(k);
-                if h[bin].norm_sqr() <= 1e-12 {
-                    bits.extend(std::iter::repeat_n(0, bps));
-                    continue;
+            for &bin in &DATA_BINS {
+                let bits = if live[bin] {
+                    let z = (yf[bin] * h_inv[bin]) * rot;
+                    let (bits, ideal) = self.modulation.slice(z);
+                    evm_num += (z - ideal).norm_sqr();
+                    evm_den += 1.0;
+                    bits
+                } else {
+                    0
+                };
+                acc = (acc << bps) | u32::from(bits);
+                n_acc += bps;
+                if n_acc >= 8 {
+                    n_acc -= 8;
+                    bytes.push((acc >> n_acc) as u8);
                 }
-                let z = (yf[bin] / h[bin]) * rot;
-                let b = self.modulation.demap(z);
-                let ideal = self.modulation.map(&b);
-                evm_num += (z - ideal).norm_sqr();
-                evm_den += 1.0;
-                bits.extend(b);
             }
-            if needed_bytes.is_none() && bits.len() >= 16 {
-                let hdr = bits_to_bytes(&bits[..16]);
-                let len = ((hdr[0] as usize) << 8) | hdr[1] as usize;
+            if needed_bytes.is_none() && bytes.len() >= 2 {
+                let len = ((bytes[0] as usize) << 8) | bytes[1] as usize;
                 if len > MAX_PAYLOAD {
                     return Err(PhyError::BadLength);
                 }
                 needed_bytes = Some(2 + len);
+                bytes.reserve(2 + len + N_DATA_BYTES_MAX);
             }
             s += 1;
             if s > 4096 {
@@ -284,20 +329,30 @@ impl Receiver {
         }
 
         let nb = needed_bytes.expect("loop exits only with a length");
-        let bytes = bits_to_bytes(&bits[..nb * 8]);
-        let payload = bytes[2..].to_vec();
+        bytes.truncate(nb);
+        bytes.drain(..2);
         let evm_db = if evm_den > 0.0 {
             10.0 * (evm_num / evm_den).log10()
         } else {
             f64::NEG_INFINITY
         };
         Ok(DecodedPacket {
-            payload,
+            payload: bytes,
             start,
             cfo: det.cfo,
             evm_db,
         })
     }
+}
+
+/// Most payload bytes one OFDM symbol can carry (48 carriers × 4 bits).
+const N_DATA_BYTES_MAX: usize = DATA_BINS.len() * 4 / 8;
+
+/// The LTF's frequency-domain contents, built once: the receiver's
+/// least-squares channel estimate divides by it for every packet.
+fn ltf_freq() -> &'static [C64] {
+    static CACHE: std::sync::OnceLock<Vec<C64>> = std::sync::OnceLock::new();
+    CACHE.get_or_init(ltf_symbol_freq)
 }
 
 #[cfg(test)]
@@ -378,6 +433,22 @@ mod tests {
         let cut = PREAMBLE_LEN + SYMBOL_LEN; // keep preamble + 1 symbol
         let buf = in_buffer(&wave[..cut + PREAMBLE_LEN], 0, cut + PREAMBLE_LEN);
         assert_eq!(rx.decode(&buf).unwrap_err(), PhyError::TooShort);
+    }
+
+    #[test]
+    fn buffer_shorter_than_the_preamble_is_too_short() {
+        // Every cut of a packet's head that the detector still fires on
+        // must come back as a typed error; none may index past the end.
+        let (tx, rx) = tx_rx(Modulation::Qpsk);
+        let wave = tx.encode(&[0x5A; 40]);
+        let mut too_short = 0;
+        for cut in 0..PREAMBLE_LEN {
+            match rx.decode(&wave[..cut]) {
+                Err(PhyError::TooShort) => too_short += 1,
+                other => assert_eq!(other.map(|p| p.start).unwrap_err(), PhyError::NoPacket),
+            }
+        }
+        assert!(too_short > 0, "no cut reached the matched filter");
     }
 
     #[test]

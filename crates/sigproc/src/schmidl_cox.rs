@@ -66,52 +66,11 @@ impl SchmidlCox {
     /// Computed with O(1) sliding updates per offset, so scanning a 0.4 ms
     /// WARP buffer (8000 samples at 20 MHz) is cheap.
     pub fn metric_trace(&self, r: &[C64]) -> Vec<f64> {
-        let l = self.half_len;
-        if r.len() < 2 * l {
-            return Vec::new();
-        }
-        let last = r.len() - 2 * l;
-        let mut out = Vec::with_capacity(last + 1);
-
-        // Initialise P(0), E1(0), E2(0).
-        let mut p = ZERO;
-        let mut e1 = 0.0f64;
-        let mut e2 = 0.0f64;
-        for m in 0..l {
-            p += r[m].conj() * r[m + l];
-            e1 += r[m].norm_sqr();
-            e2 += r[m + l].norm_sqr();
-        }
-        // Energy floor: windows whose product-energy is negligible relative
-        // to the buffer as a whole cannot contain a packet; report 0 there
-        // instead of amplifying numerical dust.
-        let floor =
-            1e-12 * crate::iq::mean_power(r) * (l as f64) * crate::iq::mean_power(r) * (l as f64)
-                + 1e-300;
-        for d in 0..=last {
-            let denom = e1 * e2;
-            let metric = if denom > floor {
-                (p.norm_sqr() / denom).min(1.0)
-            } else {
-                0.0
-            };
-            out.push(metric);
-            if d < last {
-                // Slide both windows one sample to the right.
-                p -= r[d].conj() * r[d + l];
-                p += r[d + l].conj() * r[d + 2 * l];
-                e1 -= r[d].norm_sqr();
-                e1 += r[d + l].norm_sqr();
-                e2 -= r[d + l].norm_sqr();
-                e2 += r[d + 2 * l].norm_sqr();
-            }
-        }
-        out
+        MetricStream::new(r, self.half_len).collect()
     }
 
     /// Detect all packets in a sample buffer.
     pub fn detect(&self, r: &[C64]) -> Vec<Detection> {
-        let l = self.half_len;
         let trace = self.metric_trace(r);
         let mut out = Vec::new();
         let mut d = 0usize;
@@ -120,54 +79,155 @@ impl SchmidlCox {
                 d += 1;
                 continue;
             }
-            // Found a region above threshold: find its local maximum, then
-            // take the centre of the sub-region above 90% of that maximum
-            // (plateau handling).
             let region_end = trace[d..]
                 .iter()
                 .position(|&m| m < self.threshold)
                 .map(|off| d + off)
                 .unwrap_or(trace.len());
-            let (peak_idx, peak) =
-                trace[d..region_end]
-                    .iter()
-                    .enumerate()
-                    .fold(
-                        (0, 0.0),
-                        |(bi, bv), (i, &v)| {
-                            if v > bv {
-                                (i, v)
-                            } else {
-                                (bi, bv)
-                            }
-                        },
-                    );
-            let peak_idx = d + peak_idx;
-            let level = 0.9 * peak;
-            let mut lo = peak_idx;
-            while lo > d && trace[lo - 1] >= level {
-                lo -= 1;
-            }
-            let mut hi = peak_idx;
-            while hi + 1 < region_end && trace[hi + 1] >= level {
-                hi += 1;
-            }
-            let start = (lo + hi) / 2;
-
-            // CFO from the half-symbol correlation at the chosen offset.
-            let mut p = ZERO;
-            for m in 0..l {
-                p += r[start + m].conj() * r[start + m + l];
-            }
-            out.push(Detection {
-                start,
-                metric: peak,
-                cfo: p.arg() / l as f64,
-            });
-
-            d = start + self.holdoff.max(1);
+            let det = self.region_detection(r, d, &trace[d..region_end]);
+            out.push(det);
+            d = det.start + self.holdoff.max(1);
         }
         out
+    }
+
+    /// The first detection [`SchmidlCox::detect`] reports, without
+    /// scanning past it: the metric is streamed with the same arithmetic
+    /// and the stream stops where the first above-threshold region ends,
+    /// so `detect_first(r) == detect(r).first()` exactly, and a packet
+    /// near the head of a long capture costs only the samples up to it
+    /// (plus the whole-buffer power pass behind the energy floor).
+    pub fn detect_first(&self, r: &[C64]) -> Option<Detection> {
+        let below = |m: f64| m < self.threshold;
+        let mut above = MetricStream::new(r, self.half_len)
+            .enumerate()
+            .skip_while(|&(_, m)| below(m));
+        let (d0, m0) = above.next()?;
+        let region: Vec<f64> = std::iter::once(m0)
+            .chain(above.map(|(_, m)| m).take_while(|&m| !below(m)))
+            .collect();
+        Some(self.region_detection(r, d0, &region))
+    }
+
+    /// Turn one above-threshold region of the metric (`region[i]` is
+    /// `M(d0 + i)`) into a detection: find its local maximum, then take
+    /// the centre of the sub-region above 90% of that maximum (plateau
+    /// handling), and read the CFO off the half-symbol correlation there.
+    fn region_detection(&self, r: &[C64], d0: usize, region: &[f64]) -> Detection {
+        let l = self.half_len;
+        let (peak_idx, peak) =
+            region.iter().enumerate().fold(
+                (0, 0.0),
+                |(bi, bv), (i, &v)| {
+                    if v > bv {
+                        (i, v)
+                    } else {
+                        (bi, bv)
+                    }
+                },
+            );
+        let level = 0.9 * peak;
+        let mut lo = peak_idx;
+        while lo > 0 && region[lo - 1] >= level {
+            lo -= 1;
+        }
+        let mut hi = peak_idx;
+        while hi + 1 < region.len() && region[hi + 1] >= level {
+            hi += 1;
+        }
+        let start = d0 + (lo + hi) / 2;
+
+        // CFO from the half-symbol correlation at the chosen offset.
+        let mut p = ZERO;
+        for m in 0..l {
+            p += r[start + m].conj() * r[start + m + l];
+        }
+        Detection {
+            start,
+            metric: peak,
+            cfo: p.arg() / l as f64,
+        }
+    }
+}
+
+/// `M(d)` streamed offset by offset: the one implementation of the
+/// sliding `P`/`E1`/`E2` updates and the energy floor behind
+/// [`SchmidlCox::metric_trace`], [`SchmidlCox::detect`] and
+/// [`SchmidlCox::detect_first`].
+struct MetricStream<'a> {
+    r: &'a [C64],
+    l: usize,
+    /// Next offset to emit; `None` once the stream is exhausted.
+    d: Option<usize>,
+    last: usize,
+    p: C64,
+    e1: f64,
+    e2: f64,
+    floor: f64,
+}
+
+impl<'a> MetricStream<'a> {
+    fn new(r: &'a [C64], l: usize) -> Self {
+        let mut s = MetricStream {
+            r,
+            l,
+            d: None,
+            last: 0,
+            p: ZERO,
+            e1: 0.0,
+            e2: 0.0,
+            floor: 0.0,
+        };
+        if r.len() < 2 * l {
+            return s;
+        }
+        s.d = Some(0);
+        s.last = r.len() - 2 * l;
+        // Initialise P(0), E1(0), E2(0).
+        for m in 0..l {
+            s.p += r[m].conj() * r[m + l];
+            s.e1 += r[m].norm_sqr();
+            s.e2 += r[m + l].norm_sqr();
+        }
+        // Energy floor: windows whose product-energy is negligible relative
+        // to the buffer as a whole cannot contain a packet; report 0 there
+        // instead of amplifying numerical dust.
+        let power = crate::iq::mean_power(r);
+        s.floor = 1e-12 * power * (l as f64) * power * (l as f64) + 1e-300;
+        s
+    }
+}
+
+impl Iterator for MetricStream<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let d = self.d?;
+        let denom = self.e1 * self.e2;
+        let metric = if denom > self.floor {
+            (self.p.norm_sqr() / denom).min(1.0)
+        } else {
+            0.0
+        };
+        if d < self.last {
+            // Slide both windows one sample to the right.
+            let (r, l) = (self.r, self.l);
+            self.p -= r[d].conj() * r[d + l];
+            self.p += r[d + l].conj() * r[d + 2 * l];
+            self.e1 -= r[d].norm_sqr();
+            self.e1 += r[d + l].norm_sqr();
+            self.e2 -= r[d + l].norm_sqr();
+            self.e2 += r[d + 2 * l].norm_sqr();
+            self.d = Some(d + 1);
+        } else {
+            self.d = None;
+        }
+        Some(metric)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.d.map_or(0, |d| self.last - d + 1);
+        (n, Some(n))
     }
 }
 

@@ -141,6 +141,40 @@ proptest! {
     }
 
     #[test]
+    fn detect_first_is_the_first_detection(
+        bursts in proptest::collection::vec(
+            (0usize..600, proptest::collection::vec(finite_c64(), 32), 2usize..8),
+            0..4,
+        ),
+        noise in proptest::collection::vec(finite_c64(), 700),
+        noise_scale in prop_oneof![Just(0.0), 1e-3f64..1.0],
+        half_len in prop_oneof![Just(8usize), Just(16), Just(32)],
+        threshold in 0.3f64..0.95,
+        len in 0usize..700,
+        poison in (0usize..1400, prop_oneof![Just(f64::NAN), Just(f64::INFINITY)]),
+    ) {
+        // Noise floor, then bursts of 2–7 repeats of one `half_len`
+        // period (short and long metric plateaus, possibly overlapping
+        // or running off the end), then one NaN/Inf sample about half
+        // the time (when `poison` lands inside the buffer).
+        let mut buf: Vec<C64> = noise[..len].iter().map(|z| z.scale(noise_scale)).collect();
+        for (at, period, reps) in &bursts {
+            let burst = period[..half_len].iter().cycle().take(reps * half_len);
+            for (i, &z) in burst.enumerate() {
+                if let Some(b) = buf.get_mut(at + i) {
+                    *b = z;
+                }
+            }
+        }
+        if let Some(b) = buf.get_mut(poison.0) {
+            b.re = poison.1;
+        }
+        let mut sc = SchmidlCox::new(half_len);
+        sc.threshold = threshold;
+        prop_assert_eq!(sc.detect_first(&buf), sc.detect(&buf).first().copied());
+    }
+
+    #[test]
     fn noise_cn_power_scales(sigma2 in 0.01f64..100.0, seed in 0u64..1000) {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
