@@ -1,22 +1,15 @@
 //! The `deploy_fleet` group: fleet-scale serving — one campus-hall
 //! window of N clients (N ∈ {20, 200, 2000}) pushed through a 4-AP
-//! deployment at decode-shard counts 1 and 4.
+//! deployment.
 //!
-//! The headline comparison is `clients_2000_decode_1` vs
-//! `clients_2000_decode_4`: the same 2000-transmission window (1024-byte
-//! data frames — the realistic regime where stage-1 decode dominates the
-//! coordinator) with the stage-1 decode run serially vs fanned across a
-//! 4-thread decode pool. Fused output is byte-identical either way (see
-//! `tests/proptest_fleet.rs`); only the wall-clock changes. Dividing the per-window time into the
-//! `fixes/window` info line printed per operating point gives aggregate
-//! fused-fix throughput.
-//!
-//! **Host caveat**: on a single-core host the decode pool cannot beat
-//! serial decode — the 4-shard rows then price the pool's channel
-//! overhead, and the multi-core speedup must be read from a multi-core
-//! run (see docs/BENCHMARKS.md). Under `BENCH_QUICK=1` (CI) the
-//! 2000-client rows are skipped: their setup alone (8 000 captures,
-//! ~8 GB) dwarfs the quick measurement budget.
+//! Each window carries 1024-byte data frames, the regime where the
+//! coordinator's inline stage-1 decode is a large share of the window.
+//! Dividing the per-window time into the `fixes/window` info line
+//! printed per operating point gives aggregate fused-fix throughput.
+//! Row ids keep their historical `_decode_1` suffix (one decode path)
+//! so `compare_baseline.sh` still matches them. Under `BENCH_QUICK=1`
+//! (CI) the 2000-client row is skipped: its setup alone (8 000
+//! captures, ~8 GB) dwarfs the quick measurement budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -57,49 +50,42 @@ fn bench_deploy_fleet(c: &mut Criterion) {
         if quick && n_clients > 200 {
             continue;
         }
-        // Generate the traffic once per fleet size; iterations and
-        // shard configs reuse it via cheap `Arc` clones.
+        // Generate the traffic once per fleet size; iterations reuse it
+        // via cheap `Arc` clones.
         let txs = campus_window(n_clients);
-        for decode_shards in [1usize, 4] {
-            // Small snapshot cap: the per-AP DSP term stays modest so
-            // the decode stage — the thing being sharded — dominates.
-            let cfg = DeployConfig {
-                snapshot_cap: 64,
-                windows_in_flight: DEPTH,
-                decode_shards,
-                ..DeployConfig::default()
-            };
-            let mut deployment = Deployment::new(campus_aps(n_clients), cfg);
-            // Warm up: first window auto-trains every signature (cold
-            // stores, first-touch allocations are not representative).
-            for _ in 0..2 {
-                deployment.run_window(txs.clone()).expect("warmup window");
-            }
-            group.bench_function(
-                format!("clients_{}_decode_{}", n_clients, decode_shards),
-                |b| {
-                    b.iter(|| {
-                        deployment.submit_window(txs.clone()).expect("bench submit");
-                        while deployment.pending_windows() >= DEPTH {
-                            deployment.collect_window().expect("bench collect");
-                        }
-                    })
-                },
-            );
-            while deployment.pending_windows() > 0 {
-                deployment.collect_window().expect("drain");
-            }
-            let (report, _aps) = deployment.finish();
-            let windows = report.metrics.windows.max(1);
-            eprintln!(
-                "info: deploy_fleet/clients_{}_decode_{}: {:.1} fixes/window, {} consensus flags, {} decode failures",
-                n_clients,
-                decode_shards,
-                report.metrics.fixes as f64 / windows as f64,
-                report.metrics.consensus_flags,
-                report.metrics.decode_failures,
-            );
+        // Small snapshot cap: the per-AP DSP term stays modest so the
+        // coordinator's decode stays a visible share of the window.
+        let cfg = DeployConfig {
+            snapshot_cap: 64,
+            windows_in_flight: DEPTH,
+            ..DeployConfig::default()
+        };
+        let mut deployment = Deployment::new(campus_aps(n_clients), cfg);
+        // Warm up: first window auto-trains every signature (cold
+        // stores, first-touch allocations are not representative).
+        for _ in 0..2 {
+            deployment.run_window(txs.clone()).expect("warmup window");
         }
+        group.bench_function(format!("clients_{}_decode_1", n_clients), |b| {
+            b.iter(|| {
+                deployment.submit_window(txs.clone()).expect("bench submit");
+                while deployment.pending_windows() >= DEPTH {
+                    deployment.collect_window().expect("bench collect");
+                }
+            })
+        });
+        while deployment.pending_windows() > 0 {
+            deployment.collect_window().expect("drain");
+        }
+        let (report, _aps) = deployment.finish();
+        let windows = report.metrics.windows.max(1);
+        eprintln!(
+            "info: deploy_fleet/clients_{}_decode_1: {:.1} fixes/window, {} consensus flags, {} decode failures",
+            n_clients,
+            report.metrics.fixes as f64 / windows as f64,
+            report.metrics.consensus_flags,
+            report.metrics.decode_failures,
+        );
     }
     group.finish();
 }

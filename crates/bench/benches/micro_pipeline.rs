@@ -177,7 +177,8 @@ fn bench_ap_batched_vs_single(c: &mut Criterion) {
         b.iter(|| {
             let mut batch = ap.batch();
             for buf in &buffers {
-                batch.push(buf).expect("staged packet");
+                let decoded = ap.decode_capture(buf).expect("decoded packet");
+                batch.push_predecoded(buf, &decoded).expect("staged packet");
             }
             batch.process()
         })

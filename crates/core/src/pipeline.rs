@@ -18,17 +18,17 @@
 //! the same unit phasor, which cancels in `x·x^H` — one of the quiet
 //! reasons the correlation-matrix approach is robust on real hardware.
 //!
-//! One implementation runs the stages above: [`PacketBatch`] (from
-//! [`AccessPoint::batch`]) stages packets and runs the
-//! signal-processing pass over all of them with the AoA setup built
-//! once. [`AccessPoint::observe`] is the same path with a one-packet
-//! batch.
+//! One path runs the stages above: stage 1 yields a [`DecodedPacket`]
+//! ([`decode_reference`]), [`PacketBatch::push_predecoded`] stages its
+//! window, and [`PacketBatch::process`] runs stages 2–5 over every
+//! staged packet with the AoA setup built once. [`AccessPoint::observe`],
+//! `observe_batch` and `observe_all` are thin loops over those steps.
 //!
 //! ```
 //! use sa_channel::geom::pt;
 //! use sa_linalg::CMat;
 //! use sa_mac::{AccessControlList, AclPolicy};
-//! use secureangle::pipeline::{AccessPoint, ApConfig, ObserveError};
+//! use secureangle::pipeline::{AccessPoint, ApConfig, DecodedPacket, ObserveError};
 //!
 //! // The paper's prototype: 8-antenna octagon at the origin.
 //! let acl = AccessControlList::new(AclPolicy::DenyListed);
@@ -40,11 +40,12 @@
 //!     ObserveError::BadBuffer
 //! );
 //!
-//! // …on the batched path too. Real captures come from an RF front end
+//! // …at the staging step too. Real captures come from an RF front end
 //! // (or `sa_testbed`); see `examples/spoof_detection.rs` end to end.
+//! let decoded = DecodedPacket { frame: None, start: 0, cfo: 0.0, pkt_len: 64 };
 //! let mut batch = ap.batch();
 //! assert_eq!(
-//!     batch.push(&CMat::zeros(8, 0)).unwrap_err(),
+//!     batch.push_predecoded(&CMat::zeros(8, 0), &decoded).unwrap_err(),
 //!     ObserveError::BadBuffer
 //! );
 //! assert!(batch.is_empty() && batch.process().is_empty());
@@ -57,11 +58,11 @@ use sa_array::calib::Calibration;
 use sa_array::geometry::{Array, ArrayKind};
 use sa_array::rf::FrontEnd;
 use sa_channel::geom::Point;
-use sa_linalg::CMat;
+use sa_linalg::{CMat, C64};
 use sa_mac::{AccessControlList, Frame, MacAddr};
 use sa_phy::ppdu::{PhyError, Receiver, Transmitter};
 use sa_phy::Modulation;
-use sa_sigproc::covariance::sample_covariance_strided_into;
+use sa_sigproc::covariance::sample_covariance_into;
 use sa_sigproc::iq::to_db;
 
 /// Static AP configuration.
@@ -150,7 +151,12 @@ pub fn decode_reference(
     if buffer.rows() == 0 || buffer.cols() == 0 {
         return Err(ObserveError::BadBuffer);
     }
-    let ref_chain = buffer.row_view(0);
+    decode_row(buffer.row_view(0), modulation)
+}
+
+/// [`decode_reference`] on one reference-chain row (`start` is
+/// relative to `ref_chain`).
+fn decode_row(ref_chain: &[C64], modulation: Modulation) -> Result<DecodedPacket, ObserveError> {
     let rx = Receiver::new(modulation);
     match rx.decode(ref_chain) {
         Ok(pkt) => {
@@ -217,7 +223,10 @@ pub struct Observation {
     pub frame: Option<Frame>,
     /// Sample index of the packet start in the buffer.
     pub start: usize,
-    /// Number of samples (from `start`) the correlation window covered.
+    /// Number of snapshots the correlation window held: the samples
+    /// from `start` the packet occupies, clamped to the capture — or,
+    /// under a [`PacketBatch::set_snapshot_cap`], the staged
+    /// (decimated) snapshot count.
     pub extent: usize,
     /// Estimated CFO, radians/sample.
     pub cfo: f64,
@@ -407,13 +416,6 @@ impl AccessPoint {
         decode_reference(buffer, self.cfg.modulation)
     }
 
-    /// Stage 2: copy the packet's sample window out of a capture
-    /// (uncalibrated).
-    fn extract_window(&self, buffer: &CMat, start: usize, pkt_len: usize) -> CMat {
-        let end = (start + pkt_len).min(buffer.cols());
-        CMat::from_fn(buffer.rows(), end - start, |m, t| buffer[(m, start + t)])
-    }
-
     /// Stage 5: signature, bearing and RSS from a *calibrated* window and
     /// its AoA estimate. The signature is the full pseudospectrum (paper
     /// §2.1); the scalar bearing is the power-ranked peak (see
@@ -457,14 +459,12 @@ impl AccessPoint {
     /// Process one multi-antenna capture (rows = antennas) into an
     /// [`Observation`].
     ///
-    /// This is the synchronous single-packet path: a one-packet
-    /// [`PacketBatch`], so it builds the AoA estimation setup per call.
-    /// For more than one capture, stage them through one batch (see
-    /// [`AccessPoint::batch`]) instead.
+    /// A one-capture [`AccessPoint::observe_batch`], so it builds the
+    /// AoA estimation setup per call; for more captures, batch them.
     pub fn observe(&self, buffer: &CMat) -> Result<Observation, ObserveError> {
-        let mut batch = self.batch();
-        batch.push(buffer)?;
-        Ok(batch.process().pop().expect("one staged packet"))
+        self.observe_batch(std::slice::from_ref(buffer))
+            .pop()
+            .expect("one result per capture")
     }
 
     /// Start a [`PacketBatch`]: the batched ingest path. Builds the AoA
@@ -494,10 +494,14 @@ impl AccessPoint {
 
     /// Observe a sequence of single-packet captures through one
     /// [`PacketBatch`], preserving per-capture errors. Results line up
-    /// index-for-index with `buffers`.
+    /// index-for-index with `buffers`. To enforce as well, pass each
+    /// observation to [`AccessPoint::enforce`] in order.
     pub fn observe_batch(&self, buffers: &[CMat]) -> Vec<Result<Observation, ObserveError>> {
         let mut batch = self.batch();
-        let pushes: Vec<Result<(), ObserveError>> = buffers.iter().map(|b| batch.push(b)).collect();
+        let pushes: Vec<Result<(), ObserveError>> = buffers
+            .iter()
+            .map(|b| batch.push_predecoded(b, &self.decode_capture(b)?))
+            .collect();
         let mut produced = batch.process().into_iter();
         pushes
             .into_iter()
@@ -505,34 +509,28 @@ impl AccessPoint {
             .collect()
     }
 
-    /// Observe **and enforce** a sequence of captures through one batch:
-    /// the batched equivalent of calling [`AccessPoint::receive`] per
-    /// buffer. Enforcement stays sequential (verdicts feed the trackers
-    /// and quarantine state in arrival order).
-    pub fn receive_batch(
-        &mut self,
-        buffers: &[CMat],
-    ) -> Vec<Result<(Observation, FrameVerdict), ObserveError>> {
-        let observations = self.observe_batch(buffers);
-        observations
-            .into_iter()
-            .map(|r| {
-                r.map(|obs| {
-                    let verdict = self.enforce(&obs);
-                    (obs, verdict)
-                })
-            })
-            .collect()
-    }
-
     /// Process every packet in a long capture (the paper's WARP buffers
     /// 0.4 ms — 8000 samples — which can hold several frames). Returns
     /// observations in arrival order; scanning resumes after each
-    /// packet's extent. Internally stages every detected packet into one
-    /// [`PacketBatch`], so the AoA setup is amortised across the buffer.
+    /// packet's extent; starts are in the capture's own coordinates.
+    /// Every detected packet is staged into one [`PacketBatch`], so the
+    /// AoA setup is amortised across the buffer.
     pub fn observe_all(&self, buffer: &CMat) -> Vec<Observation> {
         let mut batch = self.batch();
-        batch.push_all(buffer);
+        if buffer.rows() == self.cfg.array.len() {
+            let row = buffer.row_view(0);
+            let mut cursor = 0usize;
+            while cursor + 2 * sa_phy::preamble::SC_HALF_LEN < buffer.cols() {
+                let Ok(mut d) = decode_row(&row[cursor..], self.cfg.modulation) else {
+                    break;
+                };
+                d.start += cursor;
+                if batch.push_predecoded(buffer, &d).is_err() {
+                    break;
+                }
+                cursor = d.start + d.pkt_len.min(buffer.cols() - d.start);
+            }
+        }
         batch.process()
     }
 
@@ -578,7 +576,7 @@ impl AccessPoint {
 /// for the signal-processing pass.
 #[derive(Debug)]
 struct StagedPacket {
-    /// Uncalibrated sample window.
+    /// Uncalibrated sample window (decimated under a snapshot cap).
     window: CMat,
     /// Decoded MAC frame, if the payload parsed.
     frame: Option<Frame>,
@@ -591,18 +589,17 @@ struct StagedPacket {
 /// The batched ingest path: accumulate decoded packets, then run
 /// calibration → covariance → MUSIC over all of them in one pass.
 ///
-/// [`AccessPoint::observe`] rebuilds the AoA estimation setup — the
-/// mode-space transform, the scan manifold with its full grid of
-/// steering vectors, and the eigensolver buffers — for every packet. A
-/// batch builds that once (via [`sa_aoa::estimator::AoaEngine`]) and
-/// reuses it, along with a recycled covariance buffer, for every staged
-/// packet. Observations are identical to the single-packet path; only
-/// the per-packet setup cost is amortised.
+/// The AoA estimation setup — the mode-space transform, the scan
+/// manifold with its full grid of steering vectors, and the eigensolver
+/// buffers — is built once per batch (via
+/// [`sa_aoa::estimator::AoaEngine`]) and reused, along with a recycled
+/// covariance buffer, for every staged packet. Observations do not
+/// depend on how packets are grouped into batches.
 ///
-/// Typical flow: [`AccessPoint::batch`] → [`PacketBatch::push`] (or
-/// [`PacketBatch::push_all`] for a long multi-packet capture) →
-/// [`PacketBatch::process`]. The batch may then be refilled; the engine
-/// carries over.
+/// Flow: stage 1 ([`decode_reference`] or
+/// [`AccessPoint::decode_capture`]) → [`PacketBatch::push_predecoded`]
+/// → [`PacketBatch::process`]. The batch may then be refilled; the
+/// engine carries over.
 #[derive(Debug)]
 pub struct PacketBatch<'ap> {
     ap: &'ap AccessPoint,
@@ -610,80 +607,23 @@ pub struct PacketBatch<'ap> {
     engine: AoaEngine,
     /// Recycled covariance buffer (one per packet, same allocation).
     cov: CMat,
-    /// Covariance snapshot budget; 0 = use every sample (the default,
-    /// bit-identical to the single-packet path).
+    /// Snapshot budget per staged window; 0 = use every sample (the
+    /// default).
     snapshot_cap: usize,
     staged: Vec<StagedPacket>,
 }
 
 impl PacketBatch<'_> {
-    /// Stage the first packet detected in a single-packet capture
-    /// (rows = antennas). Runs detection + decode now; the
-    /// signal-processing stages run in [`PacketBatch::process`].
-    pub fn push(&mut self, buffer: &CMat) -> Result<(), ObserveError> {
-        if buffer.rows() != self.ap.cfg.array.len() || buffer.cols() == 0 {
-            return Err(ObserveError::BadBuffer);
-        }
-        let d = decode_reference(buffer, self.ap.cfg.modulation)?;
-        self.staged.push(StagedPacket {
-            window: self.ap.extract_window(buffer, d.start, d.pkt_len),
-            frame: d.frame,
-            start: d.start,
-            cfo: d.cfo,
-        });
-        Ok(())
-    }
-
-    /// Scan a long capture and stage **every** detected packet (the
-    /// paper's WARP buffers hold several frames back-to-back). Returns
-    /// the number of packets staged. Scanning resumes after each
-    /// packet's extent; starts are reported in the capture's own
-    /// coordinates.
-    pub fn push_all(&mut self, buffer: &CMat) -> usize {
-        if buffer.rows() != self.ap.cfg.array.len() {
-            return 0;
-        }
-        let mut staged = 0usize;
-        let mut cursor = 0usize;
-        while cursor + 2 * sa_phy::preamble::SC_HALF_LEN < buffer.cols() {
-            let slice = CMat::from_fn(buffer.rows(), buffer.cols() - cursor, |m, t| {
-                buffer[(m, cursor + t)]
-            });
-            let Ok(d) = decode_reference(&slice, self.ap.cfg.modulation) else {
-                break;
-            };
-            let window = self.ap.extract_window(&slice, d.start, d.pkt_len);
-            let advance = d.start + window.cols().max(1);
-            self.staged.push(StagedPacket {
-                window,
-                frame: d.frame,
-                start: cursor + d.start,
-                cfo: d.cfo,
-            });
-            staged += 1;
-            cursor += advance;
-        }
-        staged
-    }
-
-    /// Stage a packet whose stage-1 result is already known — the
-    /// deployment fan-out path: the coordinator runs
-    /// [`decode_reference`] once per client transmission and every AP
-    /// worker stages its *own* capture of that transmission with the
-    /// shared [`DecodedPacket`], skipping the per-AP detect + decode
-    /// cost entirely. The window is extracted from `buffer` at the
-    /// decoded extent (clamped to the buffer, so small per-AP arrival
-    /// offsets are tolerated).
+    /// Stage a packet whose stage-1 result is known — the one staging
+    /// entry. A deployment coordinator decodes each transmission once
+    /// ([`decode_reference`]) and every AP worker stages its *own*
+    /// capture with the shared [`DecodedPacket`]; a lone AP stages the
+    /// result of [`AccessPoint::decode_capture`]. The window is copied
+    /// out at the decoded extent, clamped to the buffer (small per-AP
+    /// arrival offsets are tolerated), and decimated by the snapshot cap.
     ///
-    /// With a [`PacketBatch::set_snapshot_cap`] in force, the window is
-    /// decimated *at extraction*: every DSP stage (calibration,
-    /// covariance, RSS) then works on at most `cap` uniformly-strided
-    /// snapshots, so per-packet cost stops scaling with payload length.
-    /// (Per-chain calibration commutes with subsampling and a CFO
-    /// cancels in `x·xᴴ` regardless of stride, so bearings and
-    /// signatures are those of the capped covariance; `rss_db` becomes
-    /// a subsample estimate and `extent` reports the staged snapshot
-    /// count.)
+    /// Errors: `BadBuffer` if `buffer` does not match the array or is
+    /// empty, `NoPacket` if the clamped extent is empty.
     pub fn push_predecoded(
         &mut self,
         buffer: &CMat,
@@ -692,19 +632,22 @@ impl PacketBatch<'_> {
         if buffer.rows() != self.ap.cfg.array.len() || buffer.cols() == 0 {
             return Err(ObserveError::BadBuffer);
         }
-        if decoded.start >= buffer.cols() {
+        let start = decoded.start;
+        let end = start.saturating_add(decoded.pkt_len).min(buffer.cols());
+        if start >= end {
             return Err(ObserveError::NoPacket);
         }
-        let start = decoded.start;
-        let end = (start + decoded.pkt_len).min(buffer.cols());
+        // The one gather: stride 1 unless the cap is set and exceeded,
+        // then the uniform stride that leaves at most `cap` snapshots.
         let len = end - start;
-        let window = if self.snapshot_cap > 0 && len > self.snapshot_cap {
-            let stride = len.div_ceil(self.snapshot_cap);
-            let n = len.div_ceil(stride);
-            CMat::from_fn(buffer.rows(), n, |m, t| buffer[(m, start + t * stride)])
+        let stride = if self.snapshot_cap > 0 {
+            len.div_ceil(self.snapshot_cap)
         } else {
-            self.ap.extract_window(buffer, start, decoded.pkt_len)
+            1
         };
+        let window = CMat::from_fn(buffer.rows(), len.div_ceil(stride), |m, t| {
+            buffer[(m, start + t * stride)]
+        });
         self.staged.push(StagedPacket {
             window,
             frame: decoded.frame.clone(),
@@ -715,21 +658,18 @@ impl PacketBatch<'_> {
     }
 
     /// Cap the number of covariance snapshots per packet: windows
-    /// longer than `cap` samples are decimated by a uniform stride. A
-    /// few hundred snapshots already saturate an 8×8 sample
-    /// covariance, so deployments trade an invisible accuracy loss for
-    /// a DSP cost that stops scaling with payload length. `0` (the
-    /// default) disables the cap — and is the only setting that keeps
-    /// batched results bit-identical to [`AccessPoint::observe`].
+    /// longer than `cap` samples are decimated by a uniform stride when
+    /// [`PacketBatch::push_predecoded`] extracts them. A few hundred
+    /// snapshots already saturate an 8×8 sample covariance, so
+    /// deployments trade an invisible accuracy loss for a DSP cost that
+    /// stops scaling with payload length. `0` (the default) disables
+    /// the cap.
     ///
-    /// Where the decimation happens differs by ingest path. On
-    /// [`PacketBatch::push_predecoded`] the *staged window itself* is
-    /// decimated, so `rss_db` becomes a strided-subsample estimate and
-    /// `extent` reports the staged snapshot count. On
-    /// [`PacketBatch::push`]/[`PacketBatch::push_all`] the full window
-    /// is staged and only the covariance input is decimated — RSS and
-    /// `extent` still cover the whole packet (`push_all`'s scan cursor
-    /// depends on the full extent).
+    /// Calibration commutes with subsampling and a CFO cancels in `x·xᴴ`
+    /// at any stride, so a capped packet's observation — bearing,
+    /// signature, `rss_db` (a subsample estimate) and `extent` (the
+    /// staged snapshot count) — is that of an uncapped packet whose
+    /// capture held only the strided samples.
     pub fn set_snapshot_cap(&mut self, cap: usize) {
         self.snapshot_cap = cap;
     }
@@ -767,19 +707,10 @@ impl PacketBatch<'_> {
             } = staged;
             // 2b. Calibrate (per-chain corrections, §2.2).
             self.ap.calibration.apply(&mut window);
-            // 3–4. Covariance into the recycled buffer — the snapshot
-            // cap is applied as a stride *inside* the covariance
-            // accumulation (fused; the decimated snapshot set is never
-            // materialised) — then AoA through the shared engine.
-            let (stride, n_snapshots) =
-                if self.snapshot_cap > 0 && window.cols() > self.snapshot_cap {
-                    let stride = window.cols().div_ceil(self.snapshot_cap);
-                    (stride, window.cols().div_ceil(stride))
-                } else {
-                    (1, window.cols())
-                };
-            sample_covariance_strided_into(&window, stride, &mut self.cov);
-            let estimate = self.engine.estimate_cov(&self.cov, n_snapshots);
+            // 3–4. Covariance of the staged window into the recycled
+            // buffer, then AoA through the shared engine.
+            sample_covariance_into(&window, &mut self.cov);
+            let estimate = self.engine.estimate_cov(&self.cov, window.cols());
             // 5. Signature + RSS.
             out.push(
                 self.ap
@@ -1223,10 +1154,84 @@ mod tests {
         assert!(results[1].is_ok(), "good capture failed in batch");
         assert_eq!(results[2].as_ref().unwrap_err(), &ObserveError::BadBuffer);
 
-        // receive_batch: same alignment, with verdicts attached.
-        let mut verdicts = ap.receive_batch(&[good]);
-        let (_, verdict) = verdicts.remove(0).expect("good capture");
-        assert!(verdict.admitted());
+        // Enforcing the batched observation admits the listed client.
+        let obs = ap.observe_batch(&[good]).remove(0).expect("good capture");
+        assert!(ap.enforce(&obs).admitted());
+    }
+
+    #[test]
+    fn staging_rejects_an_empty_extent_and_clamps_an_overlong_one() {
+        let ap = make_ap();
+        let buf = CMat::from_fn(8, 300, |m, t| C64::new((m + t) as f64, 1.0));
+        let decoded = |start, pkt_len| DecodedPacket {
+            frame: None,
+            start,
+            cfo: 0.0,
+            pkt_len,
+        };
+        let mut batch = ap.batch();
+        for (start, pkt_len) in [(10, 0), (300, 64), (usize::MAX, 1)] {
+            assert_eq!(
+                batch.push_predecoded(&buf, &decoded(start, pkt_len)),
+                Err(ObserveError::NoPacket),
+                "start {start}, pkt_len {pkt_len}"
+            );
+        }
+        assert!(batch.is_empty());
+        batch
+            .push_predecoded(&buf, &decoded(100, usize::MAX))
+            .expect("overlong extent is clamped to the buffer");
+        let obs = batch.process();
+        assert_eq!(obs.len(), 1);
+        assert_eq!((obs[0].start, obs[0].extent), (100, 200));
+    }
+
+    #[test]
+    fn snapshot_cap_equals_staging_the_decimated_capture() {
+        let plan = room();
+        let mut ap = make_ap();
+        let pos = pt(4.0, 3.0);
+        let rx_pow = rx_power_at(&ap, &plan, pos);
+        let fe = quiet_front_end(&ap, rx_pow, 25.0, 85);
+        let mut rng = ChaCha8Rng::seed_from_u64(86);
+        ap.calibrate(&fe, &mut rng);
+        let frame = Frame::data(
+            MacAddr::local_from_index(1),
+            MacAddr::BROADCAST,
+            MacAddr::local_from_index(0),
+            1,
+            &[0x5a; 200],
+        );
+        let buf = capture(&ap, &plan, pos, &frame, &fe, 87);
+        let d = ap.decode_capture(&buf).expect("decodes");
+        let len = d.pkt_len.min(buf.cols() - d.start);
+        for cap in [1usize, 97, 300, len - 1, len, len + 5] {
+            let mut capped = ap.batch();
+            capped.set_snapshot_cap(cap);
+            capped.push_predecoded(&buf, &d).expect("staged");
+            let capped = capped.process().pop().expect("one observation");
+
+            // The same decimation, done by hand on the capture.
+            let stride = len.div_ceil(cap);
+            let n = len.div_ceil(stride);
+            let decimated = CMat::from_fn(8, n, |m, t| buf[(m, d.start + t * stride)]);
+            let whole = DecodedPacket {
+                start: 0,
+                pkt_len: n,
+                ..d.clone()
+            };
+            let mut plain = ap.batch();
+            plain.push_predecoded(&decimated, &whole).expect("staged");
+            let plain = plain.process().pop().expect("one observation");
+
+            assert!(capped.extent <= cap, "cap {cap}: extent {}", capped.extent);
+            assert_eq!(capped.extent, n, "cap {cap}");
+            assert_eq!(capped.extent, plain.extent, "cap {cap}");
+            assert_eq!(capped.bearing_deg, plain.bearing_deg, "cap {cap}");
+            assert_eq!(capped.signature, plain.signature, "cap {cap}");
+            assert_eq!(capped.rss_db, plain.rss_db, "cap {cap}");
+            assert_eq!(capped.start, d.start);
+        }
     }
 
     #[test]

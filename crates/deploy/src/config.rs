@@ -184,15 +184,6 @@ pub struct DeployConfig {
     /// it on for degraded deployments where marginal through-wall
     /// bearings should pull fixes less.
     pub weight_bearings_by_confidence: bool,
-    /// Stage-1 decode pool size. At the default of `1` the coordinator
-    /// decodes reference captures inline, serially — the pre-fleet
-    /// behavior exactly. At `N > 1` a pool of `N` persistent decode
-    /// threads shares the work, keyed by transmission sequence number
-    /// (transmission `seq` goes to shard `seq % N`); the coordinator
-    /// consumes results **in seq order**, so dispatch order, failure
-    /// counting and every downstream byte are identical to the serial
-    /// path. `0` is treated as `1`.
-    pub decode_shards: usize,
     /// Probability that an AP's end-of-window *marker* is lost in `[0,
     /// 1]`. The marker rides the control path, which earlier releases
     /// modeled as perfectly reliable even when the bulk report link was
@@ -228,7 +219,7 @@ pub struct DeployConfig {
     /// layer is zero-cost-off, pinned by `tests/proptest_chaos.rs`.
     /// Every injected fault is a pure function of the plan and the
     /// window number, so seeded chaos runs are byte-reproducible at any
-    /// decode-shard/stream knob setting.
+    /// pipelining depth.
     pub faults: Option<FaultPlan>,
     /// AP health scoring, quarantine and the stall watchdog
     /// ([`crate::health::FleetHealth`]). Disabled by default — the
@@ -260,7 +251,6 @@ impl Default for DeployConfig {
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
             windows_in_flight: 1,
-            decode_shards: 1,
             marker_loss_rate: 0.0,
             marker_timeout_windows: 0,
             faults: None,
@@ -337,10 +327,8 @@ mod tests {
         // Streaming off by default: depth-1 pipelining is the
         // synchronous submit-then-collect behavior exactly.
         assert_eq!(cfg.windows_in_flight, 1);
-        // Fleet knobs off by default: inline serial decode, reliable
-        // markers, no gap detection — byte-compatible with the
-        // pre-fleet coordinator.
-        assert_eq!(cfg.decode_shards, 1);
+        // Fleet knobs off by default: reliable markers, no gap
+        // detection — byte-compatible with the pre-fleet coordinator.
         assert_eq!(cfg.marker_loss_rate, 0.0);
         assert_eq!(cfg.marker_timeout_windows, 0);
         // Telemetry off by default: the report's snapshot stays empty

@@ -1,6 +1,6 @@
-//! The deployment coordinator: N AP worker threads, a sharded stage-1
-//! decode pool, skew-tolerant window scheduling, AP churn, and the
-//! fusion drain.
+//! The deployment coordinator: inline stage-1 decode, N AP worker
+//! threads, skew-tolerant window scheduling, AP churn, and the fusion
+//! drain.
 //!
 //! Windows close on end-of-window markers (never wall clocks), but the
 //! markers are no longer assumed perfect: workers stamp them with their
@@ -11,8 +11,7 @@
 //! final flush — reveals it, see
 //! [`crate::DeployConfig::marker_timeout_windows`]), and workers may
 //! join, leave, or die mid-run (a window never waits on an AP that is
-//! no longer live). All of it is deterministic for a seeded run, at
-//! any decode shard count.
+//! no longer live). All of it is deterministic for a seeded run.
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
@@ -27,10 +26,10 @@ use sa_linalg::CMat;
 use sa_mac::MacAddr;
 use sa_phy::Modulation;
 use sa_telemetry::{Histogram, StageTimer, TelemetrySnapshot};
-use secureangle::pipeline::{decode_reference, DecodedPacket};
+use secureangle::pipeline::decode_reference;
 use secureangle::AccessPoint;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -108,92 +107,6 @@ struct WindowBin {
     withheld: Vec<crate::report::ApPacket>,
 }
 
-/// One stage-1 decode job: a transmission's reference capture, keyed
-/// by its in-window sequence number.
-struct DecodeJob {
-    seq: usize,
-    buffer: Arc<CMat>,
-}
-
-/// The stage-1 decode pool: [`crate::DeployConfig::decode_shards`]
-/// persistent threads, jobs routed by sequence number (`seq % shards`)
-/// and the unordered results reassembled by index — so the pooled path
-/// produces byte-identical metrics and dispatches to the serial one.
-/// Threads exit when the pool (and with it every job sender) drops.
-struct DecodePool {
-    job_txs: Vec<Sender<DecodeJob>>,
-    done_rx: Receiver<(usize, Option<Arc<DecodedPacket>>)>,
-    _joins: Vec<JoinHandle<()>>,
-}
-
-impl DecodePool {
-    fn new(
-        shards: usize,
-        modulation: Modulation,
-        telemetry: Option<&Arc<DeployTelemetry>>,
-    ) -> Self {
-        let (done_tx, done_rx) = channel();
-        let mut job_txs = Vec::with_capacity(shards);
-        let mut joins = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = channel::<DecodeJob>();
-            let done = done_tx.clone();
-            // Per-shard `stage.decode` histogram handle (None when
-            // telemetry is off) — write-only, so the pooled decode path
-            // stays byte-identical with telemetry on or off.
-            let hist = telemetry.map(|t| {
-                t.registry
-                    .histogram("stage.decode", &[("shard", &shard.to_string())])
-            });
-            let join = std::thread::Builder::new()
-                .name(format!("sa-deploy-decode{}", shard))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let decoded = {
-                            let _span = StageTimer::start(hist.as_deref());
-                            decode_reference(&job.buffer, modulation).ok().map(Arc::new)
-                        };
-                        if done.send((job.seq, decoded)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn decode worker");
-            job_txs.push(tx);
-            joins.push(join);
-        }
-        Self {
-            job_txs,
-            done_rx,
-            _joins: joins,
-        }
-    }
-
-    /// Decode one window's reference captures across the pool,
-    /// returning the results indexed by sequence number (`None` = no
-    /// detectable packet). Independent of thread scheduling: fan-out is
-    /// a pure function of `seq`, and gathering is by index.
-    fn decode_window(&self, transmissions: &[Transmission]) -> Vec<Option<Arc<DecodedPacket>>> {
-        let n = self.job_txs.len();
-        for (seq, t) in transmissions.iter().enumerate() {
-            let _ = self.job_txs[seq % n].send(DecodeJob {
-                seq,
-                buffer: t.per_ap[0].clone(),
-            });
-        }
-        let mut out: Vec<Option<Arc<DecodedPacket>>> = vec![None; transmissions.len()];
-        for _ in 0..transmissions.len() {
-            match self.done_rx.recv() {
-                Ok((seq, decoded)) => out[seq] = decoded,
-                // Every decode thread died — the missing entries read
-                // as decode failures rather than wedging the ingest.
-                Err(_) => break,
-            }
-        }
-        out
-    }
-}
-
 /// A running multi-AP deployment (see the crate docs for the data
 /// flow). Construction spawns one worker thread per AP; dropping
 /// without [`Deployment::finish`] shuts the workers down but discards
@@ -235,9 +148,6 @@ pub struct Deployment {
     /// Positions by stable AP id (retired ids keep their entry).
     ap_positions: Vec<Point>,
     slots: Vec<WorkerSlot>,
-    /// Stage-1 decode pool; `None` ⇒ inline serial decode
-    /// (`decode_shards <= 1`).
-    decode_pool: Option<DecodePool>,
     up_tx: SyncSender<WindowDone>,
     up_rx: Receiver<WindowDone>,
     fusion: Fusion,
@@ -255,8 +165,8 @@ pub struct Deployment {
     /// The shared telemetry bundle; `None` when
     /// [`DeployConfig::telemetry`] is disabled (the default).
     telemetry: Option<Arc<DeployTelemetry>>,
-    /// `stage.decode` handle for the inline (poolless) decode path.
-    inline_decode_hist: Option<Arc<Histogram>>,
+    /// `stage.decode` histogram handle (`None` with telemetry off).
+    decode_hist: Option<Arc<Histogram>>,
 }
 
 impl Deployment {
@@ -288,11 +198,9 @@ impl Deployment {
         let ap_positions: Vec<Point> = aps.iter().map(|ap| ap.config().position).collect();
         let n_aps = aps.len();
         let telemetry = DeployTelemetry::new(cfg.telemetry);
-        let inline_decode_hist = telemetry
+        let decode_hist = telemetry
             .as_ref()
-            .map(|t| t.registry.histogram("stage.decode", &[("shard", "0")]));
-        let decode_pool = (cfg.decode_shards > 1)
-            .then(|| DecodePool::new(cfg.decode_shards, modulation, telemetry.as_ref()));
+            .map(|t| t.registry.histogram("stage.decode", &[]));
 
         let (up_tx, up_rx) = sync_channel(cfg.channel_capacity.max(1));
         let mut aligner = SkewAligner::new(cfg.max_skew_windows);
@@ -316,13 +224,12 @@ impl Deployment {
         Self {
             fusion,
             telemetry,
-            inline_decode_hist,
+            decode_hist,
             cfg,
             health,
             modulation,
             ap_positions,
             slots,
-            decode_pool,
             up_tx,
             up_rx,
             aligner,
@@ -607,30 +514,20 @@ impl Deployment {
         let window = self.next_window;
         self.next_window += 1;
 
-        // Stage 1, once per transmission (reference capture = the first
-        // live AP's) — fanned across the decode pool when it exists,
-        // inline otherwise. Either way the results are consumed in
-        // sequence order below, so metrics and dispatches are
-        // byte-identical across decode shard counts.
-        let decoded_by_seq: Vec<Option<Arc<DecodedPacket>>> = match &self.decode_pool {
-            Some(pool) => pool.decode_window(&transmissions),
-            None => transmissions
-                .iter()
-                .map(|t| {
-                    let _span = StageTimer::start(self.inline_decode_hist.as_deref());
-                    decode_reference(&t.per_ap[0], self.modulation)
-                        .ok()
-                        .map(Arc::new)
-                })
-                .collect(),
-        };
+        // Stage 1, inline, once per transmission (reference capture =
+        // the first live AP's), in sequence order.
         let mut per_worker: Vec<Vec<WorkerPacket>> = (0..live.len()).map(|_| Vec::new()).collect();
-        for (seq, (t, decoded)) in transmissions.into_iter().zip(decoded_by_seq).enumerate() {
+        for (seq, t) in transmissions.into_iter().enumerate() {
             self.metrics.transmissions += 1;
-            let Some(decoded) = decoded else {
+            let decoded = {
+                let _span = StageTimer::start(self.decode_hist.as_deref());
+                decode_reference(&t.per_ap[0], self.modulation)
+            };
+            let Ok(decoded) = decoded else {
                 self.metrics.decode_failures += 1;
                 continue;
             };
+            let decoded = Arc::new(decoded);
             for (k, buffer) in t.per_ap.into_iter().enumerate() {
                 per_worker[k].push(WorkerPacket {
                     buffer,
@@ -1082,7 +979,7 @@ impl Deployment {
     /// and apply the resulting actions. The evidence is assembled from
     /// order-independent aggregates (flags, counts, maxima), so the
     /// scores — and every quarantine/readmit/reap decision — are
-    /// byte-deterministic at any decode shard count or pipelining depth.
+    /// byte-deterministic at any pipelining depth.
     fn observe_health(&mut self, bin: &WindowBin, fused: &FusedWindow) {
         let mut ev = vec![ApWindowEvidence::default(); self.slots.len()];
         for e in &fused.ap_bearing_errors {

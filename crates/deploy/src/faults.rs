@@ -10,7 +10,7 @@
 //! plan and the window number, never of wall clocks or thread
 //! interleavings, so a seeded chaos run is byte-reproducible: the same
 //! plan degrades the same windows the same way on every rerun, at any
-//! decode shard count and pipelining depth.
+//! pipelining depth.
 //!
 //! The defensive counterpart lives in [`crate::health`]: corrupted
 //! payloads are caught by the report-wire checksum, byzantine bearings

@@ -1,6 +1,6 @@
 //! Deployment-side telemetry glue: the shared registry/flight-recorder
-//! bundle threaded through the coordinator, workers, decode pool and
-//! fusion stage, plus the rich per-client window event the flight
+//! bundle threaded through the coordinator, workers and fusion stage,
+//! plus the rich per-client window event the flight
 //! recorder keeps.
 //!
 //! Everything here is **strictly out-of-band**: stage timers record
@@ -132,7 +132,7 @@ const RECORDER_CLIENTS: usize = 4096;
 
 /// The telemetry bundle a [`crate::Deployment`] owns when
 /// [`crate::DeployConfig::telemetry`] is enabled, shared (`Arc`) with
-/// the decode pool, worker threads and fusion stage.
+/// the worker threads and fusion stage.
 pub(crate) struct DeployTelemetry {
     pub registry: Registry,
     pub recorder: FlightRecorder<MacAddr, ClientWindowEvent>,
@@ -178,9 +178,7 @@ mod tests {
     fn disabled_config_builds_no_bundle() {
         assert!(DeployTelemetry::new(TelemetryConfig::disabled()).is_none());
         let t = DeployTelemetry::new(TelemetryConfig::full()).expect("enabled");
-        t.registry
-            .histogram("stage.decode", &[("shard", "0")])
-            .record(5);
+        t.registry.histogram("stage.decode", &[]).record(5);
         assert_eq!(t.registry.snapshot().histograms[0].count, 1);
         assert_eq!(t.recorder.depth(), RECORDER_DEPTH);
     }

@@ -41,22 +41,11 @@ pub fn sample_covariance(x: &Snapshots) -> CMat {
 /// its allocation — the batched AP pipeline computes one covariance per
 /// packet into the same buffer. Panics if `x` has no snapshots.
 pub fn sample_covariance_into(x: &Snapshots, out: &mut CMat) {
-    sample_covariance_strided_into(x, 1, out);
-}
-
-/// [`sample_covariance_into`] over every `stride`-th snapshot column
-/// (`t = 0, stride, 2·stride, …`) — the decimated covariance the
-/// snapshot-capped deployment path runs on, fused so the strided
-/// snapshot set is never materialised as its own matrix. `stride == 1`
-/// is exactly [`sample_covariance_into`] (same accumulation order,
-/// bit-identical). Panics if `x` has no snapshots or `stride == 0`.
-pub fn sample_covariance_strided_into(x: &Snapshots, stride: usize, out: &mut CMat) {
     let m = x.rows();
-    assert!(stride > 0, "sample_covariance: zero stride");
-    let n = x.cols().div_ceil(stride);
+    let n = x.cols();
     assert!(n > 0, "sample_covariance: no snapshots");
     out.reset_zero(m, m);
-    for t in (0..x.cols()).step_by(stride) {
+    for t in 0..n {
         // rank-1 update r += x_t x_t^H (unrolled to avoid building columns)
         for i in 0..m {
             let xi = x[(i, t)];
@@ -66,95 +55,6 @@ pub fn sample_covariance_strided_into(x: &Snapshots, stride: usize, out: &mut CM
         }
     }
     out.scale_mut(1.0 / n as f64);
-}
-
-/// Streaming sample-covariance builder: accumulate `R·N = Σ x_t·x_t^H`
-/// one rank-1 update at a time as snapshots arrive, instead of holding
-/// the whole snapshot matrix and traversing it afterwards. Feeding the
-/// same snapshots in the same order reproduces
-/// [`sample_covariance_into`] bit for bit (identical accumulation
-/// order); the win is that no `M × N` snapshot matrix is ever built for
-/// sources that deliver samples incrementally.
-///
-/// ```
-/// use sa_linalg::{c64, CMat};
-/// use sa_sigproc::covariance::{sample_covariance, CovAccumulator};
-///
-/// let x = CMat::from_fn(4, 32, |i, t| c64((i + t) as f64, i as f64));
-/// let mut acc = CovAccumulator::new(4);
-/// for t in 0..x.cols() {
-///     acc.push_col(&x, t);
-/// }
-/// let mut r = CMat::default();
-/// acc.covariance_into(&mut r);
-/// assert_eq!(r, sample_covariance(&x));
-/// ```
-#[derive(Debug, Clone)]
-pub struct CovAccumulator {
-    /// Unscaled accumulator `Σ x_t·x_t^H`.
-    acc: CMat,
-    count: usize,
-}
-
-impl CovAccumulator {
-    /// A zeroed accumulator for `m`-element snapshots.
-    pub fn new(m: usize) -> Self {
-        Self {
-            acc: CMat::zeros(m, m),
-            count: 0,
-        }
-    }
-
-    /// Re-zero for `m`-element snapshots, reusing the allocation.
-    pub fn reset(&mut self, m: usize) {
-        self.acc.reset_zero(m, m);
-        self.count = 0;
-    }
-
-    /// Snapshot dimension `m`.
-    pub fn dim(&self) -> usize {
-        self.acc.rows()
-    }
-
-    /// Number of snapshots accumulated so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Rank-1 update with one snapshot vector. Panics on a dimension
-    /// mismatch.
-    pub fn push(&mut self, snapshot: &[C64]) {
-        let m = self.acc.rows();
-        assert_eq!(snapshot.len(), m, "CovAccumulator: snapshot dimension");
-        for (i, &xi) in snapshot.iter().enumerate() {
-            for (j, &xj) in snapshot.iter().enumerate() {
-                self.acc[(i, j)] += xi * xj.conj();
-            }
-        }
-        self.count += 1;
-    }
-
-    /// Rank-1 update with column `t` of a snapshot matrix — no
-    /// intermediate column vector is built.
-    pub fn push_col(&mut self, x: &Snapshots, t: usize) {
-        let m = self.acc.rows();
-        assert_eq!(x.rows(), m, "CovAccumulator: snapshot dimension");
-        for i in 0..m {
-            let xi = x[(i, t)];
-            for j in 0..m {
-                self.acc[(i, j)] += xi * x[(j, t)].conj();
-            }
-        }
-        self.count += 1;
-    }
-
-    /// The covariance of everything accumulated, written into `out`
-    /// (allocation reused). Panics if no snapshots were pushed.
-    pub fn covariance_into(&self, out: &mut CMat) {
-        assert!(self.count > 0, "sample_covariance: no snapshots");
-        out.copy_from(&self.acc);
-        out.scale_mut(1.0 / self.count as f64);
-    }
 }
 
 /// The exchange (anti-identity) matrix `J` of size `n`.
@@ -436,58 +336,6 @@ mod tests {
             let fused = smooth_fb(&r, sub);
             assert_eq!(fused, two_pass, "sub_len {}", sub);
         }
-    }
-
-    #[test]
-    fn accumulator_matches_batch_covariance_bitwise() {
-        let m = 6;
-        let x = CMat::from_fn(m, 77, |i, t| {
-            c64(((i + 5 * t) as f64).cos(), ((2 * i + t) as f64).sin())
-        });
-        let mut acc = CovAccumulator::new(m);
-        assert_eq!(acc.dim(), m);
-        for t in 0..x.cols() {
-            if t % 2 == 0 {
-                acc.push_col(&x, t);
-            } else {
-                acc.push(&x.col(t));
-            }
-        }
-        assert_eq!(acc.count(), 77);
-        let mut r = CMat::default();
-        acc.covariance_into(&mut r);
-        assert_eq!(r, sample_covariance(&x));
-        // Reset and reuse at another size.
-        acc.reset(3);
-        assert_eq!(acc.count(), 0);
-        acc.push(&[c64(1.0, 0.0), c64(0.0, 1.0), c64(2.0, -1.0)]);
-        let mut r3 = CMat::default();
-        acc.covariance_into(&mut r3);
-        assert_eq!(r3.rows(), 3);
-        assert!((r3[(0, 0)].re - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn strided_covariance_matches_decimated_matrix() {
-        let m = 5;
-        let x = CMat::from_fn(m, 103, |i, t| {
-            c64((i * t) as f64 * 0.01, (i + t) as f64 * 0.02)
-        });
-        for stride in [1usize, 2, 3, 7, 50, 200] {
-            let n = x.cols().div_ceil(stride);
-            let decim = CMat::from_fn(m, n, |i, t| x[(i, t * stride)]);
-            let mut fused = CMat::default();
-            sample_covariance_strided_into(&x, stride, &mut fused);
-            assert_eq!(fused, sample_covariance(&decim), "stride {}", stride);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no snapshots")]
-    fn accumulator_rejects_empty_finalize() {
-        let acc = CovAccumulator::new(4);
-        let mut out = CMat::default();
-        acc.covariance_into(&mut out);
     }
 
     #[test]

@@ -44,15 +44,17 @@ fn main() {
     );
 
     // --- Victim sends 5 legitimate frames, ingested as one batch. -------
-    // `receive_batch` stages every capture through a single PacketBatch:
+    // `observe_batch` stages every capture through a single PacketBatch:
     // the AoA engine (manifold + steering table + eigensolver workspace)
-    // is built once and shared across all five packets.
+    // is built once and shared across all five packets. Enforcement then
+    // runs per observation, in arrival order.
     println!("victim traffic (5-packet batch):");
     let bufs: Vec<_> = (1..=5u16)
         .map(|seq| tb.client_capture(0, victim, seq, seq as f64 * 10.0, &mut rng))
         .collect();
-    for (i, result) in tb.nodes[0].ap.receive_batch(&bufs).into_iter().enumerate() {
-        let (obs, verdict) = result.expect("victim frame");
+    for (i, result) in tb.nodes[0].ap.observe_batch(&bufs).into_iter().enumerate() {
+        let obs = result.expect("victim frame");
+        let verdict = tb.nodes[0].ap.enforce(&obs);
         let rss_v = rss_det.check(victim_mac, &RssPrint::single(obs.rss_db));
         println!(
             "  seq {:2}: bearing {:6.1} deg | AoA: {:<28} | RSS: {:?}",
@@ -103,11 +105,12 @@ fn main() {
     let mut flagged = 0;
     for (i, result) in tb.nodes[0]
         .ap
-        .receive_batch(&inj_bufs)
+        .observe_batch(&inj_bufs)
         .into_iter()
         .enumerate()
     {
-        let (obs, verdict) = result.expect("attack frame");
+        let obs = result.expect("attack frame");
+        let verdict = tb.nodes[0].ap.enforce(&obs);
         let rss_v = rss_det.check(victim_mac, &RssPrint::single(obs.rss_db));
         let aoa_flag = !verdict.admitted();
         if aoa_flag {

@@ -31,7 +31,7 @@ const GOLDEN: u64 = 0xb14c_8abd_8b83_0d2d;
 /// `TelemetryConfig::full()` (see [`stable_telemetry`]). Same rule as
 /// [`GOLDEN`]: it changes only with a change meant to alter exported
 /// names, labels, values or order.
-const GOLDEN_TELEMETRY: u64 = 0x6cab_f271_b6c6_900a;
+const GOLDEN_TELEMETRY: u64 = 0x3027_7c1d_e212_8a64;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

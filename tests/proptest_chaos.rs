@@ -1,8 +1,8 @@
 //! Chaos determinism properties (root seam test): seeded fault plans
 //! must degrade the fleet *byte-deterministically* — the same plan
 //! produces the same fused windows and (masked) report on every rerun
-//! and at every decode shard count — must never deadlock or
-//! panic, and a disabled fault layer must be byte-transparent.
+//! — must never deadlock or panic, and a disabled fault layer must be
+//! byte-transparent.
 //!
 //! Pipelining depth (`windows_in_flight`) joins the knob matrix for
 //! every fault family that preserves membership (corruption, byzantine
@@ -13,8 +13,7 @@
 //! windows already submitted when an AP dies is part of the depth's
 //! semantics — a depth-1 operator stops sending a dead AP traffic one
 //! window sooner than a depth-4 one — so cross-depth byte-equality is
-//! not a meaningful contract there. Reruns and decode shard counts
-//! still are.
+//! not a meaningful contract there. Reruns still are.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -71,13 +70,11 @@ fn run_chaos(
     windows: &[Vec<Transmission>],
     faults: Option<FaultPlan>,
     health: HealthConfig,
-    decode_shards: usize,
     windows_in_flight: usize,
 ) -> (String, String, DeploymentReport) {
     let tb = Testbed::campus_with(n_clients, N_APS, seed);
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
-        decode_shards,
         windows_in_flight,
         faults,
         health,
@@ -114,9 +111,8 @@ proptest! {
     /// The canonical scripted chaos schedule (byzantine bias, wire
     /// corruption, burst loss, sub-watchdog stalls, drift onset — plus
     /// the health layer's down-weighting and quarantine responses) is
-    /// byte-deterministic: identical on rerun and across the full
-    /// decode-shard × pipelining-depth matrix, and the
-    /// run never deadlocks or panics whatever the seed.
+    /// byte-deterministic: identical on rerun and across pipelining
+    /// depths, and the run never deadlocks or panics whatever the seed.
     #[test]
     fn scripted_chaos_degrades_byte_deterministically_across_knobs(
         seed in 0u64..1_000,
@@ -125,28 +121,28 @@ proptest! {
         let tb = Testbed::campus_with(n_clients, N_APS, seed);
         let windows = gen_windows(&tb, n_clients, 8, seed);
         let plan = FaultPlan::scripted(N_APS, seed);
-        let run = |d, w| {
+        let run = |w| {
             run_chaos(
                 n_clients, seed, &windows,
                 Some(plan.clone()), HealthConfig::enabled(),
-                d, w,
+                w,
             )
         };
-        let (base_fused, base_report, _) = run(1, 1);
-        let (rerun_fused, rerun_report, _) = run(1, 1);
+        let (base_fused, base_report, _) = run(1);
+        let (rerun_fused, rerun_report, _) = run(1);
         prop_assert_eq!(&base_fused, &rerun_fused, "chaos run diverged on rerun");
         prop_assert_eq!(&base_report, &rerun_report, "chaos report diverged on rerun");
-        for (decode, depth) in [(2usize, 2usize), (4, 4)] {
-            let (fused, report, _) = run(decode, depth);
+        for depth in [2usize, 4] {
+            let (fused, report, _) = run(depth);
             prop_assert_eq!(
                 &base_fused, &fused,
-                "fused windows diverged at decode={} depth={}",
-                decode, depth
+                "fused windows diverged at depth={}",
+                depth
             );
             prop_assert_eq!(
                 &base_report, &report,
-                "report diverged at decode={} depth={}",
-                decode, depth
+                "report diverged at depth={}",
+                depth
             );
         }
     }
@@ -163,17 +159,17 @@ proptest! {
         let tb = Testbed::campus_with(n_clients, N_APS, seed);
         let windows = gen_windows(&tb, n_clients, 3, seed);
         let (no_plan_fused, no_plan_report, _) = run_chaos(
-            n_clients, seed, &windows, None, HealthConfig::default(), 1, 1,
+            n_clients, seed, &windows, None, HealthConfig::default(), 1,
         );
         let (empty_fused, empty_report, _) = run_chaos(
             n_clients, seed, &windows,
             Some(FaultPlan::default()), HealthConfig::default(),
-            1, 1,
+            1,
         );
         prop_assert_eq!(&no_plan_fused, &empty_fused, "empty plan changed fused bytes");
         prop_assert_eq!(&no_plan_report, &empty_report, "empty plan changed the report");
         let (health_fused, health_report, report) = run_chaos(
-            n_clients, seed, &windows, None, HealthConfig::enabled(), 1, 1,
+            n_clients, seed, &windows, None, HealthConfig::enabled(), 1,
         );
         prop_assert_eq!(
             &no_plan_fused, &health_fused,
@@ -189,7 +185,7 @@ proptest! {
     /// Mid-run worker crashes degrade deterministically: membership ends
     /// at the collect of the crash window (never at the racy moment the
     /// dead thread is *noticed*), so a crashing fleet is byte-identical
-    /// on rerun and across decode shard counts, even pipelined.
+    /// on rerun, even pipelined.
     #[test]
     fn crashes_end_membership_byte_deterministically(
         seed in 0u64..1_000,
@@ -204,20 +200,17 @@ proptest! {
                 window: 1,
             }],
         };
-        let run = |d| {
+        let run = || {
             run_chaos(
                 n_clients, seed, &windows,
                 Some(plan.clone()), HealthConfig::enabled(),
-                d, 2,
+                2,
             )
         };
-        let (base_fused, base_report, report) = run(1);
+        let (base_fused, base_report, report) = run();
         prop_assert_eq!(report.metrics.worker_losses, 1, "crash must cost one worker");
-        let (rerun_fused, rerun_report, _) = run(1);
+        let (rerun_fused, rerun_report, _) = run();
         prop_assert_eq!(&base_fused, &rerun_fused, "crash run diverged on rerun");
         prop_assert_eq!(&base_report, &rerun_report, "crash report diverged on rerun");
-        let (fused, pooled_report, _) = run(2);
-        prop_assert_eq!(&base_fused, &fused, "crash run diverged under the decode pool");
-        prop_assert_eq!(&base_report, &pooled_report, "crash report diverged under the decode pool");
     }
 }

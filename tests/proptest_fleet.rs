@@ -1,8 +1,7 @@
 //! Fleet determinism property (root seam test): on randomized campus
 //! scenarios, the fused windows and the (masked) deployment report must
-//! be byte-identical across every decode-shard and pipelining
-//! configuration. The decode pool and streaming are performance knobs —
-//! they change thread interleavings, never bytes.
+//! be byte-identical across every pipelining depth. Streaming is a
+//! performance knob — it changes thread interleavings, never bytes.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -34,7 +33,6 @@ fn run_config(
     seed: u64,
     windows: &[Vec<Transmission>],
     backend: ScanBackend,
-    decode_shards: usize,
     windows_in_flight: usize,
 ) -> (String, String) {
     let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
@@ -42,7 +40,6 @@ fn run_config(
     });
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
-        decode_shards,
         windows_in_flight,
         ..DeployConfig::default()
     };
@@ -57,10 +54,11 @@ proptest! {
     // plenty — every case exercises three full deployments.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Fused `DeploymentReport`s are byte-identical across decode-shard
-    /// counts {1, 2, 4} × `windows_in_flight` {1, 2, 4} (and whatever
-    /// worker interleavings those induce) on randomized campus
-    /// scenarios.
+    /// Fused `DeploymentReport`s are byte-identical across
+    /// `windows_in_flight` {1, 2, 4} (and whatever worker interleavings
+    /// those induce) on randomized campus scenarios. (The name predates
+    /// the deletion of the decode-shard axis; it is kept so the test id
+    /// stays stable.)
     #[test]
     fn fused_reports_are_byte_identical_across_shard_and_stream_configs(
         seed in 0u64..1_000,
@@ -79,41 +77,38 @@ proptest! {
             .collect();
 
         let (base_fused, base_report) =
-            run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, 1, 1);
-        for (decode, depth) in [(2usize, 2usize), (4, 4)] {
-            let (fused, report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, decode, depth,
-            );
+            run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, 1);
+        for depth in [2usize, 4] {
+            let (fused, report) =
+                run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, depth);
             prop_assert_eq!(
                 &base_fused, &fused,
-                "fused windows diverged at decode={} depth={}",
-                decode, depth
+                "fused windows diverged at depth={}",
+                depth
             );
             prop_assert_eq!(
                 &base_report, &report,
-                "report diverged at decode={} depth={}",
-                decode, depth
+                "report diverged at depth={}",
+                depth
             );
         }
 
         // The scan-backend knob joins the matrix: each backend must be
-        // deterministic under the decode pool too (the backends may disagree
+        // deterministic when pipelined too (the backends may disagree
         // *with each other* on bearings — that equivalence is
         // `proptest_backends`' contract, not this one's — but a given
         // backend must never let thread interleaving reach its bytes).
         for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
-            let (b_fused, b_report) =
-                run_config(n_clients, seed, &windows, backend, 1, 1);
-            let (fused, report) =
-                run_config(n_clients, seed, &windows, backend, 2, 2);
+            let (b_fused, b_report) = run_config(n_clients, seed, &windows, backend, 1);
+            let (fused, report) = run_config(n_clients, seed, &windows, backend, 2);
             prop_assert_eq!(
                 &b_fused, &fused,
-                "fused windows diverged under the decode pool for {:?}",
+                "fused windows diverged when pipelined for {:?}",
                 backend
             );
             prop_assert_eq!(
                 &b_report, &report,
-                "report diverged under the decode pool for {:?}",
+                "report diverged when pipelined for {:?}",
                 backend
             );
         }

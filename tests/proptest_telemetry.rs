@@ -1,8 +1,9 @@
 //! Telemetry out-of-band property (root seam test): on randomized
 //! campus scenarios, the fused windows and the (masked) deployment
 //! report must be byte-identical with telemetry fully enabled vs
-//! disabled, at every decode-shard / pipelining configuration. Observability is a read-only tap — timers, counters
-//! and the flight recorder never feed back into the pipeline.
+//! disabled, at every pipelining depth. Observability is a read-only
+//! tap — timers, counters and the flight recorder never feed back into
+//! the pipeline.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -36,7 +37,7 @@ fn run_config(
     seed: u64,
     windows: &[Vec<Transmission>],
     backend: ScanBackend,
-    (decode_shards, windows_in_flight): (usize, usize),
+    windows_in_flight: usize,
     telemetry: TelemetryConfig,
 ) -> (String, String) {
     let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
@@ -44,7 +45,6 @@ fn run_config(
     });
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
-        decode_shards,
         windows_in_flight,
         telemetry,
         ..DeployConfig::default()
@@ -62,8 +62,7 @@ proptest! {
 
     /// Fused windows and masked reports are byte-identical with
     /// telemetry enabled (`TelemetryConfig::full()`) vs disabled, across
-    /// decode shards {1, 4} × `windows_in_flight` {1, 4} on randomized
-    /// campus scenarios.
+    /// `windows_in_flight` {1, 4} on randomized campus scenarios.
     #[test]
     fn telemetry_never_changes_fused_bytes(
         seed in 0u64..1_000,
@@ -81,24 +80,24 @@ proptest! {
             })
             .collect();
 
-        for (decode, depth) in [(1usize, 1usize), (4, 4)] {
+        for depth in [1usize, 4] {
             let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, depth),
+                n_clients, seed, &windows, ScanBackend::Exhaustive, depth,
                 TelemetryConfig::disabled(),
             );
             let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, depth),
+                n_clients, seed, &windows, ScanBackend::Exhaustive, depth,
                 TelemetryConfig::full(),
             );
             prop_assert_eq!(
                 &off_fused, &on_fused,
-                "fused windows diverged with telemetry at decode={} depth={}",
-                decode, depth
+                "fused windows diverged with telemetry at depth={}",
+                depth
             );
             prop_assert_eq!(
                 &off_report, &on_report,
-                "masked report diverged with telemetry at decode={} depth={}",
-                decode, depth
+                "masked report diverged with telemetry at depth={}",
+                depth
             );
         }
 
@@ -106,11 +105,11 @@ proptest! {
         // matter which spectrum-search backend the APs run.
         for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
             let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, backend, (4, 4),
+                n_clients, seed, &windows, backend, 4,
                 TelemetryConfig::disabled(),
             );
             let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, backend, (4, 4),
+                n_clients, seed, &windows, backend, 4,
                 TelemetryConfig::full(),
             );
             prop_assert_eq!(
