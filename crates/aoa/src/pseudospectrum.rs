@@ -123,10 +123,18 @@ impl Pseudospectrum {
             .iter()
             .cloned()
             .fold(f64::MIN_POSITIVE, f64::max);
+        // Bins below `cut` floor without a `log10`: the 0.999 margin
+        // (−0.0043 dB) dwarfs the rounding of `powf`, the product and
+        // `log10`, so such a bin would floor anyway. (A cut among the
+        // subnormals is still safe: a bin below it sits a whole grid step
+        // lower.) A subnormal `scale` (floors under −3000 dB) has lost
+        // the relative precision the margin relies on, so it cuts nothing.
+        let scale = 10f64.powf(floor_db / 10.0) * 0.999;
+        let cut = if scale.is_normal() { m * scale } else { 0.0 };
         self.values
             .iter()
             .map(|&v| {
-                if v <= 0.0 {
+                if v <= 0.0 || v < cut {
                     floor_db
                 } else {
                     (10.0 * (v / m).log10()).max(floor_db)
@@ -439,6 +447,18 @@ mod tests {
         let s = bump_spectrum(&[(10.0, 7.3)], false).normalized();
         let (_, v) = s.peak();
         assert!((v - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn db_cut_is_off_when_the_floor_level_is_subnormal() {
+        // 10^(−3229/10) ≈ 2.5 subnormal steps, so the level factor rounds
+        // up by ~18%; a cut built on it would floor this bin, which sits
+        // 0.41 dB above the floor.
+        let m = 1e300;
+        let v = 1.1 * 10f64.powf(300.0 - 322.9);
+        let s = Pseudospectrum::new(vec![0.0, 1.0], vec![m, v], false);
+        let db = s.db(-3229.0);
+        assert!(db[1] > -3229.0 + 0.4, "{}", db[1]);
     }
 
     #[test]

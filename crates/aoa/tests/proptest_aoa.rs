@@ -16,8 +16,72 @@ fn plane_wave_snapshots(array: &Array, az: f64, n: usize) -> CMat {
     })
 }
 
+/// The `log10`-on-every-bin `Pseudospectrum::db` that the floor cut
+/// replaced, kept verbatim as the bitwise reference.
+fn db_reference(s: &Pseudospectrum, floor_db: f64) -> Vec<f64> {
+    let m = s.values.iter().cloned().fold(f64::MIN_POSITIVE, f64::max);
+    s.values
+        .iter()
+        .map(|&v| {
+            if v <= 0.0 {
+                floor_db
+            } else {
+                (10.0 * (v / m).log10()).max(floor_db)
+            }
+        })
+        .collect()
+}
+
+/// `x` moved by `k` ulps (`x` positive and finite).
+fn ulps(x: f64, k: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + k) as u64)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn db_floor_cut_is_bitwise_the_log_everywhere_loop(
+        floor_db in prop_oneof![Just(-30.0), Just(-60.0), Just(-300.0), Just(-3229.0)],
+        peak in prop_oneof![
+            Just(1.0),
+            1e-6f64..1e6,
+            (1.0f64..10.0).prop_map(|p| p * 1e-293),
+            (1.0f64..10.0).prop_map(|p| p * 1e299),
+        ],
+        probes in proptest::collection::vec((0u8..6, -2i64..=2, -1.0f64..1.0, 0i32..15), 1..64),
+    ) {
+        // Bins at and around both thresholds of the floor: the cut the
+        // fast path uses (0.999 of the floor level) and the floor level
+        // itself, plus zeros, NaN and ordinary fractions of the peak. A
+        // peak near 1e-292 puts the cut among the subnormals; a −3229 dB
+        // floor makes the level factor itself subnormal, and a peak near
+        // 1e300 brings its imprecise cut back among the normal bins.
+        let level = peak * 10f64.powf(floor_db / 10.0);
+        let cut = peak * (10f64.powf(floor_db / 10.0) * 0.999);
+        let mut values = vec![peak];
+        for &(kind, k, d, e) in &probes {
+            values.push(match kind {
+                0 => ulps(cut, k),
+                1 => ulps(level, k),
+                // Within ±10^-e (relative) of the floor level.
+                2 => level * (1.0 + d * 10f64.powi(-e)),
+                3 => if k < 0 { -0.0 } else { 0.0 },
+                4 => f64::NAN,
+                _ => peak * d.abs(),
+            });
+        }
+        let angles = (0..values.len()).map(|i| i as f64).collect();
+        let s = Pseudospectrum::new(angles, values, true);
+        let got = s.db(floor_db);
+        let want = db_reference(&s, floor_db);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "bin {} (value {:e}, floor {}): {} vs reference {}", i, s.values[i], floor_db, g, w
+            );
+        }
+    }
 
     #[test]
     fn music_finds_single_source_ula(theta in -75.0f64..75.0, n_ant in 3usize..10) {

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_bench::capture_linear;
+use sa_bench::{capture_circular, capture_linear};
 use secureangle::signature::{AoaSignature, MatchConfig, SignatureTracker};
 
 fn signatures() -> (AoaSignature, AoaSignature) {
@@ -28,6 +28,25 @@ fn bench_signature_compare(c: &mut Criterion) {
     c.bench_function("fig6_signature_compare", |bch| {
         bch.iter(|| a.compare(&b, &cfg))
     });
+}
+
+fn bench_signature_from_spectrum(c: &mut Criterion) {
+    // The raw 1° MUSIC pseudospectrum of a circular-array capture: the
+    // wrapping 360-bin grid every fleet AP smooths into a signature.
+    let cap = capture_circular(5, 0xF166);
+    let spectrum = cap.testbed.nodes[0]
+        .ap
+        .observe(&cap.buffer)
+        .expect("observe")
+        .estimate
+        .spectrum;
+    assert_eq!(spectrum.len(), 360);
+    assert!(spectrum.wraps);
+    let mut group = c.benchmark_group("signature");
+    group.bench_function("from_spectrum_360", |bch| {
+        bch.iter(|| AoaSignature::from_spectrum(&spectrum))
+    });
+    group.finish();
 }
 
 fn bench_tracker_update(c: &mut Criterion) {
@@ -62,6 +81,7 @@ fn bench_temporal_evolution(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_signature_compare,
+    bench_signature_from_spectrum,
     bench_tracker_update,
     bench_temporal_evolution
 );

@@ -64,7 +64,8 @@ fn bench_fft(c: &mut Criterion) {
 fn bench_covariance(c: &mut Criterion) {
     use sa_sigproc::covariance::{sample_covariance, smooth_fb};
     let mut group = c.benchmark_group("covariance");
-    for (m, n) in [(8usize, 512usize), (8, 2048), (16, 512)] {
+    // 8x128 is the fleet's shape: 8 antennas, `snapshot_cap` 128.
+    for (m, n) in [(8usize, 128usize), (8, 512), (8, 2048), (16, 512)] {
         let x = CMat::from_fn(m, n, |i, t| C64::cis(0.3 * i as f64 + 0.11 * t as f64));
         group.bench_function(format!("sample_{m}x{n}"), |b| {
             b.iter(|| sample_covariance(&x))

@@ -278,7 +278,8 @@ impl Observation {
 pub enum ObserveError {
     /// Nothing detected in the buffer.
     NoPacket,
-    /// Buffer shape does not match the array.
+    /// Buffer shape does not match the array, or a staged sample is
+    /// NaN or infinite.
     BadBuffer,
 }
 
@@ -286,7 +287,7 @@ impl std::fmt::Display for ObserveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ObserveError::NoPacket => write!(f, "no packet in capture"),
-            ObserveError::BadBuffer => write!(f, "capture shape does not match array"),
+            ObserveError::BadBuffer => write!(f, "bad capture: wrong shape or non-finite sample"),
         }
     }
 }
@@ -622,8 +623,9 @@ impl PacketBatch<'_> {
     /// out at the decoded extent, clamped to the buffer (small per-AP
     /// arrival offsets are tolerated), and decimated by the snapshot cap.
     ///
-    /// Errors: `BadBuffer` if `buffer` does not match the array or is
-    /// empty, `NoPacket` if the clamped extent is empty.
+    /// Errors: `BadBuffer` if `buffer` does not match the array, is
+    /// empty, or holds a NaN or infinite sample among those gathered;
+    /// `NoPacket` if the clamped extent is empty.
     pub fn push_predecoded(
         &mut self,
         buffer: &CMat,
@@ -645,9 +647,18 @@ impl PacketBatch<'_> {
         } else {
             1
         };
+        // `x · 0` is ±0 for a finite `x` and NaN for NaN or ±∞, so
+        // `poison` stays 0 only if every gathered sample is finite: a
+        // branch-free `is_finite` that keeps pace with the strided loads.
+        let mut poison = 0.0;
         let window = CMat::from_fn(buffer.rows(), len.div_ceil(stride), |m, t| {
-            buffer[(m, start + t * stride)]
+            let z = buffer[(m, start + t * stride)];
+            poison += z.re * 0.0 + z.im * 0.0;
+            z
         });
+        if poison != 0.0 {
+            return Err(ObserveError::BadBuffer);
+        }
         self.staged.push(StagedPacket {
             window,
             frame: decoded.frame.clone(),
@@ -1184,6 +1195,48 @@ mod tests {
         let obs = batch.process();
         assert_eq!(obs.len(), 1);
         assert_eq!((obs[0].start, obs[0].extent), (100, 200));
+    }
+
+    #[test]
+    fn staging_rejects_a_non_finite_sample_in_the_window() {
+        let plan = room();
+        let mut ap = make_ap();
+        let pos = pt(4.0, 3.0);
+        let rx_pow = rx_power_at(&ap, &plan, pos);
+        let fe = quiet_front_end(&ap, rx_pow, 25.0, 88);
+        let mut rng = ChaCha8Rng::seed_from_u64(89);
+        ap.calibrate(&fe, &mut rng);
+        let frame = Frame::data(
+            MacAddr::local_from_index(1),
+            MacAddr::BROADCAST,
+            MacAddr::local_from_index(0),
+            1,
+            b"poisoned",
+        );
+        let buf = capture(&ap, &plan, pos, &frame, &fe, 90);
+        let d = ap.decode_capture(&buf).expect("decodes");
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (row, part) in [(3, 0), (7, 1)] {
+                // The reference row stays clean, so the capture still
+                // decodes; one sample of another chain's window is bad.
+                let mut bad = buf.clone();
+                let z = &mut bad[(row, d.start + 5)];
+                if part == 0 {
+                    z.re = poison;
+                } else {
+                    z.im = poison;
+                }
+                assert!(ap.decode_capture(&bad).is_ok());
+                let mut batch = ap.batch();
+                assert_eq!(
+                    batch.push_predecoded(&bad, &d),
+                    Err(ObserveError::BadBuffer),
+                    "{poison} in row {row}"
+                );
+                assert!(batch.is_empty());
+                assert!(batch.process().is_empty());
+            }
+        }
     }
 
     #[test]

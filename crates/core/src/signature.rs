@@ -231,28 +231,46 @@ fn smooth_spectrum(spectrum: &Pseudospectrum, sigma_deg: f64) -> Pseudospectrum 
             (-d * d / (2.0 * sigma_deg * sigma_deg)).exp()
         })
         .collect();
+    let src = &spectrum.values;
     let mut values = vec![0.0f64; n];
-    for (i, out) in values.iter_mut().enumerate() {
-        let mut acc = kernel[0] * spectrum.values[i];
+    if spectrum.wraps {
+        // Every tap lands in a wrap-padded copy (`half` bins each side,
+        // `half <= n / 2`), so the inner loop has no `%` and no branch.
+        // The sums keep the per-tap order of a `%`-indexed loop (centre,
+        // then left before right for each k; `wsum` as centre plus `2w`
+        // per k), so the bits match it.
+        let mut ext = Vec::with_capacity(n + 2 * half);
+        ext.extend_from_slice(&src[n - half..]);
+        ext.extend_from_slice(src);
+        ext.extend_from_slice(&src[..half]);
         let mut wsum = kernel[0];
-        for (k, &w) in kernel.iter().enumerate().skip(1) {
-            // Left neighbour.
-            if spectrum.wraps {
-                acc += w * spectrum.values[(i + n - k) % n];
-                acc += w * spectrum.values[(i + k) % n];
-                wsum += 2.0 * w;
-            } else {
+        for &w in &kernel[1..] {
+            wsum += 2.0 * w;
+        }
+        for (out, win) in values.iter_mut().zip(ext.windows(2 * half + 1)) {
+            let mut acc = kernel[0] * win[half];
+            for (k, &w) in kernel.iter().enumerate().skip(1) {
+                acc += w * win[half - k];
+                acc += w * win[half + k];
+            }
+            *out = acc / wsum;
+        }
+    } else {
+        for (i, out) in values.iter_mut().enumerate() {
+            let mut acc = kernel[0] * src[i];
+            let mut wsum = kernel[0];
+            for (k, &w) in kernel.iter().enumerate().skip(1) {
                 if i >= k {
-                    acc += w * spectrum.values[i - k];
+                    acc += w * src[i - k];
                     wsum += w;
                 }
                 if i + k < n {
-                    acc += w * spectrum.values[i + k];
+                    acc += w * src[i + k];
                     wsum += w;
                 }
             }
+            *out = acc / wsum;
         }
-        *out = acc / wsum;
     }
     Pseudospectrum::new(spectrum.angles_deg.clone(), values, spectrum.wraps)
 }
@@ -362,6 +380,91 @@ impl SignatureTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `%`-indexed smoothing loop that `smooth_spectrum` replaced,
+    /// kept verbatim as the bitwise reference.
+    fn smooth_spectrum_reference(spectrum: &Pseudospectrum, sigma_deg: f64) -> Pseudospectrum {
+        if sigma_deg <= 0.0 || spectrum.len() < 3 {
+            return spectrum.clone();
+        }
+        let n = spectrum.len();
+        let step = spectrum.angles_deg[1] - spectrum.angles_deg[0];
+        let uniform = spectrum
+            .angles_deg
+            .windows(2)
+            .all(|w| ((w[1] - w[0]) - step).abs() < 1e-9);
+        if !uniform {
+            return spectrum.clone();
+        }
+        let half = ((3.0 * sigma_deg / step).ceil() as usize).min(n / 2);
+        let kernel: Vec<f64> = (0..=half)
+            .map(|k| {
+                let d = k as f64 * step;
+                (-d * d / (2.0 * sigma_deg * sigma_deg)).exp()
+            })
+            .collect();
+        let mut values = vec![0.0f64; n];
+        for (i, out) in values.iter_mut().enumerate() {
+            let mut acc = kernel[0] * spectrum.values[i];
+            let mut wsum = kernel[0];
+            for (k, &w) in kernel.iter().enumerate().skip(1) {
+                // Left neighbour.
+                if spectrum.wraps {
+                    acc += w * spectrum.values[(i + n - k) % n];
+                    acc += w * spectrum.values[(i + k) % n];
+                    wsum += 2.0 * w;
+                } else {
+                    if i >= k {
+                        acc += w * spectrum.values[i - k];
+                        wsum += w;
+                    }
+                    if i + k < n {
+                        acc += w * spectrum.values[i + k];
+                        wsum += w;
+                    }
+                }
+            }
+            *out = acc / wsum;
+        }
+        Pseudospectrum::new(spectrum.angles_deg.clone(), values, spectrum.wraps)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn smoothing_is_bitwise_the_modulo_loop(
+            n in 3usize..=720,
+            wraps in any::<bool>(),
+            sigma in prop_oneof![Just(SIGNATURE_SMOOTHING_SIGMA_DEG), Just(0.5), Just(10.0), 0.05f64..40.0],
+            irregular in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+            raw in proptest::collection::vec(
+                prop_oneof![Just(0.0), 0.0f64..1.0, (0.0f64..1.0).prop_map(|v| v * 1e-9), 1.0f64..1e6],
+                720,
+            ),
+        ) {
+            // A uniform grid over the domain (full circle when wrapping,
+            // a 180° sector otherwise); `irregular` nudges one angle so
+            // the raw-spectrum fallback runs too.
+            let step = if wraps { 360.0 / n as f64 } else { 180.0 / n as f64 };
+            let mut angles: Vec<f64> = (0..n).map(|i| -90.0 + i as f64 * step).collect();
+            if irregular {
+                angles[n / 2] += step * 0.25;
+            }
+            let s = Pseudospectrum::new(angles, raw[..n].to_vec(), wraps);
+            let got = smooth_spectrum(&s, sigma);
+            let want = smooth_spectrum_reference(&s, sigma);
+            prop_assert_eq!(&got.angles_deg, &want.angles_deg);
+            prop_assert_eq!(got.wraps, want.wraps);
+            for (i, (g, w)) in got.values.iter().zip(&want.values).enumerate() {
+                prop_assert!(
+                    g.to_bits() == w.to_bits(),
+                    "bin {} of {} (wraps {}, sigma {}): {} vs reference {}", i, n, wraps, sigma, g, w
+                );
+            }
+        }
+    }
 
     fn bump(centers: &[(f64, f64)]) -> AoaSignature {
         let angles: Vec<f64> = (0..360).map(|i| i as f64).collect();

@@ -40,21 +40,35 @@ pub fn sample_covariance(x: &Snapshots) -> CMat {
 /// [`sample_covariance`] written into a caller-provided matrix, reusing
 /// its allocation — the batched AP pipeline computes one covariance per
 /// packet into the same buffer. Panics if `x` has no snapshots.
+///
+/// Each lower-triangle entry is one dot product over two contiguous
+/// snapshot rows, summed from zero in ascending `t` — the order a
+/// rank-1 update per snapshot would use, so the bits match it. The upper
+/// triangle mirrors the lower as `0 − im`: the running sum starts at
+/// `+0` and so never holds `−0`, and direct computation of `(j, i)`
+/// negates every nonzero partial sum exactly and leaves a zero at `+0`
+/// (`conj` would give `−0`).
 pub fn sample_covariance_into(x: &Snapshots, out: &mut CMat) {
     let m = x.rows();
     let n = x.cols();
     assert!(n > 0, "sample_covariance: no snapshots");
     out.reset_zero(m, m);
-    for t in 0..n {
-        // rank-1 update r += x_t x_t^H (unrolled to avoid building columns)
-        for i in 0..m {
-            let xi = x[(i, t)];
-            for j in 0..m {
-                out[(i, j)] += xi * x[(j, t)].conj();
+    let inv = 1.0 / n as f64;
+    for i in 0..m {
+        let xi = x.row_view(i);
+        for j in 0..=i {
+            let xj = x.row_view(j);
+            let mut acc = ZERO;
+            for (&a, &b) in xi.iter().zip(xj) {
+                acc += a * b.conj();
+            }
+            let acc = acc.scale(inv);
+            out[(i, j)] = acc;
+            if j < i {
+                out[(j, i)] = C64::new(acc.re, 0.0 - acc.im);
             }
         }
     }
-    out.scale_mut(1.0 / n as f64);
 }
 
 /// The exchange (anti-identity) matrix `J` of size `n`.

@@ -15,10 +15,78 @@ fn snapshots(m: usize, n: usize) -> impl Strategy<Value = CMat> {
     proptest::collection::vec(finite_c64(), m * n).prop_map(move |v| CMat::from_rows(m, n, &v))
 }
 
+/// One snapshot component: exact and signed zeros, small integers (whose
+/// products cancel exactly, so sums land on zero), ordinary values, and
+/// values whose products underflow to a signed zero.
+fn edge_component() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        (-3i32..=3).prop_map(f64::from),
+        -10.0f64..10.0,
+        (-1.0f64..1.0).prop_map(|v| v * 1e-160),
+    ]
+}
+
+/// Any `1..=8 × 1..=300` snapshot matrix of [`edge_component`]s. A
+/// third of them are real (every imaginary part a signed zero) and a
+/// third repeat each even row in the odd row below it; both give
+/// off-diagonal entries whose imaginary part is exactly zero.
+fn edge_snapshots() -> impl Strategy<Value = CMat> {
+    (1usize..=8, 1usize..=300, 0u8..3).prop_flat_map(|(m, n, shape)| {
+        proptest::collection::vec((edge_component(), edge_component()), m * n).prop_map(move |v| {
+            let mut v: Vec<C64> = v
+                .into_iter()
+                .map(|(re, im)| c64(re, if shape == 1 { 0.0f64.copysign(im) } else { im }))
+                .collect();
+            if shape == 2 {
+                for i in (1..m).step_by(2) {
+                    v.copy_within((i - 1) * n..i * n, i * n);
+                }
+            }
+            CMat::from_rows(m, n, &v)
+        })
+    })
+}
+
+/// The rank-1-update covariance loop `sample_covariance_into` replaced,
+/// kept verbatim as the bitwise reference.
+fn rank1_covariance_reference(x: &CMat) -> CMat {
+    let m = x.rows();
+    let n = x.cols();
+    let mut out = CMat::zeros(m, m);
+    for t in 0..n {
+        for i in 0..m {
+            let xi = x[(i, t)];
+            for j in 0..m {
+                out[(i, j)] += xi * x[(j, t)].conj();
+            }
+        }
+    }
+    out.scale_mut(1.0 / n as f64);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // ---------------- covariance ----------------
+
+    #[test]
+    fn sample_covariance_is_bitwise_the_rank1_loop(x in edge_snapshots()) {
+        let got = sample_covariance(&x);
+        let want = rank1_covariance_reference(&x);
+        prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+        for i in 0..want.rows() {
+            for j in 0..want.cols() {
+                let (g, w) = (got[(i, j)], want[(i, j)]);
+                prop_assert!(
+                    g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                    "entry ({}, {}): {:?} vs reference {:?}", i, j, g, w
+                );
+            }
+        }
+    }
 
     #[test]
     fn sample_covariance_is_hermitian_psd(x in snapshots(5, 40)) {
