@@ -5,10 +5,11 @@
 //! subspace). This module holds the two cheaper backends behind
 //! [`crate::estimator::ScanBackend`]:
 //!
-//! * **coarse-to-fine** — scan a decimated grid, rescan the full-rate
-//!   grid only inside windows around coarse local maxima, then polish
-//!   each surviving peak on the *continuous* steering response by
-//!   successive parabolic interpolation to sub-grid accuracy;
+//! * **coarse-to-fine** (the production scan) — scan a decimated grid,
+//!   rescan the full-rate grid only inside windows around coarse local
+//!   maxima, then polish each surviving peak on the *continuous*
+//!   steering response by successive parabolic interpolation to
+//!   sub-grid accuracy;
 //! * **root-MUSIC** — for Vandermonde manifolds (physical ULAs and the
 //!   Davies virtual ULA), the denominator `a(z)^H·C·a(z)` is a
 //!   polynomial in `z = e^{jω}`; its unit-circle roots *are* the

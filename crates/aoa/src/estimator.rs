@@ -74,13 +74,16 @@ pub enum Smoothing {
 /// How the MUSIC spectrum search is executed (MUSIC only — the
 /// Bartlett/Capon baselines always scan their full grid).
 ///
-/// The exhaustive grid scan is the always-available oracle: every other
-/// backend is property-tested against it (`tests/proptest_backends.rs`)
-/// and any can be selected per-deployment without touching the rest of
-/// the pipeline.
+/// Production engines ([`AoaEngine::new`], [`estimate`],
+/// [`estimate_from_covariance`]) always run
+/// [`ScanBackend::coarse_to_fine`]. The exhaustive grid scan and
+/// root-MUSIC are reference oracles, not configuration: tests, benches
+/// and ablations reach them through [`AoaEngine::with_scan`], and every
+/// backend is property-tested against the exhaustive scan
+/// (`tests/proptest_backends.rs`).
 ///
 /// ```
-/// use sa_aoa::estimator::{estimate, AoaConfig, ScanBackend};
+/// use sa_aoa::estimator::{AoaConfig, AoaEngine, ScanBackend};
 /// use sa_aoa::pseudospectrum::angle_diff_deg;
 /// use sa_array::geometry::Array;
 /// use sa_linalg::{C64, CMat};
@@ -93,24 +96,24 @@ pub enum Smoothing {
 ///     ScanBackend::coarse_to_fine(),
 ///     ScanBackend::RootMusic,
 /// ] {
-///     let cfg = AoaConfig { scan_backend: backend, ..AoaConfig::default() };
-///     let est = estimate(&x, &array, &cfg);
+///     let mut engine = AoaEngine::with_scan(&array, &AoaConfig::default(), backend);
+///     let est = engine.estimate(&x);
 ///     assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScanBackend {
-    /// Evaluate the pseudospectrum at every grid point (the default and
-    /// the reference oracle; bit-identical to the historical pipeline).
-    #[default]
+    /// Evaluate the pseudospectrum at every grid point (the reference
+    /// oracle; bit-identical to the historical 1° pipeline).
     Exhaustive,
     /// Scan a `decimate`-times coarser grid, rescan the full-rate grid
     /// only around coarse maxima, then polish each peak on the
     /// continuous steering response to `refine_tol_deg`. Same peak set
     /// as the exhaustive scan (to within the refinement tolerance) at a
     /// fraction of the per-packet work; peak bearings are no longer
-    /// quantised to the grid. See [`ScanBackend::coarse_to_fine`] for
-    /// the tuned defaults.
+    /// quantised to the grid, and the spectrum lives on the decimated
+    /// grid. See [`ScanBackend::coarse_to_fine`] for the production
+    /// tuning.
     CoarseToFine {
         /// Coarse-grid decimation factor (values ≤ 1 degrade to the
         /// exhaustive scan).
@@ -130,8 +133,9 @@ pub enum ScanBackend {
 }
 
 impl ScanBackend {
-    /// The tuned coarse-to-fine configuration: 6× decimation, 0.05°
-    /// refinement tolerance.
+    /// The production scan every [`AoaEngine::new`] runs: 6× decimation,
+    /// 0.05° refinement tolerance. On the default 1° grid the spectrum
+    /// (and so the per-packet signature) has 60 bins.
     pub fn coarse_to_fine() -> Self {
         Self::CoarseToFine {
             decimate: 6,
@@ -153,7 +157,10 @@ pub enum CircularHandling {
 }
 
 /// Estimator configuration. `Default` reproduces the paper's pipeline:
-/// MUSIC, MDL source counting, FB + spatial smoothing, 1° grid.
+/// MUSIC, MDL source counting, FB + spatial smoothing, 1° grid. How the
+/// MUSIC search is executed is not configuration: production engines run
+/// [`ScanBackend::coarse_to_fine`], and the reference scans are reached
+/// through [`AoaEngine::with_scan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AoaConfig {
     /// Spectrum algorithm.
@@ -164,13 +171,12 @@ pub struct AoaConfig {
     pub smoothing: Smoothing,
     /// Circular-array handling.
     pub circular: CircularHandling,
-    /// Scan-grid resolution, degrees.
+    /// Scan-grid resolution, degrees. The production MUSIC scan
+    /// rescans and refines peaks on this grid; its spectrum samples
+    /// every 6th point.
     pub grid_step_deg: f64,
     /// Capon diagonal loading (fraction of mean eigenvalue).
     pub capon_loading: f64,
-    /// How the MUSIC spectrum search is executed. The default
-    /// exhaustive scan is the oracle the other backends are pinned to.
-    pub scan_backend: ScanBackend,
     /// Which confidence the estimate carries (see
     /// [`ConfidenceModel`]); the default leaves confidence computation
     /// to the downstream peak-power split, unchanged from the
@@ -187,7 +193,6 @@ impl Default for AoaConfig {
             circular: CircularHandling::ModeSpace,
             grid_step_deg: 1.0,
             capon_loading: 1e-6,
-            scan_backend: ScanBackend::Exhaustive,
             confidence: ConfidenceModel::PeakPower,
         }
     }
@@ -305,6 +310,11 @@ enum SmoothingPlan {
 /// path (`secureangle::pipeline::PacketBatch`) holds one engine per
 /// batch.
 ///
+/// [`AoaEngine::new`] builds the production engine, which scans with
+/// [`ScanBackend::coarse_to_fine`]; [`AoaEngine::with_scan`] builds one
+/// on a reference scan (the exhaustive oracle, root-MUSIC) for tests,
+/// benches and ablations.
+///
 /// ```
 /// use sa_aoa::estimator::{AoaConfig, AoaEngine};
 /// use sa_array::geometry::Array;
@@ -316,7 +326,8 @@ enum SmoothingPlan {
 /// // whole pipeline. Real callers feed per-packet sample covariances.
 /// let r = CMat::identity(array.len());
 /// let est = engine.estimate_cov(&r, 64);
-/// assert_eq!(est.spectrum.len(), 360); // 1° default grid
+/// // The production signature grid: the 1° default grid decimated 6×.
+/// assert_eq!(est.spectrum.len(), 60);
 /// ```
 #[derive(Debug)]
 pub struct AoaEngine {
@@ -332,7 +343,7 @@ pub struct AoaEngine {
     table: Option<SteeringTable>,
     /// Resolved decorrelation plan.
     plan: SmoothingPlan,
-    /// Resolved scan backend: the configured backend after downgrading
+    /// Resolved scan backend: the requested backend after downgrading
     /// combinations the manifold cannot support (root-MUSIC on a
     /// physical circular space, coarse-to-fine with `decimate ≤ 1`).
     backend: ScanBackend,
@@ -358,9 +369,17 @@ pub struct AoaEngine {
 }
 
 impl AoaEngine {
-    /// Build the engine for an array and configuration: resolves the
-    /// analysis domain and smoothing plan, then precomputes the manifold.
+    /// Build the production engine for an array and configuration: it
+    /// scans with [`ScanBackend::coarse_to_fine`].
     pub fn new(array: &Array, cfg: &AoaConfig) -> Self {
+        Self::with_scan(array, cfg, ScanBackend::coarse_to_fine())
+    }
+
+    /// Build an engine on an explicit scan backend — how tests, benches
+    /// and ablations reach the exhaustive oracle and root-MUSIC. Resolves
+    /// the analysis domain and smoothing plan, then precomputes the
+    /// manifold.
+    pub fn with_scan(array: &Array, cfg: &AoaConfig, scan: ScanBackend) -> Self {
         // 1. Analysis domain (where the covariance will live). A
         //    virtual-ULA space carries the Davies transform itself.
         let base_space = match (array.kind(), cfg.circular) {
@@ -398,7 +417,7 @@ impl AoaEngine {
         //    circular spaces have none); a coarse grid that isn't
         //    actually coarser is just the exhaustive scan.
         let mut root = None;
-        let backend = match (cfg.method, cfg.scan_backend) {
+        let backend = match (cfg.method, scan) {
             (Method::Music, ScanBackend::RootMusic) => {
                 match RootMusicBackend::try_new(&space, cfg.grid_step_deg) {
                     Some(r) => {
@@ -750,6 +769,19 @@ mod tests {
         x
     }
 
+    /// The oracle side of a comparison really is the exhaustive scan:
+    /// its spectrum samples every cell of the configured grid.
+    fn assert_on_full_grid(spectrum: &Pseudospectrum, step_deg: f64) {
+        let a = &spectrum.angles_deg;
+        assert!(a.len() >= 2, "spectrum has {} bins", a.len());
+        assert!(
+            (a[1] - a[0] - step_deg).abs() < 1e-9,
+            "oracle spectrum step {}° is not the {}° grid",
+            a[1] - a[0],
+            step_deg
+        );
+    }
+
     #[test]
     fn default_config_single_path_linear() {
         let array = Array::paper_linear(8);
@@ -822,12 +854,15 @@ mod tests {
             1e-3,
             3,
         );
+        // Ablation E8b: raw MUSIC on the full 1° grid (the exhaustive
+        // oracle), so the verdict is about smoothing, not the scan.
         let cfg = AoaConfig {
             smoothing: Smoothing::None,
             source_count: SourceCount::Fixed(2),
             ..Default::default()
         };
-        let est = estimate(&x, &array, &cfg);
+        let est = AoaEngine::with_scan(&array, &cfg, ScanBackend::Exhaustive).estimate(&x);
+        assert_on_full_grid(&est.spectrum, cfg.grid_step_deg);
         let peaks = est.spectrum.find_peaks(1.0, 4);
         let both = peaks.iter().any(|p| (p.angle_deg + 25.0).abs() < 3.0)
             && peaks.iter().any(|p| (p.angle_deg - 35.0).abs() < 3.0);
@@ -1082,12 +1117,8 @@ mod tests {
                 },
             ),
         ] {
-            let c2f_cfg = AoaConfig {
-                scan_backend: ScanBackend::coarse_to_fine(),
-                ..base
-            };
-            let mut oracle = AoaEngine::new(&array, &base);
-            let mut fast = AoaEngine::new(&array, &c2f_cfg);
+            let mut oracle = AoaEngine::with_scan(&array, &base, ScanBackend::Exhaustive);
+            let mut fast = AoaEngine::new(&array, &base);
             for seed in 0..6u64 {
                 let az1 = (20.0 + 50.0 * seed as f64).to_radians();
                 let az2 = (140.0 + 30.0 * seed as f64).to_radians();
@@ -1101,6 +1132,7 @@ mod tests {
                 let r = sample_covariance(&x);
                 let o = oracle.estimate_cov(&r, x.cols());
                 let f = fast.estimate_cov(&r, x.cols());
+                assert_on_full_grid(&o.spectrum, base.grid_step_deg);
                 assert_eq!(f.n_sources, o.n_sources, "seed {}", seed);
                 assert_eq!(f.eigenvalues, o.eigenvalues, "seed {}", seed);
                 assert!(
@@ -1134,18 +1166,15 @@ mod tests {
             (Array::paper_octagon(), AoaConfig::default()),
             (Array::paper_linear(8), AoaConfig::default()),
         ] {
-            let root_cfg = AoaConfig {
-                scan_backend: ScanBackend::RootMusic,
-                ..base
-            };
-            let mut oracle = AoaEngine::new(&array, &base);
-            let mut root = AoaEngine::new(&array, &root_cfg);
+            let mut oracle = AoaEngine::with_scan(&array, &base, ScanBackend::Exhaustive);
+            let mut root = AoaEngine::with_scan(&array, &base, ScanBackend::RootMusic);
             for seed in 0..6u64 {
                 let az = (25.0 + 47.0 * seed as f64).to_radians();
                 let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 128, 0.01, seed);
                 let r = sample_covariance(&x);
                 let o = oracle.estimate_cov(&r, x.cols());
                 let f = root.estimate_cov(&r, x.cols());
+                assert_on_full_grid(&o.spectrum, base.grid_step_deg);
                 assert_eq!(f.n_sources, o.n_sources, "seed {}", seed);
                 // The oracle is grid-quantised (±0.5° at the 1° default)
                 // while root-MUSIC is continuous; one grid cell is the
@@ -1172,14 +1201,13 @@ mod tests {
             smoothing: Smoothing::None,
             ..AoaConfig::default()
         };
-        let root_cfg = AoaConfig {
-            scan_backend: ScanBackend::RootMusic,
-            ..base
-        };
         let x = coherent_snapshots(&array, &[(1.2, C64::new(1.0, 0.0))], 96, 0.01, 9);
         let r = sample_covariance(&x);
-        let o = AoaEngine::new(&array, &base).estimate_cov(&r, x.cols());
-        let f = AoaEngine::new(&array, &root_cfg).estimate_cov(&r, x.cols());
+        let o =
+            AoaEngine::with_scan(&array, &base, ScanBackend::Exhaustive).estimate_cov(&r, x.cols());
+        let f =
+            AoaEngine::with_scan(&array, &base, ScanBackend::RootMusic).estimate_cov(&r, x.cols());
+        assert_on_full_grid(&o.spectrum, base.grid_step_deg);
         assert_eq!(f.spectrum, o.spectrum);
         assert_eq!(f.ranked_peaks, o.ranked_peaks);
     }
@@ -1187,17 +1215,17 @@ mod tests {
     #[test]
     fn degenerate_coarse_to_fine_degrades_to_exhaustive() {
         let array = Array::paper_octagon();
-        let cfg = AoaConfig {
-            scan_backend: ScanBackend::CoarseToFine {
-                decimate: 1,
-                refine_tol_deg: 0.05,
-            },
-            ..AoaConfig::default()
+        let cfg = AoaConfig::default();
+        let degenerate = ScanBackend::CoarseToFine {
+            decimate: 1,
+            refine_tol_deg: 0.05,
         };
         let x = coherent_snapshots(&array, &[(0.7, C64::new(1.0, 0.0))], 96, 0.01, 11);
         let r = sample_covariance(&x);
-        let o = AoaEngine::new(&array, &AoaConfig::default()).estimate_cov(&r, x.cols());
-        let f = AoaEngine::new(&array, &cfg).estimate_cov(&r, x.cols());
+        let o =
+            AoaEngine::with_scan(&array, &cfg, ScanBackend::Exhaustive).estimate_cov(&r, x.cols());
+        let f = AoaEngine::with_scan(&array, &cfg, degenerate).estimate_cov(&r, x.cols());
+        assert_on_full_grid(&o.spectrum, cfg.grid_step_deg);
         assert_eq!(f.spectrum, o.spectrum);
         assert_eq!(f.ranked_peaks, o.ranked_peaks);
     }

@@ -14,8 +14,9 @@
 //!   breakdown);
 //! * [`source_count`] — AIC/MDL signal-subspace dimension estimation;
 //! * [`backends`] — the coarse-to-fine and root-MUSIC scan backends
-//!   behind [`estimator::ScanBackend`] (the exhaustive grid scan in
-//!   [`music`] stays the always-available oracle);
+//!   behind [`estimator::ScanBackend`]. Coarse-to-fine is the production
+//!   scan; root-MUSIC and the exhaustive grid scan in [`music`] are
+//!   reference oracles reached through [`AoaEngine::with_scan`];
 //! * [`confidence`] — CRLB-weighted per-bearing confidence from the
 //!   eigenvalue-split SNR;
 //! * [`estimator`] — the configured end-to-end pipeline shared by the AP

@@ -35,7 +35,6 @@ fn run_snr_point(snr_db: f64) -> SweepPoint {
     let steer = array.steering(broadside_deg_to_azimuth(THETA_DEG));
     let sigma2 = 10f64.powf(-snr_db / 10.0);
     let cfg = AoaConfig {
-        scan_backend: ScanBackend::RootMusic,
         source_count: SourceCount::Fixed(1),
         confidence: ConfidenceModel::Crlb,
         // Raw covariance: forward–backward averaging doubles the
@@ -44,7 +43,7 @@ fn run_snr_point(snr_db: f64) -> SweepPoint {
         smoothing: sa_aoa::estimator::Smoothing::None,
         ..AoaConfig::default()
     };
-    let mut engine = AoaEngine::new(&array, &cfg);
+    let mut engine = AoaEngine::with_scan(&array, &cfg, ScanBackend::RootMusic);
 
     let mut sq_err = 0.0;
     let mut sum_snr = 0.0;

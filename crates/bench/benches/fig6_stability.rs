@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use sa_aoa::estimator::{AoaEngine, ScanBackend};
 use sa_bench::{capture_circular, capture_linear};
 use secureangle::signature::{AoaSignature, MatchConfig, SignatureTracker};
 
@@ -31,21 +32,34 @@ fn bench_signature_compare(c: &mut Criterion) {
 }
 
 fn bench_signature_from_spectrum(c: &mut Criterion) {
-    // The raw 1° MUSIC pseudospectrum of a circular-array capture: the
-    // wrapping 360-bin grid every fleet AP smooths into a signature.
+    // The raw MUSIC pseudospectrum of a circular-array capture, which
+    // the AP smooths into the per-packet signature: 60 wrapping bins on
+    // the production coarse-to-fine scan, and the 360-bin 1° grid of the
+    // exhaustive oracle as the reference row.
     let cap = capture_circular(5, 0xF166);
-    let spectrum = cap.testbed.nodes[0]
-        .ap
-        .observe(&cap.buffer)
-        .expect("observe")
-        .estimate
-        .spectrum;
-    assert_eq!(spectrum.len(), 360);
-    assert!(spectrum.wraps);
+    let ap = &cap.testbed.nodes[0].ap;
+    let production = ap.observe(&cap.buffer).expect("observe").estimate.spectrum;
+    let mut oracle = ap.batch_with_engine(AoaEngine::with_scan(
+        &ap.config().array,
+        &ap.config().aoa,
+        ScanBackend::Exhaustive,
+    ));
+    let decoded = ap.decode_capture(&cap.buffer).expect("decode");
+    oracle
+        .push_predecoded(&cap.buffer, &decoded)
+        .expect("stage");
+    let reference = oracle.process().pop().expect("observe").estimate.spectrum;
     let mut group = c.benchmark_group("signature");
-    group.bench_function("from_spectrum_360", |bch| {
-        bch.iter(|| AoaSignature::from_spectrum(&spectrum))
-    });
+    for (label, spectrum, bins) in [
+        ("from_spectrum_60", production, 60),
+        ("from_spectrum_360", reference, 360),
+    ] {
+        assert_eq!(spectrum.len(), bins);
+        assert!(spectrum.wraps);
+        group.bench_function(label, |bch| {
+            bch.iter(|| AoaSignature::from_spectrum(&spectrum))
+        });
+    }
     group.finish();
 }
 

@@ -25,6 +25,9 @@ fn two_path_cov(array: &Array) -> CMat {
     sample_covariance(&x)
 }
 
+/// The three spectrum methods one-shot on the full 1° grid: MUSIC runs
+/// the exhaustive oracle scan, as Bartlett and Capon always do, so the
+/// rows compare methods, not scans.
 fn bench_methods(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
@@ -39,7 +42,9 @@ fn bench_methods(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_function(label, |b| {
-            b.iter(|| estimate_from_covariance(&r, 512, &array, &cfg))
+            b.iter(|| {
+                AoaEngine::with_scan(&array, &cfg, ScanBackend::Exhaustive).estimate_cov(&r, 512)
+            })
         });
     }
     group.finish();
@@ -94,9 +99,10 @@ fn bench_engine_reuse(c: &mut Criterion) {
 }
 
 /// The spectrum-search backends head to head on the production octagon
-/// path, each behind a reused engine so only the scan differs: the
-/// exhaustive 1° oracle vs decimated coarse-to-fine refinement vs the
-/// grid-free root-MUSIC polynomial.
+/// path, each behind a reused engine built with `AoaEngine::with_scan`
+/// so only the scan differs: the exhaustive 1° oracle vs decimated
+/// coarse-to-fine refinement (the production scan) vs the grid-free
+/// root-MUSIC polynomial.
 fn bench_scan_backends(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
@@ -106,11 +112,7 @@ fn bench_scan_backends(c: &mut Criterion) {
         ("coarse_to_fine", ScanBackend::coarse_to_fine()),
         ("root_music", ScanBackend::RootMusic),
     ] {
-        let cfg = AoaConfig {
-            scan_backend: backend,
-            ..Default::default()
-        };
-        let mut engine = AoaEngine::new(&array, &cfg);
+        let mut engine = AoaEngine::with_scan(&array, &AoaConfig::default(), backend);
         group.bench_function(label, |b| b.iter(|| engine.estimate_cov(&r, 512)));
     }
     group.finish();

@@ -418,8 +418,9 @@ impl AccessPoint {
     }
 
     /// Stage 5: signature, bearing and RSS from a *calibrated* window and
-    /// its AoA estimate. The signature is the full pseudospectrum (paper
-    /// §2.1); the scalar bearing is the power-ranked peak (see
+    /// its AoA estimate. The signature is the pseudospectrum (paper
+    /// §2.1) on the production scan's fixed coarse grid (60 bins at the
+    /// 1° default); the scalar bearing is the power-ranked peak (see
     /// `AoaEstimate::bearing_deg`), which is what keeps the direct path
     /// on top "most of the time" (paper §3.1).
     fn assemble_observation(

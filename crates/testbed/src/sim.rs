@@ -107,7 +107,7 @@ impl Testbed {
     pub fn deployment(n_aps: usize, seed: u64) -> Self {
         let office = Office::paper_figure4();
         let positions = office.deployment_ap_positions(n_aps);
-        Self::build_at(ApArray::Circular, office, positions, seed, |_| {})
+        Self::build_at(ApArray::Circular, office, positions, seed)
     }
 
     /// A fleet-scale campus-hall testbed: four circular-array APs over
@@ -121,23 +121,9 @@ impl Testbed {
     /// [`Testbed::campus`] with an explicit AP count (`1..=8`, from
     /// [`Office::deployment_ap_positions`] over the campus hall).
     pub fn campus_with(n_clients: usize, n_aps: usize, seed: u64) -> Self {
-        Self::campus_customized(n_clients, n_aps, seed, |_| {})
-    }
-
-    /// [`Testbed::campus_with`] with a configuration hook applied to
-    /// every AP's [`ApConfig`] after the standard prototype setup —
-    /// e.g. selecting an AoA scan backend or confidence model for a
-    /// whole fleet. The hook runs before calibration, so calibrated
-    /// state always matches the final configuration.
-    pub fn campus_customized(
-        n_clients: usize,
-        n_aps: usize,
-        seed: u64,
-        customize: impl Fn(&mut ApConfig),
-    ) -> Self {
         let office = Office::campus(n_clients);
         let positions = office.deployment_ap_positions(n_aps);
-        Self::build_at(ApArray::Circular, office, positions, seed, customize)
+        Self::build_at(ApArray::Circular, office, positions, seed)
     }
 
     fn build(array: ApArray, multi: bool, seed: u64) -> Self {
@@ -146,16 +132,10 @@ impl Testbed {
         if multi {
             positions.extend(office.extra_ap_positions.iter().copied());
         }
-        Self::build_at(array, office, positions, seed, |_| {})
+        Self::build_at(array, office, positions, seed)
     }
 
-    fn build_at(
-        array: ApArray,
-        office: Office,
-        positions: Vec<Point>,
-        seed: u64,
-        customize: impl Fn(&mut ApConfig),
-    ) -> Self {
+    fn build_at(array: ApArray, office: Office, positions: Vec<Point>, seed: u64) -> Self {
         let cfg = SimConfig::default();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
@@ -172,7 +152,6 @@ impl Testbed {
             let mut ap_cfg = ApConfig::paper_prototype(pos);
             ap_cfg.array = arr;
             ap_cfg.modulation = cfg.modulation;
-            customize(&mut ap_cfg);
             let mut ap = AccessPoint::new(ap_cfg, acl);
             let front_end = FrontEnd::random(ap.config().array.len(), cfg.noise_floor, &mut rng);
             ap.calibrate(&front_end, &mut rng);

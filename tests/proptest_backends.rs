@@ -52,11 +52,17 @@ fn estimate_with(
     n_src: usize,
 ) -> sa_aoa::AoaEstimate {
     let cfg = AoaConfig {
-        scan_backend: backend,
         source_count: SourceCount::Fixed(n_src),
         ..AoaConfig::default()
     };
-    AoaEngine::new(array, &cfg).estimate_cov(r, n)
+    AoaEngine::with_scan(array, &cfg, backend).estimate_cov(r, n)
+}
+
+/// Whether an estimate's spectrum samples every cell of the default 1°
+/// grid — true of the exhaustive oracle, false of the decimated scans.
+fn on_full_grid(est: &sa_aoa::AoaEstimate) -> bool {
+    let a = &est.spectrum.angles_deg;
+    a.len() >= 2 && (a[1] - a[0] - AoaConfig::default().grid_step_deg).abs() < 1e-9
 }
 
 proptest! {
@@ -92,6 +98,7 @@ proptest! {
         let oracle = estimate_with(ScanBackend::Exhaustive, &array, &r, 128, n_src);
         let c2f = estimate_with(ScanBackend::coarse_to_fine(), &array, &r, 128, n_src);
         let root = estimate_with(ScanBackend::RootMusic, &array, &r, 128, n_src);
+        prop_assert!(on_full_grid(&oracle), "oracle spectrum is not on the full grid");
 
         // Shared pipeline stages are identical regardless of backend.
         prop_assert_eq!(c2f.n_sources, oracle.n_sources);
@@ -212,6 +219,7 @@ proptest! {
         let r = sa_sigproc::sample_covariance(&x);
 
         let oracle = estimate_with(ScanBackend::Exhaustive, &array, &r, 128, 1);
+        prop_assert!(on_full_grid(&oracle), "oracle spectrum is not on the full grid");
         for backend in [
             ScanBackend::Exhaustive,
             ScanBackend::coarse_to_fine(),

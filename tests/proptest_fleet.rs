@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::ScanBackend;
 use sa_deploy::{DeployConfig, Deployment, Transmission};
 use sa_testbed::Testbed;
 
@@ -32,12 +31,9 @@ fn run_config(
     n_clients: usize,
     seed: u64,
     windows: &[Vec<Transmission>],
-    backend: ScanBackend,
     windows_in_flight: usize,
 ) -> (String, String) {
-    let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
-        cfg.aoa.scan_backend = backend;
-    });
+    let tb = Testbed::campus_with(n_clients, N_APS, seed);
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         windows_in_flight,
@@ -77,10 +73,10 @@ proptest! {
             .collect();
 
         let (base_fused, base_report) =
-            run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, 1);
+            run_config(n_clients, seed, &windows, 1);
         for depth in [2usize, 4] {
             let (fused, report) =
-                run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, depth);
+                run_config(n_clients, seed, &windows, depth);
             prop_assert_eq!(
                 &base_fused, &fused,
                 "fused windows diverged at depth={}",
@@ -90,26 +86,6 @@ proptest! {
                 &base_report, &report,
                 "report diverged at depth={}",
                 depth
-            );
-        }
-
-        // The scan-backend knob joins the matrix: each backend must be
-        // deterministic when pipelined too (the backends may disagree
-        // *with each other* on bearings — that equivalence is
-        // `proptest_backends`' contract, not this one's — but a given
-        // backend must never let thread interleaving reach its bytes).
-        for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
-            let (b_fused, b_report) = run_config(n_clients, seed, &windows, backend, 1);
-            let (fused, report) = run_config(n_clients, seed, &windows, backend, 2);
-            prop_assert_eq!(
-                &b_fused, &fused,
-                "fused windows diverged when pipelined for {:?}",
-                backend
-            );
-            prop_assert_eq!(
-                &b_report, &report,
-                "report diverged when pipelined for {:?}",
-                backend
             );
         }
     }

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::ScanBackend;
 use sa_deploy::{DeployConfig, Deployment, TelemetryConfig, Transmission};
 use sa_testbed::Testbed;
 
@@ -36,13 +35,10 @@ fn run_config(
     n_clients: usize,
     seed: u64,
     windows: &[Vec<Transmission>],
-    backend: ScanBackend,
     windows_in_flight: usize,
     telemetry: TelemetryConfig,
 ) -> (String, String) {
-    let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
-        cfg.aoa.scan_backend = backend;
-    });
+    let tb = Testbed::campus_with(n_clients, N_APS, seed);
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         windows_in_flight,
@@ -82,11 +78,11 @@ proptest! {
 
         for depth in [1usize, 4] {
             let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, depth,
+                n_clients, seed, &windows, depth,
                 TelemetryConfig::disabled(),
             );
             let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, depth,
+                n_clients, seed, &windows, depth,
                 TelemetryConfig::full(),
             );
             prop_assert_eq!(
@@ -98,29 +94,6 @@ proptest! {
                 &off_report, &on_report,
                 "masked report diverged with telemetry at depth={}",
                 depth
-            );
-        }
-
-        // Scan-backend knob: telemetry must stay a read-only tap no
-        // matter which spectrum-search backend the APs run.
-        for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
-            let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, backend, 4,
-                TelemetryConfig::disabled(),
-            );
-            let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, backend, 4,
-                TelemetryConfig::full(),
-            );
-            prop_assert_eq!(
-                &off_fused, &on_fused,
-                "fused windows diverged with telemetry for {:?}",
-                backend
-            );
-            prop_assert_eq!(
-                &off_report, &on_report,
-                "masked report diverged with telemetry for {:?}",
-                backend
             );
         }
     }
