@@ -2,31 +2,23 @@
 //!
 //! The exhaustive grid scan in [`crate::music`] evaluates the noise
 //! projection at every grid point — simple, oracle-grade, and O(grid ×
-//! subspace). This module holds the two cheaper backends behind
-//! [`crate::estimator::ScanBackend`]:
+//! subspace). This module holds the production scan behind
+//! [`crate::estimator::ScanBackend::CoarseToFine`]: scan a decimated
+//! grid, rescan the full-rate grid only inside windows around coarse
+//! local maxima, then polish each surviving peak on the *continuous*
+//! steering response by successive parabolic interpolation to sub-grid
+//! accuracy.
 //!
-//! * **coarse-to-fine** (the production scan) — scan a decimated grid,
-//!   rescan the full-rate grid only inside windows around coarse local
-//!   maxima, then polish each surviving peak on the *continuous*
-//!   steering response by successive parabolic interpolation to
-//!   sub-grid accuracy;
-//! * **root-MUSIC** — for Vandermonde manifolds (physical ULAs and the
-//!   Davies virtual ULA), the denominator `a(z)^H·C·a(z)` is a
-//!   polynomial in `z = e^{jω}`; its unit-circle roots *are* the
-//!   bearings. Rooting via `sa_linalg::poly` replaces the grid search
-//!   entirely.
-//!
-//! Both return a deterministic fixed-grid spectrum (for
-//! `AoaSignature` construction, whose comparisons require identical
-//! angular grids packet to packet) plus an explicit candidate-peak list
-//! whose angles are *not* quantised to that grid.
+//! It returns a deterministic fixed-grid spectrum (for `AoaSignature`
+//! construction, whose comparisons require identical angular grids
+//! packet to packet) plus an explicit candidate-peak list whose angles
+//! are *not* quantised to that grid.
 
 use crate::manifold::{ScanSpace, SteeringTable};
 use crate::music::NoiseProjector;
 use crate::pseudospectrum::Pseudospectrum;
-use sa_linalg::complex::{C64, ZERO};
+use sa_linalg::complex::C64;
 use sa_linalg::eigen::EigH;
-use sa_linalg::poly::PolyRootFinder;
 
 /// A candidate arrival direction produced by a scan backend: an angle in
 /// presentation degrees (possibly off-grid) and the MUSIC pseudospectrum
@@ -46,12 +38,16 @@ const PEAK_MAX_COUNT: usize = 8;
 /// Refinement evaluation budget per peak: successive parabolic
 /// interpolation on the reciprocal spectrum converges superlinearly
 /// from a one-grid-step bracket, so a handful of continuous-manifold
-/// evaluations reaches well under the default tolerance.
+/// evaluations reaches well under [`REFINE_TOL_DEG`].
 const MAX_REFINE_EVALS: usize = 2;
 
-// ---------------------------------------------------------------------
-// Coarse-to-fine
-// ---------------------------------------------------------------------
+/// Coarse-grid decimation: the coarse pass samples every 6th grid point,
+/// so on the default 1° grid the signature spectrum has 60 bins.
+const DECIMATE: usize = 6;
+
+/// Stop refining a peak once a parabolic step moves it less than this
+/// (degrees).
+const REFINE_TOL_DEG: f64 = 0.05;
 
 /// MUSIC via decimated scan + local refinement.
 ///
@@ -62,18 +58,16 @@ pub(crate) fn coarse_to_fine_scan(
     table: &SteeringTable,
     space: &ScanSpace,
     n_sources: usize,
-    decimate: usize,
-    refine_tol_deg: f64,
     steer_buf: &mut Vec<C64>,
 ) -> (Pseudospectrum, Vec<Candidate>) {
     let n = table.len();
     let proj = NoiseProjector::new(eig, n_sources);
     let wraps = table.wraps();
 
-    // 1. Coarse pass: every `decimate`-th grid point, plus the final
+    // 1. Coarse pass: every `DECIMATE`-th grid point, plus the final
     //    grid point on non-wrapping domains so a boundary peak at +90°
     //    cannot fall between coarse samples.
-    let mut coarse_idx: Vec<usize> = (0..n).step_by(decimate).collect();
+    let mut coarse_idx: Vec<usize> = (0..n).step_by(DECIMATE).collect();
     if !wraps && *coarse_idx.last().unwrap() != n - 1 {
         coarse_idx.push(n - 1);
     }
@@ -98,7 +92,7 @@ pub(crate) fn coarse_to_fine_scan(
     // Window extents as merged, sorted, disjoint index intervals. On a
     // wrapping grid a window near the seam splits into its two in-range
     // parts.
-    let half = decimate as isize - 1;
+    let half = DECIMATE as isize - 1;
     let mut intervals: Vec<(usize, usize)> = Vec::new();
     let mut push_interval = |s: isize, e: isize| {
         if wraps {
@@ -135,7 +129,7 @@ pub(crate) fn coarse_to_fine_scan(
     //    sample (value already computed) and every windowed full-rate
     //    point (evaluated here) — sorted and duplicate-free by
     //    construction, no map needed.
-    let mut union_angles: Vec<f64> = Vec::with_capacity(coarse_idx.len() + 2 * n / decimate);
+    let mut union_angles: Vec<f64> = Vec::with_capacity(coarse_idx.len() + 2 * n / DECIMATE);
     let mut union_vals: Vec<f64> = Vec::with_capacity(union_angles.capacity());
     let (mut ci, mut iv) = (0usize, 0usize);
     for j in 0..n {
@@ -264,7 +258,7 @@ pub(crate) fn coarse_to_fine_scan(
                     tr = v;
                     yr = yv;
                 }
-                if step < refine_tol_deg {
+                if step < REFINE_TOL_DEG {
                     break;
                 }
             }
@@ -291,171 +285,6 @@ pub(crate) fn coarse_to_fine_scan(
         wraps,
     );
     (spectrum, candidates)
-}
-
-// ---------------------------------------------------------------------
-// Root-MUSIC
-// ---------------------------------------------------------------------
-
-/// The Vandermonde phase structure of a scan space, when it has one:
-/// steering entries are `c·z^i` with `z = e^{jω}`, `|c| = 1`, and `ω` a
-/// known function of direction.
-#[derive(Debug, Clone, Copy)]
-enum VandermondeKind {
-    /// Physical ULA: `ω = kd·cos(azimuth)`, valid for `|ω| ≤ kd`.
-    Ula { kd: f64 },
-    /// Davies virtual ULA: `ω` is the azimuth itself.
-    Virtual,
-}
-
-/// Root-MUSIC state for one engine: the polynomial rooter and its
-/// scratch, plus the fixed signature grid (presentation angles and their
-/// `ω` phases) every packet's synthesized spectrum is evaluated on.
-#[derive(Debug, Clone)]
-pub(crate) struct RootMusicBackend {
-    kind: VandermondeKind,
-    finder: PolyRootFinder,
-    coeffs: Vec<C64>,
-    roots: Vec<C64>,
-    sig_angles: Vec<f64>,
-    sig_omegas: Vec<f64>,
-    wraps: bool,
-}
-
-/// Decimation of the synthesized signature grid relative to the
-/// configured scan grid — matches the coarse-to-fine default so both
-/// cheap backends produce comparable signature resolution.
-const SIG_GRID_DECIMATE: f64 = 4.0;
-
-impl RootMusicBackend {
-    /// Build for a scan space, or `None` when the manifold has no
-    /// Vandermonde structure (physical circular arrays — the estimator
-    /// falls back to the exhaustive scan there).
-    pub(crate) fn try_new(space: &ScanSpace, grid_step_deg: f64) -> Option<Self> {
-        let kind = match space {
-            ScanSpace::Ula { array, .. } => {
-                let e = array.elements();
-                if e.len() < 2 {
-                    return None;
-                }
-                let d = e[1].0 - e[0].0;
-                let kd = 2.0 * std::f64::consts::PI / array.wavelength() * d;
-                VandermondeKind::Ula { kd }
-            }
-            ScanSpace::Virtual { .. } => VandermondeKind::Virtual,
-            ScanSpace::Circular { .. } => return None,
-        };
-        let azimuths = space.grid(grid_step_deg * SIG_GRID_DECIMATE);
-        let sig_angles: Vec<f64> = azimuths.iter().map(|&az| space.present_deg(az)).collect();
-        let sig_omegas: Vec<f64> = azimuths
-            .iter()
-            .map(|&az| match kind {
-                VandermondeKind::Ula { kd } => kd * az.cos(),
-                VandermondeKind::Virtual => az,
-            })
-            .collect();
-        Some(Self {
-            kind,
-            finder: PolyRootFinder::default(),
-            coeffs: Vec::new(),
-            roots: Vec::new(),
-            sig_angles,
-            sig_omegas,
-            wraps: space.wraps(),
-        })
-    }
-
-    /// One packet: noise polynomial → roots → bearings, plus the
-    /// synthesized fixed-grid spectrum.
-    pub(crate) fn scan(
-        &mut self,
-        eig: &EigH,
-        n_sources: usize,
-    ) -> (Pseudospectrum, Vec<Candidate>) {
-        let m = eig.values.len();
-        let proj = NoiseProjector::new(eig, n_sources);
-        // Noise-projector lag sums c_k: a(z)^H·C·a(z) = Σ_k c_k z^k over
-        // k = −(m−1)..m−1 with c_{−k} = conj(c_k). Multiplying by
-        // z^{m−1} gives an ordinary polynomial of degree 2m−2 whose
-        // ascending coefficients are b_{m−1+k} = c_k, b_{m−1−k} =
-        // conj(c_k).
-        let c = proj.noise_lag_sums();
-        self.coeffs.clear();
-        self.coeffs.resize(2 * m - 1, ZERO);
-        for (k, &ck) in c.iter().enumerate() {
-            self.coeffs[m - 1 + k] = ck;
-            self.coeffs[m - 1 - k] = ck.conj();
-        }
-        self.finder.roots(&self.coeffs, &mut self.roots);
-
-        // Root selection: roots come in conjugate-reciprocal pairs
-        // (z, 1/z̄) sharing one argument; true arrivals put their pair on
-        // the unit circle. Rank every admissible root by distance from
-        // the circle, then greedily take the `n_sources` closest with
-        // pairwise-distinct arguments (so both members of one pair can
-        // never be selected as two arrivals).
-        let mut ranked: Vec<(f64, f64)> = self // (|1 − |z||, arg)
-            .roots
-            .iter()
-            .filter(|z| z.abs() > 1e-12 && z.is_finite())
-            .map(|z| ((1.0 - z.abs()).abs(), z.arg()))
-            .filter(|&(_, w)| match self.kind {
-                VandermondeKind::Ula { kd } => w.abs() <= kd * (1.0 + 1e-9),
-                VandermondeKind::Virtual => true,
-            })
-            .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut picked: Vec<f64> = Vec::with_capacity(n_sources);
-        for &(_, w) in &ranked {
-            if picked.len() >= n_sources {
-                break;
-            }
-            let dup = picked.iter().any(|&p| {
-                let d = (w - p).abs();
-                d < 1e-6 || (2.0 * std::f64::consts::PI - d).abs() < 1e-6
-            });
-            if !dup {
-                picked.push(w);
-            }
-        }
-
-        // Synthesized spectrum on the fixed grid: D(ω) = c_0 +
-        // 2·Re(Σ_{k≥1} c_k z^k) at z = e^{jω} (real by Hermitian
-        // symmetry), P = m / max(D, floor) — the numerator is ‖a‖² = m
-        // for unit-modulus Vandermonde manifolds.
-        let d_at = |w: f64| -> f64 {
-            let z = C64::cis(w);
-            let mut acc = ZERO;
-            for k in (1..m).rev() {
-                acc = (acc + c[k]) * z;
-            }
-            c[0].re + 2.0 * acc.re
-        };
-        let p_at = |w: f64| -> f64 {
-            let num = m as f64;
-            num / d_at(w).max(num * 1e-30)
-        };
-        let values: Vec<f64> = self.sig_omegas.iter().map(|&w| p_at(w)).collect();
-        let spectrum = Pseudospectrum::from_valid_grid(self.sig_angles.clone(), values, self.wraps);
-
-        let candidates: Vec<Candidate> = picked
-            .iter()
-            .map(|&w| {
-                let angle_deg = match self.kind {
-                    VandermondeKind::Ula { kd } => {
-                        // ω = kd·sin(θ_broadside) ⇒ θ = asin(ω/kd).
-                        ((w / kd).clamp(-1.0, 1.0)).asin().to_degrees()
-                    }
-                    VandermondeKind::Virtual => w.to_degrees().rem_euclid(360.0),
-                };
-                Candidate {
-                    angle_deg,
-                    value: p_at(w),
-                }
-            })
-            .collect();
-        (spectrum, candidates)
-    }
 }
 
 #[cfg(test)]
@@ -485,9 +314,10 @@ mod tests {
         let table = space.steering_table(1.0);
         let exhaustive = crate::music::music_spectrum_from_table(&eig, &table, 1);
         let mut buf = Vec::new();
-        let (spec, cands) = coarse_to_fine_scan(&eig, &table, &space, 1, 4, 0.01, &mut buf);
-        // Fixed coarse grid: stride-4 over 181 points (+ endpoint hit).
-        assert_eq!(spec.len(), 46);
+        let (spec, cands) = coarse_to_fine_scan(&eig, &table, &space, 1, &mut buf);
+        // Fixed coarse grid: stride-6 over 181 points (the +90° endpoint
+        // is on-stride).
+        assert_eq!(spec.len(), 31);
         let best = cands
             .iter()
             .max_by(|a, b| a.value.total_cmp(&b.value))
@@ -518,9 +348,9 @@ mod tests {
         let table = space.steering_table(1.0);
         let exhaustive = crate::music::music_spectrum_from_table(&eig, &table, 1);
         let mut buf = Vec::new();
-        let (spec, _) = coarse_to_fine_scan(&eig, &table, &space, 1, 4, 0.05, &mut buf);
+        let (spec, _) = coarse_to_fine_scan(&eig, &table, &space, 1, &mut buf);
         for (i, (&ang, &val)) in spec.angles_deg.iter().zip(spec.values.iter()).enumerate() {
-            let full = i * 4;
+            let full = i * DECIMATE;
             assert_eq!(ang, exhaustive.angles_deg[full]);
             assert_eq!(
                 val.to_bits(),
@@ -529,77 +359,5 @@ mod tests {
                 ang
             );
         }
-    }
-
-    #[test]
-    fn root_music_recovers_ula_bearing_off_grid() {
-        let array = Array::paper_linear(8);
-        for &theta in &[-52.3f64, -10.7, 0.0, 24.4, 61.9] {
-            let az = sa_array::geometry::broadside_deg_to_azimuth(theta);
-            let (eig, space) = one_source_eig(&array, az, 1e-4);
-            let mut be = RootMusicBackend::try_new(&space, 1.0).unwrap();
-            let (_, cands) = be.scan(&eig, 1);
-            assert!(!cands.is_empty());
-            let best = cands
-                .iter()
-                .max_by(|a, b| a.value.total_cmp(&b.value))
-                .unwrap();
-            assert!(
-                (best.angle_deg - theta).abs() < 0.05,
-                "θ {}: root bearing {}",
-                theta,
-                best.angle_deg
-            );
-        }
-    }
-
-    #[test]
-    fn root_music_virtual_ula_recovers_azimuth() {
-        let array = Array::paper_octagon();
-        let ms = sa_array::modespace::ModeSpace::for_array(&array);
-        for &az_deg in &[17.3f64, 121.8, 243.1, 359.2] {
-            let steer = array.steering(az_deg.to_radians());
-            let x = CMat::from_fn(array.len(), 256, |m, t| steer[m] * C64::cis(0.9 * t as f64));
-            let r = sample_covariance(&x);
-            let rv = ms.transform_cov(&r);
-            let mut rv = rv;
-            for i in 0..rv.rows() {
-                rv[(i, i)] += C64::new(1e-4, 0.0);
-            }
-            let rs = smooth_fb(&rv, 5);
-            let eig = sa_linalg::eigen::eigh(&rs);
-            let space = ScanSpace::virtual_ula(&array).truncated(5);
-            let mut be = RootMusicBackend::try_new(&space, 1.0).unwrap();
-            let (spec, cands) = be.scan(&eig, 1);
-            assert_eq!(spec.len(), 90);
-            let best = cands
-                .iter()
-                .max_by(|a, b| a.value.total_cmp(&b.value))
-                .unwrap();
-            // The Davies transform carries its own small bias (Bessel
-            // truncation), shared by every backend: pin against the
-            // exhaustive oracle on the same covariance, not the truth.
-            let table = space.steering_table(1.0);
-            let (oracle_peak, _) = crate::music::music_spectrum_from_table(&eig, &table, 1).peak();
-            assert!(
-                crate::pseudospectrum::angle_diff_deg(best.angle_deg, oracle_peak, true) <= 1.0,
-                "az {}: root bearing {} vs oracle {}",
-                az_deg,
-                best.angle_deg,
-                oracle_peak
-            );
-            assert!(
-                crate::pseudospectrum::angle_diff_deg(best.angle_deg, az_deg, true) < 1.5,
-                "az {}: root bearing {}",
-                az_deg,
-                best.angle_deg
-            );
-        }
-    }
-
-    #[test]
-    fn root_music_unavailable_on_physical_circular() {
-        let space = ScanSpace::physical(&Array::paper_octagon());
-        assert!(RootMusicBackend::try_new(&space, 1.0).is_none());
     }
 }

@@ -28,7 +28,7 @@
 //! assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 //! ```
 
-use crate::backends::{coarse_to_fine_scan, Candidate, RootMusicBackend};
+use crate::backends::{coarse_to_fine_scan, Candidate};
 use crate::beamform::{bartlett_spectrum, capon_spectrum};
 use crate::confidence::ConfidenceModel;
 use crate::manifold::{ScanSpace, SteeringTable};
@@ -76,11 +76,10 @@ pub enum Smoothing {
 ///
 /// Production engines ([`AoaEngine::new`], [`estimate`],
 /// [`estimate_from_covariance`]) always run
-/// [`ScanBackend::coarse_to_fine`]. The exhaustive grid scan and
-/// root-MUSIC are reference oracles, not configuration: tests, benches
-/// and ablations reach them through [`AoaEngine::with_scan`], and every
-/// backend is property-tested against the exhaustive scan
-/// (`tests/proptest_backends.rs`).
+/// [`ScanBackend::CoarseToFine`]. The exhaustive grid scan is the
+/// reference oracle, not configuration: tests, benches and ablations
+/// reach it through [`AoaEngine::with_scan`], and the production scan is
+/// property-tested against it (`tests/proptest_backends.rs`).
 ///
 /// ```
 /// use sa_aoa::estimator::{AoaConfig, AoaEngine, ScanBackend};
@@ -91,11 +90,7 @@ pub enum Smoothing {
 /// let array = Array::paper_octagon();
 /// let steer = array.steering(50f64.to_radians());
 /// let x = CMat::from_fn(array.len(), 128, |m, t| steer[m] * C64::cis(0.9 * t as f64));
-/// for backend in [
-///     ScanBackend::Exhaustive,
-///     ScanBackend::coarse_to_fine(),
-///     ScanBackend::RootMusic,
-/// ] {
+/// for backend in [ScanBackend::Exhaustive, ScanBackend::CoarseToFine] {
 ///     let mut engine = AoaEngine::with_scan(&array, &AoaConfig::default(), backend);
 ///     let est = engine.estimate(&x);
 ///     assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
@@ -106,42 +101,14 @@ pub enum ScanBackend {
     /// Evaluate the pseudospectrum at every grid point (the reference
     /// oracle; bit-identical to the historical 1° pipeline).
     Exhaustive,
-    /// Scan a `decimate`-times coarser grid, rescan the full-rate grid
-    /// only around coarse maxima, then polish each peak on the
-    /// continuous steering response to `refine_tol_deg`. Same peak set
-    /// as the exhaustive scan (to within the refinement tolerance) at a
-    /// fraction of the per-packet work; peak bearings are no longer
-    /// quantised to the grid, and the spectrum lives on the decimated
-    /// grid. See [`ScanBackend::coarse_to_fine`] for the production
-    /// tuning.
-    CoarseToFine {
-        /// Coarse-grid decimation factor (values ≤ 1 degrade to the
-        /// exhaustive scan).
-        decimate: usize,
-        /// Stop refining a peak once its bracket is this narrow
-        /// (degrees).
-        refine_tol_deg: f64,
-    },
-    /// Root-MUSIC: root the noise-subspace polynomial instead of
-    /// scanning. Only Vandermonde manifolds (physical ULAs, the Davies
-    /// virtual ULA — i.e. every production configuration) have the
-    /// required structure; physical *circular* scan spaces fall back to
-    /// the exhaustive scan. Bearings are continuous (no grid), the
-    /// attached spectrum is synthesized from the noise polynomial on a
-    /// fixed decimated grid.
-    RootMusic,
-}
-
-impl ScanBackend {
-    /// The production scan every [`AoaEngine::new`] runs: 6× decimation,
-    /// 0.05° refinement tolerance. On the default 1° grid the spectrum
-    /// (and so the per-packet signature) has 60 bins.
-    pub fn coarse_to_fine() -> Self {
-        Self::CoarseToFine {
-            decimate: 6,
-            refine_tol_deg: 0.05,
-        }
-    }
+    /// The production scan: evaluate every 6th grid point, rescan the
+    /// full-rate grid only around coarse maxima, then polish each peak
+    /// on the continuous steering response to 0.05°. Same peak set as
+    /// the exhaustive scan (to within the refinement tolerance) at a
+    /// fraction of the per-packet work; peak bearings are not quantised
+    /// to the grid, and the spectrum lives on the decimated grid (60
+    /// bins on the default 1° grid).
+    CoarseToFine,
 }
 
 /// How circular arrays are scanned.
@@ -159,7 +126,7 @@ pub enum CircularHandling {
 /// Estimator configuration. `Default` reproduces the paper's pipeline:
 /// MUSIC, MDL source counting, FB + spatial smoothing, 1° grid. How the
 /// MUSIC search is executed is not configuration: production engines run
-/// [`ScanBackend::coarse_to_fine`], and the reference scans are reached
+/// [`ScanBackend::CoarseToFine`], and the exhaustive oracle is reached
 /// through [`AoaEngine::with_scan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AoaConfig {
@@ -311,9 +278,8 @@ enum SmoothingPlan {
 /// batch.
 ///
 /// [`AoaEngine::new`] builds the production engine, which scans with
-/// [`ScanBackend::coarse_to_fine`]; [`AoaEngine::with_scan`] builds one
-/// on a reference scan (the exhaustive oracle, root-MUSIC) for tests,
-/// benches and ablations.
+/// [`ScanBackend::CoarseToFine`]; [`AoaEngine::with_scan`] builds one on
+/// the exhaustive oracle for tests, benches and ablations.
 ///
 /// ```
 /// use sa_aoa::estimator::{AoaConfig, AoaEngine};
@@ -343,13 +309,9 @@ pub struct AoaEngine {
     table: Option<SteeringTable>,
     /// Resolved decorrelation plan.
     plan: SmoothingPlan,
-    /// Resolved scan backend: the requested backend after downgrading
-    /// combinations the manifold cannot support (root-MUSIC on a
-    /// physical circular space, coarse-to-fine with `decimate ≤ 1`).
+    /// The MUSIC scan. Bartlett/Capon ignore it: they always scan their
+    /// full grid.
     backend: ScanBackend,
-    /// Root-MUSIC state (polynomial rooter + fixed signature grid),
-    /// built only when the resolved backend is [`ScanBackend::RootMusic`].
-    root: Option<RootMusicBackend>,
     /// Steering-vector scratch for continuous refinement evaluations.
     steer_buf: Vec<C64>,
     /// Reusable eigensolver buffers.
@@ -370,15 +332,14 @@ pub struct AoaEngine {
 
 impl AoaEngine {
     /// Build the production engine for an array and configuration: it
-    /// scans with [`ScanBackend::coarse_to_fine`].
+    /// scans with [`ScanBackend::CoarseToFine`].
     pub fn new(array: &Array, cfg: &AoaConfig) -> Self {
-        Self::with_scan(array, cfg, ScanBackend::coarse_to_fine())
+        Self::with_scan(array, cfg, ScanBackend::CoarseToFine)
     }
 
     /// Build an engine on an explicit scan backend — how tests, benches
-    /// and ablations reach the exhaustive oracle and root-MUSIC. Resolves
-    /// the analysis domain and smoothing plan, then precomputes the
-    /// manifold.
+    /// and ablations reach the exhaustive oracle. Resolves the analysis
+    /// domain and smoothing plan, then precomputes the manifold.
     pub fn with_scan(array: &Array, cfg: &AoaConfig, scan: ScanBackend) -> Self {
         // 1. Analysis domain (where the covariance will live). A
         //    virtual-ULA space carries the Davies transform itself.
@@ -412,35 +373,10 @@ impl AoaEngine {
             _ => base_space,
         };
 
-        // 3. Resolve the scan backend against what the manifold
-        //    supports. Root-MUSIC needs Vandermonde steering (physical
-        //    circular spaces have none); a coarse grid that isn't
-        //    actually coarser is just the exhaustive scan.
-        let mut root = None;
-        let backend = match (cfg.method, scan) {
-            (Method::Music, ScanBackend::RootMusic) => {
-                match RootMusicBackend::try_new(&space, cfg.grid_step_deg) {
-                    Some(r) => {
-                        root = Some(r);
-                        ScanBackend::RootMusic
-                    }
-                    None => ScanBackend::Exhaustive,
-                }
-            }
-            (Method::Music, ScanBackend::CoarseToFine { decimate, .. }) if decimate <= 1 => {
-                ScanBackend::Exhaustive
-            }
-            (Method::Music, b) => b,
-            // Bartlett/Capon always scan their full grid.
-            _ => ScanBackend::Exhaustive,
-        };
-
-        // 4. The manifold, evaluated once (MUSIC's hot path; the
-        //    Bartlett/Capon baselines never read it, and root-MUSIC
-        //    replaces the grid entirely).
-        let table = (matches!(cfg.method, Method::Music)
-            && !matches!(backend, ScanBackend::RootMusic))
-        .then(|| space.steering_table(cfg.grid_step_deg));
+        // 3. The manifold, evaluated once (MUSIC's hot path; the
+        //    Bartlett/Capon baselines never read it).
+        let table =
+            matches!(cfg.method, Method::Music).then(|| space.steering_table(cfg.grid_step_deg));
 
         Self {
             cfg: *cfg,
@@ -448,8 +384,7 @@ impl AoaEngine {
             space,
             table,
             plan,
-            backend,
-            root,
+            backend: scan,
             steer_buf: Vec::new(),
             eig_ws: EighWorkspace::new(),
             #[cfg(test)]
@@ -562,28 +497,15 @@ impl AoaEngine {
                     let table = self.table.as_ref().expect("table built for Music in new()");
                     (music_spectrum_from_table(&self.eig, table, k_music), None)
                 }
-                ScanBackend::CoarseToFine {
-                    decimate,
-                    refine_tol_deg,
-                } => {
+                ScanBackend::CoarseToFine => {
                     let table = self.table.as_ref().expect("table built for Music in new()");
                     let (s, c) = coarse_to_fine_scan(
                         &self.eig,
                         table,
                         &self.space,
                         k_music,
-                        decimate,
-                        refine_tol_deg,
                         &mut self.steer_buf,
                     );
-                    (s, Some(c))
-                }
-                ScanBackend::RootMusic => {
-                    let root = self
-                        .root
-                        .as_mut()
-                        .expect("root built for RootMusic in new()");
-                    let (s, c) = root.scan(&self.eig, k_music);
                     (s, Some(c))
                 }
             },
@@ -1158,76 +1080,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn root_music_backend_matches_exhaustive_oracle() {
-        for (array, base) in [
-            (Array::paper_octagon(), AoaConfig::default()),
-            (Array::paper_linear(8), AoaConfig::default()),
-        ] {
-            let mut oracle = AoaEngine::with_scan(&array, &base, ScanBackend::Exhaustive);
-            let mut root = AoaEngine::with_scan(&array, &base, ScanBackend::RootMusic);
-            for seed in 0..6u64 {
-                let az = (25.0 + 47.0 * seed as f64).to_radians();
-                let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 128, 0.01, seed);
-                let r = sample_covariance(&x);
-                let o = oracle.estimate_cov(&r, x.cols());
-                let f = root.estimate_cov(&r, x.cols());
-                assert_on_full_grid(&o.spectrum, base.grid_step_deg);
-                assert_eq!(f.n_sources, o.n_sources, "seed {}", seed);
-                // The oracle is grid-quantised (±0.5° at the 1° default)
-                // while root-MUSIC is continuous; one grid cell is the
-                // honest agreement bound.
-                assert!(
-                    angle_diff_deg(f.bearing_deg(), o.bearing_deg(), o.spectrum.wraps) <= 1.0,
-                    "seed {}: root {} vs oracle {}",
-                    seed,
-                    f.bearing_deg(),
-                    o.bearing_deg()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn root_music_falls_back_to_exhaustive_on_physical_circular() {
-        // A physical circular manifold has no Vandermonde structure:
-        // the engine must degrade to the exhaustive scan and reproduce
-        // it exactly.
-        let array = Array::paper_octagon();
-        let base = AoaConfig {
-            circular: CircularHandling::Physical,
-            smoothing: Smoothing::None,
-            ..AoaConfig::default()
-        };
-        let x = coherent_snapshots(&array, &[(1.2, C64::new(1.0, 0.0))], 96, 0.01, 9);
-        let r = sample_covariance(&x);
-        let o =
-            AoaEngine::with_scan(&array, &base, ScanBackend::Exhaustive).estimate_cov(&r, x.cols());
-        let f =
-            AoaEngine::with_scan(&array, &base, ScanBackend::RootMusic).estimate_cov(&r, x.cols());
-        assert_on_full_grid(&o.spectrum, base.grid_step_deg);
-        assert_eq!(f.spectrum, o.spectrum);
-        assert_eq!(f.ranked_peaks, o.ranked_peaks);
-    }
-
-    #[test]
-    fn degenerate_coarse_to_fine_degrades_to_exhaustive() {
-        let array = Array::paper_octagon();
-        let cfg = AoaConfig::default();
-        let degenerate = ScanBackend::CoarseToFine {
-            decimate: 1,
-            refine_tol_deg: 0.05,
-        };
-        let x = coherent_snapshots(&array, &[(0.7, C64::new(1.0, 0.0))], 96, 0.01, 11);
-        let r = sample_covariance(&x);
-        let o =
-            AoaEngine::with_scan(&array, &cfg, ScanBackend::Exhaustive).estimate_cov(&r, x.cols());
-        let f = AoaEngine::with_scan(&array, &cfg, degenerate).estimate_cov(&r, x.cols());
-        assert_on_full_grid(&o.spectrum, cfg.grid_step_deg);
-        assert_eq!(f.spectrum, o.spectrum);
-        assert_eq!(f.ranked_peaks, o.ranked_peaks);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! * [`two_antenna`] — the paper's Equation 1 (and its multipath
 //!   breakdown);
 //! * [`source_count`] — AIC/MDL signal-subspace dimension estimation;
-//! * [`backends`] — the coarse-to-fine and root-MUSIC scan backends
-//!   behind [`estimator::ScanBackend`]. Coarse-to-fine is the production
-//!   scan; root-MUSIC and the exhaustive grid scan in [`music`] are
-//!   reference oracles reached through [`AoaEngine::with_scan`];
+//! * [`backends`] — the coarse-to-fine scan, the production
+//!   [`estimator::ScanBackend`]; the exhaustive grid scan in [`music`]
+//!   is the reference oracle, reached through [`AoaEngine::with_scan`];
 //! * [`confidence`] — CRLB-weighted per-bearing confidence from the
 //!   eigenvalue-split SNR;
 //! * [`estimator`] — the configured end-to-end pipeline shared by the AP

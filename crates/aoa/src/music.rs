@@ -211,39 +211,6 @@ impl<'a> NoiseProjector<'a> {
         let num: f64 = a.iter().map(|z| z.norm_sqr()).sum();
         self.value(a, num)
     }
-
-    /// The projection subspace expressed as lag sums
-    /// `c_k = Σ_i C[i, i+k]` of the projector matrix `C = E·E^H`, for
-    /// `k = 0..m` — the coefficients root-MUSIC builds its polynomial
-    /// from. When the staged subspace is the *signal* one
-    /// (`complement`), converts to the noise projector via
-    /// `I − E_s·E_s^H` (lag sums of the identity: `m` at lag 0, zero at
-    /// every other lag).
-    pub(crate) fn noise_lag_sums(&self) -> Vec<sa_linalg::C64> {
-        let m = self.m;
-        let mut c = vec![ZERO; m];
-        for k in 0..self.n_proj {
-            let col = self.eig.vectors.col_view(self.first_col + k);
-            let v: Vec<sa_linalg::C64> = col.iter().collect();
-            for lag in 0..m {
-                let mut acc = ZERO;
-                for i in 0..m - lag {
-                    acc += v[i] * v[i + lag].conj();
-                }
-                c[lag] += acc;
-            }
-        }
-        if self.complement {
-            // Noise projector = I − E_s·E_s^H; lag sums of I are
-            // m·δ_{k0} (the k-th superdiagonal of the identity sums to
-            // zero for k ≥ 1, and to m on the main diagonal).
-            for (lag, ck) in c.iter_mut().enumerate() {
-                let ident = if lag == 0 { m as f64 } else { 0.0 };
-                *ck = sa_linalg::c64(ident - ck.re, -ck.im);
-            }
-        }
-        c
-    }
 }
 
 #[cfg(test)]

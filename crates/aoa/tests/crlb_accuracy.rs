@@ -1,5 +1,8 @@
-//! Monte-Carlo validation of the CRLB confidence model: the measured
-//! bearing RMSE of the grid-free root-MUSIC backend must *track* the
+//! Monte-Carlo validation of the CRLB confidence model on the production
+//! estimator — the coarse-to-fine engine `AoaEngine::new` builds, which
+//! `ConfidenceModel::Crlb` rides on. Its bearings are continuous (the
+//! top peak is refined on the steering response, not read off the
+//! grid), so the measured bearing RMSE must *track* the
 //! stochastic-MUSIC Cramér–Rao bound across the SNR sweep — never dip
 //! below it (it is a lower bound on any unbiased estimator), and never
 //! drift more than a bounded factor above it (the factor absorbs the
@@ -8,7 +11,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::{AoaConfig, AoaEngine, ScanBackend};
+use sa_aoa::estimator::{AoaConfig, AoaEngine};
 use sa_aoa::{crlb_sigma_deg, ula_bearing_sigma_deg, ConfidenceModel, SourceCount};
 use sa_array::geometry::{broadside_deg_to_azimuth, Array};
 use sa_linalg::{CMat, C64};
@@ -18,7 +21,7 @@ const M: usize = 8;
 const N_SNAPSHOTS: usize = 64;
 const TRIALS: usize = 40;
 /// Off-grid truth so the exhaustive 1° grid would quantise but the
-/// root backend should not.
+/// refined production bearing should not.
 const THETA_DEG: f64 = 20.3;
 
 struct SweepPoint {
@@ -43,7 +46,7 @@ fn run_snr_point(snr_db: f64) -> SweepPoint {
         smoothing: sa_aoa::estimator::Smoothing::None,
         ..AoaConfig::default()
     };
-    let mut engine = AoaEngine::with_scan(&array, &cfg, ScanBackend::RootMusic);
+    let mut engine = AoaEngine::new(&array, &cfg);
 
     let mut sq_err = 0.0;
     let mut sum_snr = 0.0;
@@ -122,9 +125,9 @@ fn rmse_tracks_crlb_across_snr_sweep() {
             p.bound_deg
         );
         // Bounded above: the estimator must *track* the curve, not just
-        // sit above it (root-MUSIC is near-efficient in this regime —
-        // measured ratios are ≈1.1; 3× leaves room for the threshold
-        // effect at the bottom of the sweep).
+        // sit above it (the refined scan is near-efficient in this
+        // regime — measured ratios are ≈1.1; 3× leaves room for the
+        // threshold effect at the bottom of the sweep).
         assert!(
             ratio <= 3.0,
             "SNR {} dB: RMSE {:.4}° is {:.1}× the CRLB {:.4}°",

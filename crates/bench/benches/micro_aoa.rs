@@ -101,16 +101,14 @@ fn bench_engine_reuse(c: &mut Criterion) {
 /// The spectrum-search backends head to head on the production octagon
 /// path, each behind a reused engine built with `AoaEngine::with_scan`
 /// so only the scan differs: the exhaustive 1° oracle vs decimated
-/// coarse-to-fine refinement (the production scan) vs the grid-free
-/// root-MUSIC polynomial.
+/// coarse-to-fine refinement (the production scan).
 fn bench_scan_backends(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
     let mut group = c.benchmark_group("aoa_backends");
     for (label, backend) in [
         ("exhaustive", ScanBackend::Exhaustive),
-        ("coarse_to_fine", ScanBackend::coarse_to_fine()),
-        ("root_music", ScanBackend::RootMusic),
+        ("coarse_to_fine", ScanBackend::CoarseToFine),
     ] {
         let mut engine = AoaEngine::with_scan(&array, &AoaConfig::default(), backend);
         group.bench_function(label, |b| b.iter(|| engine.estimate_cov(&r, 512)));

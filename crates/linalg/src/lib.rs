@@ -11,8 +11,6 @@
 //!   oracle), the core of MUSIC's eigenstructure analysis;
 //! * [`fft`] — radix-2 FFT with precomputed, cached plans for the OFDM
 //!   modem;
-//! * [`poly`] — complex polynomial rooting (Laguerre with deflation),
-//!   the kernel behind the root-MUSIC estimator backend;
 //! * [`bessel`] — integer-order `J_n` for the circular-array phase-mode
 //!   transform;
 //! * [`stats`] — means, percentiles and Student-t confidence intervals
@@ -31,7 +29,6 @@ pub mod complex;
 pub mod eigen;
 pub mod fft;
 pub mod matrix;
-pub mod poly;
 pub mod stats;
 
 pub use complex::{c64, C64};

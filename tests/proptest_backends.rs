@@ -1,9 +1,10 @@
-//! Cross-backend equivalence properties (root seam test): on randomized
-//! array/source/SNR scenarios, every scan backend must agree with the
-//! exhaustive-grid oracle — coarse-to-fine on the peak *set* (to within
-//! its refinement tolerance plus the grid quantisation), root-MUSIC on
-//! the bearings — and every backend must be bit-deterministic (same
-//! covariance in, byte-identical estimate out).
+//! Scan-backend equivalence properties (root seam test): on randomized
+//! array/source/SNR scenarios, the production coarse-to-fine scan must
+//! agree with the exhaustive-grid oracle on the peak *set* (to within
+//! its refinement tolerance plus the grid quantisation), pin its
+//! continuous bearings to the truth at comfortable SNR, and both scans
+//! must be bit-deterministic (same covariance in, byte-identical
+//! estimate out).
 
 use proptest::prelude::*;
 use sa_aoa::estimator::{AoaConfig, AoaEngine, ScanBackend};
@@ -96,15 +97,12 @@ proptest! {
         let r = sa_sigproc::sample_covariance(&x);
 
         let oracle = estimate_with(ScanBackend::Exhaustive, &array, &r, 128, n_src);
-        let c2f = estimate_with(ScanBackend::coarse_to_fine(), &array, &r, 128, n_src);
-        let root = estimate_with(ScanBackend::RootMusic, &array, &r, 128, n_src);
+        let c2f = estimate_with(ScanBackend::CoarseToFine, &array, &r, 128, n_src);
         prop_assert!(on_full_grid(&oracle), "oracle spectrum is not on the full grid");
 
         // Shared pipeline stages are identical regardless of backend.
         prop_assert_eq!(c2f.n_sources, oracle.n_sources);
-        prop_assert_eq!(root.n_sources, oracle.n_sources);
         prop_assert_eq!(&c2f.eigenvalues, &oracle.eigenvalues);
-        prop_assert_eq!(&root.eigenvalues, &oracle.eigenvalues);
 
         // Coarse-to-fine geometry is only contractual above the noise
         // floor: at 0 dB, noise can raise a spurious lobe right next to
@@ -123,13 +121,12 @@ proptest! {
         // bearing or spoof verdicts.
         if snr_db >= 5.0 {
             // Absorption reach scales with the coarse stride: the
-            // dominant lobe's window spans ±(decimate−1) grid cells
+            // dominant lobe's window spans ±(stride−1) grid cells
             // around a coarse sample that is itself up to a stride from
-            // the sidelobe, so ~2×decimate degrees on the 1° grid.
-            let absorb_deg = match ScanBackend::coarse_to_fine() {
-                ScanBackend::CoarseToFine { decimate, .. } => 2.0 * decimate as f64,
-                _ => unreachable!(),
-            };
+            // the sidelobe, so ~2 strides. The stride is read off the
+            // coarse-to-fine spectrum's own grid step.
+            let a = &c2f.spectrum.angles_deg;
+            let absorb_deg = 2.0 * (a[1] - a[0]);
             let oracle_peaks = oracle.spectrum.find_peaks(3.0, 8);
             let strongest = oracle_peaks
                 .iter()
@@ -156,14 +153,10 @@ proptest! {
             );
         }
 
-        // Root-MUSIC: grid-free bearings. At comfortable SNR pin it to
-        // the *truth* tighter than the oracle's own quantisation.
+        // Coarse-to-fine bearings are continuous (refined off the grid).
+        // At comfortable SNR pin them to the *truth* tighter than the
+        // oracle's own quantisation.
         if snr_db >= 10.0 {
-            prop_assert!(
-                (root.bearing_deg() - oracle.bearing_deg()).abs() <= 1.0,
-                "root bearing {} vs oracle {}",
-                root.bearing_deg(), oracle.bearing_deg()
-            );
             if n_src == 1 {
                 // Truth bound scaled by what the aperture can deliver:
                 // 10× the stochastic-CRLB sigma for this (M, SNR, N) —
@@ -171,13 +164,13 @@ proptest! {
                 // aperture is smaller than M and the full-aperture
                 // bound is deliberately optimistic — floored at 0.5°.
                 // The ≤1° oracle pin above stays the tight check; this
-                // one certifies the grid-free estimate is unbiased.
+                // one certifies the refined estimate is unbiased.
                 let snr_lin = 10f64.powf(snr_db / 10.0);
                 let tol = (10.0 * sa_aoa::crlb_sigma_deg(snr_lin, 128, m)).max(0.5);
                 prop_assert!(
-                    (root.bearing_deg() - thetas[0]).abs() <= tol,
-                    "root bearing {} vs truth {} (m={}, tol={})",
-                    root.bearing_deg(), thetas[0], m, tol
+                    (c2f.bearing_deg() - thetas[0]).abs() <= tol,
+                    "c2f bearing {} vs truth {} (m={}, tol={})",
+                    c2f.bearing_deg(), thetas[0], m, tol
                 );
             } else {
                 // Per-source visibility: the scenario SNR is the
@@ -191,20 +184,19 @@ proptest! {
                         continue;
                     }
                     prop_assert!(
-                        root.ranked_peaks
+                        c2f.ranked_peaks
                             .iter()
                             .any(|q| (q.angle_deg - t).abs() <= 1.5),
-                        "source {}° ({} dB) missing from root-MUSIC {:?}",
-                        t, src_snr_db, root.ranked_peaks
+                        "source {}° ({} dB) missing from coarse-to-fine {:?}",
+                        t, src_snr_db, c2f.ranked_peaks
                     );
                 }
             }
         }
     }
 
-    /// Production octagon path (Davies virtual ULA): backends agree on
-    /// the bearing; every backend is bit-deterministic across fresh
-    /// engines.
+    /// Production octagon path (Davies virtual ULA): both scans agree on
+    /// the bearing and are bit-deterministic across fresh engines.
     #[test]
     fn backends_deterministic_and_consistent_on_octagon(
         az_deg in 0.0f64..360.0,
@@ -220,11 +212,7 @@ proptest! {
 
         let oracle = estimate_with(ScanBackend::Exhaustive, &array, &r, 128, 1);
         prop_assert!(on_full_grid(&oracle), "oracle spectrum is not on the full grid");
-        for backend in [
-            ScanBackend::Exhaustive,
-            ScanBackend::coarse_to_fine(),
-            ScanBackend::RootMusic,
-        ] {
+        for backend in [ScanBackend::Exhaustive, ScanBackend::CoarseToFine] {
             let a = estimate_with(backend, &array, &r, 128, 1);
             let b = estimate_with(backend, &array, &r, 128, 1);
             prop_assert_eq!(
