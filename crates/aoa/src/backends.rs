@@ -41,9 +41,23 @@ const PEAK_MAX_COUNT: usize = 8;
 /// evaluations reaches well under [`REFINE_TOL_DEG`].
 const MAX_REFINE_EVALS: usize = 2;
 
-/// Coarse-grid decimation: the coarse pass samples every 6th grid point,
-/// so on the default 1° grid the signature spectrum has 60 bins.
-const DECIMATE: usize = 6;
+/// Coarse stride × scan-space aperture. MUSIC peaks narrow as the
+/// aperture grows, so the coarse pass samples every `30 / used`-th grid
+/// point, never coarser than every [`MAX_STRIDE`]-th: every 6th on the
+/// paper's octagon (virtual ULA smoothed to 5 elements, a 60-bin
+/// signature on the 1° grid), every 2nd on an 11-element ULA aperture,
+/// where a stride of 6 let a peak fall between coarse samples.
+const STRIDE_TIMES_APERTURE: usize = 30;
+
+/// The coarsest stride. Apertures under 5 elements keep it: at stride 7
+/// the Fig 7 six-antenna ULA's nearest peak moved 2° off the truth.
+const MAX_STRIDE: usize = 6;
+
+/// The coarse-pass stride, in grid points, for a scan space of `used`
+/// elements.
+fn coarse_stride(used: usize) -> usize {
+    (STRIDE_TIMES_APERTURE / used.max(1)).clamp(1, MAX_STRIDE)
+}
 
 /// Stop refining a peak once a parabolic step moves it less than this
 /// (degrees).
@@ -63,11 +77,12 @@ pub(crate) fn coarse_to_fine_scan(
     let n = table.len();
     let proj = NoiseProjector::new(eig, n_sources);
     let wraps = table.wraps();
+    let stride = coarse_stride(table.dim());
 
-    // 1. Coarse pass: every `DECIMATE`-th grid point, plus the final
+    // 1. Coarse pass: every `stride`-th grid point, plus the final
     //    grid point on non-wrapping domains so a boundary peak at +90°
     //    cannot fall between coarse samples.
-    let mut coarse_idx: Vec<usize> = (0..n).step_by(DECIMATE).collect();
+    let mut coarse_idx: Vec<usize> = (0..n).step_by(stride).collect();
     if !wraps && *coarse_idx.last().unwrap() != n - 1 {
         coarse_idx.push(n - 1);
     }
@@ -92,7 +107,7 @@ pub(crate) fn coarse_to_fine_scan(
     // Window extents as merged, sorted, disjoint index intervals. On a
     // wrapping grid a window near the seam splits into its two in-range
     // parts.
-    let half = DECIMATE as isize - 1;
+    let half = stride as isize - 1;
     let mut intervals: Vec<(usize, usize)> = Vec::new();
     let mut push_interval = |s: isize, e: isize| {
         if wraps {
@@ -129,7 +144,7 @@ pub(crate) fn coarse_to_fine_scan(
     //    sample (value already computed) and every windowed full-rate
     //    point (evaluated here) — sorted and duplicate-free by
     //    construction, no map needed.
-    let mut union_angles: Vec<f64> = Vec::with_capacity(coarse_idx.len() + 2 * n / DECIMATE);
+    let mut union_angles: Vec<f64> = Vec::with_capacity(coarse_idx.len() + 2 * n / stride);
     let mut union_vals: Vec<f64> = Vec::with_capacity(union_angles.capacity());
     let (mut ci, mut iv) = (0usize, 0usize);
     for j in 0..n {
@@ -315,9 +330,9 @@ mod tests {
         let exhaustive = crate::music::music_spectrum_from_table(&eig, &table, 1);
         let mut buf = Vec::new();
         let (spec, cands) = coarse_to_fine_scan(&eig, &table, &space, 1, &mut buf);
-        // Fixed coarse grid: stride-6 over 181 points (the +90° endpoint
-        // is on-stride).
-        assert_eq!(spec.len(), 31);
+        // Fixed coarse grid: an 8-element aperture scans with stride 3
+        // over 181 points (the +90° endpoint is on-stride).
+        assert_eq!(spec.len(), 61);
         let best = cands
             .iter()
             .max_by(|a, b| a.value.total_cmp(&b.value))
@@ -350,7 +365,7 @@ mod tests {
         let mut buf = Vec::new();
         let (spec, _) = coarse_to_fine_scan(&eig, &table, &space, 1, &mut buf);
         for (i, (&ang, &val)) in spec.angles_deg.iter().zip(spec.values.iter()).enumerate() {
-            let full = i * DECIMATE;
+            let full = i * coarse_stride(space.len());
             assert_eq!(ang, exhaustive.angles_deg[full]);
             assert_eq!(
                 val.to_bits(),

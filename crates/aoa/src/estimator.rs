@@ -1,19 +1,22 @@
-//! The configured AoA estimation pipeline: snapshots → pseudospectrum.
+//! The AoA estimation pipeline: snapshots → pseudospectrum.
 //!
 //! Bundles the covariance estimation, domain transform (mode space for
 //! circular arrays), decorrelation (forward–backward / spatial
-//! smoothing), source counting and spectrum computation into one
-//! configurable estimator, so the SecureAngle AP pipeline and every
-//! experiment share a single code path.
+//! smoothing), source counting and the MUSIC scan into one engine, so
+//! the SecureAngle AP pipeline and every experiment share a single code
+//! path. [`AoaEngine`] precomputes the manifold and reuses its
+//! eigensolver buffers across packets.
 //!
-//! Two entry points, same numbers: the one-shot functions
-//! ([`estimate`], [`estimate_from_covariance`]) rebuild their setup per
-//! call, while [`AoaEngine`] precomputes the manifold and reuses its
-//! eigensolver buffers across packets — the amortised path the batched
-//! AP pipeline runs on.
+//! Production sets only an [`AoaConfig`]; [`AoaEngine::new`] builds the
+//! paper's pipeline from it. The reference variants (the exhaustive
+//! scan oracle, other decorrelation, the physical circular manifold,
+//! other grid steps) are not configuration: tests, benches and the E8
+//! ablations reach them through [`AoaEngine::reference`] and a
+//! [`ReferenceSetup`]. The Bartlett and Capon baselines are the free
+//! functions in [`crate::beamform`].
 //!
 //! ```
-//! use sa_aoa::estimator::{estimate, AoaConfig};
+//! use sa_aoa::estimator::{AoaConfig, AoaEngine};
 //! use sa_aoa::pseudospectrum::angle_diff_deg;
 //! use sa_array::geometry::Array;
 //! use sa_linalg::{C64, CMat};
@@ -24,12 +27,11 @@
 //! let x = CMat::from_fn(array.len(), 128, |m, t| {
 //!     steer[m] * C64::cis(0.9 * t as f64)
 //! });
-//! let est = estimate(&x, &array, &AoaConfig::default());
+//! let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
 //! assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 //! ```
 
 use crate::backends::{coarse_to_fine_scan, Candidate};
-use crate::beamform::{bartlett_spectrum, capon_spectrum};
 use crate::confidence::ConfidenceModel;
 use crate::manifold::{ScanSpace, SteeringTable};
 use crate::music::music_spectrum_from_table;
@@ -42,20 +44,8 @@ use sa_linalg::CMat;
 use sa_sigproc::covariance::{forward_backward_into, sample_covariance, smooth_fb_into};
 use sa_sigproc::snr::eig_split_snr;
 
-/// Spectrum estimation algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Method {
-    /// MUSIC (the paper's choice).
-    #[default]
-    Music,
-    /// Bartlett delay-and-sum (baseline).
-    Bartlett,
-    /// Capon / MVDR (baseline).
-    Capon,
-}
-
 /// Decorrelation preprocessing applied to the covariance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Smoothing {
     /// No preprocessing: raw sample covariance. Fails on coherent
     /// multipath (ablation E8b shows this).
@@ -63,26 +53,22 @@ pub enum Smoothing {
     /// Forward–backward averaging only.
     ForwardBackward,
     /// Forward–backward averaging then spatial smoothing to subarrays of
-    /// `sub_len` elements (the default; decorrelates coherent paths).
-    FbSpatial {
-        /// Subarray length; fewer elements ⇒ more decorrelation, less
-        /// aperture.
-        sub_len: usize,
-    },
+    /// 3/4 of the aperture (at least 3 elements) — the production
+    /// pipeline; decorrelates coherent paths.
+    #[default]
+    FbSpatial,
 }
 
-/// How the MUSIC spectrum search is executed (MUSIC only — the
-/// Bartlett/Capon baselines always scan their full grid).
+/// How the MUSIC spectrum search is executed.
 ///
-/// Production engines ([`AoaEngine::new`], [`estimate`],
-/// [`estimate_from_covariance`]) always run
+/// Production engines ([`AoaEngine::new`]) always run
 /// [`ScanBackend::CoarseToFine`]. The exhaustive grid scan is the
 /// reference oracle, not configuration: tests, benches and ablations
-/// reach it through [`AoaEngine::with_scan`], and the production scan is
+/// reach it through [`AoaEngine::reference`], and the production scan is
 /// property-tested against it (`tests/proptest_backends.rs`).
 ///
 /// ```
-/// use sa_aoa::estimator::{AoaConfig, AoaEngine, ScanBackend};
+/// use sa_aoa::estimator::{AoaConfig, AoaEngine, ReferenceSetup, ScanBackend};
 /// use sa_aoa::pseudospectrum::angle_diff_deg;
 /// use sa_array::geometry::Array;
 /// use sa_linalg::{C64, CMat};
@@ -90,24 +76,27 @@ pub enum Smoothing {
 /// let array = Array::paper_octagon();
 /// let steer = array.steering(50f64.to_radians());
 /// let x = CMat::from_fn(array.len(), 128, |m, t| steer[m] * C64::cis(0.9 * t as f64));
-/// for backend in [ScanBackend::Exhaustive, ScanBackend::CoarseToFine] {
-///     let mut engine = AoaEngine::with_scan(&array, &AoaConfig::default(), backend);
+/// for scan in [ScanBackend::Exhaustive, ScanBackend::CoarseToFine] {
+///     let setup = ReferenceSetup { scan, ..ReferenceSetup::default() };
+///     let mut engine = AoaEngine::reference(&array, &AoaConfig::default(), setup);
 ///     let est = engine.estimate(&x);
 ///     assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanBackend {
     /// Evaluate the pseudospectrum at every grid point (the reference
     /// oracle; bit-identical to the historical 1° pipeline).
     Exhaustive,
-    /// The production scan: evaluate every 6th grid point, rescan the
-    /// full-rate grid only around coarse maxima, then polish each peak
-    /// on the continuous steering response to 0.05°. Same peak set as
-    /// the exhaustive scan (to within the refinement tolerance) at a
-    /// fraction of the per-packet work; peak bearings are not quantised
-    /// to the grid, and the spectrum lives on the decimated grid (60
-    /// bins on the default 1° grid).
+    /// The production scan: evaluate a decimated grid (every 6th point
+    /// on the paper's octagon; the stride shrinks as the scan aperture
+    /// grows), rescan the full-rate grid only around coarse maxima,
+    /// then polish each peak on the continuous steering response to
+    /// 0.05°. Same peak set as the exhaustive scan (to within the
+    /// refinement tolerance) at a fraction of the per-packet work; peak
+    /// bearings are not quantised to the grid, and the spectrum lives
+    /// on the decimated grid (60 bins on the octagon's 1° grid).
+    #[default]
     CoarseToFine,
 }
 
@@ -123,27 +112,12 @@ pub enum CircularHandling {
     Physical,
 }
 
-/// Estimator configuration. `Default` reproduces the paper's pipeline:
-/// MUSIC, MDL source counting, FB + spatial smoothing, 1° grid. How the
-/// MUSIC search is executed is not configuration: production engines run
-/// [`ScanBackend::CoarseToFine`], and the exhaustive oracle is reached
-/// through [`AoaEngine::with_scan`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Estimator configuration: what a deployment sets. `Default` is the
+/// paper's pipeline with MDL source counting.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AoaConfig {
-    /// Spectrum algorithm.
-    pub method: Method,
-    /// Signal-subspace dimension policy (MUSIC only).
+    /// Signal-subspace dimension policy.
     pub source_count: SourceCount,
-    /// Decorrelation preprocessing.
-    pub smoothing: Smoothing,
-    /// Circular-array handling.
-    pub circular: CircularHandling,
-    /// Scan-grid resolution, degrees. The production MUSIC scan
-    /// rescans and refines peaks on this grid; its spectrum samples
-    /// every 6th point.
-    pub grid_step_deg: f64,
-    /// Capon diagonal loading (fraction of mean eigenvalue).
-    pub capon_loading: f64,
     /// Which confidence the estimate carries (see
     /// [`ConfidenceModel`]); the default leaves confidence computation
     /// to the downstream peak-power split, unchanged from the
@@ -151,16 +125,32 @@ pub struct AoaConfig {
     pub confidence: ConfidenceModel,
 }
 
-impl Default for AoaConfig {
+/// The reference-only settings of an engine: how the scan, the
+/// decorrelation and the grid deviate from the production pipeline.
+/// Tests, benches and the E8 ablations pass one to
+/// [`AoaEngine::reference`]; `Default` is exactly the production
+/// pipeline that [`AoaEngine::new`] builds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReferenceSetup {
+    /// The MUSIC scan.
+    pub scan: ScanBackend,
+    /// Decorrelation preprocessing.
+    pub smoothing: Smoothing,
+    /// Circular-array handling.
+    pub circular: CircularHandling,
+    /// Scan-grid resolution, degrees. The coarse-to-fine scan rescans
+    /// and refines peaks on this grid; its spectrum samples a decimated
+    /// subset of it.
+    pub grid_step_deg: f64,
+}
+
+impl Default for ReferenceSetup {
     fn default() -> Self {
         Self {
-            method: Method::Music,
-            source_count: SourceCount::Mdl,
-            smoothing: Smoothing::FbSpatial { sub_len: 0 }, // 0 = auto
+            scan: ScanBackend::CoarseToFine,
+            smoothing: Smoothing::FbSpatial,
             circular: CircularHandling::ModeSpace,
             grid_step_deg: 1.0,
-            capon_loading: 1e-6,
-            confidence: ConfidenceModel::PeakPower,
         }
     }
 }
@@ -225,46 +215,10 @@ impl AoaEstimate {
     }
 }
 
-/// Estimate from raw per-antenna snapshots (rows = antennas, columns =
-/// samples).
-pub fn estimate(snapshots: &CMat, array: &Array, cfg: &AoaConfig) -> AoaEstimate {
-    let n = snapshots.cols();
-    let r = sample_covariance(snapshots);
-    estimate_from_covariance(&r, n, array, cfg)
-}
-
-/// Estimate from a precomputed physical-domain covariance and the number
-/// of snapshots that formed it.
+/// A reusable AoA estimation pipeline for one array.
 ///
-/// One-shot convenience over [`AoaEngine`]: builds the engine (mode-space
-/// transform, scan manifold, steering table, eigensolver workspace) and
-/// discards it after a single estimate. Callers with more than one packet
-/// should hold an [`AoaEngine`] and amortise that setup instead.
-pub fn estimate_from_covariance(
-    r: &CMat,
-    n_snapshots: usize,
-    array: &Array,
-    cfg: &AoaConfig,
-) -> AoaEstimate {
-    AoaEngine::new(array, cfg).estimate_cov(r, n_snapshots)
-}
-
-/// Decorrelation plan with the auto subarray length resolved against the
-/// analysis-domain dimension (see [`Smoothing`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SmoothingPlan {
-    None,
-    ForwardBackward,
-    FbSpatial { sub_len: usize },
-}
-
-/// A reusable AoA estimation pipeline for one `(array, config)` pair.
-///
-/// [`estimate_from_covariance`] rebuilds the Davies mode-space transform,
-/// the scan manifold and every steering vector on the grid, and allocates
-/// fresh eigendecomposition buffers on every call — per-packet setup that
-/// dominates once traffic scales past a handful of clients. The engine
-/// hoists all of it to construction time:
+/// Per-packet setup would dominate once traffic scales past a handful of
+/// clients, so the engine hoists all of it to construction time:
 ///
 /// * the mode-space transform matrix (circular arrays);
 /// * the post-smoothing [`ScanSpace`] and its [`SteeringTable`]
@@ -272,14 +226,13 @@ enum SmoothingPlan {
 /// * an [`EighWorkspace`] so repeated eigendecompositions reuse their
 ///   matrix buffers.
 ///
-/// Results are identical to the one-shot functions for the same inputs;
-/// only the amortisation differs. The SecureAngle AP's batched ingest
-/// path (`secureangle::pipeline::PacketBatch`) holds one engine per
-/// batch.
+/// The SecureAngle AP's batched ingest path
+/// (`secureangle::pipeline::PacketBatch`) holds one engine per batch.
 ///
-/// [`AoaEngine::new`] builds the production engine, which scans with
-/// [`ScanBackend::CoarseToFine`]; [`AoaEngine::with_scan`] builds one on
-/// the exhaustive oracle for tests, benches and ablations.
+/// [`AoaEngine::new`] builds the production engine: mode space for
+/// circular arrays, forward–backward plus spatial smoothing, the
+/// coarse-to-fine MUSIC scan on a 1° grid. [`AoaEngine::reference`]
+/// builds the variants tests, benches and ablations compare against.
 ///
 /// ```
 /// use sa_aoa::estimator::{AoaConfig, AoaEngine};
@@ -292,7 +245,7 @@ enum SmoothingPlan {
 /// // whole pipeline. Real callers feed per-packet sample covariances.
 /// let r = CMat::identity(array.len());
 /// let est = engine.estimate_cov(&r, 64);
-/// // The production signature grid: the 1° default grid decimated 6×.
+/// // The production signature grid: the 1° grid decimated 6×.
 /// assert_eq!(est.spectrum.len(), 60);
 /// ```
 #[derive(Debug)]
@@ -303,14 +256,13 @@ pub struct AoaEngine {
     /// For circular arrays under [`CircularHandling::ModeSpace`] it also
     /// carries the Davies transform ([`ScanSpace::modespace`]).
     space: ScanSpace,
-    /// Precomputed steering vectors over `space`'s grid. Only MUSIC
-    /// consumes the table (Bartlett/Capon scan `space` directly), so it
-    /// is only built for [`Method::Music`].
-    table: Option<SteeringTable>,
-    /// Resolved decorrelation plan.
-    plan: SmoothingPlan,
-    /// The MUSIC scan. Bartlett/Capon ignore it: they always scan their
-    /// full grid.
+    /// Precomputed steering vectors over `space`'s grid.
+    table: SteeringTable,
+    /// Decorrelation as applied: [`Smoothing::None`] on the physical
+    /// circular manifold, and under [`Smoothing::FbSpatial`] the
+    /// subarray length is `space.len()`.
+    smoothing: Smoothing,
+    /// The MUSIC scan.
     backend: ScanBackend,
     /// Steering-vector scratch for continuous refinement evaluations.
     steer_buf: Vec<C64>,
@@ -331,60 +283,52 @@ pub struct AoaEngine {
 }
 
 impl AoaEngine {
-    /// Build the production engine for an array and configuration: it
-    /// scans with [`ScanBackend::CoarseToFine`].
+    /// Build the production engine for an array and configuration:
+    /// exactly [`AoaEngine::reference`] with [`ReferenceSetup::default`].
     pub fn new(array: &Array, cfg: &AoaConfig) -> Self {
-        Self::with_scan(array, cfg, ScanBackend::CoarseToFine)
+        Self::reference(array, cfg, ReferenceSetup::default())
     }
 
-    /// Build an engine on an explicit scan backend — how tests, benches
-    /// and ablations reach the exhaustive oracle. Resolves the analysis
-    /// domain and smoothing plan, then precomputes the manifold.
-    pub fn with_scan(array: &Array, cfg: &AoaConfig, scan: ScanBackend) -> Self {
+    /// Build an engine that deviates from the production pipeline as
+    /// `setup` says — how tests, benches and ablations reach the
+    /// exhaustive oracle and the decorrelation and grid variants.
+    /// Resolves the analysis domain and smoothing, then precomputes
+    /// the manifold.
+    pub fn reference(array: &Array, cfg: &AoaConfig, setup: ReferenceSetup) -> Self {
         // 1. Analysis domain (where the covariance will live). A
         //    virtual-ULA space carries the Davies transform itself.
-        let base_space = match (array.kind(), cfg.circular) {
+        let base_space = match (array.kind(), setup.circular) {
             (ArrayKind::Linear, _) | (ArrayKind::Circular, CircularHandling::Physical) => {
                 ScanSpace::physical(array)
             }
             (ArrayKind::Circular, CircularHandling::ModeSpace) => ScanSpace::virtual_ula(array),
         };
 
-        // 2. Decorrelation plan (skipped for the physical circular
-        //    manifold, which has no shift structure). The auto subarray
-        //    size is 3/4 of the aperture, at least 3, at most m — leaving
+        // 2. Decorrelation (skipped for the physical circular
+        //    manifold, which has no shift structure). The subarray size
+        //    is 3/4 of the aperture, at least 3, at most m — leaving
         //    K = m − L + 1 subarrays for decorrelation.
         let m = base_space.len();
-        let smoothable = !matches!(base_space, ScanSpace::Circular { .. });
-        let plan = match (cfg.smoothing, smoothable) {
-            (Smoothing::None, _) | (_, false) => SmoothingPlan::None,
-            (Smoothing::ForwardBackward, true) => SmoothingPlan::ForwardBackward,
-            (Smoothing::FbSpatial { sub_len }, true) => {
-                let l = if sub_len == 0 {
-                    ((3 * m) / 4).clamp(3.min(m), m)
-                } else {
-                    sub_len.min(m)
-                };
-                SmoothingPlan::FbSpatial { sub_len: l }
-            }
+        let smoothing = match base_space {
+            ScanSpace::Circular { .. } => Smoothing::None,
+            _ => setup.smoothing,
         };
-        let space = match plan {
-            SmoothingPlan::FbSpatial { sub_len } if sub_len < m => base_space.truncated(sub_len),
+        let sub_len = ((3 * m) / 4).clamp(3.min(m), m);
+        let space = match smoothing {
+            Smoothing::FbSpatial if sub_len < m => base_space.truncated(sub_len),
             _ => base_space,
         };
 
-        // 3. The manifold, evaluated once (MUSIC's hot path; the
-        //    Bartlett/Capon baselines never read it).
-        let table =
-            matches!(cfg.method, Method::Music).then(|| space.steering_table(cfg.grid_step_deg));
+        // 3. The manifold, evaluated once (MUSIC's hot path).
+        let table = space.steering_table(setup.grid_step_deg);
 
         Self {
             cfg: *cfg,
             array_len: array.len(),
             space,
             table,
-            plan,
-            backend: scan,
+            smoothing,
+            backend: setup.scan,
             steer_buf: Vec::new(),
             eig_ws: EighWorkspace::new(),
             #[cfg(test)]
@@ -397,11 +341,6 @@ impl AoaEngine {
             cov_tmp: CMat::default(),
             cov_s: CMat::default(),
         }
-    }
-
-    /// The configuration the engine was built for.
-    pub fn config(&self) -> &AoaConfig {
-        &self.cfg
     }
 
     /// The scan space the spectrum is evaluated on (post-smoothing).
@@ -443,14 +382,14 @@ impl AoaEngine {
 
         // 2. Decorrelation (FB + spatial smoothing fused into one
         // traversal — bit-identical to the two-pass pipeline).
-        let ra: &CMat = match self.plan {
-            SmoothingPlan::None => ra,
-            SmoothingPlan::ForwardBackward => {
+        let ra: &CMat = match self.smoothing {
+            Smoothing::None => ra,
+            Smoothing::ForwardBackward => {
                 forward_backward_into(ra, &mut self.cov_s);
                 &self.cov_s
             }
-            SmoothingPlan::FbSpatial { sub_len } => {
-                smooth_fb_into(ra, sub_len, &mut self.cov_s);
+            Smoothing::FbSpatial => {
+                smooth_fb_into(ra, self.space.len(), &mut self.cov_s);
                 &self.cov_s
             }
         };
@@ -485,49 +424,27 @@ impl AoaEngine {
             1
         };
 
-        // 4. Spectrum — per scan backend for MUSIC. Backends that know
-        //    their peaks already (off-grid, refined) hand back an
-        //    explicit candidate list; the exhaustive oracle path and the
-        //    baselines extract peaks from the spectrum as before.
+        // 4. Spectrum. The coarse-to-fine scan knows its peaks already
+        //    (off-grid, refined) and hands back an explicit candidate
+        //    list; the exhaustive oracle extracts peaks from its
+        //    full-grid spectrum.
         let k_music = n_sources.min(m.saturating_sub(1)).max(1);
-        let (spectrum, candidates): (Pseudospectrum, Option<Vec<Candidate>>) = match self.cfg.method
-        {
-            Method::Music => match self.backend {
-                ScanBackend::Exhaustive => {
-                    let table = self.table.as_ref().expect("table built for Music in new()");
-                    (music_spectrum_from_table(&self.eig, table, k_music), None)
-                }
-                ScanBackend::CoarseToFine => {
-                    let table = self.table.as_ref().expect("table built for Music in new()");
-                    let (s, c) = coarse_to_fine_scan(
-                        &self.eig,
-                        table,
-                        &self.space,
-                        k_music,
-                        &mut self.steer_buf,
-                    );
-                    (s, Some(c))
-                }
-            },
-            Method::Bartlett => (
-                bartlett_spectrum(ra, &self.space, self.cfg.grid_step_deg),
-                None,
-            ),
-            Method::Capon => (
-                capon_spectrum(
-                    ra,
+        let (spectrum, ranked_peaks) = match self.backend {
+            ScanBackend::Exhaustive => {
+                let s = music_spectrum_from_table(&self.eig, &self.table, k_music);
+                let ranked = rank_peaks(&s, ra, &self.table);
+                (s, ranked)
+            }
+            ScanBackend::CoarseToFine => {
+                let (s, c) = coarse_to_fine_scan(
+                    &self.eig,
+                    &self.table,
                     &self.space,
-                    self.cfg.grid_step_deg,
-                    self.cfg.capon_loading,
-                ),
-                None,
-            ),
-        };
-
-        // 5. Candidate peaks ranked by received power toward them.
-        let ranked_peaks = match candidates {
-            None => rank_peaks(&spectrum, ra, &self.space, self.table.as_ref()),
-            Some(c) => rank_candidates(&c, ra, &self.space),
+                    k_music,
+                    &mut self.steer_buf,
+                );
+                (s, rank_candidates(&c, ra, &self.space))
+            }
         };
 
         // 6. Per-packet SNR and the CRLB it implies. The eigenvalue
@@ -574,40 +491,22 @@ impl AoaEngine {
 /// Extract the spectrum's peaks and rank them by Bartlett power on the
 /// analysis covariance (descending).
 ///
-/// Peaks live on the scan grid, so when the caller has a
-/// [`SteeringTable`] (MUSIC), each peak's steering vector is looked up
-/// there and the quadratic form `a^H·R·a` is evaluated in place —
-/// nothing is rebuilt or allocated per peak. Bartlett/Capon (no table)
-/// rebuild the steering vector from the manifold as before.
-fn rank_peaks(
-    spectrum: &Pseudospectrum,
-    ra: &CMat,
-    space: &ScanSpace,
-    table: Option<&SteeringTable>,
-) -> Vec<super::estimator::RankedPeak> {
-    use sa_linalg::matrix::vnorm;
-    let peaks = spectrum.find_peaks(1.0, 8);
-    let quad_over_norm = |a: &[C64], norm_sqr: f64| bartlett_power(ra, a, norm_sqr);
-    let mut ranked: Vec<RankedPeak> = peaks
+/// The exhaustive spectrum lives on the table's grid, so each peak's
+/// steering vector is looked up there and the quadratic form `a^H·R·a`
+/// is evaluated in place — nothing is rebuilt or allocated per peak.
+fn rank_peaks(spectrum: &Pseudospectrum, ra: &CMat, table: &SteeringTable) -> Vec<RankedPeak> {
+    let mut ranked: Vec<RankedPeak> = spectrum
+        .find_peaks(1.0, 8)
         .iter()
         .map(|p| {
-            let grid_idx = table.and_then(|t| {
-                t.angles_deg()
-                    .binary_search_by(|v| v.total_cmp(&p.angle_deg))
-                    .ok()
-            });
-            let power = match (table, grid_idx) {
-                (Some(t), Some(i)) => quad_over_norm(t.steering(i), t.norm_sqr(i)),
-                _ => {
-                    let az = space.azimuth_of_present(p.angle_deg);
-                    let a = space.steering(az);
-                    quad_over_norm(&a, vnorm(&a).powi(2))
-                }
-            };
+            let i = table
+                .angles_deg()
+                .binary_search_by(|v| v.total_cmp(&p.angle_deg))
+                .expect("peak angle comes from the table grid");
             RankedPeak {
                 angle_deg: p.angle_deg,
                 music_value: p.value,
-                power,
+                power: bartlett_power(ra, table.steering(i), table.norm_sqr(i)),
             }
         })
         .collect();
@@ -655,6 +554,7 @@ fn bartlett_power(ra: &CMat, a: &[C64], norm_sqr: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::beamform::{bartlett_spectrum, capon_spectrum};
     use crate::pseudospectrum::angle_diff_deg;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -709,7 +609,7 @@ mod tests {
         let array = Array::paper_linear(8);
         let az = broadside_deg_to_azimuth(33.0);
         let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 160, 0.01, 1);
-        let est = estimate(&x, &array, &AoaConfig::default());
+        let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
         assert!(
             (est.bearing_deg() - 33.0).abs() < 2.0,
             "bearing {}",
@@ -728,7 +628,7 @@ mod tests {
             0.01,
             2,
         );
-        let est = estimate(&x, &array, &AoaConfig::default());
+        let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
         assert!(
             angle_diff_deg(est.bearing_deg(), 200.0, true) < 4.0,
             "bearing {}",
@@ -749,7 +649,7 @@ mod tests {
             1e-3,
             3,
         );
-        let est = estimate(&x, &array, &AoaConfig::default());
+        let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
         let peaks = est.spectrum.find_peaks(1.0, 4);
         assert!(
             peaks.iter().any(|p| (p.angle_deg + 25.0).abs() < 4.0),
@@ -779,12 +679,16 @@ mod tests {
         // Ablation E8b: raw MUSIC on the full 1° grid (the exhaustive
         // oracle), so the verdict is about smoothing, not the scan.
         let cfg = AoaConfig {
-            smoothing: Smoothing::None,
             source_count: SourceCount::Fixed(2),
             ..Default::default()
         };
-        let est = AoaEngine::with_scan(&array, &cfg, ScanBackend::Exhaustive).estimate(&x);
-        assert_on_full_grid(&est.spectrum, cfg.grid_step_deg);
+        let setup = ReferenceSetup {
+            scan: ScanBackend::Exhaustive,
+            smoothing: Smoothing::None,
+            ..ReferenceSetup::default()
+        };
+        let est = AoaEngine::reference(&array, &cfg, setup).estimate(&x);
+        assert_on_full_grid(&est.spectrum, setup.grid_step_deg);
         let peaks = est.spectrum.find_peaks(1.0, 4);
         let both = peaks.iter().any(|p| (p.angle_deg + 25.0).abs() < 3.0)
             && peaks.iter().any(|p| (p.angle_deg - 35.0).abs() < 3.0);
@@ -800,18 +704,19 @@ mod tests {
         let array = Array::paper_linear(8);
         let az = broadside_deg_to_azimuth(-10.0);
         let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 128, 0.01, 4);
-        for method in [Method::Bartlett, Method::Capon] {
-            let cfg = AoaConfig {
-                method,
-                smoothing: Smoothing::None,
-                ..Default::default()
-            };
-            let est = estimate(&x, &array, &cfg);
+        // The baselines are free functions on the raw covariance.
+        let r = sample_covariance(&x);
+        let space = ScanSpace::physical(&array);
+        for (method, spectrum) in [
+            ("bartlett", bartlett_spectrum(&r, &space, 1.0)),
+            ("capon", capon_spectrum(&r, &space, 1.0, 1e-6)),
+        ] {
+            let (bearing, _) = spectrum.peak();
             assert!(
-                (est.bearing_deg() + 10.0).abs() < 3.0,
-                "{:?} bearing {}",
+                (bearing + 10.0).abs() < 3.0,
+                "{} bearing {}",
                 method,
-                est.bearing_deg()
+                bearing
             );
         }
     }
@@ -826,31 +731,17 @@ mod tests {
             0.01,
             5,
         );
-        let cfg = AoaConfig {
+        let setup = ReferenceSetup {
             circular: CircularHandling::Physical,
             smoothing: Smoothing::None,
-            ..Default::default()
+            ..ReferenceSetup::default()
         };
-        let est = estimate(&x, &array, &cfg);
+        let est = AoaEngine::reference(&array, &AoaConfig::default(), setup).estimate(&x);
         assert!(
             angle_diff_deg(est.bearing_deg(), 80.0, true) < 3.0,
             "bearing {}",
             est.bearing_deg()
         );
-    }
-
-    #[test]
-    fn explicit_subarray_length_respected() {
-        let array = Array::paper_linear(8);
-        let az = broadside_deg_to_azimuth(0.0);
-        let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 64, 0.01, 6);
-        let cfg = AoaConfig {
-            smoothing: Smoothing::FbSpatial { sub_len: 5 },
-            ..Default::default()
-        };
-        let est = estimate(&x, &array, &cfg);
-        // 5-element subarray ⇒ 4 noise+signal eigenvalues.
-        assert_eq!(est.eigenvalues.len(), 5);
     }
 
     #[test]
@@ -860,11 +751,14 @@ mod tests {
         let az = broadside_deg_to_azimuth(20.0);
         let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 64, 0.01, 7);
         let cfg = AoaConfig {
-            smoothing: Smoothing::None,
             source_count: SourceCount::Fixed(1),
             ..Default::default()
         };
-        let est = estimate(&x, &array, &cfg);
+        let setup = ReferenceSetup {
+            smoothing: Smoothing::None,
+            ..ReferenceSetup::default()
+        };
+        let est = AoaEngine::reference(&array, &cfg, setup).estimate(&x);
         assert!(
             (est.bearing_deg() - 20.0).abs() < 6.0,
             "bearing {}",
@@ -873,10 +767,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_reuse_matches_one_shot_exactly() {
-        // One engine across many packets (and both array kinds) must
-        // reproduce the one-shot estimator bit-for-bit — reuse changes
-        // the amortisation, never the numbers.
+    fn new_is_the_default_reference_setup_bit_for_bit() {
+        // `AoaEngine::new` must be exactly the reference constructor at
+        // its default setup, and one engine reused across many packets
+        // must reproduce a fresh engine per packet — reuse changes the
+        // amortisation, never the numbers. Both array kinds.
+        // `Debug` prints every f64 in shortest round-trip form, so equal
+        // renderings are equal bits (spectrum, ranked peaks,
+        // eigenvalues, SNR, CRLB sigma and confidence alike).
+        let bits = |e: &AoaEstimate| format!("{:?}", e);
         for (array, cfg) in [
             (Array::paper_octagon(), AoaConfig::default()),
             (
@@ -887,17 +786,28 @@ mod tests {
                 },
             ),
         ] {
-            let mut engine = AoaEngine::new(&array, &cfg);
+            let mut production = AoaEngine::new(&array, &cfg);
+            let mut reference = AoaEngine::reference(&array, &cfg, ReferenceSetup::default());
             for seed in 0..4u64 {
-                let az = (30.0 + 40.0 * seed as f64).to_radians();
-                let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 96, 0.02, seed);
+                let az1 = (30.0 + 40.0 * seed as f64).to_radians();
+                let az2 = (150.0 + 25.0 * seed as f64).to_radians();
+                let x = coherent_snapshots(
+                    &array,
+                    &[(az1, C64::new(1.0, 0.0)), (az2, C64::from_polar(0.5, 0.7))],
+                    96,
+                    0.02,
+                    seed,
+                );
                 let r = sample_covariance(&x);
-                let batched = engine.estimate_cov(&r, x.cols());
-                let oneshot = estimate_from_covariance(&r, x.cols(), &array, &cfg);
-                assert_eq!(batched.spectrum, oneshot.spectrum, "seed {}", seed);
-                assert_eq!(batched.n_sources, oneshot.n_sources);
-                assert_eq!(batched.eigenvalues, oneshot.eigenvalues);
-                assert_eq!(batched.ranked_peaks, oneshot.ranked_peaks);
+                let p = bits(&production.estimate_cov(&r, x.cols()));
+                assert_eq!(
+                    p,
+                    bits(&reference.estimate_cov(&r, x.cols())),
+                    "seed {}",
+                    seed
+                );
+                let fresh = AoaEngine::new(&array, &cfg).estimate_cov(&r, x.cols());
+                assert_eq!(p, bits(&fresh), "seed {}: reuse vs fresh engine", seed);
             }
         }
     }
@@ -960,7 +870,7 @@ mod tests {
     fn dimension_mismatch_panics() {
         let array = Array::paper_linear(4);
         let r = CMat::identity(6);
-        let _ = estimate_from_covariance(&r, 10, &array, &AoaConfig::default());
+        let _ = AoaEngine::new(&array, &AoaConfig::default()).estimate_cov(&r, 10);
     }
 
     #[test]
@@ -979,7 +889,7 @@ mod tests {
             1e-4,
             42,
         );
-        let est = estimate(&x, &array, &AoaConfig::default());
+        let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
         assert!(!est.ranked_peaks.is_empty());
         for w in est.ranked_peaks.windows(2) {
             assert!(
@@ -1039,7 +949,11 @@ mod tests {
                 },
             ),
         ] {
-            let mut oracle = AoaEngine::with_scan(&array, &base, ScanBackend::Exhaustive);
+            let setup = ReferenceSetup {
+                scan: ScanBackend::Exhaustive,
+                ..ReferenceSetup::default()
+            };
+            let mut oracle = AoaEngine::reference(&array, &base, setup);
             let mut fast = AoaEngine::new(&array, &base);
             for seed in 0..6u64 {
                 let az1 = (20.0 + 50.0 * seed as f64).to_radians();
@@ -1054,7 +968,7 @@ mod tests {
                 let r = sample_covariance(&x);
                 let o = oracle.estimate_cov(&r, x.cols());
                 let f = fast.estimate_cov(&r, x.cols());
-                assert_on_full_grid(&o.spectrum, base.grid_step_deg);
+                assert_on_full_grid(&o.spectrum, setup.grid_step_deg);
                 assert_eq!(f.n_sources, o.n_sources, "seed {}", seed);
                 assert_eq!(f.eigenvalues, o.eigenvalues, "seed {}", seed);
                 assert!(

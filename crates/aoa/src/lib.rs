@@ -9,17 +9,22 @@
 //! * [`manifold`] — scan spaces (physical ULA / physical circle / Davies
 //!   virtual ULA) with the paper's presentation conventions;
 //! * [`music`] — MUSIC (Schmidt), the estimator the paper uses;
-//! * [`beamform`] — Bartlett and Capon baselines;
+//! * [`beamform`] — the Bartlett and Capon baselines, free functions
+//!   on a covariance (no engine configuration reaches them);
 //! * [`two_antenna`] — the paper's Equation 1 (and its multipath
 //!   breakdown);
 //! * [`source_count`] — AIC/MDL signal-subspace dimension estimation;
 //! * [`backends`] — the coarse-to-fine scan, the production
 //!   [`estimator::ScanBackend`]; the exhaustive grid scan in [`music`]
-//!   is the reference oracle, reached through [`AoaEngine::with_scan`];
+//!   is the reference oracle, reached through [`AoaEngine::reference`];
 //! * [`confidence`] — CRLB-weighted per-bearing confidence from the
 //!   eigenvalue-split SNR;
-//! * [`estimator`] — the configured end-to-end pipeline shared by the AP
-//!   implementation and all experiments.
+//! * [`estimator`] — the end-to-end pipeline shared by the AP
+//!   implementation and all experiments: [`AoaEngine::new`] builds the
+//!   production engine from an [`AoaConfig`] (source count and
+//!   confidence model), and [`AoaEngine::reference`] the scan,
+//!   decorrelation and grid variants tests and ablations compare
+//!   against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +40,7 @@ pub mod source_count;
 pub mod two_antenna;
 
 pub use confidence::{crlb_confidence, crlb_sigma_deg, ula_bearing_sigma_deg, ConfidenceModel};
-pub use estimator::{
-    estimate, estimate_from_covariance, AoaConfig, AoaEngine, AoaEstimate, Method, ScanBackend,
-    Smoothing,
-};
+pub use estimator::{AoaConfig, AoaEngine, AoaEstimate, ReferenceSetup, ScanBackend, Smoothing};
 pub use manifold::{ScanSpace, SteeringTable};
 pub use music::music_spectrum;
 pub use pseudospectrum::{angle_diff_deg, Peak, Pseudospectrum};

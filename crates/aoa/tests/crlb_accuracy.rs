@@ -1,6 +1,6 @@
 //! Monte-Carlo validation of the CRLB confidence model on the production
-//! estimator — the coarse-to-fine engine `AoaEngine::new` builds, which
-//! `ConfidenceModel::Crlb` rides on. Its bearings are continuous (the
+//! scan — the coarse-to-fine MUSIC scan `AoaEngine::new` runs, which
+//! `ConfidenceModel::Crlb` rides on, here on the raw covariance. Its bearings are continuous (the
 //! top peak is refined on the steering response, not read off the
 //! grid), so the measured bearing RMSE must *track* the
 //! stochastic-MUSIC Cramér–Rao bound across the SNR sweep — never dip
@@ -11,7 +11,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::{AoaConfig, AoaEngine};
+use sa_aoa::estimator::{AoaConfig, AoaEngine, ReferenceSetup, Smoothing};
 use sa_aoa::{crlb_sigma_deg, ula_bearing_sigma_deg, ConfidenceModel, SourceCount};
 use sa_array::geometry::{broadside_deg_to_azimuth, Array};
 use sa_linalg::{CMat, C64};
@@ -40,13 +40,16 @@ fn run_snr_point(snr_db: f64) -> SweepPoint {
     let cfg = AoaConfig {
         source_count: SourceCount::Fixed(1),
         confidence: ConfidenceModel::Crlb,
-        // Raw covariance: forward–backward averaging doubles the
-        // effective snapshot count and would let the estimator beat
-        // the basic-model bound we're validating against.
-        smoothing: sa_aoa::estimator::Smoothing::None,
-        ..AoaConfig::default()
     };
-    let mut engine = AoaEngine::new(&array, &cfg);
+    // Raw covariance: forward–backward averaging doubles the effective
+    // snapshot count and would let the estimator beat the basic-model
+    // bound we're validating against. The scan stays the production
+    // coarse-to-fine one.
+    let setup = ReferenceSetup {
+        smoothing: Smoothing::None,
+        ..ReferenceSetup::default()
+    };
+    let mut engine = AoaEngine::reference(&array, &cfg, setup);
 
     let mut sq_err = 0.0;
     let mut sum_snr = 0.0;

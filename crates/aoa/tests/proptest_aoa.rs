@@ -1,7 +1,8 @@
 //! Property-based tests for the AoA estimators.
 
 use proptest::prelude::*;
-use sa_aoa::estimator::{estimate, AoaConfig, Method, Smoothing};
+use sa_aoa::beamform::{bartlett_spectrum, capon_spectrum};
+use sa_aoa::estimator::{AoaConfig, AoaEngine, ReferenceSetup, Smoothing};
 use sa_aoa::manifold::ScanSpace;
 use sa_aoa::pseudospectrum::{angle_diff_deg, Pseudospectrum};
 use sa_aoa::source_count::SourceCount;
@@ -88,11 +89,14 @@ proptest! {
         let array = Array::paper_linear(n_ant);
         let x = plane_wave_snapshots(&array, broadside_deg_to_azimuth(theta), 96);
         let cfg = AoaConfig {
-            smoothing: Smoothing::None,
             source_count: SourceCount::Fixed(1),
             ..Default::default()
         };
-        let est = estimate(&x, &array, &cfg);
+        let setup = ReferenceSetup {
+            smoothing: Smoothing::None,
+            ..ReferenceSetup::default()
+        };
+        let est = AoaEngine::reference(&array, &cfg, setup).estimate(&x);
         prop_assert!(
             (est.bearing_deg() - theta).abs() <= 2.0,
             "theta {} -> {}",
@@ -105,7 +109,7 @@ proptest! {
     fn music_finds_single_source_uca(az_deg in 0.0f64..360.0) {
         let array = Array::paper_octagon();
         let x = plane_wave_snapshots(&array, az_deg.to_radians(), 96);
-        let est = estimate(&x, &array, &AoaConfig::default());
+        let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
         prop_assert!(
             angle_diff_deg(est.bearing_deg(), az_deg, true) <= 3.0,
             "az {} -> {}",
@@ -118,15 +122,23 @@ proptest! {
     fn all_methods_agree_on_clean_single_source(az_deg in 5.0f64..355.0) {
         let array = Array::paper_octagon();
         let x = plane_wave_snapshots(&array, az_deg.to_radians(), 128);
-        let mut bearings = Vec::new();
-        for method in [Method::Music, Method::Bartlett, Method::Capon] {
-            let cfg = AoaConfig {
-                method,
-                smoothing: Smoothing::None,
-                ..Default::default()
-            };
-            bearings.push(estimate(&x, &array, &cfg).bearing_deg());
-        }
+        // MUSIC on the engine; the baselines as free functions on the
+        // same analysis covariance (mode space, no smoothing).
+        let setup = ReferenceSetup {
+            smoothing: Smoothing::None,
+            ..ReferenceSetup::default()
+        };
+        let music = AoaEngine::reference(&array, &AoaConfig::default(), setup).estimate(&x);
+        let space = ScanSpace::virtual_ula(&array);
+        let ra = space
+            .modespace()
+            .expect("virtual ULA carries the mode-space transform")
+            .transform_cov(&sa_sigproc::covariance::sample_covariance(&x));
+        let bearings = [
+            music.bearing_deg(),
+            bartlett_spectrum(&ra, &space, 1.0).peak().0,
+            capon_spectrum(&ra, &space, 1.0, 1e-6).peak().0,
+        ];
         for b in &bearings {
             prop_assert!(
                 angle_diff_deg(*b, az_deg, true) <= 6.0,
@@ -141,11 +153,11 @@ proptest! {
     fn spectrum_values_nonnegative_finite(az_deg in 0.0f64..360.0, step in 0.5f64..5.0) {
         let array = Array::paper_octagon();
         let x = plane_wave_snapshots(&array, az_deg.to_radians(), 64);
-        let cfg = AoaConfig {
+        let setup = ReferenceSetup {
             grid_step_deg: step,
-            ..Default::default()
+            ..ReferenceSetup::default()
         };
-        let est = estimate(&x, &array, &cfg);
+        let est = AoaEngine::reference(&array, &AoaConfig::default(), setup).estimate(&x);
         for &v in &est.spectrum.values {
             prop_assert!(v.is_finite() && v >= 0.0);
         }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::{AoaEngine, ScanBackend};
+use sa_aoa::estimator::{AoaEngine, ReferenceSetup, ScanBackend};
 use sa_bench::{capture_circular, capture_linear};
 use secureangle::signature::{AoaSignature, MatchConfig, SignatureTracker};
 
@@ -39,10 +39,14 @@ fn bench_signature_from_spectrum(c: &mut Criterion) {
     let cap = capture_circular(5, 0xF166);
     let ap = &cap.testbed.nodes[0].ap;
     let production = ap.observe(&cap.buffer).expect("observe").estimate.spectrum;
-    let mut oracle = ap.batch_with_engine(AoaEngine::with_scan(
+    let setup = ReferenceSetup {
+        scan: ScanBackend::Exhaustive,
+        ..ReferenceSetup::default()
+    };
+    let mut oracle = ap.batch_with_engine(AoaEngine::reference(
         &ap.config().array,
         &ap.config().aoa,
-        ScanBackend::Exhaustive,
+        setup,
     ));
     let decoded = ap.decode_capture(&cap.buffer).expect("decode");
     oracle

@@ -1,19 +1,20 @@
 //! Microbenches for the AoA estimators: MUSIC vs the Bartlett/Capon
-//! baselines, the mode-space transform, source counting and peak
-//! extraction — the ablation dimensions of experiment E8 measured in
-//! time rather than accuracy.
+//! baselines, the smoothing and scan variants of the reference engine,
+//! the mode-space transform, source counting and peak extraction — the
+//! ablation dimensions of experiment E8 measured in time rather than
+//! accuracy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sa_aoa::estimator::{
-    estimate_from_covariance, AoaConfig, AoaEngine, Method, ScanBackend, Smoothing,
-};
+use sa_aoa::beamform::{bartlett_spectrum, capon_spectrum};
+use sa_aoa::estimator::{AoaConfig, AoaEngine, ReferenceSetup, ScanBackend, Smoothing};
+use sa_aoa::music::music_spectrum;
 use sa_aoa::source_count::SourceCount;
 use sa_aoa::ConfidenceModel;
 use sa_array::geometry::Array;
 use sa_array::modespace::ModeSpace;
 use sa_linalg::complex::C64;
 use sa_linalg::CMat;
-use sa_sigproc::covariance::sample_covariance;
+use sa_sigproc::covariance::{sample_covariance, smooth_fb};
 
 fn two_path_cov(array: &Array) -> CMat {
     let s1 = array.steering(0.8);
@@ -25,28 +26,27 @@ fn two_path_cov(array: &Array) -> CMat {
     sample_covariance(&x)
 }
 
-/// The three spectrum methods one-shot on the full 1° grid: MUSIC runs
-/// the exhaustive oracle scan, as Bartlett and Capon always do, so the
-/// rows compare methods, not scans.
+/// The three spectrum methods on the full 1° grid, each a free function
+/// on the same analysis covariance (the production mode-space,
+/// FB + spatially smoothed one), so the rows compare methods, not scans
+/// or engine setup. MUSIC includes its eigendecomposition, Capon its
+/// covariance inverse.
 fn bench_methods(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
+    let space = AoaEngine::new(&array, &AoaConfig::default())
+        .scan_space()
+        .clone();
+    let ms = space.modespace().expect("octagon scans in mode space");
+    let ra = smooth_fb(&ms.transform_cov(&r), space.len());
     let mut group = c.benchmark_group("aoa_methods_octagon_1deg");
-    for (label, method) in [
-        ("music", Method::Music),
-        ("bartlett", Method::Bartlett),
-        ("capon", Method::Capon),
-    ] {
-        let cfg = AoaConfig {
-            method,
-            ..Default::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                AoaEngine::with_scan(&array, &cfg, ScanBackend::Exhaustive).estimate_cov(&r, 512)
-            })
-        });
-    }
+    group.bench_function("music", |b| b.iter(|| music_spectrum(&ra, &space, 2, 1.0)));
+    group.bench_function("bartlett", |b| {
+        b.iter(|| bartlett_spectrum(&ra, &space, 1.0))
+    });
+    group.bench_function("capon", |b| {
+        b.iter(|| capon_spectrum(&ra, &space, 1.0, 1e-6))
+    });
     group.finish();
 }
 
@@ -57,14 +57,16 @@ fn bench_smoothing_variants(c: &mut Criterion) {
     for (label, smoothing) in [
         ("none", Smoothing::None),
         ("fb", Smoothing::ForwardBackward),
-        ("fb_spatial_auto", Smoothing::FbSpatial { sub_len: 0 }),
+        ("fb_spatial_auto", Smoothing::FbSpatial),
     ] {
-        let cfg = AoaConfig {
+        let setup = ReferenceSetup {
             smoothing,
-            ..Default::default()
+            ..ReferenceSetup::default()
         };
         group.bench_function(label, |b| {
-            b.iter(|| estimate_from_covariance(&r, 512, &array, &cfg))
+            b.iter(|| {
+                AoaEngine::reference(&array, &AoaConfig::default(), setup).estimate_cov(&r, 512)
+            })
         });
     }
     group.finish();
@@ -82,16 +84,16 @@ fn bench_modespace_transform(c: &mut Criterion) {
     });
 }
 
-/// The estimator-layer amortisation: one-shot `estimate_from_covariance`
-/// (rebuilds manifold + steering table + eigen buffers per call) vs a
-/// prebuilt, reused [`AoaEngine`].
+/// The estimator-layer amortisation: a fresh [`AoaEngine`] per call
+/// (rebuilds manifold + steering table + eigen buffers) vs a prebuilt,
+/// reused one.
 fn bench_engine_reuse(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
     let cfg = AoaConfig::default();
     let mut group = c.benchmark_group("aoa_estimator");
     group.bench_function("one_shot", |b| {
-        b.iter(|| estimate_from_covariance(&r, 512, &array, &cfg))
+        b.iter(|| AoaEngine::new(&array, &cfg).estimate_cov(&r, 512))
     });
     let mut engine = AoaEngine::new(&array, &cfg);
     group.bench_function("engine_reuse", |b| b.iter(|| engine.estimate_cov(&r, 512)));
@@ -99,18 +101,22 @@ fn bench_engine_reuse(c: &mut Criterion) {
 }
 
 /// The spectrum-search backends head to head on the production octagon
-/// path, each behind a reused engine built with `AoaEngine::with_scan`
+/// path, each behind a reused engine built with `AoaEngine::reference`
 /// so only the scan differs: the exhaustive 1° oracle vs decimated
 /// coarse-to-fine refinement (the production scan).
 fn bench_scan_backends(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
     let mut group = c.benchmark_group("aoa_backends");
-    for (label, backend) in [
+    for (label, scan) in [
         ("exhaustive", ScanBackend::Exhaustive),
         ("coarse_to_fine", ScanBackend::CoarseToFine),
     ] {
-        let mut engine = AoaEngine::with_scan(&array, &AoaConfig::default(), backend);
+        let setup = ReferenceSetup {
+            scan,
+            ..ReferenceSetup::default()
+        };
+        let mut engine = AoaEngine::reference(&array, &AoaConfig::default(), setup);
         group.bench_function(label, |b| b.iter(|| engine.estimate_cov(&r, 512)));
     }
     group.finish();
@@ -149,7 +155,7 @@ fn bench_source_count(c: &mut Criterion) {
 fn bench_peak_extraction(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
-    let est = estimate_from_covariance(&r, 512, &array, &AoaConfig::default());
+    let est = AoaEngine::new(&array, &AoaConfig::default()).estimate_cov(&r, 512);
     c.bench_function("find_peaks_360deg", |b| {
         b.iter(|| est.spectrum.find_peaks(1.0, 8))
     });

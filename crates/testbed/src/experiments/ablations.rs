@@ -11,15 +11,17 @@
 //!   line-of-sight vs real multipath.
 //!
 //! E8a–E8d ablate the paper's 1° MUSIC scan, so every variant observes
-//! through an engine built on the exhaustive oracle
-//! ([`ScanBackend::Exhaustive`]), not the production coarse-to-fine
-//! scan: bearings stay quantised to the swept grid (E8d) and the
-//! no-smoothing verdicts are made on the full grid (E8b).
+//! through a reference engine ([`AoaEngine::reference`]) on the
+//! exhaustive oracle ([`ScanBackend::Exhaustive`]), not the production
+//! coarse-to-fine scan: bearings stay quantised to the swept grid (E8d)
+//! and the no-smoothing verdicts are made on the full grid (E8b).
 
 use crate::sim::{ApArray, Testbed};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::{AoaConfig, AoaEngine, CircularHandling, ScanBackend, Smoothing};
+use sa_aoa::estimator::{
+    AoaConfig, AoaEngine, CircularHandling, ReferenceSetup, ScanBackend, Smoothing,
+};
 use sa_aoa::pseudospectrum::angle_diff_deg;
 use sa_aoa::source_count::SourceCount;
 use sa_array::calib::Calibration;
@@ -67,38 +69,29 @@ pub fn run(seed: u64, packets: usize) -> AblationResult {
     }
 }
 
-/// Collect bearing errors over `CLIENTS` × packets under a config
-/// transformation applied to the testbed AP.
+/// Collect bearing errors over `CLIENTS` × packets through a variant
+/// engine: `variant` edits the testbed AP's AoA configuration and a
+/// reference setup that starts on the exhaustive oracle.
 fn errors_with(
     seed: u64,
     packets: usize,
     strip_calibration: bool,
-    patch: impl Fn(&mut AoaConfig),
+    variant: impl Fn(&mut AoaConfig, &mut ReferenceSetup),
 ) -> Vec<f64> {
     let mut tb = Testbed::single_ap(ApArray::Circular, seed);
-    // Patch the AoA configuration on the node.
-    {
-        let node = &mut tb.nodes[0];
-        let mut cfg = node.ap.config().clone();
-        patch(&mut cfg.aoa);
-        let acl = std::mem::take(&mut node.ap.acl);
-        let cal = node.ap.calibration().clone();
-        let mut ap = secureangle::pipeline::AccessPoint::new(cfg, acl);
-        if strip_calibration {
-            ap.set_calibration(Calibration::identity(8));
-        } else {
-            ap.set_calibration(cal);
-        }
-        node.ap = ap;
+    if strip_calibration {
+        tb.nodes[0].ap.set_calibration(Calibration::identity(8));
     }
-    // `AccessPoint::observe`, one packet at a time, on the exhaustive
-    // engine; `process` drains the batch, so one batch serves the sweep.
     let ap = &tb.nodes[0].ap;
-    let mut batch = ap.batch_with_engine(AoaEngine::with_scan(
-        &ap.config().array,
-        &ap.config().aoa,
-        ScanBackend::Exhaustive,
-    ));
+    let mut cfg = ap.config().aoa;
+    let mut setup = ReferenceSetup {
+        scan: ScanBackend::Exhaustive,
+        ..ReferenceSetup::default()
+    };
+    variant(&mut cfg, &mut setup);
+    // `AccessPoint::observe`, one packet at a time, on the variant
+    // engine; `process` drains the batch, so one batch serves the sweep.
+    let mut batch = ap.batch_with_engine(AoaEngine::reference(&ap.config().array, &cfg, setup));
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xab1a);
     let mut errors = Vec::new();
     for &id in &CLIENTS {
@@ -130,9 +123,9 @@ fn ablate_calibration(seed: u64, packets: usize) -> Vec<VariantStats> {
     vec![
         stats(
             "calibrated (§2.2)",
-            &errors_with(seed, packets, false, |_| {}),
+            &errors_with(seed, packets, false, |_, _| {}),
         ),
-        stats("uncalibrated", &errors_with(seed, packets, true, |_| {})),
+        stats("uncalibrated", &errors_with(seed, packets, true, |_, _| {})),
     ]
 }
 
@@ -140,25 +133,25 @@ fn ablate_smoothing(seed: u64, packets: usize) -> Vec<VariantStats> {
     vec![
         stats(
             "mode space + FB + spatial (default)",
-            &errors_with(seed, packets, false, |_| {}),
+            &errors_with(seed, packets, false, |_, _| {}),
         ),
         stats(
             "mode space + FB only",
-            &errors_with(seed, packets, false, |c| {
-                c.smoothing = Smoothing::ForwardBackward;
+            &errors_with(seed, packets, false, |_, s| {
+                s.smoothing = Smoothing::ForwardBackward;
             }),
         ),
         stats(
             "mode space, no smoothing",
-            &errors_with(seed, packets, false, |c| {
-                c.smoothing = Smoothing::None;
+            &errors_with(seed, packets, false, |_, s| {
+                s.smoothing = Smoothing::None;
             }),
         ),
         stats(
             "physical circular manifold",
-            &errors_with(seed, packets, false, |c| {
-                c.circular = CircularHandling::Physical;
-                c.smoothing = Smoothing::None;
+            &errors_with(seed, packets, false, |_, s| {
+                s.circular = CircularHandling::Physical;
+                s.smoothing = Smoothing::None;
             }),
         ),
     ]
@@ -168,25 +161,25 @@ fn ablate_source_count(seed: u64, packets: usize) -> Vec<VariantStats> {
     vec![
         stats(
             "MDL (default)",
-            &errors_with(seed, packets, false, |c| {
+            &errors_with(seed, packets, false, |c, _| {
                 c.source_count = SourceCount::Mdl;
             }),
         ),
         stats(
             "AIC",
-            &errors_with(seed, packets, false, |c| {
+            &errors_with(seed, packets, false, |c, _| {
                 c.source_count = SourceCount::Aic;
             }),
         ),
         stats(
             "fixed K=1",
-            &errors_with(seed, packets, false, |c| {
+            &errors_with(seed, packets, false, |c, _| {
                 c.source_count = SourceCount::Fixed(1);
             }),
         ),
         stats(
             "fixed K=3",
-            &errors_with(seed, packets, false, |c| {
+            &errors_with(seed, packets, false, |c, _| {
                 c.source_count = SourceCount::Fixed(3);
             }),
         ),
@@ -199,8 +192,8 @@ fn ablate_grid(seed: u64, packets: usize) -> Vec<VariantStats> {
         .map(|&step| {
             stats(
                 &format!("grid {step} deg"),
-                &errors_with(seed, packets, false, |c| {
-                    c.grid_step_deg = step;
+                &errors_with(seed, packets, false, |_, s| {
+                    s.grid_step_deg = step;
                 }),
             )
         })

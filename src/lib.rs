@@ -30,7 +30,7 @@ pub use secureangle as core;
 
 /// The most commonly-used items across the workspace, in one import.
 pub mod prelude {
-    pub use sa_aoa::estimator::{estimate, AoaConfig, AoaEstimate};
+    pub use sa_aoa::estimator::{AoaConfig, AoaEngine, AoaEstimate};
     pub use sa_aoa::pseudospectrum::{angle_diff_deg, Pseudospectrum};
     pub use sa_array::geometry::Array;
     pub use sa_channel::geom::pt;

@@ -169,7 +169,7 @@ proptest! {
         let x = CMat::from_fn(array.len(), 128, |m, t| {
             steer[m] * sa_linalg::C64::cis(1.3 * t as f64)
         });
-        let est = estimate(&x, &array, &AoaConfig::default());
+        let est = AoaEngine::new(&array, &AoaConfig::default()).estimate(&x);
         prop_assert!(
             angle_diff_deg(est.bearing_deg(), az_deg, true) <= 2.0,
             "az {:.1} -> {:.1}",

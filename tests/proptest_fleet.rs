@@ -56,7 +56,7 @@ proptest! {
     /// the deletion of the decode-shard axis; it is kept so the test id
     /// stays stable.)
     #[test]
-    fn fused_reports_are_byte_identical_across_shard_and_stream_configs(
+    fn fused_reports_are_byte_identical_across_stream_configs(
         seed in 0u64..1_000,
         n_clients in 6usize..=10,
     ) {
