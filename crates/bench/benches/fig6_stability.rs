@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_aoa::estimator::{AoaEngine, ReferenceSetup, ScanBackend};
 use sa_bench::{capture_circular, capture_linear};
-use secureangle::signature::{AoaSignature, MatchConfig, SignatureTracker};
+use secureangle::signature::{AoaSignature, SignatureTracker};
 
 fn signatures() -> (AoaSignature, AoaSignature) {
     let cap0 = capture_linear(5, 8, 0xF166);
@@ -25,10 +25,7 @@ fn signatures() -> (AoaSignature, AoaSignature) {
 
 fn bench_signature_compare(c: &mut Criterion) {
     let (a, b) = signatures();
-    let cfg = MatchConfig::default();
-    c.bench_function("fig6_signature_compare", |bch| {
-        bch.iter(|| a.compare(&b, &cfg))
-    });
+    c.bench_function("fig6_signature_compare", |bch| bch.iter(|| a.compare(&b)));
 }
 
 fn bench_signature_from_spectrum(c: &mut Criterion) {
@@ -70,7 +67,7 @@ fn bench_signature_from_spectrum(c: &mut Criterion) {
 fn bench_tracker_update(c: &mut Criterion) {
     let (a, b) = signatures();
     c.bench_function("fig6_tracker_update", |bch| {
-        let mut tracker = SignatureTracker::new(a.clone(), 0.15);
+        let mut tracker = SignatureTracker::new(a.clone());
         bch.iter(|| tracker.update(&b))
     });
 }

@@ -155,7 +155,14 @@ fn bench_source_count(c: &mut Criterion) {
 fn bench_peak_extraction(c: &mut Criterion) {
     let array = Array::paper_octagon();
     let r = two_path_cov(&array);
-    let est = AoaEngine::new(&array, &AoaConfig::default()).estimate_cov(&r, 512);
+    // The exhaustive scan keeps the spectrum on the full 360-bin grid
+    // the row is named for (the production scan returns 60 coarse bins).
+    let setup = ReferenceSetup {
+        scan: ScanBackend::Exhaustive,
+        ..ReferenceSetup::default()
+    };
+    let est = AoaEngine::reference(&array, &AoaConfig::default(), setup).estimate_cov(&r, 512);
+    assert_eq!(est.spectrum.len(), 360);
     c.bench_function("find_peaks_360deg", |b| {
         b.iter(|| est.spectrum.find_peaks(1.0, 8))
     });

@@ -43,8 +43,6 @@ pub use pipeline::{
     FrameVerdict, Observation, ObserveError, PacketBatch,
 };
 pub use rss::{RssDetector, RssPrint, RssVerdict};
-pub use signature::{AoaSignature, MatchConfig, SignatureMatch, SignatureTracker};
-pub use spoof::{
-    ConsensusConfig, ConsensusVerdict, CrossApConsensus, SpoofConfig, SpoofDetector, SpoofVerdict,
-};
-pub use tracking::{MobilityTracker, TrackerConfig};
+pub use signature::{AoaSignature, SignatureMatch, SignatureTracker};
+pub use spoof::{ConsensusVerdict, CrossApConsensus, SpoofDetector, SpoofVerdict};
+pub use tracking::MobilityTracker;

@@ -52,7 +52,7 @@
 //! ```
 
 use crate::signature::AoaSignature;
-use crate::spoof::{SpoofConfig, SpoofDetector, SpoofVerdict};
+use crate::spoof::{SpoofDetector, SpoofVerdict};
 use sa_aoa::estimator::{AoaConfig, AoaEngine, AoaEstimate};
 use sa_array::calib::Calibration;
 use sa_array::geometry::{Array, ArrayKind};
@@ -78,17 +78,15 @@ pub struct ApConfig {
     pub aoa: AoaConfig,
     /// Modulation the clients use.
     pub modulation: Modulation,
-    /// Spoof-detector configuration.
-    pub spoof: SpoofConfig,
-    /// Containment: once a MAC accumulates this many spoof flags, the
-    /// identity is quarantined — all frames claiming it are dropped
-    /// until an administrator retrains it. (Like 802.11 deauth
-    /// containment, this takes the *claimed identity* offline: the
-    /// legitimate owner must re-authenticate too. That is the intended
-    /// fail-closed tradeoff under an active injection attack.)
-    /// `0` disables containment.
-    pub quarantine_after_flags: usize,
 }
+
+/// Containment: once a MAC accumulates this many spoof flags, the
+/// identity is quarantined — all frames claiming it are dropped until an
+/// administrator retrains it. (Like 802.11 deauth containment, this
+/// takes the *claimed identity* offline: the legitimate owner must
+/// re-authenticate too. That is the intended fail-closed tradeoff under
+/// an active injection attack.)
+pub(crate) const QUARANTINE_AFTER_FLAGS: usize = 10;
 
 impl ApConfig {
     /// The paper's prototype at a position: 8-antenna octagon, MUSIC with
@@ -112,8 +110,6 @@ impl ApConfig {
             orientation: 0.0,
             aoa,
             modulation: Modulation::Qpsk,
-            spoof: SpoofConfig::default(),
-            quarantine_after_flags: 10,
         }
     }
 }
@@ -348,12 +344,11 @@ impl AccessPoint {
     /// [`AccessPoint::calibrate`] before first use on a real front end).
     pub fn new(cfg: ApConfig, acl: AccessControlList) -> Self {
         let n = cfg.array.len();
-        let spoof = SpoofDetector::new(cfg.spoof);
         Self {
             cfg,
             calibration: Calibration::identity(n),
             acl,
-            spoof,
+            spoof: SpoofDetector::new(),
             quarantined: std::collections::HashSet::new(),
         }
     }
@@ -555,9 +550,7 @@ impl AccessPoint {
         }
         match self.spoof.check(frame.src, &obs.signature) {
             SpoofVerdict::Spoof { score } => {
-                if self.cfg.quarantine_after_flags > 0
-                    && self.spoof.flag_count(&frame.src) >= self.cfg.quarantine_after_flags
-                {
+                if self.spoof.flag_count(&frame.src) >= QUARANTINE_AFTER_FLAGS {
                     self.quarantined.insert(frame.src);
                 }
                 FrameVerdict::Drop(DropReason::SpoofSuspected { score })
@@ -993,9 +986,8 @@ mod tests {
         ap.train_client(victim_mac, &obs);
 
         // Hammer with spoofed frames until quarantine engages.
-        let threshold = ap.config().quarantine_after_flags;
         let mut saw_quarantine = false;
-        for i in 0..threshold + 3 {
+        for i in 0..QUARANTINE_AFTER_FLAGS + 3 {
             let buf = capture(&ap, &plan, attacker_pos, &frame, &fe, 40 + i as u64);
             let (_, verdict) = ap.receive(&buf).expect("attack frame");
             match verdict {

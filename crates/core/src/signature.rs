@@ -14,7 +14,7 @@
 //!
 //! ```
 //! use sa_aoa::pseudospectrum::{angle_diff_deg, Pseudospectrum};
-//! use secureangle::signature::{AoaSignature, MatchConfig};
+//! use secureangle::signature::AoaSignature;
 //!
 //! // A synthetic spectrum: direct path at 120°, reflection at 250°.
 //! let bump = |centers: &[(f64, f64)]| {
@@ -38,12 +38,11 @@
 //! assert_eq!(trained.bearing_deg(), 120.0);
 //!
 //! // The same client re-measured (slight drift) scores high…
-//! let cfg = MatchConfig::default();
 //! let again = bump(&[(121.0, 0.95), (251.0, 0.45)]);
-//! assert!(trained.compare(&again, &cfg).score > 0.8);
+//! assert!(trained.compare(&again).score > 0.8);
 //! // …an attacker across the room does not.
 //! let attacker = bump(&[(310.0, 1.0), (40.0, 0.5)]);
-//! assert!(trained.compare(&attacker, &cfg).score < 0.45);
+//! assert!(trained.compare(&attacker).score < 0.45);
 //! ```
 
 use sa_aoa::pseudospectrum::{angle_diff_deg, Peak, Pseudospectrum};
@@ -81,38 +80,22 @@ pub struct SignatureMatch {
     pub score: f64,
 }
 
-/// Weights and scales for the combined match score.
-#[derive(Debug, Clone, Copy)]
-pub struct MatchConfig {
-    /// Weight of the cosine component.
-    pub w_cosine: f64,
-    /// Weight of the dB-shape component.
-    pub w_db: f64,
-    /// Weight of the peak component.
-    pub w_peaks: f64,
-    /// RMS-dB scale (dB) for the `db_shape` exponential.
-    pub db_scale: f64,
-    /// Angular scale (degrees) for peak matching.
-    pub peak_scale_deg: f64,
-    /// Number of strongest peaks compared.
-    pub max_peaks: usize,
-    /// Minimum peak prominence considered, dB.
-    pub min_prominence_db: f64,
-}
+// Weights and scales of the combined match score.
 
-impl Default for MatchConfig {
-    fn default() -> Self {
-        Self {
-            w_cosine: 0.45,
-            w_db: 0.25,
-            w_peaks: 0.30,
-            db_scale: 6.0,
-            peak_scale_deg: 10.0,
-            max_peaks: 5,
-            min_prominence_db: 1.5,
-        }
-    }
-}
+/// Weight of the cosine component.
+const W_COSINE: f64 = 0.45;
+/// Weight of the dB-shape component.
+const W_DB: f64 = 0.25;
+/// Weight of the peak component.
+const W_PEAKS: f64 = 0.30;
+/// RMS-dB scale (dB) for the `db_shape` exponential.
+const DB_SCALE: f64 = 6.0;
+/// Angular scale (degrees) for peak matching.
+const PEAK_SCALE_DEG: f64 = 10.0;
+/// Number of strongest peaks compared.
+const MAX_PEAKS: usize = 5;
+/// Minimum peak prominence considered, dB.
+const MIN_PROMINENCE_DB: f64 = 1.5;
 
 impl AoaSignature {
     /// Build a signature from a pseudospectrum: Gaussian angular
@@ -145,9 +128,8 @@ impl AoaSignature {
     }
 
     /// The signature's peak constellation.
-    pub fn peaks(&self, cfg: &MatchConfig) -> Vec<Peak> {
-        self.spectrum
-            .find_peaks(cfg.min_prominence_db, cfg.max_peaks)
+    pub fn peaks(&self) -> Vec<Peak> {
+        self.spectrum.find_peaks(MIN_PROMINENCE_DB, MAX_PEAKS)
     }
 
     /// Compare against another signature on the same grid.
@@ -155,7 +137,7 @@ impl AoaSignature {
     /// Panics if the spectra are on different angular domains (an AP
     /// always compares its own captures, so grids match by
     /// construction).
-    pub fn compare(&self, other: &AoaSignature, cfg: &MatchConfig) -> SignatureMatch {
+    pub fn compare(&self, other: &AoaSignature) -> SignatureMatch {
         let a = &self.spectrum;
         let b = &other.spectrum;
         assert_eq!(
@@ -185,19 +167,19 @@ impl AoaSignature {
             .sum::<f64>()
             / da.len() as f64)
             .sqrt();
-        let db_shape = (-rms / cfg.db_scale).exp();
+        let db_shape = (-rms / DB_SCALE).exp();
 
         // Peak-constellation agreement: greedy nearest matching,
         // symmetrised (greedy assignment is directional; averaging both
         // directions makes compare(a,b) == compare(b,a)).
-        let pa = self.peaks(cfg);
-        let pb = other.peaks(cfg);
+        let pa = self.peaks();
+        let pb = other.peaks();
         let peaks = 0.5
-            * (peak_agreement(&pa, &pb, a.wraps, cfg.peak_scale_deg)
-                + peak_agreement(&pb, &pa, a.wraps, cfg.peak_scale_deg));
+            * (peak_agreement(&pa, &pb, a.wraps, PEAK_SCALE_DEG)
+                + peak_agreement(&pb, &pa, a.wraps, PEAK_SCALE_DEG));
 
-        let wsum = cfg.w_cosine + cfg.w_db + cfg.w_peaks;
-        let score = (cfg.w_cosine * cosine + cfg.w_db * db_shape + cfg.w_peaks * peaks) / wsum;
+        let wsum = W_COSINE + W_DB + W_PEAKS;
+        let score = (W_COSINE * cosine + W_DB * db_shape + W_PEAKS * peaks) / wsum;
         SignatureMatch {
             cosine,
             db_shape,
@@ -322,6 +304,11 @@ fn peak_agreement(a: &[Peak], b: &[Peak], wraps: bool, scale_deg: f64) -> f64 {
     }
 }
 
+/// EWMA weight of a new matching observation in [`SignatureTracker::update`].
+pub(crate) const TRACK_ALPHA: f64 = 0.15;
+
+const _: () = assert!(0.0 <= TRACK_ALPHA && TRACK_ALPHA <= 1.0);
+
 /// Exponentially-weighted running signature with match-gated updates.
 ///
 /// "Since `S_cl` changes when the client or nearby obstacles move, the AP
@@ -332,19 +319,15 @@ fn peak_agreement(a: &[Peak], b: &[Peak], wraps: bool, scale_deg: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct SignatureTracker {
     current: AoaSignature,
-    /// EWMA weight of a new matching observation.
-    pub alpha: f64,
     /// Number of observations absorbed (including the initial one).
     pub updates: usize,
 }
 
 impl SignatureTracker {
     /// Start tracking from an initial (training) signature.
-    pub fn new(initial: AoaSignature, alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
+    pub fn new(initial: AoaSignature) -> Self {
         Self {
             current: initial,
-            alpha,
             updates: 1,
         }
     }
@@ -354,14 +337,14 @@ impl SignatureTracker {
         &self.current
     }
 
-    /// Absorb a new matching observation.
+    /// Absorb a new matching observation with the fixed EWMA weight
+    /// `TRACK_ALPHA`.
     ///
     /// The blend uses [`AoaSignature::from_spectrum_raw`]: both operands
     /// were already angularly smoothed when constructed, and re-smoothing
     /// on every update would progressively blur the profile into a flat
     /// mush over a client's lifetime.
     pub fn update(&mut self, observed: &AoaSignature) {
-        let a = self.alpha;
         let cur = &self.current.spectrum;
         let new = observed.spectrum();
         assert_eq!(cur.angles_deg.len(), new.angles_deg.len());
@@ -369,7 +352,7 @@ impl SignatureTracker {
             .values
             .iter()
             .zip(&new.values)
-            .map(|(o, n)| (1.0 - a) * o + a * n)
+            .map(|(o, n)| (1.0 - TRACK_ALPHA) * o + TRACK_ALPHA * n)
             .collect();
         let spec = Pseudospectrum::new(cur.angles_deg.clone(), values, cur.wraps);
         self.current = AoaSignature::from_spectrum_raw(&spec);
@@ -487,7 +470,7 @@ mod tests {
     #[test]
     fn self_comparison_is_perfect() {
         let s = bump(&[(100.0, 1.0), (220.0, 0.4)]);
-        let m = s.compare(&s, &MatchConfig::default());
+        let m = s.compare(&s);
         assert!((m.cosine - 1.0).abs() < 1e-12);
         assert!((m.db_shape - 1.0).abs() < 1e-12);
         assert!((m.peaks - 1.0).abs() < 1e-9);
@@ -498,7 +481,7 @@ mod tests {
     fn similar_signatures_score_high() {
         let a = bump(&[(100.0, 1.0), (220.0, 0.4)]);
         let b = bump(&[(101.5, 0.95), (221.0, 0.45)]); // slight drift
-        let m = a.compare(&b, &MatchConfig::default());
+        let m = a.compare(&b);
         assert!(m.score > 0.8, "score {}", m.score);
     }
 
@@ -506,7 +489,7 @@ mod tests {
     fn different_locations_score_low() {
         let a = bump(&[(100.0, 1.0), (220.0, 0.4)]);
         let b = bump(&[(310.0, 1.0), (40.0, 0.5)]);
-        let m = a.compare(&b, &MatchConfig::default());
+        let m = a.compare(&b);
         assert!(m.score < 0.45, "score {}", m.score);
     }
 
@@ -516,8 +499,8 @@ mod tests {
         // reflections — the paper's key hardness argument.
         let legit = bump(&[(100.0, 1.0), (220.0, 0.5), (320.0, 0.35)]);
         let forged = bump(&[(100.0, 1.0), (150.0, 0.5), (30.0, 0.35)]);
-        let self_m = legit.compare(&legit, &MatchConfig::default());
-        let forged_m = legit.compare(&forged, &MatchConfig::default());
+        let self_m = legit.compare(&legit);
+        let forged_m = legit.compare(&forged);
         assert!(
             self_m.score - forged_m.score > 0.2,
             "forged {} vs self {}",
@@ -536,7 +519,7 @@ mod tests {
     fn peak_agreement_wraps() {
         let a = bump(&[(1.0, 1.0)]);
         let b = bump(&[(359.0, 1.0)]);
-        let m = a.compare(&b, &MatchConfig::default());
+        let m = a.compare(&b);
         assert!(m.peaks > 0.7, "wrap-aware peak agreement {}", m.peaks);
     }
 
@@ -544,29 +527,26 @@ mod tests {
     fn tracker_converges_towards_new_shape() {
         let start = bump(&[(100.0, 1.0)]);
         let target = bump(&[(120.0, 1.0)]);
-        let mut tracker = SignatureTracker::new(start, 0.3);
-        for _ in 0..30 {
+        let mut tracker = SignatureTracker::new(start);
+        // (1 − TRACK_ALPHA)^70 ≈ 1e-5 of the start shape remains.
+        for _ in 0..70 {
             tracker.update(&target);
         }
-        let m = tracker
-            .signature()
-            .compare(&target, &MatchConfig::default());
+        let m = tracker.signature().compare(&target);
         assert!(m.score > 0.95, "converged score {}", m.score);
-        assert_eq!(tracker.updates, 31);
+        assert_eq!(tracker.updates, 71);
     }
 
     #[test]
     fn tracker_smooths_outliers() {
         let base = bump(&[(100.0, 1.0)]);
         let outlier = bump(&[(300.0, 1.0)]);
-        let mut tracker = SignatureTracker::new(base.clone(), 0.1);
+        let mut tracker = SignatureTracker::new(base.clone());
         tracker.update(&outlier);
-        // One outlier at α=0.1 must not drag the signature away: it must
-        // stay far closer to the base than to the outlier.
-        let to_base = tracker.signature().compare(&base, &MatchConfig::default());
-        let to_outlier = tracker
-            .signature()
-            .compare(&outlier, &MatchConfig::default());
+        // One outlier at α = TRACK_ALPHA must not drag the signature
+        // away: it must stay far closer to the base than to the outlier.
+        let to_base = tracker.signature().compare(&base);
+        let to_outlier = tracker.signature().compare(&outlier);
         assert!(to_base.score > 0.7, "score after outlier {}", to_base.score);
         assert!(
             to_base.score > to_outlier.score + 0.1,
@@ -583,12 +563,6 @@ mod tests {
         let angles: Vec<f64> = (0..180).map(|i| 2.0 * i as f64).collect();
         let vals = vec![1.0; 180];
         let b = AoaSignature::from_spectrum(&Pseudospectrum::new(angles, vals, true));
-        let _ = a.compare(&b, &MatchConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn tracker_rejects_bad_alpha() {
-        let _ = SignatureTracker::new(bump(&[(0.0, 1.0)]), 1.5);
+        let _ = a.compare(&b);
     }
 }

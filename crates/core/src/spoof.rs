@@ -14,7 +14,7 @@
 //! the profile toward their own position).
 
 use crate::localize::Fix;
-use crate::signature::{AoaSignature, MatchConfig, SignatureTracker};
+use crate::signature::{AoaSignature, SignatureTracker};
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use std::collections::HashMap;
@@ -43,69 +43,42 @@ impl SpoofVerdict {
     }
 }
 
-/// Detector configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SpoofConfig {
-    /// Scores at or above this admit the frame; below flags it.
-    /// Calibrated by experiment E5 (score distributions of legitimate
-    /// re-measurements vs attackers; `sa_testbed::experiments::spoofing`,
-    /// regenerated by the `experiments` binary in `sa-bench`).
-    pub threshold: f64,
-    /// EWMA weight for tracker updates on matching frames.
-    pub track_alpha: f64,
-    /// Signature comparison parameters.
-    pub match_config: MatchConfig,
-}
-
-impl Default for SpoofConfig {
-    fn default() -> Self {
-        Self {
-            // Calibrated on experiment E5's score distributions under
-            // realistic session churn: legitimate re-measurements score
-            // median ≈ 0.76 (5th percentile ≈ 0.36), attackers median
-            // ≈ 0.07 (95th percentile ≈ 0.35), EER ≈ 5% at 0.35. The
-            // default sits just above the EER point, trading a couple of
-            // points of detection for fewer false alarms; deployments
-            // that alert on k-of-n flags can push it higher.
-            threshold: 0.40,
-            track_alpha: 0.15,
-            match_config: MatchConfig::default(),
-        }
-    }
-}
+/// Scores at or above this admit the frame; below flags it.
+///
+/// Calibrated by experiment E5 (`sa_testbed::experiments::spoofing`,
+/// regenerated by `experiments spoofing` in `sa-bench`) on the 60-bin
+/// coarse-scan signature under realistic session churn: legitimate
+/// re-measurements score median ≈ 0.77 (5th percentile ≈ 0.29),
+/// attackers median ≈ 0.07 (95th percentile ≈ 0.35). At 0.40 the
+/// detector raises false alarms on 10.5% of legitimate frames and
+/// catches 95.0–97.1% of attack frames per attacker gear; the pooled
+/// equal-error rate is 6.1% at 0.306. The threshold sits above the EER
+/// point, so single flags are evidence rather than verdicts: alert on
+/// k-of-n flags ([`SpoofDetector::flag_count`]). The full E5 table is in
+/// `docs/BENCHMARKS.md`.
+pub const SPOOF_THRESHOLD: f64 = 0.40;
 
 /// Per-AP spoofing detector: MAC → tracked signature.
 ///
 /// Each AP owns its detector outright (a deployment runs one AP per
 /// worker thread), so client state is two plain maps with one writer.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SpoofDetector {
-    cfg: SpoofConfig,
     profiles: HashMap<MacAddr, SignatureTracker>,
     flags: HashMap<MacAddr, usize>,
 }
 
 impl SpoofDetector {
     /// New detector with no trained clients.
-    pub fn new(cfg: SpoofConfig) -> Self {
-        Self {
-            cfg,
-            profiles: HashMap::new(),
-            flags: HashMap::new(),
-        }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &SpoofConfig {
-        &self.cfg
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Train (or retrain) the profile for a MAC from a signature captured
     /// during authentication — the paper's "initial training stage".
     /// Clears the MAC's flags.
     pub fn train(&mut self, mac: MacAddr, signature: AoaSignature) {
-        self.profiles
-            .insert(mac, SignatureTracker::new(signature, self.cfg.track_alpha));
+        self.profiles.insert(mac, SignatureTracker::new(signature));
         self.flags.remove(&mac);
     }
 
@@ -137,11 +110,8 @@ impl SpoofDetector {
         let Some(tracker) = self.profiles.get_mut(&mac) else {
             return SpoofVerdict::Untrained;
         };
-        let score = tracker
-            .signature()
-            .compare(observed, &self.cfg.match_config)
-            .score;
-        if score >= self.cfg.threshold {
+        let score = tracker.signature().compare(observed).score;
+        if score >= SPOOF_THRESHOLD {
             tracker.update(observed);
             SpoofVerdict::Match { score }
         } else {
@@ -151,54 +121,44 @@ impl SpoofDetector {
     }
 }
 
-/// Cross-AP consensus configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ConsensusConfig {
-    /// Minimum number of AP bearings a fix must fuse before consensus
-    /// has an opinion.
-    pub min_aps: usize,
-    /// A fused fix farther than this from the client's reference
-    /// position is flagged, meters.
-    pub max_displacement_m: f64,
-    /// A fused fix whose bearing lines disagree by more than this RMS
-    /// perpendicular distance is flagged, meters ("those false positive
-    /// AoAs obtained from different APs may not intersect with each
-    /// other", §3.1).
-    pub max_residual_m: f64,
-    /// Extra displacement allowance per *missing* AP when a window is
-    /// partial (fewer bearings than the deployment expects — lost
-    /// reports, skew rejections, churn), meters. A fix fused from fewer
-    /// bearings is geometrically noisier, so
-    /// [`CrossApConsensus::check_degraded`] relaxes the displacement
-    /// gate by `partial_slack_m × (expected − contributed)` instead of
-    /// spraying false spoof flags through every degraded window. The
-    /// full-quorum threshold is unchanged.
-    pub partial_slack_m: f64,
-}
+// Cross-AP consensus thresholds.
 
-impl Default for ConsensusConfig {
-    fn default() -> Self {
-        Self {
-            min_aps: 2,
-            // Fused fixes scatter by well under a meter for legitimate
-            // line-of-sight clients (multi-AP LS intersection); 2 m
-            // keeps headroom for through-wall bearing bias while still
-            // catching any attacker more than a desk away. Heavily
-            // shadowed clients (e.g. the office's pillar-blocked
-            // client 11) can exceed it on occasional windows, so —
-            // exactly like the per-AP signature threshold — treat
-            // single flags as evidence and alert on k-of-n
-            // ([`CrossApConsensus::flag_count`] accumulates them).
-            max_displacement_m: 2.0,
-            max_residual_m: 2.5,
-            // Half a meter per missing AP: a 4-AP deployment down to
-            // the 2-bearing minimum gets 3 m of displacement headroom —
-            // still well inside the multi-meter displacement a same-MAC
-            // attacker produces.
-            partial_slack_m: 0.5,
-        }
-    }
-}
+/// Distinct AP bearings a fused fix needs: consensus has no opinion on
+/// a fix from fewer, and deployment fusion does not attempt one. Two
+/// bearings are the geometric minimum of an intersection.
+pub const MIN_FIX_APS: usize = 2;
+
+/// A fused fix farther than this from the client's reference position
+/// is flagged, meters.
+///
+/// Fused fixes scatter by well under a meter for legitimate
+/// line-of-sight clients (multi-AP LS intersection); 2 m keeps headroom
+/// for through-wall bearing bias while still catching any attacker more
+/// than a desk away. Heavily shadowed clients (e.g. the office's
+/// pillar-blocked client 11) can exceed it on occasional windows, so —
+/// exactly like the per-AP signature threshold — treat single flags as
+/// evidence and alert on k-of-n ([`CrossApConsensus::flag_count`]
+/// accumulates them).
+pub(crate) const MAX_DISPLACEMENT_M: f64 = 2.0;
+
+/// A fused fix whose bearing lines disagree by more than this RMS
+/// perpendicular distance is flagged, meters ("those false positive
+/// AoAs obtained from different APs may not intersect with each other",
+/// §3.1).
+pub const MAX_RESIDUAL_M: f64 = 2.5;
+
+/// Extra displacement allowance per *missing* AP when a window is
+/// partial (fewer bearings than the deployment expects — lost reports,
+/// skew rejections, churn), meters. A fix fused from fewer bearings is
+/// geometrically noisier, so [`CrossApConsensus::check_degraded`]
+/// relaxes the displacement gate by `PARTIAL_SLACK_M × (expected −
+/// contributed)` instead of spraying false spoof flags through every
+/// degraded window. The full-quorum threshold is unchanged.
+///
+/// Half a meter per missing AP: a 4-AP deployment down to the 2-bearing
+/// minimum gets 3 m of displacement headroom — still well inside the
+/// multi-meter displacement a same-MAC attacker produces.
+pub(crate) const PARTIAL_SLACK_M: f64 = 0.5;
 
 /// Consensus verdict for one fused fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,7 +178,7 @@ pub enum ConsensusVerdict {
     },
     /// No reference position is trained for this MAC.
     Untrained,
-    /// Fewer than [`ConsensusConfig::min_aps`] bearings contributed.
+    /// Fewer than [`MIN_FIX_APS`] bearings contributed.
     Insufficient,
 }
 
@@ -259,7 +219,6 @@ impl ConsensusVerdict {
 /// [`SpoofDetector`] can.
 #[derive(Debug, Default)]
 pub struct CrossApConsensus {
-    cfg: ConsensusConfig,
     refs: HashMap<MacAddr, Point>,
     flags: HashMap<MacAddr, usize>,
     rebaselines: u64,
@@ -267,18 +226,8 @@ pub struct CrossApConsensus {
 
 impl CrossApConsensus {
     /// New detector.
-    pub fn new(cfg: ConsensusConfig) -> Self {
-        Self {
-            cfg,
-            refs: HashMap::new(),
-            flags: HashMap::new(),
-            rebaselines: 0,
-        }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &ConsensusConfig {
-        &self.cfg
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Train (or move) the reference position for a MAC — normally the
@@ -337,7 +286,7 @@ impl CrossApConsensus {
     /// [`CrossApConsensus::check`] for a *partial* window: `n_bearings`
     /// distinct APs contributed out of the `expected_aps` the deployment
     /// currently fields. Each missing AP relaxes the displacement gate
-    /// by [`ConsensusConfig::partial_slack_m`]; the residual and
+    /// by `PARTIAL_SLACK_M`; the residual and
     /// behind-AP gates are unchanged (fewer bearings make the residual
     /// easier to satisfy, not harder). With `n_bearings == expected_aps`
     /// this is exactly [`CrossApConsensus::check`].
@@ -348,17 +297,17 @@ impl CrossApConsensus {
         n_bearings: usize,
         expected_aps: usize,
     ) -> ConsensusVerdict {
-        if n_bearings < self.cfg.min_aps {
+        if n_bearings < MIN_FIX_APS {
             return ConsensusVerdict::Insufficient;
         }
         let Some(reference) = self.refs.get(&mac) else {
             return ConsensusVerdict::Untrained;
         };
         let missing = expected_aps.saturating_sub(n_bearings) as f64;
-        let allowed_displacement = self.cfg.max_displacement_m + self.cfg.partial_slack_m * missing;
+        let allowed_displacement = MAX_DISPLACEMENT_M + PARTIAL_SLACK_M * missing;
         let displacement_m = reference.dist(fix.position);
         if displacement_m > allowed_displacement
-            || fix.residual_m > self.cfg.max_residual_m
+            || fix.residual_m > MAX_RESIDUAL_M
             || fix.behind_count > 0
         {
             *self.flags.entry(mac).or_insert(0) += 1;
@@ -418,7 +367,7 @@ mod tests {
 
     #[test]
     fn untrained_mac_reports_untrained() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         let v = det.check(mac(1), &bump(&[(10.0, 1.0)]));
         assert_eq!(v, SpoofVerdict::Untrained);
         assert!(!det.is_trained(&mac(1)));
@@ -430,7 +379,7 @@ mod tests {
 
     #[test]
     fn train_then_profile_roundtrip() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         assert!(det.is_trained(&mac(1)));
         assert_eq!(det.trained_count(), 1);
@@ -452,7 +401,7 @@ mod tests {
 
     #[test]
     fn check_folds_matches_and_flags_misses() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(3), bump(&[(90.0, 1.0)]));
         let spectrum = |det: &SpoofDetector| {
             det.profile(&mac(3))
@@ -481,7 +430,7 @@ mod tests {
 
     #[test]
     fn flags_follow_their_mac() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(7), bump(&[(100.0, 1.0)]));
         det.train(mac(8), bump(&[(300.0, 1.0)]));
         assert!(det.check(mac(7), &bump(&[(300.0, 1.0)])).is_spoof());
@@ -492,7 +441,7 @@ mod tests {
 
     #[test]
     fn legitimate_remeasurement_matches() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0), (220.0, 0.4)]));
         let v = det.check(mac(1), &bump(&[(101.0, 0.97), (221.0, 0.42)]));
         match v {
@@ -504,7 +453,7 @@ mod tests {
 
     #[test]
     fn attacker_elsewhere_is_flagged() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0), (220.0, 0.4)]));
         let v = det.check(mac(1), &bump(&[(290.0, 1.0), (30.0, 0.5)]));
         assert!(v.is_spoof(), "verdict {:?}", v);
@@ -513,7 +462,7 @@ mod tests {
 
     #[test]
     fn matching_frames_update_profile_but_spoofs_do_not() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         // Attacker hammers from 300°: profile must not drift there.
         for _ in 0..50 {
@@ -533,7 +482,7 @@ mod tests {
     fn profile_follows_slow_drift() {
         // Client's environment drifts slowly; each step still matches,
         // and the tracker follows.
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         for step in 1..=10 {
             let c = 100.0 + step as f64; // 1°/frame drift
@@ -551,7 +500,7 @@ mod tests {
 
     #[test]
     fn retrain_clears_flags() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         let _ = det.check(mac(1), &bump(&[(300.0, 1.0)]));
         assert_eq!(det.flag_count(&mac(1)), 1);
@@ -569,7 +518,7 @@ mod tests {
 
     #[test]
     fn consensus_untrained_and_insufficient() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         assert_eq!(
             c.check(mac(1), &fix_at(0.0, 0.0, 0.1, 0), 1),
             ConsensusVerdict::Insufficient
@@ -583,7 +532,7 @@ mod tests {
 
     #[test]
     fn consensus_consistent_fix_passes() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         let v = c.check(mac(1), &fix_at(5.4, 4.8, 0.3, 0), 3);
         match v {
@@ -597,7 +546,7 @@ mod tests {
 
     #[test]
     fn consensus_flags_displaced_fix() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         let v = c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3);
         assert!(v.is_spoof(), "verdict {:?}", v);
@@ -612,7 +561,7 @@ mod tests {
 
     #[test]
     fn consensus_flags_high_residual_and_behind_fixes() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         // Near the reference, but the bearing lines barely intersect:
         // the §3.1 false-positive signature.
@@ -623,8 +572,7 @@ mod tests {
 
     #[test]
     fn degraded_check_relaxes_displacement_per_missing_ap() {
-        let cfg = ConsensusConfig::default();
-        let mut c = CrossApConsensus::new(cfg);
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         // 2.8 m displacement: over the 2.0 m full-quorum gate, inside
         // the 2 + 2×0.5 = 3.0 m gate of a 2-of-4 partial window.
@@ -654,7 +602,7 @@ mod tests {
 
     #[test]
     fn rebaseline_clears_references_but_keeps_flags() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         c.train(mac(2), pt(9.0, 2.0));
         assert!(c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3).is_spoof());
@@ -675,7 +623,7 @@ mod tests {
 
     #[test]
     fn per_mac_isolation() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         det.train(mac(2), bump(&[(250.0, 1.0)]));
         assert!(matches!(

@@ -12,29 +12,17 @@
 
 use sa_channel::geom::{pt, Point};
 
-/// Tracker gains and timing.
-#[derive(Debug, Clone, Copy)]
-pub struct TrackerConfig {
-    /// Position gain α ∈ (0, 1]: how much of each fix's innovation is
-    /// absorbed.
-    pub alpha: f64,
-    /// Velocity gain β ∈ (0, α]: how fast velocity follows.
-    pub beta: f64,
-    /// Maximum believable speed, m/s; innovations implying more are
-    /// treated as outlier fixes (a false-positive AoA intersection) and
-    /// only lightly absorbed.
-    pub max_speed: f64,
-}
+/// Position gain α ∈ (0, 1]: how much of each fix's innovation is
+/// absorbed.
+const ALPHA: f64 = 0.5;
+/// Velocity gain β ∈ (0, α]: how fast velocity follows.
+const BETA: f64 = 0.2;
+/// Maximum believable speed, m/s — brisk indoor walking, with margin;
+/// innovations implying more are treated as outlier fixes (a
+/// false-positive AoA intersection) and only lightly absorbed.
+const MAX_SPEED: f64 = 3.0;
 
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.5,
-            beta: 0.2,
-            max_speed: 3.0, // brisk indoor walking, with margin
-        }
-    }
-}
+const _: () = assert!(0.0 < ALPHA && ALPHA <= 1.0 && 0.0 < BETA && BETA <= ALPHA);
 
 /// One smoothed track point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,18 +36,15 @@ pub struct TrackPoint {
 }
 
 /// An α–β tracker over localization fixes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MobilityTracker {
-    cfg: TrackerConfig,
     state: Option<TrackPoint>,
 }
 
 impl MobilityTracker {
     /// New tracker.
-    pub fn new(cfg: TrackerConfig) -> Self {
-        assert!(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "alpha in (0,1]");
-        assert!(cfg.beta > 0.0 && cfg.beta <= cfg.alpha, "beta in (0,alpha]");
-        Self { cfg, state: None }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The current state, if any fix has been absorbed.
@@ -103,7 +88,7 @@ impl MobilityTracker {
                 let mut ix = fix.x - px;
                 let mut iy = fix.y - py;
                 let jump = ix.hypot(iy);
-                let limit = self.cfg.max_speed * dt + 1.0;
+                let limit = MAX_SPEED * dt + 1.0;
                 let outlier = jump > limit;
                 if outlier {
                     let scale = limit / jump;
@@ -111,15 +96,12 @@ impl MobilityTracker {
                     iy *= scale;
                 }
                 let velocity = if dt > 0.0 {
-                    (
-                        s.velocity.0 + self.cfg.beta * ix / dt,
-                        s.velocity.1 + self.cfg.beta * iy / dt,
-                    )
+                    (s.velocity.0 + BETA * ix / dt, s.velocity.1 + BETA * iy / dt)
                 } else {
                     s.velocity
                 };
                 TrackPoint {
-                    position: pt(px + self.cfg.alpha * ix, py + self.cfg.alpha * iy),
+                    position: pt(px + ALPHA * ix, py + ALPHA * iy),
                     velocity,
                     outlier,
                 }
@@ -141,7 +123,7 @@ mod tests {
 
     #[test]
     fn first_fix_initialises() {
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         assert!(t.state().is_none());
         let s = t.update(pt(3.0, 4.0), 0.0);
         assert_eq!(s.position, pt(3.0, 4.0));
@@ -151,7 +133,7 @@ mod tests {
 
     #[test]
     fn converges_to_stationary_target_under_noise() {
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         let target = pt(5.0, 5.0);
         // Deterministic "noise" pattern around the target.
         let offsets = [0.4, -0.3, 0.2, -0.4, 0.3, -0.2, 0.1, -0.1];
@@ -170,7 +152,7 @@ mod tests {
 
     #[test]
     fn follows_constant_velocity_and_predicts() {
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         // Walk +x at 1 m/s, one fix per second.
         for k in 0..30 {
             t.update(pt(k as f64, 2.0), 1.0);
@@ -184,7 +166,7 @@ mod tests {
 
     #[test]
     fn outlier_fix_is_clamped() {
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         t.update(pt(0.0, 0.0), 0.0);
         t.update(pt(0.2, 0.0), 1.0);
         // A bogus fix 40 m away, 0.5 s later: cannot be real motion.
@@ -202,7 +184,7 @@ mod tests {
         // Two APs' windows can close simultaneously: the second fix
         // arrives with dt == 0 and must not panic, spike the velocity,
         // or trip the outlier gate for a nearby fix.
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         t.update(pt(0.0, 0.0), 0.0);
         t.update(pt(1.0, 0.0), 1.0);
         let v_before = t.state().unwrap().velocity;
@@ -218,7 +200,7 @@ mod tests {
     fn negative_dt_is_clamped_to_position_only() {
         // An out-of-order window (earlier timestamp than the last fix)
         // behaves exactly like dt == 0.
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         t.update(pt(0.0, 0.0), 0.0);
         t.update(pt(1.0, 0.0), 1.0);
         let v_before = t.state().unwrap().velocity;
@@ -238,20 +220,10 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut t = MobilityTracker::new(TrackerConfig::default());
+        let mut t = MobilityTracker::new();
         t.update(pt(1.0, 1.0), 0.0);
         t.reset();
         assert!(t.state().is_none());
         assert!(t.predict(1.0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn rejects_bad_gains() {
-        let _ = MobilityTracker::new(TrackerConfig {
-            alpha: 1.5,
-            beta: 0.1,
-            max_speed: 3.0,
-        });
     }
 }

@@ -3,8 +3,6 @@
 use crate::faults::FaultPlan;
 use crate::health::HealthConfig;
 use sa_telemetry::TelemetryConfig;
-use secureangle::spoof::ConsensusConfig;
-use secureangle::tracking::TrackerConfig;
 
 /// Per-AP clock skew model: how an AP's *local* window and sequence
 /// labels relate to the coordinator's global ones. Real APs free-run on
@@ -104,16 +102,17 @@ impl Default for LinkConfig {
 /// The default is a clean, synchronized deployment (reliable report
 /// link, ±2-window skew tolerance, unit-weight fusion) — byte-
 /// compatible with earlier releases. Degraded modes are opted into per
-/// field; see `docs/DEPLOYMENT.md` for tuning guidance.
+/// field; see `docs/DEPLOYMENT.md` for tuning guidance and for the
+/// fusion policy that is fixed in code (2-bearing fix quorum, consensus
+/// gates, tracker gains).
 ///
 /// ```
 /// use sa_deploy::{DeployConfig, LinkConfig};
 ///
 /// // A deployment expecting rough infrastructure: 10% report loss
-/// // with 3 retransmits, 3-AP fix quorum, confidence-weighted fusion.
+/// // with 3 retransmits, confidence-weighted fusion.
 /// let cfg = DeployConfig {
 ///     link: LinkConfig { loss_rate: 0.10, retry_limit: 3, seed: 7 },
-///     min_aps_for_fix: 3,
 ///     weight_bearings_by_confidence: true,
 ///     ..DeployConfig::default()
 /// };
@@ -124,10 +123,6 @@ impl Default for LinkConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeployConfig {
-    /// Nominal duration of one observation window, seconds — the `dt`
-    /// fed to each client's α–β tracker between fused fixes. Purely
-    /// logical time: the scheduler never reads a wall clock.
-    pub window_dt_s: f64,
     /// Capacity of each bounded MPSC channel (coordinator → worker and
     /// worker → fusion). Full channels block the sender after bumping a
     /// backpressure counter; nothing is ever silently dropped, so runs
@@ -143,19 +138,6 @@ pub struct DeployConfig {
     /// that observation (the paper's "initial training stage", run at
     /// deployment scale).
     pub auto_train_signatures: bool,
-    /// Auto-train consensus reference positions: a client's first clean
-    /// fused fix (low residual, no behind-AP bearings) becomes its
-    /// reference for the cross-AP spoof consensus.
-    pub auto_train_references: bool,
-    /// Minimum number of distinct APs that must contribute a bearing
-    /// before fusion attempts a localization fix.
-    pub min_aps_for_fix: usize,
-    /// Residual gate for auto-trained reference positions, meters.
-    pub reference_train_max_residual_m: f64,
-    /// Cross-AP consensus thresholds.
-    pub consensus: ConsensusConfig,
-    /// Per-client α–β tracker gains.
-    pub tracker: TrackerConfig,
     /// Clock-skew alignment tolerance, windows: a worker report whose
     /// local window label deviates from the learned per-AP offset by
     /// more than this is rejected (its bearings are excluded from
@@ -238,15 +220,9 @@ pub struct DeployConfig {
 impl Default for DeployConfig {
     fn default() -> Self {
         Self {
-            window_dt_s: 0.5,
             channel_capacity: 64,
             snapshot_cap: 256,
             auto_train_signatures: true,
-            auto_train_references: true,
-            min_aps_for_fix: 2,
-            reference_train_max_residual_m: 1.0,
-            consensus: ConsensusConfig::default(),
-            tracker: TrackerConfig::default(),
             max_skew_windows: 2,
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
@@ -314,10 +290,7 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = DeployConfig::default();
-        assert!(cfg.window_dt_s > 0.0);
         assert!(cfg.channel_capacity > 0);
-        assert!(cfg.min_aps_for_fix >= 2);
-        assert!(cfg.reference_train_max_residual_m <= cfg.consensus.max_residual_m);
         // Degraded-mode defaults: reliable link, ±2 window tolerance,
         // unit-weight fusion — the PR-3 behavior exactly.
         assert_eq!(cfg.link.loss_rate, 0.0);

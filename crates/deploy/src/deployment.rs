@@ -429,7 +429,7 @@ impl Deployment {
     /// When the health layer is on, the re-joiner comes back *on
     /// probation*: it stays quarantined (reports withheld from
     /// fusion/consensus, but still scored) until it logs
-    /// [`crate::HealthConfig::probation_windows`] clean windows, then
+    /// `PROBATION_WINDOWS` clean windows, then
     /// is re-admitted. Consensus references re-baseline either way —
     /// fused geometry shifts with membership.
     ///
@@ -1020,7 +1020,7 @@ impl Deployment {
                 crate::fusion::bearing_err_deg(self.ap_positions[p.ap_id], fix.position, r.azimuth);
             let x = &mut ev[p.ap_id];
             x.bearings += 1;
-            if err > self.cfg.health.bearing_err_warn_deg {
+            if err > crate::health::BEARING_ERR_WARN_DEG {
                 x.over_warn += 1;
             }
             if err > x.max_err_deg {

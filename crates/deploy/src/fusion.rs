@@ -14,16 +14,31 @@
 //! nothing to gain from spreading it over threads.
 
 use crate::config::DeployConfig;
+use crate::health::BEARING_ERR_WARN_DEG;
 use crate::report::{ApBearingError, ApPacket, ClientFix, ClientSummary, FusedWindow};
 use crate::telemetry::{BearingEvidence, ClientWindowEvent, DeployTelemetry, FusionTaps};
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use sa_telemetry::StageTimer;
 use secureangle::localize::{localize_robust, localize_robust_weighted, BearingObservation};
-use secureangle::spoof::{ConsensusVerdict, CrossApConsensus};
+use secureangle::spoof::{ConsensusVerdict, CrossApConsensus, MAX_RESIDUAL_M, MIN_FIX_APS};
 use secureangle::tracking::MobilityTracker;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Nominal duration of one observation window, seconds — the `dt` fed
+/// to each client's α–β tracker between fused fixes. Purely logical
+/// time: the scheduler never reads a wall clock.
+const WINDOW_DT_S: f64 = 0.5;
+
+/// Residual gate for auto-trained consensus reference positions,
+/// meters: a client's first clean fused fix (no behind-AP bearings,
+/// residual at most this) becomes its reference for the cross-AP spoof
+/// consensus.
+const REFERENCE_TRAIN_MAX_RESIDUAL_M: f64 = 1.0;
+
+// A reference the consensus residual gate would flag must never train.
+const _: () = assert!(REFERENCE_TRAIN_MAX_RESIDUAL_M <= MAX_RESIDUAL_M);
 
 /// Per-client fusion state.
 struct ClientState {
@@ -72,7 +87,7 @@ impl Fusion {
     /// New fusion stage for APs at the given positions (all live).
     pub fn new(ap_positions: Vec<Point>, cfg: DeployConfig) -> Self {
         Self {
-            consensus: CrossApConsensus::new(cfg.consensus),
+            consensus: CrossApConsensus::new(),
             clients: BTreeMap::new(),
             cfg,
             live: vec![true; ap_positions.len()],
@@ -181,9 +196,7 @@ impl Fusion {
     /// [`Fusion::fuse_window`] with the coordinator's per-window
     /// degradation knowledge: `expected_aps` is the live membership
     /// *when the window was submitted* (it may differ from the current
-    /// membership under churn) and sets the effective fix quorum
-    /// (`min_aps_for_fix`, clamped to what the membership can deliver,
-    /// never below 2); `missing_aps` is how many of those APs'
+    /// membership under churn); `missing_aps` is how many of those APs'
     /// reports are *known* not to have arrived (lost on the link,
     /// rejected for skew, marker lost, or the worker died). Only
     /// `missing_aps` earns the consensus displacement slack
@@ -225,11 +238,6 @@ impl Fusion {
         // Times the whole drain (sort + group + fuse + consensus).
         let _drain_span = StageTimer::start(taps.map(|t| &*t.drain));
 
-        // Degrade the fix quorum with the membership: a 4-AP policy on
-        // a deployment temporarily down to 2 live APs must still fix
-        // (two bearings are the geometric minimum), but never fix on a
-        // single bearing.
-        let quorum = self.cfg.min_aps_for_fix.min(expected_aps).max(2);
         let n_packets = packets.len();
         // One (ap, seq) sort; every per-client group below then comes
         // out pre-ordered for free.
@@ -311,27 +319,26 @@ impl Fusion {
                 confidence_sum / bearings.len() as f64
             };
 
-            let (fix, track, consensus) = if n_aps >= quorum {
+            let (fix, track, consensus) = if n_aps >= MIN_FIX_APS {
                 // Robust fit: a single AP's multipath ghost (a bearing
                 // the fix lands behind) is dropped and the fix refit.
                 // Optionally confidence-weighted, so marginal bearings
                 // pull degraded windows less.
                 let solved = if self.cfg.weight_bearings_by_confidence {
-                    localize_robust_weighted(&bearings, &confidences, quorum)
+                    localize_robust_weighted(&bearings, &confidences, MIN_FIX_APS)
                 } else {
-                    localize_robust(&bearings, quorum)
+                    localize_robust(&bearings, MIN_FIX_APS)
                 };
                 match solved {
                     Ok((fix, dropped)) => {
                         // Smooth the trace.
                         let state = self.clients.entry(mac).or_insert_with(|| ClientState {
-                            tracker: MobilityTracker::new(self.cfg.tracker),
+                            tracker: MobilityTracker::new(),
                             last_window: window,
                             fixes: 0,
                             residual_sum: 0.0,
                         });
-                        let dt =
-                            window.saturating_sub(state.last_window) as f64 * self.cfg.window_dt_s;
+                        let dt = window.saturating_sub(state.last_window) as f64 * WINDOW_DT_S;
                         let track = state.tracker.update(fix.position, dt);
                         state.last_window = window;
                         state.fixes += 1;
@@ -363,9 +370,8 @@ impl Fusion {
                             )
                         };
                         if verdict == ConsensusVerdict::Untrained
-                            && self.cfg.auto_train_references
                             && fix.behind_count == 0
-                            && fix.residual_m <= self.cfg.reference_train_max_residual_m
+                            && fix.residual_m <= REFERENCE_TRAIN_MAX_RESIDUAL_M
                         {
                             self.consensus.train(mac, fix.position);
                         }
@@ -385,7 +391,6 @@ impl Fusion {
             // fused fix implies for its AP. A persistently biased AP shows
             // up here window after window while honest APs hug zero.
             if let Some(f) = fix {
-                let warn = self.cfg.health.bearing_err_warn_deg;
                 for (i, b) in bearings.iter().enumerate() {
                     let err = bearing_err_deg(b.ap_position, f.position, b.azimuth);
                     let agg = ap_errors.entry(bearing_aps[i]).or_insert(ApBearingError {
@@ -393,7 +398,7 @@ impl Fusion {
                         ..ApBearingError::default()
                     });
                     agg.bearings += 1;
-                    if err > warn {
+                    if err > BEARING_ERR_WARN_DEG {
                         agg.over_warn += 1;
                     }
                     agg.max_err_deg = agg.max_err_deg.max(err);
@@ -606,31 +611,30 @@ mod tests {
     }
 
     #[test]
-    fn quorum_degrades_with_live_membership() {
+    fn two_bearings_fix_at_any_membership() {
         let aps = square_aps();
         let target = pt(4.0, 6.0);
-        let cfg = DeployConfig {
-            min_aps_for_fix: 3,
-            ..DeployConfig::default()
-        };
-        let mut fusion = Fusion::new(aps.clone(), cfg);
-        // Full membership: two bearings miss the 3-AP quorum.
+        let mut fusion = Fusion::new(aps.clone(), DeployConfig::default());
+        // Full membership: two of four bearings meet the fixed quorum.
         let two = vec![
             pkt(0, 0, 1, aps[0].azimuth_to(target)),
             pkt(1, 0, 1, aps[1].azimuth_to(target)),
         ];
         let out = fusion.fuse_window(0, two.clone());
-        assert!(out.clients[0].fix.is_none());
         assert_eq!(out.expected_aps, 4);
-        // Two APs retire: the quorum clamps to what the membership can
-        // deliver and the same two bearings now fix.
+        let fix = out.clients[0].fix.expect("2-of-4 fix");
+        assert!(fix.position.dist(target) < 1e-6);
+        // Two APs retire: the same two bearings fix the same spot.
         fusion.retire_ap(2);
         fusion.retire_ap(3);
-        let out = fusion.fuse_window(1, two);
+        let out = fusion.fuse_window(1, two.clone());
         assert_eq!(out.expected_aps, 2);
-        let fix = out.clients[0].fix.expect("degraded quorum fix");
+        let fix = out.clients[0].fix.expect("2-of-2 fix");
         assert!(fix.position.dist(target) < 1e-6);
         assert_eq!(out.clients[0].expected_aps, 2);
+        // One bearing is below the quorum at any membership.
+        let out = fusion.fuse_window(2, two[..1].to_vec());
+        assert!(out.clients[0].fix.is_none());
     }
 
     #[test]

@@ -17,59 +17,29 @@
 //! deployment is then byte-identical to a health-free build, pinned by
 //! `tests/proptest_chaos.rs`.
 
-/// Tuning for the AP health layer. Attached via
-/// [`crate::DeployConfig::health`]; all thresholds are in window
+/// The AP health layer's settings. Attached via
+/// [`crate::DeployConfig::health`]; the fixed tuning below is in window
 /// counts or degrees, never wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Master switch. `false` (default) makes the layer byte-transparent:
     /// no scoring, no down-weighting, no quarantine, no watchdog.
     pub enabled: bool,
-    /// A window casts suspicion on an AP when more than half its
-    /// bearings miss the fused fix by over this many degrees; of the
-    /// suspects, only the worst over-warn fraction each window is
-    /// penalized (a liar drags the fix, and the honest APs it drags
-    /// past this bar are not punished for its crime). The default sits
-    /// between what honest APs absorb when a biased peer pulls the fix
-    /// (≈5° worst case on a 4-AP cell) and the residual the biased AP
-    /// itself shows (≈8° for a 15° bias).
-    pub bearing_err_warn_deg: f64,
-    /// Score penalty per bad window.
-    pub penalty: f64,
-    /// Score recovery per clean window, up to 1.0.
-    pub recovery: f64,
-    /// Quarantine an AP when its score falls below this.
-    pub quarantine_below: f64,
     /// Clean windows required (while quarantined) to be re-admitted.
     pub readmit_after_clean: u32,
-    /// Probation length for a re-joining AP
-    /// ([`crate::Deployment::rejoin_ap`]): it resumes its trained
-    /// baseline but stays quarantined for this many clean windows
-    /// before its reports count again.
-    pub probation_windows: u32,
-    /// Reap a worker after this many *consecutive* stalled windows
-    /// (its marker arrives flagged stalled with no payload). Window
-    /// counts, not wall clock — the watchdog is deterministic.
-    pub stall_watchdog_windows: u32,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            bearing_err_warn_deg: 6.0,
-            penalty: 0.25,
-            recovery: 0.05,
-            quarantine_below: 0.35,
             readmit_after_clean: 8,
-            probation_windows: 8,
-            stall_watchdog_windows: 4,
         }
     }
 }
 
 impl HealthConfig {
-    /// An enabled config with the default tuning.
+    /// An enabled config with the default re-admission streak.
     pub fn enabled() -> Self {
         Self {
             enabled: true,
@@ -78,6 +48,29 @@ impl HealthConfig {
     }
 }
 
+/// A window casts suspicion on an AP when more than half its bearings
+/// miss the fused fix by over this many degrees; of the suspects, only
+/// the worst over-warn fraction each window is penalized (a liar drags
+/// the fix, and the honest APs it drags past this bar are not punished
+/// for its crime). The value sits between what honest APs absorb when a
+/// biased peer pulls the fix (≈5° worst case on a 4-AP cell) and the
+/// residual the biased AP itself shows (≈8° for a 15° bias).
+pub(crate) const BEARING_ERR_WARN_DEG: f64 = 6.0;
+/// Score penalty per bad window.
+const PENALTY: f64 = 0.25;
+/// Score recovery per clean window, up to 1.0.
+const RECOVERY: f64 = 0.05;
+/// Quarantine an AP when its score falls below this.
+const QUARANTINE_BELOW: f64 = 0.35;
+/// Probation length for a re-joining AP ([`crate::Deployment::rejoin_ap`]):
+/// it resumes its trained baseline but stays quarantined for this many
+/// clean windows before its reports count again.
+pub(crate) const PROBATION_WINDOWS: u32 = 8;
+/// Reap a worker after this many *consecutive* stalled windows (its
+/// marker arrives flagged stalled with no payload). Window counts, not
+/// wall clock — the watchdog is deterministic.
+pub(crate) const STALL_WATCHDOG_WINDOWS: u32 = 4;
+
 /// One window's worth of evidence about one AP, assembled by the
 /// coordinator at window close.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -85,7 +78,7 @@ pub struct ApWindowEvidence {
     /// Bearings this AP contributed to fused fixes this window.
     pub bearings: u32,
     /// Of those, how many missed the fused fix by over
-    /// [`HealthConfig::bearing_err_warn_deg`].
+    /// `BEARING_ERR_WARN_DEG`.
     pub over_warn: u32,
     /// Worst bearing residual this window, degrees.
     pub max_err_deg: f64,
@@ -241,18 +234,18 @@ impl FleetHealth {
     }
 
     /// Revive a re-joining AP behind probation: it resumes quarantined
-    /// and must log [`HealthConfig::probation_windows`] clean windows
-    /// before re-admission.
+    /// and must log `PROBATION_WINDOWS` clean windows before
+    /// re-admission.
     pub fn start_probation(&mut self, ap: usize) {
-        let cfg = self.cfg;
+        let enabled = self.cfg.enabled;
         if let Some(a) = self.aps.get_mut(ap) {
             a.alive = true;
             a.stall_run = 0;
             a.clean_streak = 0;
-            if cfg.enabled {
+            if enabled {
                 a.quarantined = true;
-                a.clean_needed = cfg.probation_windows;
-                a.score = a.score.min(cfg.quarantine_below);
+                a.clean_needed = PROBATION_WINDOWS;
+                a.score = a.score.min(QUARANTINE_BELOW);
             }
         }
     }
@@ -265,7 +258,7 @@ impl FleetHealth {
             return Vec::new();
         }
         let mut actions = Vec::new();
-        let cfg = self.cfg;
+        let readmit_after_clean = self.cfg.readmit_after_clean;
         // Relative attribution for bearing evidence: of the APs whose
         // bearing majority missed the fix this window, only the one(s)
         // with the worst over-warn fraction are guilty — a liar drags
@@ -293,7 +286,7 @@ impl FleetHealth {
             // fires even while quarantined.
             if ev.stalled {
                 a.stall_run += 1;
-                if a.stall_run >= cfg.stall_watchdog_windows {
+                if a.stall_run >= STALL_WATCHDOG_WINDOWS {
                     a.alive = false;
                     a.stall_run = 0;
                     actions.push(HealthAction::Reap(i));
@@ -303,21 +296,21 @@ impl FleetHealth {
                 a.stall_run = 0;
             }
             if ev.availability_bad() || guilty(i) {
-                a.score = (a.score - cfg.penalty).max(0.0);
+                a.score = (a.score - PENALTY).max(0.0);
                 a.clean_streak = 0;
-                if !a.quarantined && a.score < cfg.quarantine_below {
+                if !a.quarantined && a.score < QUARANTINE_BELOW {
                     a.quarantined = true;
-                    a.clean_needed = cfg.readmit_after_clean;
+                    a.clean_needed = readmit_after_clean;
                     actions.push(HealthAction::Quarantine(i));
                 }
             } else {
-                a.score = (a.score + cfg.recovery).min(1.0);
+                a.score = (a.score + RECOVERY).min(1.0);
                 if a.quarantined {
                     a.clean_streak += 1;
                     if a.clean_streak >= a.clean_needed {
                         a.quarantined = false;
                         a.clean_streak = 0;
-                        a.score = a.score.max(cfg.quarantine_below + cfg.recovery);
+                        a.score = a.score.max(QUARANTINE_BELOW + RECOVERY);
                         actions.push(HealthAction::Readmit(i));
                     }
                 }

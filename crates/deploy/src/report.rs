@@ -136,7 +136,7 @@ counter_block! {
     pub reports_corrupt: u64,
     /// Windows this AP's worker spent wedged: its DSP produced nothing
     /// and the end-of-window marker arrived flagged stalled. A run of
-    /// these longer than [`crate::HealthConfig::stall_watchdog_windows`]
+    /// these longer than `STALL_WATCHDOG_WINDOWS`
     /// gets the worker reaped.
     pub windows_stalled: u64,
     /// Times this AP was quarantined by the health layer (excluded from
@@ -189,7 +189,7 @@ pub struct ApBearingError {
     pub bearings: u32,
     /// Of those, how many missed their fused fix by more than the
     /// health layer's warn threshold
-    /// ([`crate::HealthConfig::bearing_err_warn_deg`]).
+    /// (`BEARING_ERR_WARN_DEG`).
     pub over_warn: u32,
     /// Worst residual this window, degrees.
     pub max_err_deg: f64,
@@ -296,7 +296,7 @@ pub struct DeployMetrics {
     /// Re-admission events after quarantine or probation.
     pub aps_readmitted: u64,
     /// Workers reaped by the stall watchdog (a run of stalled windows
-    /// hit [`crate::HealthConfig::stall_watchdog_windows`]). Distinct
+    /// hit `STALL_WATCHDOG_WINDOWS`). Distinct
     /// from `worker_losses`, which counts uncommanded deaths.
     pub watchdog_reaps: u64,
     /// APs re-joined with their persistent identity

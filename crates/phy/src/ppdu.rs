@@ -174,24 +174,20 @@ pub struct DecodedPacket {
 pub struct Receiver {
     /// Constellation expected on the data carriers.
     pub modulation: Modulation,
-    /// Schmidl–Cox threshold (0.5 default).
-    pub detect_threshold: f64,
 }
 
 impl Receiver {
-    /// New receiver with default detection threshold.
+    /// New receiver; detection runs at the Schmidl–Cox default
+    /// threshold (0.5).
     pub fn new(modulation: Modulation) -> Self {
-        Self {
-            modulation,
-            detect_threshold: 0.5,
-        }
+        Self { modulation }
     }
 
     /// Decode the first packet in `buffer`.
     pub fn decode(&self, buffer: &[C64]) -> Result<DecodedPacket, PhyError> {
-        let mut sc = SchmidlCox::new(SC_HALF_LEN);
-        sc.threshold = self.detect_threshold;
-        let det = sc.detect_first(buffer).ok_or(PhyError::NoPacket)?;
+        let det = SchmidlCox::new(SC_HALF_LEN)
+            .detect_first(buffer)
+            .ok_or(PhyError::NoPacket)?;
         // Undoing the CFO multiplies sample `n` by cis(phi·n).
         let phi = -det.cfo;
 

@@ -84,8 +84,7 @@ fn reference_demap(m: Modulation, z: C64) -> Vec<u8> {
 /// The decoder before the single-pass rebuild, verbatim (its `demap`
 /// is [`reference_demap`]).
 fn reference_decode(rx: &Receiver, buffer: &[C64]) -> Result<DecodedPacket, PhyError> {
-    let mut sc = SchmidlCox::new(SC_HALF_LEN);
-    sc.threshold = rx.detect_threshold;
+    let sc = SchmidlCox::new(SC_HALF_LEN);
     let det = sc
         .detect(buffer)
         .into_iter()

@@ -14,7 +14,7 @@ use crate::sim::{ApArray, Testbed};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_aoa::pseudospectrum::angle_diff_deg;
-use secureangle::signature::{AoaSignature, MatchConfig};
+use secureangle::signature::AoaSignature;
 use serde::Serialize;
 
 /// The paper's capture schedule, seconds.
@@ -64,7 +64,6 @@ pub fn run(seed: u64) -> Fig6Result {
 pub fn run_for_clients(seed: u64, ids: &[usize]) -> Fig6Result {
     let tb = Testbed::single_ap(ApArray::Linear(8), seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF166);
-    let mcfg = MatchConfig::default();
 
     let mut clients = Vec::with_capacity(ids.len());
     for &id in ids {
@@ -82,7 +81,7 @@ pub fn run_for_clients(seed: u64, ids: &[usize]) -> Fig6Result {
                     base_sig = Some(sig.clone());
                     1.0
                 }
-                Some(b) => b.compare(&sig, &mcfg).score,
+                Some(b) => b.compare(&sig).score,
             };
             let spec = sig.spectrum();
             captures.push(SpectrumCapture {

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use sa_channel::geom::{pt, Point};
 use sa_channel::pattern::TxAntenna;
 use secureangle::localize::{localize, BearingObservation};
-use secureangle::tracking::{MobilityTracker, TrackerConfig};
+use secureangle::tracking::MobilityTracker;
 use serde::Serialize;
 
 /// One sample along the walk.
@@ -80,7 +80,7 @@ pub fn run(seed: u64, speed: f64, period_s: f64) -> MobilityResult {
     let total_len: f64 = route.windows(2).map(|w| w[0].dist(w[1])).sum();
     let n_steps = (total_len / (speed * period_s)).floor() as usize;
 
-    let mut tracker = MobilityTracker::new(TrackerConfig::default());
+    let mut tracker = MobilityTracker::new();
     let mut samples = Vec::with_capacity(n_steps);
     let mut raw_sq = 0.0;
     let mut raw_n = 0usize;

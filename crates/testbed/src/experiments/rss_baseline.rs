@@ -13,7 +13,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use secureangle::attacker::{Attacker, AttackerGear};
 use secureangle::rss::{RssDetector, RssPrint};
-use secureangle::signature::MatchConfig;
 use serde::Serialize;
 
 /// One attacker position's outcome.
@@ -54,8 +53,7 @@ pub struct RssBaselineResult {
 pub fn run(seed: u64, victim: usize) -> RssBaselineResult {
     let tb = Testbed::single_ap(ApArray::Circular, seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x255b);
-    let mcfg = MatchConfig::default();
-    let aoa_threshold = secureangle::spoof::SpoofConfig::default().threshold;
+    let aoa_threshold = secureangle::spoof::SPOOF_THRESHOLD;
 
     // --- Train both detectors on the victim -------------------------
     let victim_pos = tb.office.client(victim).position;
@@ -124,7 +122,7 @@ pub fn run(seed: u64, victim: usize) -> RssBaselineResult {
             continue;
         };
         let rss_verdict = rss_det.check(Testbed::client_mac(victim), &RssPrint::single(obs.rss_db));
-        let aoa_score = profile_sig.compare(&obs.signature, &mcfg).score;
+        let aoa_score = profile_sig.compare(&obs.signature).score;
         trials.push(RssTrial {
             position_of: other.id,
             rss_error_db: (obs.rss_db - victim_rss_mean).abs(),

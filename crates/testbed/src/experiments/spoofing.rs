@@ -13,7 +13,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_channel::pattern::TxAntenna;
 use secureangle::attacker::{Attacker, AttackerGear};
-use secureangle::signature::MatchConfig;
 use serde::Serialize;
 
 /// Score samples for one attacker-gear class.
@@ -52,8 +51,7 @@ pub struct SpoofingResult {
 pub fn run(seed: u64, victims: &[usize], legit_packets: usize) -> SpoofingResult {
     let tb = Testbed::single_ap(ApArray::Circular, seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5b00f);
-    let mcfg = MatchConfig::default();
-    let threshold = secureangle::spoof::SpoofConfig::default().threshold;
+    let threshold = secureangle::spoof::SPOOF_THRESHOLD;
 
     let gears = [
         ("omni", AttackerGear::Omni),
@@ -83,7 +81,7 @@ pub fn run(seed: u64, victims: &[usize], legit_packets: usize) -> SpoofingResult
             let dt_s = 15.0 * (1 + p) as f64;
             let buf = tb.client_capture(0, victim, 1 + p as u16, dt_s, &mut rng);
             if let Ok(obs) = tb.nodes[0].ap.observe(&buf) {
-                legit_scores.push(profile.compare(&obs.signature, &mcfg).score);
+                legit_scores.push(profile.compare(&obs.signature).score);
             }
         }
 
@@ -119,7 +117,7 @@ pub fn run(seed: u64, victims: &[usize], legit_packets: usize) -> SpoofingResult
                     &mut rng,
                 );
                 if let Ok(obs) = tb.nodes[0].ap.observe(&buf) {
-                    attack_scores[gi].push(profile.compare(&obs.signature, &mcfg).score);
+                    attack_scores[gi].push(profile.compare(&obs.signature).score);
                 }
             }
         }

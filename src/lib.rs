@@ -45,6 +45,6 @@ pub mod prelude {
     pub use sa_telemetry::{TelemetryConfig, TelemetrySnapshot};
     pub use sa_testbed::{ApArray, Office, Testbed};
     pub use secureangle::pipeline::{AccessPoint, ApConfig, FrameVerdict};
-    pub use secureangle::signature::{AoaSignature, MatchConfig};
+    pub use secureangle::signature::AoaSignature;
     pub use secureangle::spoof::SpoofVerdict;
 }

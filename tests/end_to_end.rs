@@ -216,7 +216,7 @@ fn facade_prelude_compiles_and_reaches_every_layer() {
     let _ = secureangle_suite::array::Array::paper_octagon();
     let _ = secureangle_suite::channel::FloorPlan::new();
     let _ = secureangle_suite::aoa::SourceCount::Mdl;
-    let _ = secureangle_suite::core::MatchConfig::default();
+    let _ = secureangle_suite::core::SpoofDetector::new();
     let office = secureangle_suite::testbed::Office::paper_figure4();
     assert_eq!(office.clients.len(), 20);
 }

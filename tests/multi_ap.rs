@@ -88,7 +88,7 @@ fn run_deployment_with(cfg: DeployConfig, skews: Option<Vec<ApSkew>>) -> Run {
             tb.nodes[k].ap.train_client(mac, &obs);
             let att = tb.nodes[k].ap.observe(&attack[k]).ok()?;
             let profile = tb.nodes[k].ap.spoof.profile(&mac)?;
-            let m = profile.compare(&att.signature, &tb.nodes[k].ap.spoof.config().match_config);
+            let m = profile.compare(&att.signature);
             Some((k, m.score))
         })
         .collect();
@@ -189,7 +189,7 @@ fn seeded_four_ap_office_run_meets_the_paper_bar() {
     // The best single AP (highest signature score for the attack frame)
     // scores above the detector threshold: on its own it would ADMIT
     // the attacker.
-    let threshold = a.aps[0].spoof.config().threshold;
+    let threshold = secureangle::spoof::SPOOF_THRESHOLD;
     let &(best_ap, best_score) = a
         .attack_scores
         .iter()

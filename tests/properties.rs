@@ -104,11 +104,10 @@ proptest! {
         };
         let a = make(&mut rng);
         let b = make(&mut rng);
-        let cfg = MatchConfig::default();
-        let self_match = a.compare(&a, &cfg);
+        let self_match = a.compare(&a);
         prop_assert!((self_match.score - 1.0).abs() < 1e-6);
-        let ab = a.compare(&b, &cfg).score;
-        let ba = b.compare(&a, &cfg).score;
+        let ab = a.compare(&b).score;
+        let ba = b.compare(&a).score;
         prop_assert!((ab - ba).abs() < 1e-9, "asymmetry {} vs {}", ab, ba);
         prop_assert!((0.0..=1.0).contains(&ab));
     }
