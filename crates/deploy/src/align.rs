@@ -148,20 +148,6 @@ impl SkewAligner {
         self.aps[ap].dispatched.clear();
     }
 
-    /// Reset AP `ap`'s learned clock model (epoch offset, drift rate,
-    /// sequence offset) along with its outstanding dispatches. A
-    /// re-joining AP ([`crate::Deployment::rejoin_ap`]) comes back with
-    /// a fresh oscillator epoch, so the old model must be relearned
-    /// from its first new report instead of rejecting everything.
-    pub fn revive_ap(&mut self, ap: usize) {
-        let state = &mut self.aps[ap];
-        state.dispatched.clear();
-        state.window_offset = None;
-        state.anchor = 0;
-        state.drift_est = 0.0;
-        state.seq_offset = None;
-    }
-
     /// Align one report from AP `ap`: `window_label` is the worker's
     /// local window stamp, `seq_base` the local sequence label of the
     /// window's first dispatched packet. Returns `None` if nothing is
@@ -421,24 +407,6 @@ mod tests {
         assert_eq!(r.global, 1);
         assert_eq!(r.deviation, 2);
         assert!(r.accepted, "within the ±3 tolerance: skew, not a gap");
-    }
-
-    #[test]
-    fn revive_ap_relearns_the_clock_model() {
-        let mut a = SkewAligner::new(1);
-        let ap = a.add_ap();
-        a.note_dispatch(ap, 0, Some(0));
-        assert!(a.align(ap, 100, Some(7)).unwrap().accepted);
-        a.revive_ap(ap);
-        assert_eq!(a.pending(ap), 0);
-        // The re-joined AP's new epoch is relearned, not held against
-        // the model learned during its first stint.
-        a.note_dispatch(ap, 5, Some(50));
-        let r = a.align(ap, -40, Some(53)).unwrap();
-        assert!(r.accepted);
-        assert_eq!(r.global, 5);
-        assert_eq!(r.deviation, 0);
-        assert_eq!(r.seq_delta, 3);
     }
 
     #[test]

@@ -166,19 +166,10 @@ pub struct DeployConfig {
     /// it on for degraded deployments where marginal through-wall
     /// bearings should pull fixes less.
     pub weight_bearings_by_confidence: bool,
-    /// Probability that an AP's end-of-window *marker* is lost in `[0,
-    /// 1]`. The marker rides the control path, which earlier releases
-    /// modeled as perfectly reliable even when the bulk report link was
-    /// lossy ([`LinkConfig::loss_rate`]); this knob drops the marker
-    /// itself, so the coordinator never hears that the AP finished the
-    /// window. Requires `marker_timeout_windows ≥ 1` (enforced at
-    /// deployment construction): without gap detection a lost marker
-    /// desynchronises the per-AP FIFO and stalls the window forever.
-    /// Draws come from a dedicated per-AP seeded stream (independent of
-    /// the report-loss stream, so enabling one never shifts the
-    /// other's draws).
-    pub marker_loss_rate: f64,
-    /// Marker gap-detection close policy: when a marker from an AP
+    /// Marker gap-detection close policy. An AP's end-of-window
+    /// *marker* rides the control path; when one is lost (scripted with
+    /// [`crate::FaultEvent::MarkerLoss`]) the coordinator never hears
+    /// that the AP finished the window. When a marker from an AP
     /// aligns `d` windows *ahead* of the AP's expected FIFO position
     /// with `1 ≤ d ≤ marker_timeout_windows`, the `d` skipped windows'
     /// markers are declared lost — those windows close without the AP
@@ -194,7 +185,10 @@ pub struct DeployConfig {
     /// from the gapped AP, so run with `windows_in_flight >
     /// marker_timeout_windows` (a synchronous submit/collect loop never
     /// sends the revealing later window). The deployment's final flush
-    /// closes any gap at the tail of the run.
+    /// closes any gap at the tail of the run. A fault plan that loses
+    /// markers requires `≥ 1` (enforced at deployment construction):
+    /// without gap detection a lost marker desynchronises the per-AP
+    /// FIFO and stalls its window forever.
     pub marker_timeout_windows: u64,
     /// Scripted fault injection ([`crate::faults::FaultPlan`]). `None`
     /// (the default) injects nothing and is byte-transparent: the fault
@@ -227,7 +221,6 @@ impl Default for DeployConfig {
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
             windows_in_flight: 1,
-            marker_loss_rate: 0.0,
             marker_timeout_windows: 0,
             faults: None,
             health: HealthConfig::default(),
@@ -300,9 +293,8 @@ mod tests {
         // Streaming off by default: depth-1 pipelining is the
         // synchronous submit-then-collect behavior exactly.
         assert_eq!(cfg.windows_in_flight, 1);
-        // Fleet knobs off by default: reliable markers, no gap
-        // detection — byte-compatible with the pre-fleet coordinator.
-        assert_eq!(cfg.marker_loss_rate, 0.0);
+        // Gap detection off by default — byte-compatible with the
+        // pre-fleet coordinator.
         assert_eq!(cfg.marker_timeout_windows, 0);
         // Telemetry off by default: the report's snapshot stays empty
         // and Debug-rendered reports are byte-stable across releases.

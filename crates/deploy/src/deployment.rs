@@ -15,7 +15,7 @@
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
-use crate::faults::payload_checksum;
+use crate::faults::{payload_checksum, FaultEvent};
 use crate::fusion::Fusion;
 use crate::health::{ApWindowEvidence, FleetHealth, HealthAction};
 use crate::report::{ApStats, DeployMetrics, DeploymentReport, FusedWindow};
@@ -190,9 +190,14 @@ impl Deployment {
             aps.iter().all(|ap| ap.config().modulation == modulation),
             "deployment APs must share one modulation"
         );
+        let loses_markers = cfg.faults.as_ref().is_some_and(|plan| {
+            plan.events
+                .iter()
+                .any(|e| matches!(e, FaultEvent::MarkerLoss { .. }))
+        });
         assert!(
-            cfg.marker_loss_rate == 0.0 || cfg.marker_timeout_windows >= 1,
-            "marker_loss_rate > 0 requires marker_timeout_windows >= 1: without \
+            !loses_markers || cfg.marker_timeout_windows >= 1,
+            "a MarkerLoss fault requires marker_timeout_windows >= 1: without \
              gap detection a lost end-of-window marker stalls its window forever"
         );
         let ap_positions: Vec<Point> = aps.iter().map(|ap| ap.config().position).collect();
@@ -300,14 +305,9 @@ impl Deployment {
     /// already in flight close with their original membership. Returns
     /// the new AP's stable id. Consensus references re-baseline: fused
     /// geometry shifts with membership, so every client retrains its
-    /// reference from its next clean fix.
+    /// reference from its next clean fix. Panics if the AP's modulation
+    /// differs from the deployment's.
     pub fn add_ap(&mut self, ap: AccessPoint) -> usize {
-        self.add_ap_with_skew(ap, ApSkew::NONE)
-    }
-
-    /// [`Deployment::add_ap`] with a clock-skew model for the joiner.
-    /// Panics if the AP's modulation differs from the deployment's.
-    pub fn add_ap_with_skew(&mut self, ap: AccessPoint, skew: ApSkew) -> usize {
         assert_eq!(
             ap.config().modulation,
             self.modulation,
@@ -324,7 +324,7 @@ impl Deployment {
             ap_id,
             ap,
             &self.cfg,
-            skew,
+            ApSkew::NONE,
             self.up_tx.clone(),
             tap,
         ));
@@ -356,111 +356,37 @@ impl Deployment {
         // revealing tail losses. A drain-first order would wait forever
         // on a lost tail marker.
         self.send_shutdown(ap_id);
-        while self.aligner.pending(ap_id) > 0 && self.slots[ap_id].alive {
+        while self.aligner.pending(ap_id) > 0 {
             if self.slots[ap_id]
                 .join
                 .as_ref()
                 .is_some_and(|j| j.is_finished())
             {
                 // The worker exited: every send it made (markers, then
-                // the flush) is already in the channel. Drain them; if
-                // anything is still outstanding after that, it died
-                // without flushing (a panic) and must be reaped.
-                while let Ok(done) = self.up_rx.try_recv() {
-                    self.route(done);
-                }
-                if self.aligner.pending(ap_id) > 0 {
-                    self.reap_worker(ap_id);
-                }
+                // the flush) is already in the channel.
+                self.route_ready();
                 break;
             }
             self.wait_for_progress();
         }
-        if !self.slots[ap_id].alive {
-            // Died while draining (reaped as a worker loss).
-            return Err(DeployError::WorkerLost {
-                window: self.next_window,
-            });
-        }
-        // The worker's final flush is a *blocking* send on the shared
-        // report channel; joining before the thread has exited would
-        // deadlock on a full channel. Drain reports until it is gone.
-        while self.slots[ap_id]
-            .join
-            .as_ref()
-            .is_some_and(|j| !j.is_finished())
-        {
-            if let Ok(done) = self
-                .up_rx
-                .recv_timeout(std::time::Duration::from_millis(10))
-            {
-                self.route(done);
+        // Anything still outstanding means the worker died without
+        // flushing (a crash or a panic). Membership ends either way; a
+        // death, like a panic during shutdown, is a worker loss rather
+        // than a removal, and the dead worker's AP is not handed back.
+        let flushed = self.aligner.pending(ap_id) == 0;
+        self.drain_until_exited(&[ap_id]);
+        match self.end_membership(ap_id) {
+            Some(ap) if flushed => {
+                self.metrics.aps_removed += 1;
+                Ok(ap)
             }
-        }
-        let slot = &mut self.slots[ap_id];
-        slot.alive = false;
-        let joined = slot.join.take().map(|j| j.join());
-        // Membership ended either way — a panic during shutdown must
-        // still retire the AP from fusion and re-baseline, or stale
-        // references would false-flag every client under the new
-        // geometry.
-        self.fusion.retire_ap(ap_id);
-        self.fusion.rebaseline();
-        self.aligner.forget_ap(ap_id);
-        let (ap, stats) = match joined {
-            Some(Ok(pair)) => pair,
             _ => {
                 self.metrics.worker_losses += 1;
-                return Err(DeployError::WorkerLost {
+                Err(DeployError::WorkerLost {
                     window: self.next_window,
-                });
+                })
             }
-        };
-        self.slots[ap_id].final_stats = Some(stats);
-        self.metrics.aps_removed += 1;
-        self.health.mark_dead(ap_id);
-        Ok(ap)
-    }
-
-    /// Re-join a previously removed (or lost) AP under its original
-    /// stable id, with its trained state intact — persistent identity
-    /// instead of the fresh-id full retrain [`Deployment::add_ap`]
-    /// would force. The AP participates from the next submitted window.
-    /// When the health layer is on, the re-joiner comes back *on
-    /// probation*: it stays quarantined (reports withheld from
-    /// fusion/consensus, but still scored) until it logs
-    /// `PROBATION_WINDOWS` clean windows, then
-    /// is re-admitted. Consensus references re-baseline either way —
-    /// fused geometry shifts with membership.
-    ///
-    /// Errors: [`DeployError::UnknownAp`] if the id was never a member
-    /// or is still live. Panics if the AP's modulation differs from the
-    /// deployment's.
-    pub fn rejoin_ap(
-        &mut self,
-        ap_id: usize,
-        ap: AccessPoint,
-        skew: ApSkew,
-    ) -> Result<(), DeployError> {
-        if self.slots.get(ap_id).is_none_or(|s| s.alive) {
-            return Err(DeployError::UnknownAp { ap_id });
         }
-        assert_eq!(
-            ap.config().modulation,
-            self.modulation,
-            "deployment APs must share one modulation"
-        );
-        self.ap_positions[ap_id] = ap.config().position;
-        self.aligner.revive_ap(ap_id);
-        self.fusion.revive_ap(ap_id, ap.config().position);
-        let tap = worker_tap(self.telemetry.as_ref(), ap_id);
-        let prior_stats = self.slots[ap_id].final_stats.take();
-        self.slots[ap_id] = spawn_worker(ap_id, ap, &self.cfg, skew, self.up_tx.clone(), tap);
-        self.slots[ap_id].final_stats = prior_stats;
-        self.metrics.aps_rejoined += 1;
-        self.health.start_probation(ap_id);
-        self.fusion.rebaseline();
-        Ok(())
     }
 
     /// Current health score for `ap_id`, `[0, 1]` (1.0 when the health
@@ -473,21 +399,6 @@ impl Deployment {
     /// ascending (always empty when health is disabled).
     pub fn quarantined_aps(&self) -> Vec<usize> {
         self.health.quarantined_aps()
-    }
-
-    /// Make AP `ap_id`'s worker die abruptly without reporting — test
-    /// fault injection for the crash-tolerance path (a real panic or
-    /// power loss looks identical to the coordinator: the thread is
-    /// gone and its windows must close without it).
-    #[doc(hidden)]
-    pub fn crash_worker(&mut self, ap_id: usize) -> Result<(), DeployError> {
-        match self.slots.get(ap_id).and_then(|s| s.tx.as_ref()) {
-            Some(tx) => {
-                let _ = tx.send(WorkerMsg::Crash);
-                Ok(())
-            }
-            None => Err(DeployError::UnknownAp { ap_id }),
-        }
     }
 
     /// Ingest one observation window of traffic: run the shared stage-1
@@ -741,51 +652,71 @@ impl Deployment {
     /// (timeout scan or a failed send). Deliberately does **not** end
     /// the worker's membership: hangups are noticed at racy points, so
     /// the membership end (retire, re-baseline, loss accounting) is
-    /// deferred to [`Deployment::finish_reap`], which
-    /// [`Deployment::collect_window`] runs at the first window the
-    /// worker failed to report — a deterministic point in window order.
+    /// deferred to [`Deployment::collect_window`], which ends it at the
+    /// first window the worker failed to report — a deterministic point
+    /// in window order.
     fn note_hangup(&mut self, ap_id: usize) {
         if !self.slots[ap_id].alive || self.slots[ap_id].hung {
             return;
         }
-        while let Ok(done) = self.up_rx.try_recv() {
-            self.route(done);
-        }
+        self.route_ready();
         let slot = &mut self.slots[ap_id];
         slot.tx = None;
         slot.hung = true;
     }
 
-    /// End a hung worker's membership: forget its outstanding
-    /// dispatches, retire it from fusion/consensus, re-baseline, count
-    /// the loss. Only called from deterministic points (the collect
-    /// sweep and [`Deployment::remove_ap`]).
-    fn finish_reap(&mut self, ap_id: usize) {
-        let slot = &mut self.slots[ap_id];
-        if !slot.alive {
-            return;
+    /// Route every report already waiting in the channel.
+    fn route_ready(&mut self) {
+        while let Ok(done) = self.up_rx.try_recv() {
+            self.route(done);
         }
-        slot.alive = false;
-        slot.tx = None;
-        if let Some(join) = slot.join.take() {
-            if let Ok((_ap, stats)) = join.join() {
-                // The AP object itself is dropped: a crashed worker's
-                // state is not trusted. Its counters are still real.
-                slot.final_stats = Some(stats);
+    }
+
+    /// Route reports until none of `ap_ids`' worker threads is still
+    /// running, then route what they left in the channel. A worker's
+    /// final flush is a *blocking* send on the shared report channel, so
+    /// joining a thread before it has exited could deadlock on a full
+    /// channel; every join goes through here first.
+    fn drain_until_exited(&mut self, ap_ids: &[usize]) {
+        while ap_ids.iter().any(|&k| {
+            self.slots[k]
+                .join
+                .as_ref()
+                .is_some_and(|j| !j.is_finished())
+        }) {
+            if let Ok(done) = self
+                .up_rx
+                .recv_timeout(std::time::Duration::from_millis(10))
+            {
+                self.route(done);
             }
         }
+        self.route_ready();
+    }
+
+    /// End a live AP's membership — the one exit shared by removal,
+    /// worker loss and the stall watchdog: join its (already exited)
+    /// thread, keep its run totals for the report, forget its
+    /// outstanding dispatches, retire it from fusion and the health
+    /// layer, and re-baseline the consensus once. Returns the AP if the
+    /// thread returned it; each caller counts its own kind of exit.
+    fn end_membership(&mut self, ap_id: usize) -> Option<AccessPoint> {
+        let slot = &mut self.slots[ap_id];
+        debug_assert!(slot.alive, "AP {ap_id} ended its membership twice");
+        slot.alive = false;
+        slot.tx = None;
+        let ap = match slot.join.take().map(JoinHandle::join) {
+            Some(Ok((ap, stats))) => {
+                slot.final_stats = Some(stats);
+                Some(ap)
+            }
+            _ => None,
+        };
         self.aligner.forget_ap(ap_id);
         self.fusion.retire_ap(ap_id);
         self.health.mark_dead(ap_id);
-        self.metrics.worker_losses += 1;
         self.fusion.rebaseline();
-    }
-
-    /// Immediate salvage-and-reap, for callers already at a
-    /// deterministic point (mid-removal).
-    fn reap_worker(&mut self, ap_id: usize) {
-        self.note_hangup(ap_id);
-        self.finish_reap(ap_id);
+        ap
     }
 
     /// Reap a *live* worker whose stall run hit the watchdog: hang up
@@ -799,36 +730,9 @@ impl Deployment {
             return;
         }
         self.slots[ap_id].tx = None;
-        // The worker may be mid-publish on the shared report channel;
-        // keep draining until its thread has actually exited, or a full
-        // channel would deadlock the join below.
-        while self.slots[ap_id]
-            .join
-            .as_ref()
-            .is_some_and(|j| !j.is_finished())
-        {
-            if let Ok(done) = self
-                .up_rx
-                .recv_timeout(std::time::Duration::from_millis(10))
-            {
-                self.route(done);
-            }
-        }
-        while let Ok(done) = self.up_rx.try_recv() {
-            self.route(done);
-        }
-        let slot = &mut self.slots[ap_id];
-        slot.alive = false;
-        if let Some(join) = slot.join.take() {
-            if let Ok((_ap, stats)) = join.join() {
-                slot.final_stats = Some(stats);
-            }
-        }
-        self.aligner.forget_ap(ap_id);
-        self.fusion.retire_ap(ap_id);
-        self.health.mark_dead(ap_id);
+        self.drain_until_exited(&[ap_id]);
+        self.end_membership(ap_id);
         self.metrics.watchdog_reaps += 1;
-        self.fusion.rebaseline();
     }
 
     /// Is window `w`'s bin closable: every AP expected at submit has
@@ -877,7 +781,10 @@ impl Deployment {
             .filter(|&k| !bin.reported.contains(&k) && self.slots[k].alive && self.slots[k].hung)
             .collect();
         for ap_id in failed {
-            self.finish_reap(ap_id);
+            // The AP object itself is dropped: a crashed worker's state
+            // is not trusted. Its counters are still real.
+            self.end_membership(ap_id);
+            self.metrics.worker_losses += 1;
         }
         for (ap_id, stats) in &bin.end_stats {
             self.per_ap_window_stats[*ap_id].absorb(stats);
@@ -1200,38 +1107,17 @@ impl Deployment {
                 break;
             }
         }
-        // A worker's final flush is a *blocking* send on the shared
-        // report channel; joining a worker still parked in that send
-        // (possible on small channels once every window has closed)
-        // would deadlock. Keep draining reports until every thread has
-        // actually exited, then sweep the stragglers.
-        while self
-            .slots
-            .iter()
-            .any(|s| s.join.as_ref().is_some_and(|j| !j.is_finished()))
-        {
-            if let Ok(done) = self
-                .up_rx
-                .recv_timeout(std::time::Duration::from_millis(10))
-            {
-                self.route(done);
-            }
-        }
-        while let Ok(done) = self.up_rx.try_recv() {
-            self.route(done);
-        }
+        // A worker still parked in its final flush (possible on small
+        // channels once every window has closed) must get it out before
+        // the join below.
+        let all: Vec<usize> = (0..self.slots.len()).collect();
+        self.drain_until_exited(&all);
         let mut per_ap = Vec::with_capacity(self.slots.len());
         let mut store_occupancy = Vec::new();
         let mut aps = Vec::new();
         for (ap_id, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
-            let prior = slot.final_stats;
-            let mut stats = match slot.join.map(|j| j.join()) {
-                Some(Ok((ap, mut stats))) => {
-                    // A re-joined AP's totals span both stints: fold
-                    // the pre-rejoin run (captured at removal) in.
-                    if let Some(p) = &prior {
-                        stats.absorb(p);
-                    }
+            let mut stats = match slot.join.map(JoinHandle::join) {
+                Some(Ok((ap, stats))) => {
                     // Store occupancy, readable now that the AP's
                     // trained signature store is back in hand.
                     store_occupancy.push((ap_id, ap.spoof.trained_count()));
@@ -1241,7 +1127,7 @@ impl Deployment {
                 // Removed or reaped earlier: use the captured totals,
                 // falling back to the closed-window view for a panicked
                 // worker whose totals died with it.
-                _ => prior.unwrap_or(self.per_ap_window_stats[ap_id]),
+                _ => slot.final_stats.unwrap_or(self.per_ap_window_stats[ap_id]),
             };
             // Counters only the coordinator can see (a worker cannot
             // observe its own clock error, wire corruption, or
@@ -1295,7 +1181,6 @@ fn spawn_worker(
         auto_train_signatures: cfg.auto_train_signatures,
         skew,
         link: cfg.link,
-        marker_loss_rate: cfg.marker_loss_rate,
         tap,
         faults: crate::faults::ApFaults::new(
             cfg.faults

@@ -1,13 +1,16 @@
 //! Deterministic fault injection: a seeded, scripted schedule of the
 //! failures a fleet actually meets — wedged workers, mid-window
 //! crashes, corrupted report payloads, byzantine bearing bias, burst
-//! link loss, and clocks that start *drifting* mid-run.
+//! link loss, lost end-of-window markers, and clocks that start
+//! *drifting* mid-run.
 //!
 //! A [`FaultPlan`] is attached via [`crate::DeployConfig::faults`]
 //! (default: `None` — the fault layer is zero-cost-off and the
 //! deployment behaves byte-identically to a plan-free run, pinned by
-//! `tests/proptest_chaos.rs`). Every fault is a pure function of the
-//! plan and the window number, never of wall clocks or thread
+//! `tests/proptest_chaos.rs`). It is the only way a simulated worker
+//! fault enters a deployment (random per-attempt report loss is the
+//! link model, [`crate::LinkConfig`]). Every fault is a pure function
+//! of the plan and the window number, never of wall clocks or thread
 //! interleavings, so a seeded chaos run is byte-reproducible: the same
 //! plan degrades the same windows the same way on every rerun, at any
 //! pipelining depth.
@@ -15,7 +18,9 @@
 //! The defensive counterpart lives in [`crate::health`]: corrupted
 //! payloads are caught by the report-wire checksum, byzantine bearings
 //! by the per-AP bearing-residual score, and persistent stalls by the
-//! window-count watchdog.
+//! window-count watchdog. Lost markers are closed by the coordinator's
+//! gap detection ([`crate::DeployConfig::marker_timeout_windows`]) and
+//! crashed workers by its dead-worker sweep.
 
 /// How a corrupted report payload is mangled on the wire. All three are
 /// applied *after* the worker computes the payload checksum — they
@@ -94,6 +99,19 @@ pub enum FaultEvent {
         /// Burst length, windows.
         for_windows: u64,
     },
+    /// AP `ap`'s end-of-window marker for `window` is lost on the
+    /// control path: the worker does the window's work but the
+    /// coordinator never hears that it finished. A later marker's gap
+    /// (or the worker's final flush) reveals the loss, and the window
+    /// closes without the AP. A plan with this event requires
+    /// [`crate::DeployConfig::marker_timeout_windows`] `≥ 1`
+    /// (enforced at deployment construction).
+    MarkerLoss {
+        /// The AP whose marker is lost.
+        ap: usize,
+        /// The window whose marker is lost.
+        window: u64,
+    },
     /// AP `ap`'s clock starts *drifting* at `from_window`, gaining
     /// `drift_ppw` windows of label skew per elapsed window on top of
     /// its configured [`crate::ApSkew`]. The aligner's learned drift
@@ -120,6 +138,7 @@ impl FaultEvent {
             | FaultEvent::Corrupt { ap, .. }
             | FaultEvent::ByzantineBias { ap, .. }
             | FaultEvent::BurstLoss { ap, .. }
+            | FaultEvent::MarkerLoss { ap, .. }
             | FaultEvent::DriftOnset { ap, .. } => ap,
         }
     }
@@ -144,9 +163,9 @@ impl FaultEvent {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Plan seed. Folded into derived schedules
-    /// ([`FaultPlan::scripted`]) and reserved for stochastic fault
-    /// streams; scripted events fire regardless.
+    /// Plan seed: the seed [`FaultPlan::scripted`] derived the
+    /// schedule from. Every event is scripted, so the deployment never
+    /// draws from it.
     pub seed: u64,
     /// The scripted events, in any order.
     pub events: Vec<FaultEvent>,
@@ -239,6 +258,8 @@ pub(crate) struct WindowFaults {
     pub bias_rad: f64,
     /// Force the payload lost on the link (marker survives).
     pub burst_loss: bool,
+    /// Drop the end-of-window marker (and with it the payload).
+    pub marker_lost: bool,
     /// Extra window-label skew from drift onset, windows.
     pub extra_label: i64,
 }
@@ -294,6 +315,11 @@ impl ApFaults {
                 } => {
                     if w >= from_window && w < from_window.saturating_add(for_windows) {
                         out.burst_loss = true;
+                    }
+                }
+                FaultEvent::MarkerLoss { window, .. } => {
+                    if w == window {
+                        out.marker_lost = true;
                     }
                 }
                 FaultEvent::DriftOnset {
@@ -445,10 +471,12 @@ mod tests {
                 from_window: 0,
                 drift_ppw: 0.5,
             },
+            FaultEvent::MarkerLoss { ap: 0, window: 5 },
         ]);
         assert!(!f.at(2).stall);
         assert!(f.at(3).stall && f.at(4).stall && !f.at(5).stall);
         assert!(f.at(6).burst_loss && !f.at(7).burst_loss);
+        assert!(f.at(5).marker_lost && !f.at(4).marker_lost && !f.at(6).marker_lost);
         assert_eq!(f.at(7).bias_rad, 0.0);
         assert!((f.at(8).bias_rad - 15f64.to_radians()).abs() < 1e-12);
         assert_eq!(f.at(4).extra_label, 2);

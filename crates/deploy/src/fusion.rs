@@ -130,18 +130,6 @@ impl Fusion {
         }
     }
 
-    /// Re-admit a previously retired AP slot at `position`
-    /// ([`crate::Deployment::rejoin_ap`]): it counts toward the
-    /// expected quorum again. Does **not** re-baseline — callers
-    /// decide, exactly as with [`Fusion::add_ap`]. Unknown ids are
-    /// ignored.
-    pub fn revive_ap(&mut self, ap_id: usize, position: Point) {
-        if let Some(flag) = self.live.get_mut(ap_id) {
-            *flag = true;
-            self.ap_positions[ap_id] = position;
-        }
-    }
-
     /// How many consensus re-baselines this stage has performed
     /// (membership churn plus health quarantine/readmit events).
     pub fn rebaseline_count(&self) -> u64 {
@@ -185,12 +173,12 @@ impl Fusion {
     /// internally. Tracker `dt` is derived from the gap in window
     /// numbers (late windows fall back to the tracker's zero-`dt`
     /// position-only update). The expected quorum is the current live
-    /// membership, with no missing-report slack; a coordinator that
-    /// tracks per-window degradation uses
-    /// [`Fusion::fuse_window_expecting`] instead.
+    /// membership, with no missing-report slack and no quarantine; a
+    /// coordinator that tracks per-window degradation uses
+    /// [`Fusion::fuse_window_degraded`] instead.
     pub fn fuse_window(&mut self, window: u64, packets: Vec<ApPacket>) -> FusedWindow {
         let expected = self.live_aps();
-        self.fuse_window_expecting(window, packets, expected, 0)
+        self.fuse_window_degraded(window, packets, expected, 0, 0)
     }
 
     /// [`Fusion::fuse_window`] with the coordinator's per-window
@@ -203,24 +191,14 @@ impl Fusion {
     /// ([`secureangle::spoof::CrossApConsensus::check_degraded`]) — a
     /// client that some delivered AP simply could not hear is a
     /// coverage fact, not link degradation, and gets no slack.
-    pub fn fuse_window_expecting(
-        &mut self,
-        window: u64,
-        packets: Vec<ApPacket>,
-        expected_aps: usize,
-        missing_aps: usize,
-    ) -> FusedWindow {
-        self.fuse_window_degraded(window, packets, expected_aps, missing_aps, 0)
-    }
-
-    /// [`Fusion::fuse_window_expecting`] plus the health layer's
-    /// quarantine knowledge: `quarantined_aps` is how many APs the
-    /// coordinator *withheld* from this window because their evidence
-    /// is distrusted ([`crate::health::FleetHealth`]). Quarantine is
-    /// not link degradation — a distrusted AP earns no consensus
-    /// slack and is already excluded from `expected_aps` — but it is
-    /// recorded on the fused window and in flight-recorder events so
-    /// a post-mortem can see *why* the window fused thin.
+    ///
+    /// `quarantined_aps` is how many APs the coordinator *withheld*
+    /// from this window because their evidence is distrusted
+    /// ([`crate::health::FleetHealth`]). Quarantine is not link
+    /// degradation — a distrusted AP earns no consensus slack and is
+    /// already excluded from `expected_aps` — but it is recorded on the
+    /// fused window and in flight-recorder events so a post-mortem can
+    /// see *why* the window fused thin.
     pub fn fuse_window_degraded(
         &mut self,
         window: u64,
@@ -670,7 +648,7 @@ mod tests {
             .enumerate()
             .map(|(i, &p)| pkt(i, 0, 1, p.azimuth_to(nearby)))
             .collect();
-        let out = fusion.fuse_window_expecting(1, partial.clone(), 4, 2);
+        let out = fusion.fuse_window_degraded(1, partial.clone(), 4, 2, 0);
         assert!(
             matches!(
                 out.clients[0].consensus,
@@ -682,7 +660,7 @@ mod tests {
         // The same 2-AP view with every report DELIVERED (the client is
         // merely out of the other APs' range) earns no slack: coverage
         // is not degradation, and the displacement is flagged.
-        let out = fusion.fuse_window_expecting(2, partial, 4, 0);
+        let out = fusion.fuse_window_degraded(2, partial, 4, 0, 0);
         assert!(
             out.clients[0].consensus.is_spoof(),
             "range-limited client must not get loss slack: {:?}",
@@ -695,7 +673,7 @@ mod tests {
             .enumerate()
             .map(|(i, &p)| pkt(i, 0, 1, p.azimuth_to(far)))
             .collect();
-        let out = fusion.fuse_window_expecting(3, attack, 4, 2);
+        let out = fusion.fuse_window_degraded(3, attack, 4, 2, 0);
         assert!(out.clients[0].consensus.is_spoof());
     }
 
@@ -768,11 +746,6 @@ mod tests {
         assert_eq!(fusion.rebaseline_count(), 0);
         fusion.rebaseline();
         assert_eq!(fusion.rebaseline_count(), 1);
-        fusion.revive_ap(2, pt(12.0, 12.0));
-        assert_eq!(fusion.live_aps(), 4);
-        // Unknown ids are ignored, as with retire.
-        fusion.revive_ap(99, pt(0.0, 0.0));
-        assert_eq!(fusion.live_aps(), 4);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! with a consensus re-baseline — until a configurable clean streak
 //! earns re-admission. A wedged worker (consecutive stalled markers)
 //! is reaped by a window-count watchdog, never a wall clock, so the
-//! whole defensive layer stays byte-deterministic.
+//! whole defensive layer stays byte-deterministic. A reaped, removed or
+//! lost AP is marked dead and never scored again: AP ids are not
+//! reused, and an AP that comes back joins under a fresh id
+//! ([`crate::Deployment::add_ap`]).
 //!
 //! Disabled by default ([`HealthConfig::enabled`] = `false`): the
 //! deployment is then byte-identical to a health-free build, pinned by
@@ -62,10 +65,6 @@ const PENALTY: f64 = 0.25;
 const RECOVERY: f64 = 0.05;
 /// Quarantine an AP when its score falls below this.
 const QUARANTINE_BELOW: f64 = 0.35;
-/// Probation length for a re-joining AP ([`crate::Deployment::rejoin_ap`]):
-/// it resumes its trained baseline but stays quarantined for this many
-/// clean windows before its reports count again.
-pub(crate) const PROBATION_WINDOWS: u32 = 8;
 /// Reap a worker after this many *consecutive* stalled windows (its
 /// marker arrives flagged stalled with no payload). Window counts, not
 /// wall clock — the watchdog is deterministic.
@@ -141,7 +140,6 @@ pub enum HealthAction {
 struct ApHealth {
     score: f64,
     quarantined: bool,
-    clean_needed: u32,
     clean_streak: u32,
     stall_run: u32,
     alive: bool,
@@ -152,7 +150,6 @@ impl ApHealth {
         Self {
             score: 1.0,
             quarantined: false,
-            clean_needed: 0,
             clean_streak: 0,
             stall_run: 0,
             alive: true,
@@ -224,29 +221,14 @@ impl FleetHealth {
         self.aps[ap].score.clamp(0.05, 1.0)
     }
 
-    /// Mark an AP dead (worker lost or removed) — it stops appearing in
-    /// [`FleetHealth::quarantined_aps`] until revived.
+    /// Mark an AP dead (worker lost, reaped or removed) — it stops
+    /// being scored and stops appearing in
+    /// [`FleetHealth::quarantined_aps`]. AP ids are never reused, so a
+    /// dead AP stays dead.
     pub fn mark_dead(&mut self, ap: usize) {
         if let Some(a) = self.aps.get_mut(ap) {
             a.alive = false;
             a.stall_run = 0;
-        }
-    }
-
-    /// Revive a re-joining AP behind probation: it resumes quarantined
-    /// and must log `PROBATION_WINDOWS` clean windows before
-    /// re-admission.
-    pub fn start_probation(&mut self, ap: usize) {
-        let enabled = self.cfg.enabled;
-        if let Some(a) = self.aps.get_mut(ap) {
-            a.alive = true;
-            a.stall_run = 0;
-            a.clean_streak = 0;
-            if enabled {
-                a.quarantined = true;
-                a.clean_needed = PROBATION_WINDOWS;
-                a.score = a.score.min(QUARANTINE_BELOW);
-            }
         }
     }
 
@@ -300,14 +282,13 @@ impl FleetHealth {
                 a.clean_streak = 0;
                 if !a.quarantined && a.score < QUARANTINE_BELOW {
                     a.quarantined = true;
-                    a.clean_needed = readmit_after_clean;
                     actions.push(HealthAction::Quarantine(i));
                 }
             } else {
                 a.score = (a.score + RECOVERY).min(1.0);
                 if a.quarantined {
                     a.clean_streak += 1;
-                    if a.clean_streak >= a.clean_needed {
+                    if a.clean_streak >= readmit_after_clean {
                         a.quarantined = false;
                         a.clean_streak = 0;
                         a.score = a.score.max(QUARANTINE_BELOW + RECOVERY);
@@ -471,22 +452,5 @@ mod tests {
         };
         h.observe_window(&[clean(), mild, clean()]);
         assert_eq!(h.score(1), 1.0);
-    }
-
-    #[test]
-    fn probation_holds_a_rejoiner_out_until_clean() {
-        let mut h = fleet(HealthConfig::enabled(), 1);
-        h.mark_dead(0);
-        assert!(h.quarantined_aps().is_empty());
-        h.start_probation(0);
-        assert!(h.is_quarantined(0));
-        let mut readmitted = false;
-        for _ in 0..8 {
-            readmitted |= h
-                .observe_window(&[clean()])
-                .contains(&HealthAction::Readmit(0));
-        }
-        assert!(readmitted);
-        assert!(!h.is_quarantined(0));
     }
 }

@@ -55,15 +55,17 @@
 //! * The fleet is **self-healing under scripted chaos**: a seeded
 //!   [`faults::FaultPlan`] injects worker stalls, mid-window crashes,
 //!   wire-corrupted reports (caught by the report checksum), byzantine
-//!   bearing bias, burst link loss and drifting clocks — all pure
+//!   bearing bias, burst link loss, lost end-of-window markers and
+//!   drifting clocks — all pure
 //!   functions of the plan and window number — while
 //!   [`health::FleetHealth`] scores each AP from per-window fusion
 //!   evidence, down-weights then **quarantines** persistent outliers
 //!   (with consensus re-baseline), re-admits them after a clean streak,
 //!   and reaps wedged workers via a window-count stall watchdog.
 //!   Both layers default off and are byte-transparent when disabled
-//!   (`tests/proptest_chaos.rs`); re-joining APs resume their trained
-//!   identity behind a probation window ([`Deployment::rejoin_ap`]).
+//!   (`tests/proptest_chaos.rs`). Every way an AP leaves — removal,
+//!   a crashed worker, a watchdog reap — ends its membership the same
+//!   way, with one consensus re-baseline; AP ids are never reused.
 //!
 //! ```no_run
 //! use sa_deploy::{DeployConfig, Deployment, Transmission};

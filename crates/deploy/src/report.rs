@@ -123,7 +123,7 @@ counter_block! {
     /// table in `docs/DEPLOYMENT.md`.
     pub skew_rejections: u64,
     /// End-of-window markers from this AP lost on the control path
-    /// ([`crate::DeployConfig::marker_loss_rate`]): the coordinator
+    /// ([`crate::FaultEvent::MarkerLoss`]): the coordinator
     /// never heard this AP finish those windows, and they closed via
     /// the gap-detection policy
     /// ([`crate::DeployConfig::marker_timeout_windows`]) or the final
@@ -142,7 +142,7 @@ counter_block! {
     /// Times this AP was quarantined by the health layer (excluded from
     /// fusion/consensus until a clean streak earned re-admission).
     pub quarantined: u64,
-    /// Times this AP was re-admitted after quarantine or probation.
+    /// Times this AP was re-admitted after quarantine.
     pub readmitted: u64,
     }
 }
@@ -293,15 +293,12 @@ pub struct DeployMetrics {
     /// Quarantine events: an AP's health score fell below the
     /// quarantine threshold and it was excluded from fusion/consensus.
     pub aps_quarantined: u64,
-    /// Re-admission events after quarantine or probation.
+    /// Re-admission events after quarantine.
     pub aps_readmitted: u64,
     /// Workers reaped by the stall watchdog (a run of stalled windows
     /// hit `STALL_WATCHDOG_WINDOWS`). Distinct
     /// from `worker_losses`, which counts uncommanded deaths.
     pub watchdog_reaps: u64,
-    /// APs re-joined with their persistent identity
-    /// ([`crate::Deployment::rejoin_ap`]).
-    pub aps_rejoined: u64,
 }
 
 impl DeployMetrics {
@@ -338,7 +335,6 @@ impl DeployMetrics {
         f("aps_quarantined", self.aps_quarantined);
         f("aps_readmitted", self.aps_readmitted);
         f("watchdog_reaps", self.watchdog_reaps);
-        f("aps_rejoined", self.aps_rejoined);
     }
 }
 
@@ -510,15 +506,14 @@ mod tests {
         m.aps_quarantined = 20;
         m.aps_readmitted = 21;
         m.watchdog_reaps = 22;
-        m.aps_rejoined = 23;
         let mut names = Vec::new();
         let mut sum = 0u64;
         m.for_each(|name, v| {
             names.push(name);
             sum += v;
         });
-        assert_eq!(names.len(), 23);
-        assert_eq!(sum, (1..=23).sum::<u64>());
+        assert_eq!(names.len(), 22);
+        assert_eq!(sum, (1..=22).sum::<u64>());
         // The high-water mark is a gauge, not a counter: never visited.
         assert!(!names.contains(&"max_fusion_queue_depth"));
     }

@@ -36,9 +36,6 @@ pub(crate) enum WorkerMsg {
         window: u64,
         packets: Vec<WorkerPacket>,
     },
-    /// Die abruptly without reporting anything (test-only fault
-    /// injection: models a worker crash / power loss mid-run).
-    Crash,
     /// Drain and exit.
     Shutdown,
 }
@@ -90,11 +87,6 @@ pub(crate) struct WorkerCfg {
     pub auto_train_signatures: bool,
     pub skew: ApSkew,
     pub link: LinkConfig,
-    /// End-of-window marker drop probability
-    /// ([`crate::DeployConfig::marker_loss_rate`]); draws come from a
-    /// dedicated stream so enabling marker loss never shifts the
-    /// report-loss draws.
-    pub marker_loss_rate: f64,
     /// Stage-latency histogram handles (`stage.worker_dsp`,
     /// `stage.enforce`, labeled by AP) — `None` unless telemetry is on,
     /// so the disabled path costs one branch per span and reads no
@@ -134,8 +126,8 @@ impl LossStream {
     }
 
     /// True with probability `p` (draws one word even at p = 0 or 1, so
-    /// counter-less callers can reason about stream position; callers
-    /// short-circuit `p == 0` for byte-compat with reliable links).
+    /// the stream position is the attempt count; the caller
+    /// short-circuits `p == 0` for byte-compat with reliable links).
     fn dropped(&mut self, p: f64) -> bool {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
@@ -160,9 +152,6 @@ pub(crate) fn run_worker(
     let mut engine = None;
     let mut totals = ApStats::default();
     let mut loss = LossStream::new(cfg.link.seed, ap_id);
-    // Marker loss draws from its own stream (seed mixed with a fixed
-    // tag) so the report-loss sequence is identical with it on or off.
-    let mut marker_loss = LossStream::new(cfg.link.seed ^ 0x6d61_726b_6572, ap_id);
     while let Ok(msg) = rx.recv() {
         let (window, packets) = match msg {
             WorkerMsg::Shutdown => {
@@ -183,7 +172,6 @@ pub(crate) fn run_worker(
                 });
                 break;
             }
-            WorkerMsg::Crash => return (ap, totals),
             WorkerMsg::Window { window, packets } => (window, packets),
         };
         // Scripted faults for this window: a pure function of the plan
@@ -292,7 +280,7 @@ pub(crate) fn run_worker(
         // coordinator only learns of it from a later marker's gap (or
         // the final flush). The window's work still happened, so its
         // stats fold into the run totals the worker hands back at exit.
-        if cfg.marker_loss_rate > 0.0 && marker_loss.dropped(cfg.marker_loss_rate) {
+        if wf.marker_lost {
             stats.markers_lost += 1;
             totals.absorb(&stats);
             continue;

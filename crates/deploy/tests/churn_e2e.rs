@@ -4,7 +4,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_deploy::{DeployConfig, DeployError, Deployment, Transmission};
+use sa_deploy::{DeployConfig, DeployError, Deployment, FaultEvent, FaultPlan, Transmission};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
 
@@ -133,8 +133,8 @@ fn mid_run_add_ap_joins_the_next_window() {
     assert_eq!(report.per_ap[0].windows, 2);
 }
 
-/// A worker that dies abruptly (crash fault injection) must never
-/// stall a window: pending windows close without it, membership
+/// A worker that dies abruptly (a scripted crash in window 1) must
+/// never stall a window: pending windows close without it, membership
 /// shrinks, and the run continues on the survivors.
 #[test]
 fn crashed_worker_never_stalls_a_window() {
@@ -147,11 +147,17 @@ fn crashed_worker_never_stalls_a_window() {
     let w2 = window_for(&tb, &[0, 1], &clients, 2, &mut rng);
     let aps: Vec<AccessPoint> = tb.nodes.into_iter().map(|n| n.ap).collect();
 
-    let mut deployment = Deployment::new(aps, DeployConfig::default());
+    let cfg = DeployConfig {
+        faults: Some(FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent::Crash { ap: 2, window: 1 }],
+        }),
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
     deployment.run_window(w0).expect("clean window");
-    // Crash AP 2, then submit a window that (per FIFO) it will never
-    // process: the crash message sits ahead of the window in its queue.
-    deployment.crash_worker(2).expect("inject crash");
+    // AP 2's worker dies on receiving window 1, before any DSP,
+    // payload or marker.
     deployment.submit_window(w1).expect("submit");
     let fused = deployment.collect_window().expect("must not deadlock");
     // The window was submitted while AP 2 still counted as live, so it

@@ -1,11 +1,13 @@
-//! End-to-end tests for lossy end-of-window markers: a dropped marker
+//! End-to-end tests for lost end-of-window markers: a dropped marker
 //! must degrade the run deterministically — revealed by a later
 //! marker's gap (within [`DeployConfig::marker_timeout_windows`]) or by
-//! the worker's final flush — never stall it.
+//! the worker's final flush — never stall it. Losses are scripted with
+//! [`FaultEvent::MarkerLoss`], so every test knows exactly which
+//! `(AP, window)` markers vanish.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_deploy::{DeployConfig, Deployment, Transmission};
+use sa_deploy::{DeployConfig, Deployment, FaultEvent, FaultPlan, Transmission};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
 
@@ -18,6 +20,16 @@ fn window(tb: &Testbed, clients: &[usize], seq: u16, rng: &mut ChaCha8Rng) -> Ve
         .into_iter()
         .map(Transmission::new)
         .collect()
+}
+
+fn marker_loss(events: &[(usize, u64)]) -> Option<FaultPlan> {
+    Some(FaultPlan {
+        seed: 0,
+        events: events
+            .iter()
+            .map(|&(ap, window)| FaultEvent::MarkerLoss { ap, window })
+            .collect(),
+    })
 }
 
 /// Scheduling-observability counters are interleaving-dependent and
@@ -40,7 +52,7 @@ fn masked_report(r: &sa_deploy::DeploymentReport) -> String {
 fn marker_loss_without_gap_detection_is_rejected() {
     let tb = Testbed::deployment(2, 319);
     let cfg = DeployConfig {
-        marker_loss_rate: 0.1,
+        faults: marker_loss(&[(1, 3)]),
         marker_timeout_windows: 0,
         ..DeployConfig::default()
     };
@@ -48,20 +60,21 @@ fn marker_loss_without_gap_detection_is_rejected() {
 }
 
 /// Markers dropped mid-run are revealed by the next surviving marker's
-/// gap: the affected windows close without that AP's bearings (counted
-/// in [`sa_deploy::FusedWindow::markers_lost`] and as degradation), the
-/// deployment never stalls, and the whole degraded run is
-/// byte-deterministic across repeats. Tail windows whose markers are
-/// lost with nothing after them close via the workers' shutdown flush
-/// in `finish`, and the coordinator's detected-loss count agrees with
-/// the workers' own drop counts.
+/// gap: AP 1 loses two markers in a row (windows 1 and 2, both closed
+/// by its window-3 marker) and AP 2 loses one (window 3, closed by its
+/// window-4 marker). Each affected window closes without that AP's
+/// bearings and with exactly one lost marker. AP 0's marker for the
+/// last window has nothing after it, so only the shutdown flush in
+/// `finish` closes that window. The coordinator's detected-loss count
+/// agrees with the workers' own, and the whole degraded run is
+/// byte-deterministic across repeats.
 #[test]
 fn lost_markers_degrade_deterministically_without_stalling() {
     const WINDOWS: usize = 6;
-    // Collect explicitly only while a later marker is guaranteed
-    // possible; the tail (whose gaps only the final flush can reveal)
-    // is drained by finish().
-    const EXPLICIT: usize = 4;
+    // Windows 0..=4 close on markers (or the gaps they reveal); window
+    // 5 can only close in finish().
+    const EXPLICIT: usize = 5;
+    const LOST: [(usize, u64); 4] = [(1, 1), (1, 2), (2, 3), (0, 5)];
     let run = || {
         let tb = Testbed::deployment(3, 321);
         let mut rng = ChaCha8Rng::seed_from_u64(322);
@@ -70,7 +83,7 @@ fn lost_markers_degrade_deterministically_without_stalling() {
             .collect();
         let aps = split(tb);
         let cfg = DeployConfig {
-            marker_loss_rate: 0.3,
+            faults: marker_loss(&LOST),
             marker_timeout_windows: 2,
             ..DeployConfig::default()
         };
@@ -89,39 +102,37 @@ fn lost_markers_degrade_deterministically_without_stalling() {
     };
 
     let (fused, report) = run();
-    // Every window closed — the explicitly collected ones and the tail.
-    assert_eq!(report.metrics.windows, WINDOWS as u64);
-    // At 30% marker loss over 18 (ap, window) markers, losses are
-    // certain — and the coordinator detected every one the workers
-    // dropped (gap detection mid-run, the flush for the tail).
-    assert!(report.metrics.markers_lost > 0, "{:?}", report.metrics);
-    assert_eq!(
-        report.per_ap.iter().map(|s| s.markers_lost).sum::<u64>(),
-        report.metrics.markers_lost,
-        "coordinator-detected losses must match worker-side drops"
-    );
-    assert!(report.metrics.degraded_windows > 0);
+    let per_window: Vec<usize> = fused.iter().map(|f| f.markers_lost).collect();
+    assert_eq!(per_window, vec![0, 1, 1, 1, 0], "mid-run gaps");
     // A marker-lost AP contributes no bearings to its window.
     for f in &fused {
         assert_eq!(f.expected_aps, 3);
+        assert_eq!(f.lost_reports, 0, "the report link is reliable");
         for c in &f.clients {
-            assert!(c.n_aps + f.markers_lost + f.lost_reports >= 1);
-            assert!(c.n_aps <= f.expected_aps - f.markers_lost);
+            assert!(c.n_aps <= f.expected_aps - f.markers_lost, "{:?}", c);
         }
     }
-    assert!(
-        fused.iter().any(|f| f.markers_lost > 0),
-        "seed produced no marker loss in the collected windows"
+    // Every window closed — the explicitly collected ones and the
+    // flushed tail — and every scripted loss was detected.
+    assert_eq!(report.metrics.windows, WINDOWS as u64);
+    assert_eq!(report.metrics.markers_lost, LOST.len() as u64);
+    assert_eq!(report.metrics.degraded_windows, 4, "windows 1, 2, 3 and 5");
+    let per_ap: Vec<u64> = report.per_ap.iter().map(|s| s.markers_lost).collect();
+    assert_eq!(per_ap, vec![1, 2, 1], "worker-side drops per AP");
+    assert_eq!(
+        per_ap.iter().sum::<u64>(),
+        report.metrics.markers_lost,
+        "coordinator-detected losses must match worker-side drops"
     );
 
-    // Determinism: the loss draws are a pure function of the config, so
+    // Determinism: the losses are a pure function of the plan, so
     // repeating the run reproduces the degradation byte-for-byte.
     let (fused2, report2) = run();
     assert_eq!(format!("{:?}", fused), format!("{:?}", fused2));
     assert_eq!(masked_report(&report), masked_report(&report2));
 }
 
-/// With marker loss *disabled*, enabling the gap-detection tolerance is
+/// With no marker lost, enabling the gap-detection tolerance is
 /// byte-transparent: in-order markers never present a gap, so the
 /// fused output and report are identical to the default configuration.
 #[test]

@@ -5,10 +5,10 @@
 //! to pick a bucket, three relaxed atomic adds (bucket, count, sum) and
 //! one `fetch_max`. Buckets are powers of two, so a histogram covers
 //! 1 ns … ~9.2 s of latency in 64 buckets at ≤ 2× relative error —
-//! plenty for percentile dashboards, and small enough that per-shard
-//! instances (one per worker or decode shard, avoiding cross-thread
-//! cache-line traffic) cost nothing to keep and are simply summed into
-//! one [`HistogramSnapshot`] at snapshot time.
+//! plenty for percentile dashboards, and small enough that per-AP
+//! instances (one per worker thread, labeled `ap`, avoiding
+//! cross-thread cache-line traffic) cost nothing to keep and are simply
+//! summed into one [`HistogramSnapshot`] at snapshot time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -128,7 +128,7 @@ impl HistogramSnapshot {
     }
 
     /// Fold another snapshot into this one (bucket-wise sum; `max` is
-    /// the max). Merging is associative and commutative, so per-shard
+    /// the max). Merging is associative and commutative, so per-AP
     /// instances can be folded in any order — pinned by the unit tests.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {

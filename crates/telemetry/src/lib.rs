@@ -6,8 +6,8 @@
 //! is the observability layer those questions run on:
 //!
 //! * [`Histogram`] — fixed-bucket log2 latency histograms (HDR-lite):
-//!   an allocation-free, lock-free record path, per-shard instances
-//!   merged at snapshot time, p50/p90/p99/max read out of the buckets.
+//!   an allocation-free, lock-free record path, per-AP instances
+//!   (an `ap` label) merged at snapshot time, p50/p90/p99/max read out of the buckets.
 //!   [`StageTimer`] is the span guard that feeds them, and [`Registry`]
 //!   hands them out by hierarchical `stage.decode`-style name and
 //!   optional labels.
@@ -34,7 +34,7 @@
 //! use sa_telemetry::{Registry, StageTimer};
 //!
 //! let registry = Registry::new();
-//! let hist = registry.histogram("stage.decode", &[("shard", "0")]);
+//! let hist = registry.histogram("stage.worker_dsp", &[("ap", "0")]);
 //! {
 //!     let _span = StageTimer::start(Some(&hist));
 //!     // ... the timed stage ...
@@ -45,7 +45,7 @@
 //! snapshot.sort();
 //! let text = snapshot.to_prometheus();
 //! assert!(text.contains("sa_decode_packets{ap=\"3\"} 17"));
-//! assert!(text.contains("sa_stage_decode_count{shard=\"0\"} 1"));
+//! assert!(text.contains("sa_stage_worker_dsp_count{ap=\"0\"} 1"));
 //! ```
 
 #![forbid(unsafe_code)]

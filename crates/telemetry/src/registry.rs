@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Metric identity: `(name, labels as given)`. Labels are part of the
-/// key, so `stage.decode{shard=0}` and `stage.decode{shard=1}` are
+/// key, so `stage.worker_dsp{ap=0}` and `stage.worker_dsp{ap=1}` are
 /// distinct instruments.
 type Key = (String, Vec<(String, String)>);
 
@@ -35,8 +35,8 @@ impl Registry {
     }
 
     /// Get or create the histogram `name{labels}`. Registering the same
-    /// identity twice returns the same instance. Per-shard callers
-    /// should register distinct labels (e.g. `shard="3"`) and let
+    /// identity twice returns the same instance. Per-thread callers
+    /// should register distinct labels (e.g. `ap="3"`) and let
     /// [`TelemetrySnapshot::merged_histogram`] fold them, rather than
     /// share one instance across cores.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
@@ -72,27 +72,27 @@ mod tests {
     #[test]
     fn same_identity_shares_the_atomic() {
         let r = Registry::new();
-        let a = r.histogram("stage.decode", &[("shard", "0")]);
-        let b = r.histogram("stage.decode", &[("shard", "0")]);
+        let a = r.histogram("stage.worker_dsp", &[("ap", "0")]);
+        let b = r.histogram("stage.worker_dsp", &[("ap", "0")]);
         a.record(3);
         b.record(4);
         assert_eq!(a.count(), 2);
         // A different label set is a different instrument.
-        assert_eq!(r.histogram("stage.decode", &[("shard", "1")]).count(), 0);
+        assert_eq!(r.histogram("stage.worker_dsp", &[("ap", "1")]).count(), 0);
     }
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let r = Registry::new();
-        r.histogram("stage.x", &[("shard", "1")]).record(100);
-        r.histogram("stage.x", &[("shard", "0")]).record(50);
+        r.histogram("stage.x", &[("ap", "1")]).record(100);
+        r.histogram("stage.x", &[("ap", "0")]).record(50);
         r.histogram("a.first", &[]).record(1);
         let s = r.snapshot();
         assert!(s.counters.is_empty() && s.gauges.is_empty());
         let names: Vec<&str> = s.histograms.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(names, ["a.first", "stage.x", "stage.x"]);
-        // Shard 0 sorts before shard 1.
-        assert_eq!(s.histograms[1].labels, [("shard".into(), "0".into())]);
+        // AP 0 sorts before AP 1.
+        assert_eq!(s.histograms[1].labels, [("ap".into(), "0".into())]);
         let merged = s.merged_histogram("stage.x").expect("present");
         assert_eq!(merged.count, 2);
     }

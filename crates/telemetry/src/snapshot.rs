@@ -42,8 +42,9 @@ pub struct TelemetrySnapshot {
     /// Gauge readings, sorted by `(name, labels)`.
     pub gauges: Vec<GaugeSample>,
     /// Histogram snapshots, sorted by `(name, labels)` — one entry per
-    /// per-shard instance; use [`TelemetrySnapshot::merged_histogram`]
-    /// for the cross-shard aggregate.
+    /// instance (per AP for the worker stages); use
+    /// [`TelemetrySnapshot::merged_histogram`] for the cross-AP
+    /// aggregate.
     pub histograms: Vec<HistogramSnapshot>,
 }
 
@@ -112,7 +113,7 @@ impl TelemetrySnapshot {
             .map(|g| g.value)
     }
 
-    /// All per-shard instances of histogram `name`, folded into one
+    /// All per-AP instances of histogram `name`, folded into one
     /// aggregate (label-free). `None` if no instance exists.
     pub fn merged_histogram(&self, name: &str) -> Option<HistogramSnapshot> {
         let mut merged: Option<HistogramSnapshot> = None;

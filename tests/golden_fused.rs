@@ -25,13 +25,13 @@ const VICTIM: usize = 7;
 /// Digest of the fused windows and the masked report. Change it only
 /// together with a change that is meant to alter fused output, and say
 /// why in that change.
-const GOLDEN: u64 = 0x38bd_2192_0d71_837f;
+const GOLDEN: u64 = 0x04d6_54cd_ff64_47c4;
 
 /// Digest of the telemetry export of the same run with
 /// `TelemetryConfig::full()` (see [`stable_telemetry`]). Same rule as
 /// [`GOLDEN`]: it changes only with a change meant to alter exported
 /// names, labels, values or order.
-const GOLDEN_TELEMETRY: u64 = 0xded5_af2c_a46e_82a0;
+const GOLDEN_TELEMETRY: u64 = 0x8a8d_d92f_4738_3936;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
