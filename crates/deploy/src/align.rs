@@ -123,11 +123,6 @@ impl SkewAligner {
         self.aps.len() - 1
     }
 
-    /// Number of registered APs (live or not).
-    pub fn n_aps(&self) -> usize {
-        self.aps.len()
-    }
-
     /// Record that global window `global` was dispatched to AP `ap`,
     /// with `first_seq` the global sequence of its first packet (if
     /// any). Must be called in dispatch order.
@@ -272,9 +267,10 @@ impl SkewAligner {
 
     /// Declare every outstanding dispatch for AP `ap` marker-lost and
     /// return their global window numbers. The coordinator calls this
-    /// when the worker's final flush arrives (the worker exited, so no
-    /// later marker will ever reveal a tail gap); on a healthy run the
-    /// queue is already empty and this is a no-op.
+    /// when the worker's `Exited` message arrives after an ordered
+    /// shutdown (the worker processed its whole queue, so no later
+    /// marker will ever reveal a tail gap); on a healthy run the queue
+    /// is already empty and this is a no-op.
     pub fn take_outstanding(&mut self, ap: usize) -> Vec<u64> {
         self.aps[ap]
             .dispatched

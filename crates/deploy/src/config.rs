@@ -184,8 +184,8 @@ pub struct DeployConfig {
     /// [`crate::align::SkewAligner`]). Detection needs a *later* marker
     /// from the gapped AP, so run with `windows_in_flight >
     /// marker_timeout_windows` (a synchronous submit/collect loop never
-    /// sends the revealing later window). The deployment's final flush
-    /// closes any gap at the tail of the run. A fault plan that loses
+    /// sends the revealing later window). Each worker's flushed exit at
+    /// shutdown closes any gap at the tail of the run. A fault plan that loses
     /// markers requires `≥ 1` (enforced at deployment construction):
     /// without gap detection a lost marker desynchronises the per-AP
     /// FIFO and stalls its window forever.

@@ -8,19 +8,28 @@
 //! their payloads may be lost on the lossy report link (the window
 //! closes anyway, with that AP's bearings missing), the markers
 //! *themselves* may be lost (a later marker's gap — or the worker's
-//! final flush — reveals it, see
+//! flushed exit — reveals it, see
 //! [`crate::DeployConfig::marker_timeout_windows`]), and workers may
 //! join, leave, or die mid-run (a window never waits on an AP that is
 //! no longer live). All of it is deterministic for a seeded run.
+//!
+//! The coordinator learns about its workers from one inbox, and every
+//! wait on it is a blocking receive. Each worker thread, however it
+//! ends, sends `Exited` as its last message. Each `(AP, window)`
+//! settles into one outcome in its window's ledger, which the
+//! close condition, the fused counts, the consensus slack and the
+//! health evidence all read.
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
 use crate::faults::{payload_checksum, FaultEvent};
-use crate::fusion::Fusion;
-use crate::health::{ApWindowEvidence, FleetHealth, HealthAction};
+use crate::fusion::{bearing_err_deg, Fusion};
+use crate::health::{ApWindowEvidence, FleetHealth, HealthAction, BEARING_ERR_WARN_DEG};
 use crate::report::{ApStats, DeployMetrics, DeploymentReport, FusedWindow};
 use crate::telemetry::{DeployTelemetry, WorkerTap};
-use crate::worker::{run_worker, WindowDone, WorkerCfg, WorkerMsg, WorkerPacket};
+use crate::worker::{
+    run_worker, CoordinatorMsg, ExitNotice, WindowDone, WorkerCfg, WorkerMsg, WorkerPacket,
+};
 use sa_channel::geom::Point;
 use sa_linalg::CMat;
 use sa_mac::MacAddr;
@@ -59,16 +68,10 @@ struct WorkerSlot {
     tx: Option<SyncSender<WorkerMsg>>,
     join: Option<JoinHandle<(AccessPoint, ApStats)>>,
     alive: bool,
-    /// The worker's thread has exited and its buffered reports have
-    /// been salvaged, but its *membership* has not ended yet. Hangups
-    /// are noticed at racy points (timeout scans, failed sends), so
-    /// noticing only sets this flag; the membership end — retire,
-    /// re-baseline, loss accounting — happens in
-    /// [`Deployment::collect_window`] at the first window the worker
-    /// failed to report, a deterministic point in window order. A
-    /// worker that exited normally may also be flagged here; since all
-    /// its windows closed, the flag is then inert.
-    hung: bool,
+    /// The worker's `Exited` message has arrived (after all its
+    /// reports). A dead worker's membership ends later, at the first
+    /// window it failed to report, in [`Deployment::collect_window`].
+    exited: bool,
     /// Run totals captured when the worker left early (removed or
     /// reaped); `None` while running or if the thread panicked.
     final_stats: Option<ApStats>,
@@ -81,30 +84,37 @@ struct WindowBin {
     /// AP ids that were live when the window was submitted: the close
     /// condition. An AP that dies afterward stops being waited on.
     expected: Vec<usize>,
-    /// AP ids whose end-of-window marker has arrived.
-    reported: Vec<usize>,
+    /// The window's ledger, by AP id. An expected AP missing here has
+    /// not reported — yet, or ever, if its worker died.
+    settled: BTreeMap<usize, Settled>,
     packets: Vec<crate::report::ApPacket>,
-    end_stats: Vec<(usize, ApStats)>,
-    lost_reports: usize,
-    skew_rejected: usize,
-    /// APs whose end-of-window marker was declared lost (revealed by a
-    /// later marker's gap, or by the worker's final flush). They count
-    /// as reported — the window closes — but contributed nothing.
-    markers_lost: usize,
-    /// Per-AP attribution of the degradation above, for the health
-    /// layer's evidence: which APs lost their payload, were
-    /// skew-rejected, lost their marker, failed the wire checksum, or
-    /// arrived stalled. Sets of AP ids (arrival order; consumers treat
-    /// them as sets).
-    lost_ap_ids: Vec<usize>,
-    skew_ap_ids: Vec<usize>,
-    marker_lost_ap_ids: Vec<usize>,
-    corrupt_ap_ids: Vec<usize>,
-    stalled_ap_ids: Vec<usize>,
-    /// Packets withheld from fusion because their AP was quarantined
-    /// when the window closed — still evaluated against the fused fixes
-    /// for the quarantined AP's clean-streak readmission decision.
-    withheld: Vec<crate::report::ApPacket>,
+}
+
+/// How one `(AP, window)` settled; written once.
+#[derive(Clone, Copy)]
+struct Settled {
+    delivery: Delivery,
+    /// The marker arrived flagged stalled (wedged DSP, empty payload).
+    stalled: bool,
+    /// The worker's counters for the window (zero for a lost marker).
+    stats: ApStats,
+}
+
+/// What became of one AP's end-of-window marker and payload. Anything
+/// but `Fused` means its data never usably arrived.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// Passed every check (withheld instead if quarantined at close).
+    Fused,
+    /// The payload was lost on the link; only the marker arrived.
+    Lost,
+    /// The window label drifted beyond the skew tolerance.
+    SkewRejected,
+    /// The payload failed the wire checksum.
+    Corrupt,
+    /// The marker itself was lost, revealed by a later marker's gap or
+    /// the worker's flushed exit.
+    MarkerLost,
 }
 
 /// A running multi-AP deployment (see the crate docs for the data
@@ -145,11 +155,10 @@ struct WindowBin {
 pub struct Deployment {
     cfg: DeployConfig,
     modulation: Modulation,
-    /// Positions by stable AP id (retired ids keep their entry).
-    ap_positions: Vec<Point>,
     slots: Vec<WorkerSlot>,
-    up_tx: SyncSender<WindowDone>,
-    up_rx: Receiver<WindowDone>,
+    /// The coordinator's one inbox: every worker's reports and exits.
+    up_tx: SyncSender<CoordinatorMsg>,
+    up_rx: Receiver<CoordinatorMsg>,
     fusion: Fusion,
     aligner: SkewAligner,
     /// The AP immune system: per-AP scores, quarantine membership, and
@@ -200,13 +209,14 @@ impl Deployment {
             "a MarkerLoss fault requires marker_timeout_windows >= 1: without \
              gap detection a lost end-of-window marker stalls its window forever"
         );
-        let ap_positions: Vec<Point> = aps.iter().map(|ap| ap.config().position).collect();
-        let n_aps = aps.len();
         let telemetry = DeployTelemetry::new(cfg.telemetry);
         let decode_hist = telemetry
             .as_ref()
             .map(|t| t.registry.histogram("stage.decode", &[]));
 
+        let n_aps = aps.len();
+        let positions = aps.iter().map(|ap| ap.config().position).collect();
+        let mut fusion = Fusion::new(positions, cfg.clone());
         let (up_tx, up_rx) = sync_channel(cfg.channel_capacity.max(1));
         let mut aligner = SkewAligner::new(cfg.max_skew_windows);
         let mut health = FleetHealth::new(cfg.health);
@@ -222,7 +232,6 @@ impl Deployment {
             })
             .collect();
 
-        let mut fusion = Fusion::new(ap_positions.clone(), cfg.clone());
         if let Some(t) = &telemetry {
             fusion.attach_telemetry(t);
         }
@@ -233,7 +242,6 @@ impl Deployment {
             cfg,
             health,
             modulation,
-            ap_positions,
             slots,
             up_tx,
             up_rx,
@@ -250,11 +258,6 @@ impl Deployment {
     /// [`Deployment::submit_window`] expects per transmission.
     pub fn live_aps(&self) -> usize {
         self.slots.iter().filter(|s| s.alive).count()
-    }
-
-    /// Size of the stable AP id space (live + removed + lost APs).
-    pub fn n_aps(&self) -> usize {
-        self.slots.len()
     }
 
     /// The ids of the live APs, ascending — `live_ap_ids()[k]` is the
@@ -275,7 +278,7 @@ impl Deployment {
 
     /// AP positions, by stable AP id (including retired APs).
     pub fn ap_positions(&self) -> &[Point] {
-        &self.ap_positions
+        self.fusion.ap_positions()
     }
 
     /// Running deployment-wide counters.
@@ -316,7 +319,6 @@ impl Deployment {
         let ap_id = self.slots.len();
         self.aligner.add_ap();
         self.health.add_ap();
-        self.ap_positions.push(ap.config().position);
         self.fusion.add_ap(ap.config().position);
         self.per_ap_window_stats.push(ApStats::default());
         let tap = worker_tap(self.telemetry.as_ref(), ap_id);
@@ -349,32 +351,13 @@ impl Deployment {
         if self.live_aps() == 1 {
             return Err(DeployError::LastAp);
         }
-        // Shutdown first, then drain — the order matters under marker
-        // loss: its dispatched-but-unreported windows resolve either by
-        // their markers (FIFO: everything queued processes before the
-        // Shutdown), by a later marker's gap, or by the final flush
-        // revealing tail losses. A drain-first order would wait forever
-        // on a lost tail marker.
+        // Shutdown first, then drain: the flushed exit settles any lost
+        // tail marker, which a drain-first order would wait on forever.
         self.send_shutdown(ap_id);
-        while self.aligner.pending(ap_id) > 0 {
-            if self.slots[ap_id]
-                .join
-                .as_ref()
-                .is_some_and(|j| j.is_finished())
-            {
-                // The worker exited: every send it made (markers, then
-                // the flush) is already in the channel.
-                self.route_ready();
-                break;
-            }
-            self.wait_for_progress();
-        }
-        // Anything still outstanding means the worker died without
-        // flushing (a crash or a panic). Membership ends either way; a
-        // death, like a panic during shutdown, is a worker loss rather
-        // than a removal, and the dead worker's AP is not handed back.
-        let flushed = self.aligner.pending(ap_id) == 0;
         self.drain_until_exited(&[ap_id]);
+        // Anything still outstanding means the worker died (a crash or a
+        // panic): a worker loss, and its AP is not handed back.
+        let flushed = self.aligner.pending(ap_id) == 0;
         match self.end_membership(ap_id) {
             Some(ap) if flushed => {
                 self.metrics.aps_removed += 1;
@@ -456,66 +439,50 @@ impl Deployment {
             },
         );
 
-        // Dispatch, with ingest backpressure accounting. A full worker
-        // queue is never waited on blindly: the coordinator keeps
-        // draining the report channel while it waits, so workers stuck
-        // publishing finished windows can always make progress — deep
-        // pipelining backs up gracefully instead of deadlocking on a
-        // full channel cycle. A worker found dead here is reaped and
-        // skipped; the window will close without it.
+        // Dispatch, with ingest backpressure accounting. An exited
+        // worker is still a *member* — its membership ends at the
+        // collect of its first unreported window — so the dispatch is
+        // accounted identically whether its exit arrived before this
+        // send, during it, or not yet at all: *when* a crash is noticed
+        // never changes a byte.
         for (k, packets) in per_worker.into_iter().enumerate() {
             let ap_id = live[k];
             self.aligner
                 .note_dispatch(ap_id, window, packets.first().map(|p| p.seq));
-            let dispatched_packets = packets.len() as u64;
-            // A hung worker (crash noticed at some earlier racy point)
-            // is still a *member* — its membership ends at the collect
-            // of its first unreported window — so the dispatch is
-            // accounted identically whether the hangup was noticed
-            // before this send, during it (`Disconnected`), or not yet
-            // at all: *when* a crash is noticed never changes a byte.
-            let tx = self.slots[ap_id].tx.clone();
-            if let Some(tx) = tx {
-                let mut msg = WorkerMsg::Window { window, packets };
-                let mut counted = false;
-                loop {
-                    match tx.try_send(msg) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(m)) => {
-                            msg = m;
-                            if !counted {
-                                self.metrics.ingest_backpressure_events += 1;
-                                counted = true;
-                            }
-                            self.wait_for_progress();
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.note_hangup(ap_id);
-                            break;
-                        }
-                    }
-                }
+            self.metrics.packets_dispatched += packets.len() as u64;
+            if self.send_to_worker(ap_id, WorkerMsg::Window { window, packets }) {
+                self.metrics.ingest_backpressure_events += 1;
             }
-            self.metrics.packets_dispatched += dispatched_packets;
         }
         self.pending.push_back(window);
         Ok(window)
     }
 
-    /// Route one worker report batch into its window's bin, aligning
-    /// the worker's local window label back to the global window and
-    /// rejecting labels beyond the skew tolerance.
-    fn route(&mut self, done: WindowDone) {
-        if done.flush {
-            // Ordered-shutdown sentinel: everything queued before the
-            // Shutdown already reported (FIFO), so whatever this AP
-            // still owes lost its marker for good — nothing later will
-            // ever reveal the tail gap. Close those windows now.
-            for global in self.aligner.take_outstanding(done.ap_id) {
-                self.mark_marker_lost(done.ap_id, global);
+    /// Block for the next inbox message and route it.
+    fn route_next(&mut self) {
+        match self.up_rx.recv().expect("the coordinator holds a sender") {
+            CoordinatorMsg::Window(done) => self.settle_report(done),
+            // Lost in transit: the coordinator never heard it.
+            CoordinatorMsg::MarkerLost => {}
+            CoordinatorMsg::Exited { ap_id, flushed } => {
+                if flushed {
+                    // Nothing later will reveal a tail gap: whatever this
+                    // AP still owes lost its marker.
+                    for global in self.aligner.take_outstanding(ap_id) {
+                        self.mark_marker_lost(ap_id, global);
+                    }
+                }
+                let slot = &mut self.slots[ap_id];
+                slot.tx = None;
+                slot.exited = true;
             }
-            return;
         }
+    }
+
+    /// Settle one worker report in its window's ledger, aligning the
+    /// worker's local window label back to the global window and
+    /// rejecting labels beyond the skew tolerance.
+    fn settle_report(&mut self, done: WindowDone) {
         let (skipped, aligned) = self.aligner.align_gaps(
             done.ap_id,
             done.label,
@@ -537,25 +504,22 @@ impl Deployment {
         if done.stalled {
             // Wedged DSP: the marker closed the window but the payload
             // is empty. A run of these trips the stall watchdog.
-            bin.stalled_ap_ids.push(done.ap_id);
             self.metrics.windows_stalled += 1;
         }
-        if done.lost {
-            bin.lost_reports += 1;
-            bin.lost_ap_ids.push(done.ap_id);
+        let delivery = if done.lost {
             self.metrics.reports_lost += 1;
+            Delivery::Lost
         } else if !aligned.accepted {
-            bin.skew_rejected += 1;
-            bin.skew_ap_ids.push(done.ap_id);
             self.metrics.skew_rejections += 1;
             self.per_ap_window_stats[done.ap_id].skew_rejections += 1;
+            Delivery::SkewRejected
         } else if payload_checksum(done.label, done.seq_base, &done.packets) != done.checksum {
             // Wire corruption: the payload does not match the checksum
             // the worker computed when it sent it. Reject the whole
             // payload — a bit-flipped bearing must never be fused.
-            bin.corrupt_ap_ids.push(done.ap_id);
             self.metrics.reports_corrupt += 1;
             self.per_ap_window_stats[done.ap_id].reports_corrupt += 1;
+            Delivery::Corrupt
         } else {
             let mut packets = done.packets;
             for p in &mut packets {
@@ -566,9 +530,16 @@ impl Deployment {
                 }
             }
             bin.packets.extend(packets);
-        }
-        bin.reported.push(done.ap_id);
-        bin.end_stats.push((done.ap_id, done.stats));
+            Delivery::Fused
+        };
+        bin.settled.insert(
+            done.ap_id,
+            Settled {
+                delivery,
+                stalled: done.stalled,
+                stats: done.stats,
+            },
+        );
         let depth: usize = self.bins.values().map(|b| b.packets.len()).sum();
         self.metrics.max_fusion_queue_depth = self.metrics.max_fusion_queue_depth.max(depth);
     }
@@ -581,117 +552,54 @@ impl Deployment {
         self.metrics.markers_lost += 1;
         self.per_ap_window_stats[ap_id].markers_lost += 1;
         if let Some(bin) = self.bins.get_mut(&window) {
-            if !bin.reported.contains(&ap_id) {
-                bin.reported.push(ap_id);
-                bin.markers_lost += 1;
-                bin.marker_lost_ap_ids.push(ap_id);
-            }
+            bin.settled.entry(ap_id).or_insert(Settled {
+                delivery: Delivery::MarkerLost,
+                stalled: false,
+                stats: ApStats::default(),
+            });
         }
     }
 
-    /// Order one worker to shut down without blocking the coordinator.
-    /// The input channel is FIFO, so everything already queued still
-    /// processes first, and the worker's final flush sentinel then
-    /// closes any tail windows whose markers were lost. A full input
-    /// queue is waited out while draining reports (the same discipline
-    /// as dispatch), and a disconnected one means the worker already
-    /// died — its hangup is flagged and noted.
-    fn send_shutdown(&mut self, ap_id: usize) {
-        loop {
-            let Some(tx) = self.slots[ap_id].tx.clone() else {
-                return;
-            };
-            match tx.try_send(WorkerMsg::Shutdown) {
-                Ok(()) => {
-                    self.slots[ap_id].tx = None;
-                    return;
+    /// Send `msg` to a worker unless it is gone (its `Exited` is then on
+    /// the way). A full input queue is waited out by routing the inbox,
+    /// so a worker blocked publishing always makes progress; each window
+    /// a worker dequeues yields an inbox message, so each wait ends.
+    /// Returns whether the queue was full.
+    fn send_to_worker(&mut self, ap_id: usize, mut msg: WorkerMsg) -> bool {
+        let mut waited = false;
+        while let Some(tx) = self.slots[ap_id].tx.clone() {
+            match tx.try_send(msg) {
+                Ok(()) => break,
+                Err(TrySendError::Full(m)) => {
+                    msg = m;
+                    waited = true;
+                    self.route_next();
                 }
-                Err(TrySendError::Full(_)) => self.wait_for_progress(),
                 Err(TrySendError::Disconnected(_)) => {
-                    self.note_hangup(ap_id);
-                    return;
+                    self.slots[ap_id].tx = None;
+                    break;
                 }
             }
         }
+        waited
     }
 
-    /// Wait a beat for the workers to make progress, draining any
-    /// report that arrives in the meantime. Detects exited workers: a
-    /// worker thread that is gone (panic, injected crash, or a normal
-    /// post-shutdown exit) has its buffered reports salvaged and its
-    /// hangup flagged — but its membership is *not* ended here; that
-    /// happens deterministically in [`Deployment::collect_window`].
-    fn wait_for_progress(&mut self) {
-        match self
-            .up_rx
-            .recv_timeout(std::time::Duration::from_millis(10))
-        {
-            Ok(done) => self.route(done),
-            Err(_) => {
-                let finished: Vec<usize> = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| {
-                        s.alive && !s.hung && s.join.as_ref().is_some_and(|j| j.is_finished())
-                    })
-                    .map(|(id, _)| id)
-                    .collect();
-                for ap_id in finished {
-                    self.note_hangup(ap_id);
-                }
-            }
-        }
+    /// Order one worker to shut down. Its input is FIFO, so everything
+    /// already queued still processes first, and its flushed exit then
+    /// closes any tail windows whose markers were lost.
+    fn send_shutdown(&mut self, ap_id: usize) {
+        self.send_to_worker(ap_id, WorkerMsg::Shutdown);
+        self.slots[ap_id].tx = None;
     }
 
-    /// Note that a worker's thread has exited: drain every report
-    /// already in flight, stop sending to it, and flag the hangup. The
-    /// drain-first order matters — a dead thread's sends all happened
-    /// before it exited, so they are already in the channel, and
-    /// draining salvages them no matter *where* the death was noticed
-    /// (timeout scan or a failed send). Deliberately does **not** end
-    /// the worker's membership: hangups are noticed at racy points, so
-    /// the membership end (retire, re-baseline, loss accounting) is
-    /// deferred to [`Deployment::collect_window`], which ends it at the
-    /// first window the worker failed to report — a deterministic point
-    /// in window order.
-    fn note_hangup(&mut self, ap_id: usize) {
-        if !self.slots[ap_id].alive || self.slots[ap_id].hung {
-            return;
-        }
-        self.route_ready();
-        let slot = &mut self.slots[ap_id];
-        slot.tx = None;
-        slot.hung = true;
-    }
-
-    /// Route every report already waiting in the channel.
-    fn route_ready(&mut self) {
-        while let Ok(done) = self.up_rx.try_recv() {
-            self.route(done);
-        }
-    }
-
-    /// Route reports until none of `ap_ids`' worker threads is still
-    /// running, then route what they left in the channel. A worker's
-    /// final flush is a *blocking* send on the shared report channel, so
-    /// joining a thread before it has exited could deadlock on a full
-    /// channel; every join goes through here first.
+    /// Route the inbox until each of `ap_ids`' workers has sent its
+    /// last message, `Exited`. A worker's sends block on a full inbox,
+    /// so joining a thread before then could deadlock; every join goes
+    /// through here first.
     fn drain_until_exited(&mut self, ap_ids: &[usize]) {
-        while ap_ids.iter().any(|&k| {
-            self.slots[k]
-                .join
-                .as_ref()
-                .is_some_and(|j| !j.is_finished())
-        }) {
-            if let Ok(done) = self
-                .up_rx
-                .recv_timeout(std::time::Duration::from_millis(10))
-            {
-                self.route(done);
-            }
+        while ap_ids.iter().any(|&k| !self.slots[k].exited) {
+            self.route_next();
         }
-        self.route_ready();
     }
 
     /// End a live AP's membership — the one exit shared by removal,
@@ -721,9 +629,9 @@ impl Deployment {
 
     /// Reap a *live* worker whose stall run hit the watchdog: hang up
     /// its input channel (the worker drains its queue and exits
-    /// normally at the next receive), drain its in-flight reports, end
-    /// its membership. Deterministic — triggered by a window count,
-    /// never a wall clock, and counted in
+    /// normally at the next receive), route its reports until its
+    /// `Exited` message arrives, end its membership. Deterministic —
+    /// triggered by a window count, never a wall clock, and counted in
     /// [`DeployMetrics::watchdog_reaps`] rather than `worker_losses`.
     fn watchdog_reap(&mut self, ap_id: usize) {
         if !self.slots[ap_id].alive {
@@ -736,14 +644,13 @@ impl Deployment {
     }
 
     /// Is window `w`'s bin closable: every AP expected at submit has
-    /// either delivered its end-of-window marker, hung up (thread gone,
-    /// reports salvaged — it will never deliver), or is no longer live.
+    /// either settled in the ledger, exited (it will never report
+    /// again), or is no longer live.
     fn closable(&self, window: u64) -> bool {
         match self.bins.get(&window) {
-            Some(bin) => bin
-                .expected
-                .iter()
-                .all(|&k| bin.reported.contains(&k) || !self.slots[k].alive || self.slots[k].hung),
+            Some(bin) => bin.expected.iter().all(|&k| {
+                bin.settled.contains_key(&k) || !self.slots[k].alive || self.slots[k].exited
+            }),
             None => true,
         }
     }
@@ -762,96 +669,70 @@ impl Deployment {
             .pop_front()
             .ok_or(DeployError::NothingSubmitted)?;
         while !self.closable(window) {
-            self.wait_for_progress();
+            self.route_next();
         }
 
-        let mut bin = self.bins.remove(&window).unwrap_or_default();
-        // Membership end for hung workers, at the first window each one
-        // failed to report. Collects run strictly in window order, so
-        // this sweep — and the retire/re-baseline it triggers — lands
-        // at the same window on every rerun, no matter *when* the
-        // hangup was physically noticed. A hung worker that reported
-        // everything it was dispatched (e.g. an ordered shutdown, or a
-        // crash after its last report) is never swept: its exit is
-        // indistinguishable from a clean one.
-        let failed: Vec<usize> = bin
-            .expected
-            .iter()
-            .copied()
-            .filter(|&k| !bin.reported.contains(&k) && self.slots[k].alive && self.slots[k].hung)
-            .collect();
-        for ap_id in failed {
-            // The AP object itself is dropped: a crashed worker's state
-            // is not trusted. Its counters are still real.
-            self.end_membership(ap_id);
-            self.metrics.worker_losses += 1;
+        let bin = self.bins.remove(&window).unwrap_or_default();
+        // Membership end for exited workers, at the first window each
+        // one failed to report. Collects run strictly in window order,
+        // so this lands at the same window on every rerun, no matter
+        // *when* the exit arrived. A worker that reported everything it
+        // was dispatched is never swept.
+        for &k in &bin.expected {
+            if !bin.settled.contains_key(&k) && self.slots[k].alive && self.slots[k].exited {
+                // The AP object itself is dropped: a crashed worker's
+                // state is not trusted. Its counters are still real.
+                self.end_membership(k);
+                self.metrics.worker_losses += 1;
+            }
         }
-        for (ap_id, stats) in &bin.end_stats {
-            self.per_ap_window_stats[*ap_id].absorb(stats);
-            self.metrics.report_backpressure_events += stats.backpressure_events;
+        for (&ap_id, s) in &bin.settled {
+            self.per_ap_window_stats[ap_id].absorb(&s.stats);
+            self.metrics.report_backpressure_events += s.stats.backpressure_events;
         }
-        // Quarantine filter: a quarantined AP's packets are withheld
-        // from fusion/consensus (still scored against the fused fixes
-        // below, for its readmission decision), it stops counting
-        // toward the expected-AP denominator, and its losses earn no
-        // consensus slack. Quarantine membership is read at *collect*
-        // time, and collects are strictly in window order, so the
-        // filter is deterministic at any pipelining depth.
+        // Quarantine filter, read at collect time (deterministic at any
+        // pipelining depth): a quarantined AP's packets are withheld
+        // from fusion (still scored for its readmission), it leaves the
+        // expected-AP denominator, and its losses earn no slack.
         let quarantined: Vec<usize> = bin
             .expected
             .iter()
             .copied()
             .filter(|&k| self.health.is_quarantined(k))
             .collect();
-        if !quarantined.is_empty() {
-            let packets = std::mem::take(&mut bin.packets);
-            let (withheld, kept) = packets
-                .into_iter()
-                .partition(|p| quarantined.contains(&p.ap_id));
-            bin.withheld = withheld;
-            bin.packets = kept;
-        }
-        // Down-weighting: a degraded-but-not-quarantined AP's report
-        // confidence is scaled by its health score, so its bearings
-        // pull confidence-weighted fixes less while evidence
-        // accumulates. A healthy AP's weight is exactly 1.0, leaving
-        // clean runs byte-identical.
+        let (mut packets, withheld): (Vec<_>, Vec<_>) = bin
+            .packets
+            .into_iter()
+            .partition(|p| !quarantined.contains(&p.ap_id));
+        // Down-weighting: a degraded AP's report confidence is scaled by
+        // its health score (exactly 1.0 when healthy, so clean runs stay
+        // byte-identical).
         if self.health.enabled() {
-            for p in &mut bin.packets {
+            for p in &mut packets {
                 if let Some(r) = &mut p.report {
                     r.confidence *= self.health.weight(p.ap_id);
                 }
             }
         }
-        let not_q = |ids: &[usize]| ids.iter().filter(|k| !quarantined.contains(k)).count();
-        let dead_not_q = bin
+        // Degradation the coordinator *knows* about — and the only
+        // thing that earns consensus slack downstream: each expected,
+        // unquarantined AP counts once if it never settled (a dead
+        // worker), was stalled, or delivered anything but a fused
+        // report.
+        let missing_aps = bin
             .expected
             .iter()
-            .filter(|&&k| !bin.reported.contains(&k) && !quarantined.contains(&k))
+            .filter(|k| !quarantined.contains(k))
+            .filter(|k| {
+                bin.settled
+                    .get(k)
+                    .is_none_or(|s| s.delivery != Delivery::Fused || s.stalled)
+            })
             .count();
-        // Degradation the coordinator *knows* about — and the only
-        // thing that earns consensus slack downstream: reports lost on
-        // the link, rejected for skew, marker-lost, checksum-rejected,
-        // stalled, or never coming (dead worker). Marker-lost APs sit
-        // in `reported`, so they are disjoint from `dead_aps` — no
-        // double counting — and a stalled AP whose payload was *also*
-        // lost is only counted once. Quarantined APs' losses are
-        // excluded: they are not expected, so they earn no slack.
-        let stalled_slack = bin
-            .stalled_ap_ids
-            .iter()
-            .filter(|&&k| !quarantined.contains(&k) && !bin.lost_ap_ids.contains(&k))
-            .count();
-        let missing_aps = not_q(&bin.lost_ap_ids)
-            + not_q(&bin.skew_ap_ids)
-            + not_q(&bin.marker_lost_ap_ids)
-            + not_q(&bin.corrupt_ap_ids)
-            + stalled_slack
-            + dead_not_q;
         if missing_aps > 0 {
             self.metrics.degraded_windows += 1;
         }
-        let packets = std::mem::take(&mut bin.packets);
+        let count = |d: Delivery| bin.settled.values().filter(|s| s.delivery == d).count();
         let mut fused = self.fusion.fuse_window_degraded(
             window,
             packets,
@@ -859,11 +740,11 @@ impl Deployment {
             missing_aps,
             quarantined.len(),
         );
-        fused.lost_reports = bin.lost_reports;
-        fused.skew_rejected = bin.skew_rejected;
-        fused.markers_lost = bin.markers_lost;
-        fused.corrupt_reports = bin.corrupt_ap_ids.len();
-        fused.stalled_aps = bin.stalled_ap_ids.len();
+        fused.lost_reports = count(Delivery::Lost);
+        fused.skew_rejected = count(Delivery::SkewRejected);
+        fused.markers_lost = count(Delivery::MarkerLost);
+        fused.corrupt_reports = count(Delivery::Corrupt);
+        fused.stalled_aps = bin.settled.values().filter(|s| s.stalled).count();
         fused.quarantined_aps = quarantined.len();
         self.metrics.windows += 1;
         self.metrics.fused_bearings += fused.bearings as u64;
@@ -877,7 +758,7 @@ impl Deployment {
             }
         }
         if self.health.enabled() {
-            self.observe_health(&bin, &fused);
+            self.observe_health(&bin.settled, &withheld, &fused);
         }
         Ok(fused)
     }
@@ -886,8 +767,14 @@ impl Deployment {
     /// and apply the resulting actions. The evidence is assembled from
     /// order-independent aggregates (flags, counts, maxima), so the
     /// scores — and every quarantine/readmit/reap decision — are
-    /// byte-deterministic at any pipelining depth.
-    fn observe_health(&mut self, bin: &WindowBin, fused: &FusedWindow) {
+    /// byte-deterministic at any pipelining depth. `withheld` are the
+    /// quarantined APs' packets, kept out of fusion.
+    fn observe_health(
+        &mut self,
+        settled: &BTreeMap<usize, Settled>,
+        withheld: &[crate::report::ApPacket],
+        fused: &FusedWindow,
+    ) {
         let mut ev = vec![ApWindowEvidence::default(); self.slots.len()];
         for e in &fused.ap_bearing_errors {
             let x = &mut ev[e.ap_id];
@@ -895,25 +782,14 @@ impl Deployment {
             x.over_warn = e.over_warn;
             x.max_err_deg = e.max_err_deg;
         }
-        for &k in &bin.lost_ap_ids {
-            ev[k].report_lost = true;
-        }
-        for &k in &bin.skew_ap_ids {
-            ev[k].skew_rejected = true;
-        }
-        for &k in &bin.marker_lost_ap_ids {
-            ev[k].marker_lost = true;
-        }
-        for &k in &bin.corrupt_ap_ids {
-            ev[k].corrupt = true;
-        }
-        for &k in &bin.stalled_ap_ids {
-            ev[k].stalled = true;
+        for (&k, s) in settled {
+            ev[k].unavailable = s.delivery != Delivery::Fused;
+            ev[k].stalled = s.stalled;
         }
         // A quarantined AP's withheld packets are scored against the
         // *untainted* fused fixes: a clean streak here is what earns
         // its re-admission.
-        for p in &bin.withheld {
+        for p in withheld {
             let Some(r) = &p.report else { continue };
             let Some(fix) = fused
                 .clients
@@ -923,11 +799,10 @@ impl Deployment {
             else {
                 continue;
             };
-            let err =
-                crate::fusion::bearing_err_deg(self.ap_positions[p.ap_id], fix.position, r.azimuth);
+            let err = bearing_err_deg(self.ap_positions()[p.ap_id], fix.position, r.azimuth);
             let x = &mut ev[p.ap_id];
             x.bearings += 1;
-            if err > crate::health::BEARING_ERR_WARN_DEG {
+            if err > BEARING_ERR_WARN_DEG {
                 x.over_warn += 1;
             }
             if err > x.max_err_deg {
@@ -1086,20 +961,10 @@ impl Deployment {
     /// APs removed mid-run were already handed back by
     /// [`Deployment::remove_ap`], and crashed APs' state is gone).
     pub fn finish(mut self) -> (DeploymentReport, Vec<AccessPoint>) {
-        // Shutdown orders go out *before* the drain: the input channels
-        // are FIFO, so queued windows still process first, and each
-        // worker's final flush then closes any tail windows whose
-        // markers were lost — a drain-first order would wait on those
-        // forever. On a healthy run the flush is a no-op and the result
-        // is byte-identical to draining first.
-        let live: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tx.is_some())
-            .map(|(id, _)| id)
-            .collect();
-        for ap_id in live {
+        // Shutdown orders go out *before* the drain, as in
+        // `remove_ap`; on a healthy run nothing is outstanding at the
+        // exit and the result is byte-identical to draining first.
+        for ap_id in 0..self.slots.len() {
             self.send_shutdown(ap_id);
         }
         while !self.pending.is_empty() {
@@ -1107,11 +972,8 @@ impl Deployment {
                 break;
             }
         }
-        // A worker still parked in its final flush (possible on small
-        // channels once every window has closed) must get it out before
-        // the join below.
-        let all: Vec<usize> = (0..self.slots.len()).collect();
-        self.drain_until_exited(&all);
+        // A worker may still be parked sending its exit notice.
+        self.drain_until_exited(&(0..self.slots.len()).collect::<Vec<_>>());
         let mut per_ap = Vec::with_capacity(self.slots.len());
         let mut store_occupancy = Vec::new();
         let mut aps = Vec::new();
@@ -1172,7 +1034,7 @@ fn spawn_worker(
     ap: AccessPoint,
     cfg: &DeployConfig,
     skew: ApSkew,
-    up: SyncSender<WindowDone>,
+    up: SyncSender<CoordinatorMsg>,
     tap: Option<WorkerTap>,
 ) -> WorkerSlot {
     let (tx, rx) = sync_channel(cfg.channel_capacity.max(1));
@@ -1191,13 +1053,22 @@ fn spawn_worker(
     };
     let join = std::thread::Builder::new()
         .name(format!("sa-deploy-ap{}", ap_id))
-        .spawn(move || run_worker(ap_id, ap, wcfg, rx, up))
+        .spawn(move || {
+            // Dropped after `run_worker` returns or unwinds, so the
+            // `Exited` message is always this thread's last.
+            let mut exit = ExitNotice {
+                ap_id,
+                up: up.clone(),
+                flushed: false,
+            };
+            run_worker(ap_id, ap, wcfg, rx, up, &mut exit.flushed)
+        })
         .expect("spawn AP worker");
     WorkerSlot {
         tx: Some(tx),
         join: Some(join),
         alive: true,
-        hung: false,
+        exited: false,
         final_stats: None,
     }
 }

@@ -102,7 +102,7 @@ pub enum FaultEvent {
     /// AP `ap`'s end-of-window marker for `window` is lost on the
     /// control path: the worker does the window's work but the
     /// coordinator never hears that it finished. A later marker's gap
-    /// (or the worker's final flush) reveals the loss, and the window
+    /// (or the worker's flushed exit) reveals the loss, and the window
     /// closes without the AP. A plan with this event requires
     /// [`crate::DeployConfig::marker_timeout_windows`] `≥ 1`
     /// (enforced at deployment construction).

@@ -67,7 +67,9 @@ struct ClientState {
 /// assert_eq!(fusion.live_aps(), 2);
 /// ```
 pub struct Fusion {
-    cfg: DeployConfig,
+    /// [`DeployConfig::weight_bearings_by_confidence`], the one setting
+    /// fusion reads.
+    weight_bearings_by_confidence: bool,
     ap_positions: Vec<Point>,
     /// Live-membership flags, indexed by stable AP id. Retired APs keep
     /// their position slot (historical packets may still reference it)
@@ -85,15 +87,22 @@ pub struct Fusion {
 
 impl Fusion {
     /// New fusion stage for APs at the given positions (all live).
+    /// Of `cfg` it keeps only
+    /// [`DeployConfig::weight_bearings_by_confidence`].
     pub fn new(ap_positions: Vec<Point>, cfg: DeployConfig) -> Self {
         Self {
             consensus: CrossApConsensus::new(),
             clients: BTreeMap::new(),
-            cfg,
+            weight_bearings_by_confidence: cfg.weight_bearings_by_confidence,
             live: vec![true; ap_positions.len()],
             ap_positions,
             taps: None,
         }
+    }
+
+    /// AP positions by stable id (retired APs keep theirs).
+    pub(crate) fn ap_positions(&self) -> &[Point] {
+        &self.ap_positions
     }
 
     /// Attach a deployment's telemetry bundle: creates the
@@ -302,7 +311,7 @@ impl Fusion {
                 // the fix lands behind) is dropped and the fix refit.
                 // Optionally confidence-weighted, so marginal bearings
                 // pull degraded windows less.
-                let solved = if self.cfg.weight_bearings_by_confidence {
+                let solved = if self.weight_bearings_by_confidence {
                     localize_robust_weighted(&bearings, &confidences, MIN_FIX_APS)
                 } else {
                     localize_robust(&bearings, MIN_FIX_APS)

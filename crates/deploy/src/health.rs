@@ -2,10 +2,10 @@
 //! the fleet's immune system.
 //!
 //! Every closed window already produces per-AP evidence on the
-//! coordinator: bearing residuals against the fused fix, skew
-//! rejections, marker losses, report losses, checksum failures, and
-//! stall flags. [`FleetHealth`] folds that evidence into a per-AP
-//! score in `[0, 1]`; persistent outliers are first *down-weighted*
+//! coordinator: bearing residuals against the fused fix, whether the
+//! AP's data was unavailable (lost, rejected, or its marker lost), and
+//! whether it was stalled. [`FleetHealth`] folds that evidence into a
+//! per-AP score in `[0, 1]`; persistent outliers are first *down-weighted*
 //! (their report confidence scaled by the score before fusion) and
 //! then *quarantined* — excluded from fusion and consensus entirely,
 //! with a consensus re-baseline — until a configurable clean streak
@@ -81,25 +81,15 @@ pub struct ApWindowEvidence {
     pub over_warn: u32,
     /// Worst bearing residual this window, degrees.
     pub max_err_deg: f64,
-    /// The AP's report payload failed its wire checksum.
-    pub corrupt: bool,
+    /// The AP's data never usably arrived: its payload was lost on the
+    /// link, rejected for clock skew, failed the wire checksum, or its
+    /// end-of-window marker was lost.
+    pub unavailable: bool,
     /// The AP's marker arrived flagged stalled (wedged DSP).
     pub stalled: bool,
-    /// The AP's report was rejected for excess clock skew.
-    pub skew_rejected: bool,
-    /// The AP's end-of-window marker never arrived (gap-closed).
-    pub marker_lost: bool,
-    /// The AP's report payload was lost on the link.
-    pub report_lost: bool,
 }
 
 impl ApWindowEvidence {
-    /// Infrastructure faults: the AP's data never (usably) arrived.
-    /// These are attributable to the AP alone and always count.
-    fn availability_bad(&self) -> bool {
-        self.corrupt || self.stalled || self.skew_rejected || self.marker_lost || self.report_lost
-    }
-
     /// Bearing-integrity suspicion: a *majority* of this AP's bearings
     /// missed the fused fix, never the worst single residual —
     /// multipath hands even an honest AP the odd wildly-wrong bearing
@@ -277,7 +267,7 @@ impl FleetHealth {
             } else {
                 a.stall_run = 0;
             }
-            if ev.availability_bad() || guilty(i) {
+            if ev.unavailable || ev.stalled || guilty(i) {
                 a.score = (a.score - PENALTY).max(0.0);
                 a.clean_streak = 0;
                 if !a.quarantined && a.score < QUARANTINE_BELOW {

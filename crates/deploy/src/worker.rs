@@ -40,10 +40,30 @@ pub(crate) enum WorkerMsg {
     Shutdown,
 }
 
-/// Worker → fusion: one message per `(AP, window)` — the whole
-/// window's packet reports plus the worker's counters. Batching the
-/// reports keeps the channel wake-up cost per *window* instead of per
-/// packet, which matters once windows carry dozens of packets.
+/// Worker → coordinator, on one shared inbox. One sender's messages
+/// stay in order, so a worker's `Exited` follows its last report.
+#[allow(clippy::large_enum_variant)] // nearly every message is a `Window`; boxing would only add an allocation
+pub(crate) enum CoordinatorMsg {
+    Window(WindowDone),
+    /// A window whose marker was lost in transit: dropped on arrival.
+    /// It still travels because every coordinator wait is a blocking
+    /// receive, and one waiting for room in this worker's full input
+    /// queue must wake when the worker takes a window off it.
+    MarkerLost,
+    /// The thread ended (shutdown, hung-up input, crash or panic); sent
+    /// by [`ExitNotice`]. `flushed`: it ended on [`WorkerMsg::Shutdown`]
+    /// after processing its whole queue, so any window still owed lost
+    /// its marker.
+    Exited {
+        ap_id: usize,
+        flushed: bool,
+    },
+}
+
+/// One `(AP, window)` report — the whole window's packet reports plus
+/// the worker's counters. Batching the reports keeps the channel
+/// wake-up cost per *window* instead of per packet, which matters once
+/// windows carry dozens of packets.
 ///
 /// The window is identified by the worker's **local** `label` (skewed
 /// clock); the coordinator's aligner maps it back to the global window
@@ -73,13 +93,25 @@ pub(crate) struct WindowDone {
     /// and rejects the whole payload on mismatch
     /// ([`ApStats::reports_corrupt`]).
     pub checksum: u64,
-    /// Final flush sentinel: the worker processed its whole queue and
-    /// is exiting after an ordered shutdown. Carries no window — it
-    /// tells the coordinator that any still-outstanding dispatches for
-    /// this AP lost their markers (nothing later will ever reveal a
-    /// tail gap). On a healthy run nothing is outstanding and the
-    /// flush is a no-op.
-    pub flush: bool,
+}
+
+/// Sends [`CoordinatorMsg::Exited`] when dropped — on return or during
+/// a panic's unwind — after every send [`run_worker`] made.
+pub(crate) struct ExitNotice {
+    pub ap_id: usize,
+    pub up: SyncSender<CoordinatorMsg>,
+    /// Set by [`run_worker`] when it ends on [`WorkerMsg::Shutdown`].
+    pub flushed: bool,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        // An error means the coordinator is gone.
+        let _ = self.up.send(CoordinatorMsg::Exited {
+            ap_id: self.ap_id,
+            flushed: self.flushed,
+        });
+    }
 }
 
 pub(crate) struct WorkerCfg {
@@ -141,13 +173,15 @@ impl LossStream {
 /// per-AP stream), the worker retries up to the configured budget, and
 /// an exhausted budget abandons the payload — the end-of-window marker
 /// still goes out so the coordinator never stalls on this AP. Returns
-/// the AP (with its trained state) and the run totals when shut down.
+/// the AP (with its trained state) and the run totals when it stops;
+/// `flushed` is set when it stops on [`WorkerMsg::Shutdown`].
 pub(crate) fn run_worker(
     ap_id: usize,
     mut ap: AccessPoint,
     cfg: WorkerCfg,
     rx: Receiver<WorkerMsg>,
-    tx: SyncSender<WindowDone>,
+    tx: SyncSender<CoordinatorMsg>,
+    flushed: &mut bool,
 ) -> (AccessPoint, ApStats) {
     let mut engine = None;
     let mut totals = ApStats::default();
@@ -155,21 +189,8 @@ pub(crate) fn run_worker(
     while let Ok(msg) = rx.recv() {
         let (window, packets) = match msg {
             WorkerMsg::Shutdown => {
-                // Ordered exit: everything queued before the Shutdown
-                // was processed (FIFO), so flush tells the coordinator
-                // any windows it is still waiting on lost their
-                // markers for good.
-                let _ = tx.send(WindowDone {
-                    ap_id,
-                    label: 0,
-                    seq_base: None,
-                    packets: Vec::new(),
-                    stats: ApStats::default(),
-                    lost: false,
-                    stalled: false,
-                    checksum: 0,
-                    flush: true,
-                });
+                // Everything queued before the Shutdown was processed.
+                *flushed = true;
                 break;
             }
             WorkerMsg::Window { window, packets } => (window, packets),
@@ -182,8 +203,8 @@ pub(crate) fn run_worker(
             cfg.faults.at(window)
         };
         if wf.crash {
-            // Die mid-window: no payload, no marker, thread gone — the
-            // coordinator's dead-worker machinery notices the hangup.
+            // Die mid-window: no payload, no marker, thread gone — only
+            // the exit notice (unflushed) reaches the coordinator.
             return (ap, totals);
         }
         let mut stats = ApStats {
@@ -276,13 +297,15 @@ pub(crate) fn run_worker(
             }
         }
 
-        // Marker loss: the whole end-of-window message vanishes — the
-        // coordinator only learns of it from a later marker's gap (or
-        // the final flush). The window's work still happened, so its
-        // stats fold into the run totals the worker hands back at exit.
+        // Marker loss: the whole end-of-window message vanishes, and
+        // only a later marker's gap (or the flushed exit) reveals it.
+        // The window's stats fold into the worker's run totals.
         if wf.marker_lost {
             stats.markers_lost += 1;
             totals.absorb(&stats);
+            if tx.send(CoordinatorMsg::MarkerLost).is_err() {
+                break;
+            }
             continue;
         }
 
@@ -327,16 +350,15 @@ pub(crate) fn run_worker(
             lost,
             stalled: wf.stall,
             checksum,
-            flush: false,
         };
-        let delivered = match tx.try_send(done) {
+        let delivered = match tx.try_send(CoordinatorMsg::Window(done)) {
             Ok(()) => true,
-            Err(TrySendError::Full(mut msg)) => {
-                msg.stats.backpressure_events += 1;
+            Err(TrySendError::Full(CoordinatorMsg::Window(mut done))) => {
+                done.stats.backpressure_events += 1;
                 stats.backpressure_events += 1;
-                tx.send(msg).is_ok()
+                tx.send(CoordinatorMsg::Window(done)).is_ok()
             }
-            Err(TrySendError::Disconnected(_)) => false,
+            Err(_) => false,
         };
         totals.absorb(&stats);
         if !delivered {

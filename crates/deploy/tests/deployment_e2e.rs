@@ -3,7 +3,10 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_deploy::{DeployConfig, DeployError, Deployment, LinkConfig, Transmission};
+use sa_deploy::{
+    DeployConfig, DeployError, Deployment, FaultEvent, FaultPlan, LinkConfig, TelemetryConfig,
+    Transmission,
+};
 use sa_mac::{AccessControlList, AclPolicy};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
@@ -355,6 +358,64 @@ fn runaway_drift_is_rejected_per_ap_while_gentle_drift_is_learned() {
     assert!(fused.iter().all(|f| f.skew_rejected == 0));
     assert_eq!(report.metrics.skew_rejections, 0);
     assert_eq!(report.metrics.degraded_windows, 0);
+}
+
+/// An AP that is stalled *and* skew-rejected in the same window is one
+/// missing AP, not two: each `(AP, window)` settles into one outcome,
+/// and the consensus slack counts APs, not reasons. AP 1's clock
+/// starts running away at window 1 (every later label is rejected) and
+/// its worker wedges for window 2, so window 2 shows both flags for the
+/// same AP. The fused output is the same at every pipelining depth.
+#[test]
+fn stalled_and_skew_rejected_ap_is_missing_once() {
+    let run = |depth: usize| {
+        let tb = Testbed::deployment(3, 317);
+        let mut rng = ChaCha8Rng::seed_from_u64(318);
+        let windows: Vec<Vec<Transmission>> = (0..4)
+            .map(|w| window(&tb, &[5], w as u16, &mut rng))
+            .collect();
+        let (_, aps) = split(tb);
+        let cfg = DeployConfig {
+            windows_in_flight: depth,
+            telemetry: TelemetryConfig::full(),
+            faults: Some(FaultPlan {
+                seed: 0,
+                events: vec![
+                    FaultEvent::DriftOnset {
+                        ap: 1,
+                        from_window: 1,
+                        drift_ppw: 8.0,
+                    },
+                    FaultEvent::Stall {
+                        ap: 1,
+                        from_window: 2,
+                        for_windows: 1,
+                    },
+                ],
+            }),
+            ..DeployConfig::default()
+        };
+        let mut deployment = Deployment::new(aps, cfg);
+        let fused = deployment.run_stream(windows).expect("stream");
+        let explain = deployment
+            .explain(&Testbed::client_mac(5))
+            .expect("recorded client");
+        (fused, explain)
+    };
+    let (fused, explain) = run(1);
+    assert_eq!(fused[2].stalled_aps, 1);
+    assert_eq!(fused[2].skew_rejected, 1);
+    let line = explain
+        .lines()
+        .find(|l| l.starts_with("window    2:"))
+        .unwrap_or_else(|| panic!("window 2 not recorded:\n{explain}"));
+    assert!(
+        line.contains("2/3 APs heard (1 known missing)"),
+        "window 2 should show exactly one known-missing AP:\n{explain}"
+    );
+    let (fused_deep, explain_deep) = run(4);
+    assert_eq!(format!("{fused:?}"), format!("{fused_deep:?}"));
+    assert_eq!(explain, explain_deep);
 }
 
 #[test]

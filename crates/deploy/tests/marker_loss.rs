@@ -160,3 +160,39 @@ fn gap_tolerance_is_transparent_without_loss() {
     assert_eq!(masked_report(&base_report), masked_report(&tol_report));
     assert_eq!(base_report.metrics.markers_lost, 0);
 }
+
+/// A worker that takes a window off a full input queue and loses its
+/// marker must still wake the coordinator waiting for room in that
+/// queue. One AP with capacity-1 channels, eight windows submitted
+/// before any collect, and two of every three markers lost: the
+/// coordinator is repeatedly blocked on the full queue exactly when
+/// the worker's next windows send nothing it may count as a marker.
+/// Every window still closes, and every loss is detected.
+#[test]
+fn lost_markers_on_a_full_input_queue_never_hang_dispatch() {
+    const WINDOWS: u64 = 24;
+    let tb = Testbed::deployment(1, 325);
+    let mut rng = ChaCha8Rng::seed_from_u64(326);
+    let windows: Vec<Vec<Transmission>> = (0..WINDOWS)
+        .map(|w| window(&tb, &[5], w as u16, &mut rng))
+        .collect();
+    let aps = split(tb);
+    let lost: Vec<(usize, u64)> = (0..WINDOWS - 1)
+        .filter(|w| w % 3 != 0)
+        .map(|w| (0, w))
+        .collect();
+    let cfg = DeployConfig {
+        faults: marker_loss(&lost),
+        marker_timeout_windows: 2,
+        channel_capacity: 1,
+        windows_in_flight: 8,
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
+    let fused = deployment.run_stream(windows).expect("stream");
+    assert_eq!(fused.len(), WINDOWS as usize);
+    let closed_lost: usize = fused.iter().map(|f| f.markers_lost).sum();
+    assert_eq!(closed_lost, lost.len());
+    let (report, _) = deployment.finish();
+    assert_eq!(report.metrics.markers_lost, lost.len() as u64);
+}
