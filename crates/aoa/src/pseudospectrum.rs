@@ -16,7 +16,6 @@
 /// whether the angular domain is circular, which peak finding and
 /// distance metrics must respect.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pseudospectrum {
     /// Sample angles, degrees, strictly ascending.
     pub angles_deg: Vec<f64>,
@@ -28,7 +27,6 @@ pub struct Pseudospectrum {
 
 /// One extracted spectrum peak.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Peak {
     /// Peak angle, degrees (presentation convention of the spectrum).
     pub angle_deg: f64,

@@ -7,7 +7,6 @@
 
 /// A point (or vector) in the plan, meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// x coordinate, meters.
     pub x: f64,
@@ -50,7 +49,6 @@ impl Point {
 
 /// A line segment between two points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// First endpoint.
     pub a: Point,
@@ -83,11 +81,6 @@ impl Segment {
     /// True for zero-length (degenerate) segments.
     pub fn is_degenerate(&self) -> bool {
         self.len() < 1e-12
-    }
-
-    /// Midpoint.
-    pub fn midpoint(&self) -> Point {
-        pt((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
     }
 
     /// Mirror a point across the infinite line through this segment —
@@ -142,7 +135,6 @@ impl Segment {
 /// A closed axis-aligned rectangle, used for fence regions and obstacle
 /// outlines.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

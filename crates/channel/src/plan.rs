@@ -19,7 +19,6 @@ use crate::geom::{Point, Rect, Segment};
 /// the Fresnel prediction.) The experiments only rely on the *ordering*
 /// (metal > concrete > drywall > glass) and rough magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Material {
     /// Effective specular amplitude reflection coefficient in `[0, 1]`.
     pub reflection: f64,
@@ -60,7 +59,6 @@ pub const METAL: Material = Material {
 
 /// One wall: a segment plus its material.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Wall {
     /// Geometry.
     pub segment: Segment,

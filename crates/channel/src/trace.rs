@@ -22,7 +22,6 @@ use sa_linalg::complex::C64;
 
 /// Classification of a propagation path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PathKind {
     /// Direct (possibly through walls) transmitter→receiver path.
     Direct,
@@ -52,13 +51,6 @@ pub struct Path {
     pub gain: C64,
     /// Path class.
     pub kind: PathKind,
-}
-
-impl Path {
-    /// Received power of this path relative to unit transmit power, dB.
-    pub fn power_db(&self) -> f64 {
-        10.0 * self.gain.norm_sqr().log10()
-    }
 }
 
 /// Ray-tracing configuration.
@@ -346,11 +338,16 @@ mod tests {
         );
     }
 
+    /// Received power of a path relative to unit transmit power, dB.
+    fn power_db(p: &Path) -> f64 {
+        10.0 * p.gain.norm_sqr().log10()
+    }
+
     #[test]
     fn friis_power_scaling() {
         let plan = FloorPlan::new();
-        let p1 = trace_paths(&plan, pt(2.0, 0.0), pt(0.0, 0.0), &cfg())[0].power_db();
-        let p2 = trace_paths(&plan, pt(4.0, 0.0), pt(0.0, 0.0), &cfg())[0].power_db();
+        let p1 = power_db(&trace_paths(&plan, pt(2.0, 0.0), pt(0.0, 0.0), &cfg())[0]);
+        let p2 = power_db(&trace_paths(&plan, pt(4.0, 0.0), pt(0.0, 0.0), &cfg())[0]);
         // Doubling distance costs 6 dB.
         assert!((p1 - p2 - 6.0206).abs() < 0.01, "Δ = {}", p1 - p2);
     }
@@ -373,7 +370,7 @@ mod tests {
         // Arrival azimuth from rx toward bounce point (1, 2).
         assert!((refl.arrival_az - 2f64.atan2(1.0)).abs() < 1e-9);
         // Reflection is weaker than the LoS path.
-        assert!(refl.power_db() < paths[0].power_db());
+        assert!(power_db(refl) < power_db(&paths[0]));
     }
 
     #[test]
@@ -391,12 +388,8 @@ mod tests {
         plan.add_wall(seg(pt(1.0, -5.0), pt(1.0, 5.0)), CONCRETE);
         let free = trace_paths(&FloorPlan::new(), pt(2.0, 0.0), pt(0.0, 0.0), &cfg());
         let blocked = trace_paths(&plan, pt(2.0, 0.0), pt(0.0, 0.0), &cfg());
-        let d_free = free[0].power_db();
-        let d_blk = blocked
-            .iter()
-            .find(|p| p.kind == PathKind::Direct)
-            .unwrap()
-            .power_db();
+        let d_free = power_db(&free[0]);
+        let d_blk = power_db(blocked.iter().find(|p| p.kind == PathKind::Direct).unwrap());
         assert!(
             (d_free - d_blk - CONCRETE.transmission_db).abs() < 1e-6,
             "loss {} expected {}",

@@ -8,14 +8,17 @@
 //! the global window it was dispatched for, and it must do so
 //! deterministically so seeded runs stay byte-reproducible.
 //!
-//! Two facts make robust alignment possible without synchronized
+//! Two facts make exact alignment possible without synchronized
 //! clocks:
 //!
-//! 1. **Per-AP delivery is FIFO.** A worker processes dispatched
-//!    windows in order and reports (or abandons) them in order, so the
-//!    *n*-th end-of-window marker from an AP corresponds to the *n*-th
-//!    window dispatched **to that AP** — churn-safe, because the
-//!    aligner tracks dispatches per AP.
+//! 1. **Every dispatch is numbered.** The coordinator numbers each
+//!    window it dispatches to an AP (`0, 1, 2, …` per AP, on the
+//!    control path, independent of the AP's clock), and the worker
+//!    echoes that number on its end-of-window marker. A worker
+//!    processes its dispatches in order, so a marker numbered `d` — or
+//!    a flush reply or exit notice saying `d` dispatches are finished —
+//!    proves that every earlier dispatch still outstanding lost its
+//!    marker ([`SkewAligner::settle_before`]), for a gap of any length.
 //! 2. **Clock models are learnable at association.** The first report
 //!    from an AP reveals its constant epoch offset (the deployment-
 //!    scale analogue of 802.11 TSF sync at association), and every
@@ -24,11 +27,9 @@
 //!    out of tolerance. Labels are checked against
 //!    `global + offset + round(drift · elapsed)`; a label that still
 //!    deviates beyond the configured tolerance is *rejected* — the
-//!    window closes (the FIFO marker is trusted), but the bearings
+//!    window closes (the numbered marker is trusted), but the bearings
 //!    stamped with the wandering clock are kept out of fusion rather
-//!    than being fused into the wrong window. The sequence-label
-//!    channel (packet counters never drift) doubles as a cross-check
-//!    that keeps marker-gap detection honest under drift.
+//!    than being fused into the wrong window.
 //!
 //! The aligner is deliberately pure (no channels, no threads) so the
 //! alignment policy itself is property-testable: see
@@ -48,8 +49,11 @@ struct DispatchRecord {
 
 #[derive(Debug, Default)]
 struct ApAlignState {
-    /// FIFO of windows dispatched to this AP, not yet reported.
+    /// Windows dispatched to this AP, not yet settled, oldest first.
     dispatched: VecDeque<DispatchRecord>,
+    /// Dispatch number of the oldest outstanding record: how many of
+    /// this AP's dispatches have settled.
+    settled: u64,
     /// Learned constant window offset (`local label − global`), set by
     /// the AP's first report.
     window_offset: Option<i64>,
@@ -59,16 +63,12 @@ struct ApAlignState {
     /// Learned drift rate, windows of extra label skew per elapsed
     /// window, refined from every accepted report after the anchor.
     drift_est: f64,
-    /// Learned constant sequence-label offset (`local − global`).
-    /// Sequence counters do not drift, so this is the cross-check that
-    /// distinguishes a marker gap from a clock jump.
-    seq_offset: Option<i64>,
 }
 
 /// The result of aligning one worker report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aligned {
-    /// The global window this report belongs to (FIFO ground truth).
+    /// The global window this report belongs to (its dispatch record).
     pub global: u64,
     /// Whether the report's window label sits within tolerance of the
     /// learned offset. Rejected reports still close their window — only
@@ -94,11 +94,11 @@ pub struct Aligned {
 /// let mut aligner = SkewAligner::new(2);
 /// let ap = aligner.add_ap();
 /// // Global windows 0 and 1 dispatched; the AP's clock runs 5 ahead.
-/// aligner.note_dispatch(ap, 0, Some(0));
-/// aligner.note_dispatch(ap, 1, Some(0));
-/// let a = aligner.align(ap, 5, Some(40)).unwrap();
+/// assert_eq!(aligner.note_dispatch(ap, 0, Some(0)), 0);
+/// assert_eq!(aligner.note_dispatch(ap, 1, Some(0)), 1);
+/// let a = aligner.align(ap, 0, 5, Some(40)).unwrap();
 /// assert!((a.global, a.accepted, a.seq_delta) == (0, true, 40));
-/// let b = aligner.align(ap, 6, Some(40)).unwrap();
+/// let b = aligner.align(ap, 1, 6, Some(40)).unwrap();
 /// assert!((b.global, b.accepted) == (1, true));
 /// ```
 #[derive(Debug, Default)]
@@ -125,11 +125,14 @@ impl SkewAligner {
 
     /// Record that global window `global` was dispatched to AP `ap`,
     /// with `first_seq` the global sequence of its first packet (if
-    /// any). Must be called in dispatch order.
-    pub fn note_dispatch(&mut self, ap: usize, global: u64, first_seq: Option<u64>) {
-        self.aps[ap]
+    /// any). Must be called in dispatch order. Returns the dispatch
+    /// number the worker echoes on its marker.
+    pub fn note_dispatch(&mut self, ap: usize, global: u64, first_seq: Option<u64>) -> u64 {
+        let state = &mut self.aps[ap];
+        state
             .dispatched
             .push_back(DispatchRecord { global, first_seq });
+        state.settled + state.dispatched.len() as u64 - 1
     }
 
     /// Windows dispatched to AP `ap` still awaiting a report.
@@ -143,140 +146,78 @@ impl SkewAligner {
         self.aps[ap].dispatched.clear();
     }
 
-    /// Align one report from AP `ap`: `window_label` is the worker's
-    /// local window stamp, `seq_base` the local sequence label of the
-    /// window's first dispatched packet. Returns `None` if nothing is
-    /// outstanding for the AP (a protocol violation — the report is
+    /// The one marker-loss rule: settle every dispatch to AP `ap`
+    /// numbered below `dispatch` that is still outstanding, and return
+    /// their global windows — their markers were lost. A worker
+    /// finishes its dispatches in order, so any message from it that
+    /// shows dispatch `dispatch − 1` finished (the marker numbered
+    /// `dispatch`, or a flush reply or exit notice carrying the count
+    /// `dispatch`) proves it.
+    pub fn settle_before(&mut self, ap: usize, dispatch: u64) -> Vec<u64> {
+        let state = &mut self.aps[ap];
+        let n = dispatch
+            .saturating_sub(state.settled)
+            .min(state.dispatched.len() as u64);
+        state.settled += n;
+        state
+            .dispatched
+            .drain(..n as usize)
+            .map(|r| r.global)
+            .collect()
+    }
+
+    /// Align one report from AP `ap`: `dispatch` is the dispatch number
+    /// the worker echoed, `window_label` its local window stamp,
+    /// `seq_base` the local sequence label of the window's first
+    /// dispatched packet. Call [`SkewAligner::settle_before`] first:
+    /// the report must answer the AP's oldest outstanding dispatch.
+    /// Returns `None` otherwise (a protocol violation — the report is
     /// unattributable and must be discarded).
     pub fn align(
         &mut self,
         ap: usize,
+        dispatch: u64,
         window_label: i64,
         seq_base: Option<u64>,
     ) -> Option<Aligned> {
-        let (skipped, aligned) = self.align_gaps(ap, window_label, seq_base, 0);
-        debug_assert!(skipped.is_empty(), "gap detection is off at max_gap 0");
-        aligned
-    }
-
-    /// [`SkewAligner::align`] with marker-gap detection
-    /// ([`crate::DeployConfig::marker_timeout_windows`]): when the
-    /// label aligns `d` windows *ahead* of the AP's FIFO front with
-    /// `1 ≤ d ≤ max_gap` — and at least `d + 1` windows are outstanding,
-    /// so the label provably names a dispatched window — the `d`
-    /// skipped windows' markers are declared lost. Their global window
-    /// numbers are returned for the coordinator to close without this
-    /// AP, and the report aligns to the `(d+1)`-th record with zero
-    /// deviation. `max_gap = 0` disables detection (every deviation is
-    /// clock skew), which is exactly [`SkewAligner::align`].
-    ///
-    /// Gap detection is drift-aware: labels are compared against the
-    /// learned clock model (constant offset *plus* the drift rate
-    /// refined from accepted reports), and a candidate gap is
-    /// cross-checked on the sequence-label channel — packet counters
-    /// never drift, so when both the report and the claimed dispatch
-    /// record carry sequence labels and the constant sequence offset is
-    /// already learned, a mismatch unmasks the jump as clock skew and
-    /// nothing is skipped.
-    pub fn align_gaps(
-        &mut self,
-        ap: usize,
-        window_label: i64,
-        seq_base: Option<u64>,
-        max_gap: u64,
-    ) -> (Vec<u64>, Option<Aligned>) {
         let tolerance = self.tolerance;
         let state = &mut self.aps[ap];
-        let Some(front) = state.dispatched.front().copied() else {
-            return (Vec::new(), None);
-        };
+        if state.settled != dispatch {
+            return None;
+        }
+        let record = state.dispatched.pop_front()?;
+        state.settled += 1;
         let offset = match state.window_offset {
             Some(o) => o,
             None => {
-                let o = window_label - front.global as i64;
+                let o = window_label - record.global as i64;
                 state.window_offset = Some(o);
-                state.anchor = front.global;
+                state.anchor = record.global;
                 o
             }
         };
-        let (anchor, drift_est) = (state.anchor, state.drift_est);
-        let predict = |global: u64| -> i64 {
-            let elapsed = global as i64 - anchor as i64;
-            global as i64 + offset + (drift_est * elapsed as f64).round() as i64
-        };
-        let mut skipped = Vec::new();
-        if max_gap > 0 {
-            let ahead = window_label - predict(front.global);
-            if ahead >= 1 && ahead as u64 <= max_gap && state.dispatched.len() > ahead as usize {
-                // The label claims the record `ahead` deep in the FIFO.
-                // Confirm on the sequence channel before declaring the
-                // intervening markers lost.
-                let candidate = state.dispatched[ahead as usize];
-                let confirmed = match (seq_base, candidate.first_seq, state.seq_offset) {
-                    (Some(local), Some(global), Some(learned)) => {
-                        local as i64 - global as i64 == learned
-                    }
-                    _ => true,
-                };
-                if confirmed {
-                    for _ in 0..ahead {
-                        skipped.push(
-                            state
-                                .dispatched
-                                .pop_front()
-                                .expect("guarded by len() above")
-                                .global,
-                        );
-                    }
-                }
-            }
-        }
-        let Some(record) = state.dispatched.pop_front() else {
-            return (skipped, None);
-        };
-        let deviation = window_label - predict(record.global);
+        let elapsed = record.global as i64 - state.anchor as i64;
+        let predicted =
+            record.global as i64 + offset + (state.drift_est * elapsed as f64).round() as i64;
+        let deviation = window_label - predicted;
         let seq_delta = match (seq_base, record.first_seq) {
             (Some(local), Some(global)) => local as i64 - global as i64,
             _ => 0,
         };
         let accepted = deviation.unsigned_abs() <= tolerance;
-        if accepted {
-            // Refine the clock model from trusted reports only: the
-            // constant sequence offset on first sight, the drift rate
-            // from the raw (offset-relative) deviation over elapsed
-            // windows since the anchor.
-            if let (Some(local), Some(global)) = (seq_base, record.first_seq) {
-                state.seq_offset.get_or_insert(local as i64 - global as i64);
-            }
-            let elapsed = record.global as i64 - anchor as i64;
-            if elapsed > 0 {
-                state.drift_est =
-                    (window_label - (record.global as i64 + offset)) as f64 / elapsed as f64;
-            }
+        if accepted && elapsed > 0 {
+            // Refine the drift rate from trusted reports only: the raw
+            // (offset-relative) deviation over elapsed windows since
+            // the anchor.
+            state.drift_est =
+                (window_label - (record.global as i64 + offset)) as f64 / elapsed as f64;
         }
-        (
-            skipped,
-            Some(Aligned {
-                global: record.global,
-                accepted,
-                deviation,
-                seq_delta,
-            }),
-        )
-    }
-
-    /// Declare every outstanding dispatch for AP `ap` marker-lost and
-    /// return their global window numbers. The coordinator calls this
-    /// when the worker's `Exited` message arrives after an ordered
-    /// shutdown (the worker processed its whole queue, so no later
-    /// marker will ever reveal a tail gap); on a healthy run the queue
-    /// is already empty and this is a no-op.
-    pub fn take_outstanding(&mut self, ap: usize) -> Vec<u64> {
-        self.aps[ap]
-            .dispatched
-            .drain(..)
-            .map(|r| r.global)
-            .collect()
+        Some(Aligned {
+            global: record.global,
+            accepted,
+            deviation,
+            seq_delta,
+        })
     }
 }
 
@@ -289,10 +230,12 @@ mod tests {
         let mut a = SkewAligner::new(2);
         let ap = a.add_ap();
         for w in 0..5 {
-            a.note_dispatch(ap, w, Some(w * 10));
+            assert_eq!(a.note_dispatch(ap, w, Some(w * 10)), w);
         }
         for w in 0..5i64 {
-            let r = a.align(ap, w - 7, Some((w as u64 * 10) + 3)).unwrap();
+            let r = a
+                .align(ap, w as u64, w - 7, Some((w as u64 * 10) + 3))
+                .unwrap();
             assert_eq!(r.global, w as u64);
             assert!(r.accepted, "window {} rejected: {:?}", w, r);
             assert_eq!(r.deviation, 0);
@@ -313,7 +256,7 @@ mod tests {
         // the model keeps every later report aligned — under the old
         // constant-offset-only policy window 3 onward was rejected.
         for w in 0..12i64 {
-            let r = a.align(ap, w + w, None).unwrap();
+            let r = a.align(ap, w as u64, w + w, None).unwrap();
             assert_eq!(r.global, w as u64);
             assert!(r.accepted, "window {}: {:?}", w, r);
             assert!(r.deviation.unsigned_abs() <= 1, "window {}: {:?}", w, r);
@@ -330,9 +273,9 @@ mod tests {
         // Three windows of skew gained per window: the very first
         // drifted label already exceeds the tolerance, so the rate is
         // never learned from an accepted report and every later label
-        // stays rejected (still attributed to its FIFO window).
+        // stays rejected (still attributed to its dispatch record).
         for w in 0..6i64 {
-            let r = a.align(ap, w * 4, None).unwrap();
+            let r = a.align(ap, w as u64, w * 4, None).unwrap();
             assert_eq!(r.global, w as u64);
             assert_eq!(r.accepted, w == 0, "window {}: {:?}", w, r);
             assert_eq!(r.deviation, 3 * w);
@@ -344,17 +287,25 @@ mod tests {
         let mut a = SkewAligner::new(1);
         let ap0 = a.add_ap();
         let ap1 = a.add_ap();
-        a.note_dispatch(ap0, 0, None);
-        a.note_dispatch(ap1, 0, None);
-        assert!(a.align(ap0, 100, None).unwrap().accepted);
-        assert!(a.align(ap1, -100, None).unwrap().accepted);
+        // Dispatch numbers count per AP.
+        assert_eq!(a.note_dispatch(ap0, 0, None), 0);
+        assert_eq!(a.note_dispatch(ap0, 1, None), 1);
+        assert_eq!(a.note_dispatch(ap1, 1, None), 0);
+        assert!(a.align(ap0, 0, 100, None).unwrap().accepted);
+        assert_eq!(a.align(ap1, 0, -99, None).unwrap().global, 1);
     }
 
     #[test]
     fn unattributable_report_is_refused() {
         let mut a = SkewAligner::new(2);
         let ap = a.add_ap();
-        assert!(a.align(ap, 0, None).is_none());
+        assert!(a.align(ap, 0, 0, None).is_none());
+        // A report for a dispatch other than the oldest outstanding one
+        // is refused too: the caller settles earlier dispatches first.
+        a.note_dispatch(ap, 0, None);
+        a.note_dispatch(ap, 1, None);
+        assert!(a.align(ap, 1, 1, None).is_none());
+        assert_eq!(a.pending(ap), 2);
     }
 
     #[test]
@@ -364,16 +315,18 @@ mod tests {
         for w in 0..4 {
             a.note_dispatch(ap, w, Some(w * 10));
         }
-        // Window 0's marker arrives (offset learned as 0, sequence
-        // offset learned as 3), then windows 1 and 2's markers are
-        // lost: the next marker is labelled 3 and its sequence label
-        // confirms the gap (33 − 30 matches the learned offset).
-        let (skipped, r) = a.align_gaps(ap, 0, Some(3), 2);
-        assert!(skipped.is_empty());
-        assert_eq!(r.unwrap().global, 0);
-        let (skipped, r) = a.align_gaps(ap, 3, Some(33), 2);
-        assert_eq!(skipped, vec![1, 2], "both gapped windows close");
-        let r = r.unwrap();
+        // Window 0's marker arrives (offset learned as 0), then windows
+        // 1 and 2's markers are lost: the next marker echoes dispatch 3,
+        // which settles both gapped windows and aligns with no
+        // deviation.
+        assert!(a.settle_before(ap, 0).is_empty());
+        assert_eq!(a.align(ap, 0, 0, Some(3)).unwrap().global, 0);
+        assert_eq!(
+            a.settle_before(ap, 3),
+            vec![1, 2],
+            "both gapped windows close"
+        );
+        let r = a.align(ap, 3, 3, Some(33)).unwrap();
         assert_eq!(r.global, 3);
         assert!(r.accepted);
         assert_eq!(r.deviation, 0);
@@ -382,45 +335,36 @@ mod tests {
     }
 
     #[test]
-    fn seq_channel_contradiction_vetoes_a_gap() {
-        let mut a = SkewAligner::new(3);
-        let ap = a.add_ap();
-        for w in 0..4 {
-            a.note_dispatch(ap, w, Some(w * 10));
-        }
-        // Learn offset 0 and sequence offset 5.
-        let (s, r) = a.align_gaps(ap, 0, Some(5), 2);
-        assert!(s.is_empty());
-        assert!(r.unwrap().accepted);
-        // A label 2 ahead whose sequence label does NOT match the
-        // learned sequence offset for the claimed record: sequence
-        // counters never drift, so the jump is clock skew — nothing is
-        // skipped and the report aligns to the FIFO front with the
-        // full deviation.
-        let (s, r) = a.align_gaps(ap, 3, Some(99), 2);
-        assert!(s.is_empty());
-        let r = r.unwrap();
-        assert_eq!(r.global, 1);
-        assert_eq!(r.deviation, 2);
-        assert!(r.accepted, "within the ±3 tolerance: skew, not a gap");
-    }
-
-    #[test]
-    fn gap_beyond_tolerance_falls_back_to_skew_rejection() {
+    fn gap_before_the_first_report_learns_from_the_right_record() {
         let mut a = SkewAligner::new(1);
         let ap = a.add_ap();
         for w in 0..5 {
             a.note_dispatch(ap, w, None);
         }
-        let (_, r) = a.align_gaps(ap, 0, None, 1);
-        assert!(r.unwrap().accepted);
-        // A 3-window jump exceeds max_gap 1: treated as clock skew on
-        // the FIFO front (window 1), which also exceeds the ±1
-        // alignment tolerance → rejected, nothing skipped.
-        let (skipped, r) = a.align_gaps(ap, 4, None, 1);
-        assert!(skipped.is_empty());
-        let r = r.unwrap();
-        assert_eq!(r.global, 1);
+        // The clock runs 2 ahead and the markers of windows 0..=2 are
+        // lost. Dispatch 3's marker settles them and learns the offset
+        // from window 3 itself, so window 4 aligns with no deviation.
+        assert_eq!(a.settle_before(ap, 3), vec![0, 1, 2]);
+        let r = a.align(ap, 3, 5, None).unwrap();
+        assert_eq!((r.global, r.accepted, r.deviation), (3, true, 0));
+        let r = a.align(ap, 4, 6, None).unwrap();
+        assert_eq!((r.global, r.accepted, r.deviation), (4, true, 0));
+    }
+
+    #[test]
+    fn skew_check_still_rejects_after_a_long_gap() {
+        let mut a = SkewAligner::new(1);
+        let ap = a.add_ap();
+        for w in 0..8 {
+            a.note_dispatch(ap, w, None);
+        }
+        assert!(a.align(ap, 0, 0, None).unwrap().accepted);
+        // A gap of any length settles exactly; the label check then runs
+        // against the numbered record, and a clock 3 windows off is
+        // rejected there.
+        assert_eq!(a.settle_before(ap, 6), vec![1, 2, 3, 4, 5]);
+        let r = a.align(ap, 6, 9, None).unwrap();
+        assert_eq!(r.global, 6);
         assert!(!r.accepted);
         assert_eq!(r.deviation, 3);
     }
@@ -431,28 +375,15 @@ mod tests {
         let ap = a.add_ap();
         a.note_dispatch(ap, 0, None);
         a.note_dispatch(ap, 1, None);
-        let (_, r) = a.align_gaps(ap, 0, None, 3);
-        assert!(r.unwrap().accepted);
-        // Label claims 2 windows ahead but only window 1 is
-        // outstanding: a gap would pop past the queue, so it is treated
-        // as skew instead.
-        let (skipped, r) = a.align_gaps(ap, 3, None, 3);
-        assert!(skipped.is_empty());
-        let r = r.unwrap();
-        assert_eq!(r.global, 1);
-        assert_eq!(r.deviation, 2);
-    }
-
-    #[test]
-    fn take_outstanding_drains_the_queue() {
-        let mut a = SkewAligner::new(2);
-        let ap = a.add_ap();
-        for w in 3..6 {
-            a.note_dispatch(ap, w, None);
-        }
-        assert_eq!(a.take_outstanding(ap), vec![3, 4, 5]);
+        assert!(a.align(ap, 0, 0, None).unwrap().accepted);
+        // An exit count past every dispatch settles only what is
+        // outstanding, and a count already settled settles nothing.
+        assert!(a.settle_before(ap, 1).is_empty());
+        assert_eq!(a.settle_before(ap, 9), vec![1]);
+        assert!(a.settle_before(ap, 9).is_empty());
         assert_eq!(a.pending(ap), 0);
-        assert!(a.take_outstanding(ap).is_empty());
+        // Numbering carries on after the settled records.
+        assert_eq!(a.note_dispatch(ap, 2, None), 2);
     }
 
     #[test]
@@ -464,6 +395,6 @@ mod tests {
         assert_eq!(a.pending(ap), 2);
         a.forget_ap(ap);
         assert_eq!(a.pending(ap), 0);
-        assert!(a.align(ap, 0, None).is_none());
+        assert!(a.align(ap, 0, 0, None).is_none());
     }
 }

@@ -166,30 +166,6 @@ pub struct DeployConfig {
     /// it on for degraded deployments where marginal through-wall
     /// bearings should pull fixes less.
     pub weight_bearings_by_confidence: bool,
-    /// Marker gap-detection close policy. An AP's end-of-window
-    /// *marker* rides the control path; when one is lost (scripted with
-    /// [`crate::FaultEvent::MarkerLoss`]) the coordinator never hears
-    /// that the AP finished the window. When a marker from an AP
-    /// aligns `d` windows *ahead* of the AP's expected FIFO position
-    /// with `1 ≤ d ≤ marker_timeout_windows`, the `d` skipped windows'
-    /// markers are declared lost — those windows close without the AP
-    /// (counted in [`crate::DeployMetrics::markers_lost`] and granted
-    /// the same consensus slack as lost reports) instead of stalling.
-    /// `0` (the default) disables gap detection: every positive
-    /// deviation is treated as clock skew, the pre-fleet behavior
-    /// exactly. Safe under *drifting* clocks too: the aligner learns
-    /// each AP's drift rate from its accepted markers and confirms
-    /// candidate gaps against the independent sequence-label channel,
-    /// so a drifting label is no longer mistaken for a gap (see
-    /// [`crate::align::SkewAligner`]). Detection needs a *later* marker
-    /// from the gapped AP, so run with `windows_in_flight >
-    /// marker_timeout_windows` (a synchronous submit/collect loop never
-    /// sends the revealing later window). Each worker's flushed exit at
-    /// shutdown closes any gap at the tail of the run. A fault plan that loses
-    /// markers requires `≥ 1` (enforced at deployment construction):
-    /// without gap detection a lost marker desynchronises the per-AP
-    /// FIFO and stalls its window forever.
-    pub marker_timeout_windows: u64,
     /// Scripted fault injection ([`crate::faults::FaultPlan`]). `None`
     /// (the default) injects nothing and is byte-transparent: the fault
     /// layer is zero-cost-off, pinned by `tests/proptest_chaos.rs`.
@@ -221,7 +197,6 @@ impl Default for DeployConfig {
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
             windows_in_flight: 1,
-            marker_timeout_windows: 0,
             faults: None,
             health: HealthConfig::default(),
             telemetry: TelemetryConfig::disabled(),
@@ -293,9 +268,6 @@ mod tests {
         // Streaming off by default: depth-1 pipelining is the
         // synchronous submit-then-collect behavior exactly.
         assert_eq!(cfg.windows_in_flight, 1);
-        // Gap detection off by default — byte-compatible with the
-        // pre-fleet coordinator.
-        assert_eq!(cfg.marker_timeout_windows, 0);
         // Telemetry off by default: the report's snapshot stays empty
         // and Debug-rendered reports are byte-stable across releases.
         assert!(!cfg.telemetry.enabled);

@@ -4,12 +4,11 @@
 //!
 //! Windows close on end-of-window markers (never wall clocks), but the
 //! markers are no longer assumed perfect: workers stamp them with their
-//! own skewed clocks (aligned back by [`crate::align::SkewAligner`]),
-//! their payloads may be lost on the lossy report link (the window
-//! closes anyway, with that AP's bearings missing), the markers
-//! *themselves* may be lost (a later marker's gap — or the worker's
-//! flushed exit — reveals it, see
-//! [`crate::DeployConfig::marker_timeout_windows`]), and workers may
+//! own skewed clocks (checked by [`crate::align::SkewAligner`]), their
+//! payloads may be lost on the lossy report link (the window closes
+//! anyway, with that AP's bearings missing), the markers *themselves*
+//! may be lost (each dispatch is numbered, so a later marker, a flush
+//! reply or the worker's exit reveals exactly which), and workers may
 //! join, leave, or die mid-run (a window never waits on an AP that is
 //! no longer live). All of it is deterministic for a seeded run.
 //!
@@ -22,14 +21,12 @@
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
-use crate::faults::{payload_checksum, FaultEvent};
+use crate::faults::payload_checksum;
 use crate::fusion::{bearing_err_deg, Fusion};
 use crate::health::{ApWindowEvidence, FleetHealth, HealthAction, BEARING_ERR_WARN_DEG};
 use crate::report::{ApStats, DeployMetrics, DeploymentReport, FusedWindow};
 use crate::telemetry::{DeployTelemetry, WorkerTap};
-use crate::worker::{
-    run_worker, CoordinatorMsg, ExitNotice, WindowDone, WorkerCfg, WorkerMsg, WorkerPacket,
-};
+use crate::worker::{run_worker, CoordinatorMsg, WindowDone, WorkerCfg, WorkerMsg, WorkerPacket};
 use sa_channel::geom::Point;
 use sa_linalg::CMat;
 use sa_mac::MacAddr;
@@ -112,8 +109,8 @@ enum Delivery {
     SkewRejected,
     /// The payload failed the wire checksum.
     Corrupt,
-    /// The marker itself was lost, revealed by a later marker's gap or
-    /// the worker's flushed exit.
+    /// The marker itself was lost, revealed by a later marker, a flush
+    /// reply or the worker's exit.
     MarkerLost,
 }
 
@@ -198,16 +195,6 @@ impl Deployment {
         assert!(
             aps.iter().all(|ap| ap.config().modulation == modulation),
             "deployment APs must share one modulation"
-        );
-        let loses_markers = cfg.faults.as_ref().is_some_and(|plan| {
-            plan.events
-                .iter()
-                .any(|e| matches!(e, FaultEvent::MarkerLoss { .. }))
-        });
-        assert!(
-            !loses_markers || cfg.marker_timeout_windows >= 1,
-            "a MarkerLoss fault requires marker_timeout_windows >= 1: without \
-             gap detection a lost end-of-window marker stalls its window forever"
         );
         let telemetry = DeployTelemetry::new(cfg.telemetry);
         let decode_hist = telemetry
@@ -351,15 +338,15 @@ impl Deployment {
         if self.live_aps() == 1 {
             return Err(DeployError::LastAp);
         }
-        // Shutdown first, then drain: the flushed exit settles any lost
-        // tail marker, which a drain-first order would wait on forever.
-        self.send_shutdown(ap_id);
+        // Hang up, then drain: the worker finishes its queue, and its
+        // exit notice settles any lost tail marker.
+        self.slots[ap_id].tx = None;
         self.drain_until_exited(&[ap_id]);
         // Anything still outstanding means the worker died (a crash or a
         // panic): a worker loss, and its AP is not handed back.
-        let flushed = self.aligner.pending(ap_id) == 0;
+        let finished = self.aligner.pending(ap_id) == 0;
         match self.end_membership(ap_id) {
-            Some(ap) if flushed => {
+            Some(ap) if finished => {
                 self.metrics.aps_removed += 1;
                 Ok(ap)
             }
@@ -447,10 +434,16 @@ impl Deployment {
         // never changes a byte.
         for (k, packets) in per_worker.into_iter().enumerate() {
             let ap_id = live[k];
-            self.aligner
-                .note_dispatch(ap_id, window, packets.first().map(|p| p.seq));
+            let dispatch =
+                self.aligner
+                    .note_dispatch(ap_id, window, packets.first().map(|p| p.seq));
             self.metrics.packets_dispatched += packets.len() as u64;
-            if self.send_to_worker(ap_id, WorkerMsg::Window { window, packets }) {
+            let msg = WorkerMsg::Window {
+                window,
+                dispatch,
+                packets,
+            };
+            if self.send_to_worker(ap_id, msg) {
                 self.metrics.ingest_backpressure_events += 1;
             }
         }
@@ -460,18 +453,18 @@ impl Deployment {
 
     /// Block for the next inbox message and route it.
     fn route_next(&mut self) {
-        match self.up_rx.recv().expect("the coordinator holds a sender") {
+        let msg = self.up_rx.recv().expect("the coordinator holds a sender");
+        self.route(msg);
+    }
+
+    fn route(&mut self, msg: CoordinatorMsg) {
+        match msg {
             CoordinatorMsg::Window(done) => self.settle_report(done),
             // Lost in transit: the coordinator never heard it.
             CoordinatorMsg::MarkerLost => {}
-            CoordinatorMsg::Exited { ap_id, flushed } => {
-                if flushed {
-                    // Nothing later will reveal a tail gap: whatever this
-                    // AP still owes lost its marker.
-                    for global in self.aligner.take_outstanding(ap_id) {
-                        self.mark_marker_lost(ap_id, global);
-                    }
-                }
+            CoordinatorMsg::Flushed { ap_id, finished } => self.settle_lost(ap_id, finished),
+            CoordinatorMsg::Exited { ap_id, finished } => {
+                self.settle_lost(ap_id, finished);
                 let slot = &mut self.slots[ap_id];
                 slot.tx = None;
                 slot.exited = true;
@@ -479,20 +472,14 @@ impl Deployment {
         }
     }
 
-    /// Settle one worker report in its window's ledger, aligning the
-    /// worker's local window label back to the global window and
-    /// rejecting labels beyond the skew tolerance.
+    /// Settle one worker report in its window's ledger: settle the
+    /// earlier dispatches it proves lost, map it to its dispatch
+    /// record, and reject labels beyond the skew tolerance.
     fn settle_report(&mut self, done: WindowDone) {
-        let (skipped, aligned) = self.aligner.align_gaps(
-            done.ap_id,
-            done.label,
-            done.seq_base,
-            self.cfg.marker_timeout_windows,
-        );
-        // Earlier windows revealed as marker-lost by this marker's gap.
-        for global in skipped {
-            self.mark_marker_lost(done.ap_id, global);
-        }
+        self.settle_lost(done.ap_id, done.dispatch);
+        let aligned = self
+            .aligner
+            .align(done.ap_id, done.dispatch, done.label, done.seq_base);
         let Some(aligned) = aligned else {
             // Unattributable (nothing outstanding for the AP — e.g. it
             // was reaped and forgotten): discard.
@@ -544,19 +531,23 @@ impl Deployment {
         self.metrics.max_fusion_queue_depth = self.metrics.max_fusion_queue_depth.max(depth);
     }
 
-    /// Close the books on one `(AP, window)` whose end-of-window marker
-    /// was lost: the AP counts as reported — so the window can close —
-    /// but contributed no bearings, and the loss earns consensus slack
-    /// in [`Deployment::collect_window`].
-    fn mark_marker_lost(&mut self, ap_id: usize, window: u64) {
-        self.metrics.markers_lost += 1;
-        self.per_ap_window_stats[ap_id].markers_lost += 1;
-        if let Some(bin) = self.bins.get_mut(&window) {
-            bin.settled.entry(ap_id).or_insert(Settled {
-                delivery: Delivery::MarkerLost,
-                stalled: false,
-                stats: ApStats::default(),
-            });
+    /// Close the books on every `(AP, window)` that AP `ap_id`'s
+    /// worker has finished (dispatch numbers below `finished`) without
+    /// its end-of-window marker arriving: the marker was lost. The AP
+    /// counts as reported — so the window can close — but contributed
+    /// no bearings, and the loss earns consensus slack in
+    /// [`Deployment::collect_window`].
+    fn settle_lost(&mut self, ap_id: usize, finished: u64) {
+        for window in self.aligner.settle_before(ap_id, finished) {
+            self.metrics.markers_lost += 1;
+            self.per_ap_window_stats[ap_id].markers_lost += 1;
+            if let Some(bin) = self.bins.get_mut(&window) {
+                bin.settled.entry(ap_id).or_insert(Settled {
+                    delivery: Delivery::MarkerLost,
+                    stalled: false,
+                    stats: ApStats::default(),
+                });
+            }
         }
     }
 
@@ -582,14 +573,6 @@ impl Deployment {
             }
         }
         waited
-    }
-
-    /// Order one worker to shut down. Its input is FIFO, so everything
-    /// already queued still processes first, and its flushed exit then
-    /// closes any tail windows whose markers were lost.
-    fn send_shutdown(&mut self, ap_id: usize) {
-        self.send_to_worker(ap_id, WorkerMsg::Shutdown);
-        self.slots[ap_id].tx = None;
     }
 
     /// Route the inbox until each of `ap_ids`' workers has sent its
@@ -663,13 +646,37 @@ impl Deployment {
     /// is partial (lost reports, skew rejections, dead APs) is fused
     /// from the bearings that survived; see [`FusedWindow::lost_reports`]
     /// and [`FusedWindow::skew_rejected`].
+    ///
+    /// A lost marker at the tail of an AP's queue has no later marker
+    /// to reveal it, so before the first blocking wait — once the inbox
+    /// holds nothing more — each AP still silent on the window is asked
+    /// once for a flush reply. The reply follows everything the AP had
+    /// queued, so it settles the window either way, and every wait
+    /// here ends.
     pub fn collect_window(&mut self) -> Result<FusedWindow, DeployError> {
         let window = self
             .pending
             .pop_front()
             .ok_or(DeployError::NothingSubmitted)?;
+        let mut asked = false;
         while !self.closable(window) {
-            self.route_next();
+            match self.up_rx.try_recv() {
+                Ok(msg) => self.route(msg),
+                Err(_) if asked => self.route_next(),
+                Err(_) => {
+                    asked = true;
+                    let bin = &self.bins[&window];
+                    let silent: Vec<usize> = bin
+                        .expected
+                        .iter()
+                        .copied()
+                        .filter(|k| !bin.settled.contains_key(k))
+                        .collect();
+                    for k in silent {
+                        self.send_to_worker(k, WorkerMsg::Flush);
+                    }
+                }
+            }
         }
 
         let bin = self.bins.remove(&window).unwrap_or_default();
@@ -863,10 +870,8 @@ impl Deployment {
             // The health score is a ratio in [0, 1]; gauges are
             // integers, so it is exported in milli-units (1000 =
             // perfectly healthy).
-            if ap_id < self.health.n_aps() {
-                let milli = (self.health.score(ap_id) * 1000.0).round() as i64;
-                s.push_gauge("ap.health_score".into(), &labels, milli);
-            }
+            let milli = (self.health.score(ap_id) * 1000.0).round() as i64;
+            s.push_gauge("ap.health_score".into(), &labels, milli);
         }
         for &(ap_id, trained) in store_occupancy {
             let ap = ap_id.to_string();
@@ -961,11 +966,11 @@ impl Deployment {
     /// APs removed mid-run were already handed back by
     /// [`Deployment::remove_ap`], and crashed APs' state is gone).
     pub fn finish(mut self) -> (DeploymentReport, Vec<AccessPoint>) {
-        // Shutdown orders go out *before* the drain, as in
-        // `remove_ap`; on a healthy run nothing is outstanding at the
-        // exit and the result is byte-identical to draining first.
-        for ap_id in 0..self.slots.len() {
-            self.send_shutdown(ap_id);
+        // Hang up *before* the drain, as in `remove_ap`: each worker
+        // finishes its queue and its exit notice settles any lost tail
+        // marker.
+        for slot in &mut self.slots {
+            slot.tx = None;
         }
         while !self.pending.is_empty() {
             if self.collect_window().is_err() {
@@ -1053,16 +1058,7 @@ fn spawn_worker(
     };
     let join = std::thread::Builder::new()
         .name(format!("sa-deploy-ap{}", ap_id))
-        .spawn(move || {
-            // Dropped after `run_worker` returns or unwinds, so the
-            // `Exited` message is always this thread's last.
-            let mut exit = ExitNotice {
-                ap_id,
-                up: up.clone(),
-                flushed: false,
-            };
-            run_worker(ap_id, ap, wcfg, rx, up, &mut exit.flushed)
-        })
+        .spawn(move || run_worker(ap_id, ap, wcfg, rx, up))
         .expect("spawn AP worker");
     WorkerSlot {
         tx: Some(tx),

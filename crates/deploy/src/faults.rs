@@ -18,9 +18,9 @@
 //! The defensive counterpart lives in [`crate::health`]: corrupted
 //! payloads are caught by the report-wire checksum, byzantine bearings
 //! by the per-AP bearing-residual score, and persistent stalls by the
-//! window-count watchdog. Lost markers are closed by the coordinator's
-//! gap detection ([`crate::DeployConfig::marker_timeout_windows`]) and
-//! crashed workers by its dead-worker sweep.
+//! window-count watchdog. Lost markers are settled exactly by the
+//! coordinator's numbered dispatches (see [`crate::align`]) and crashed
+//! workers by its dead-worker sweep.
 
 /// How a corrupted report payload is mangled on the wire. All three are
 /// applied *after* the worker computes the payload checksum — they
@@ -101,11 +101,13 @@ pub enum FaultEvent {
     },
     /// AP `ap`'s end-of-window marker for `window` is lost on the
     /// control path: the worker does the window's work but the
-    /// coordinator never hears that it finished. A later marker's gap
-    /// (or the worker's flushed exit) reveals the loss, and the window
-    /// closes without the AP. A plan with this event requires
-    /// [`crate::DeployConfig::marker_timeout_windows`] `≥ 1`
-    /// (enforced at deployment construction).
+    /// coordinator never hears that it finished. The next message from
+    /// the worker that shows the window's dispatch number finished — a
+    /// later marker, the reply to the flush request
+    /// [`crate::Deployment::collect_window`] sends when it would
+    /// otherwise wait, or the exit notice — reveals the loss, and the
+    /// window closes without the AP, counted once in
+    /// [`crate::FusedWindow::markers_lost`].
     MarkerLoss {
         /// The AP whose marker is lost.
         ap: usize,
@@ -114,9 +116,10 @@ pub enum FaultEvent {
     },
     /// AP `ap`'s clock starts *drifting* at `from_window`, gaining
     /// `drift_ppw` windows of label skew per elapsed window on top of
-    /// its configured [`crate::ApSkew`]. The aligner's learned drift
-    /// rate keeps gap detection sound under this (see
-    /// [`crate::align::SkewAligner`]); drift beyond
+    /// its configured [`crate::ApSkew`]. Drift never moves a report to
+    /// another window (reports are matched by dispatch number); the
+    /// aligner learns a gentle drift rate (see
+    /// [`crate::align::SkewAligner`]), and drift beyond
     /// [`crate::DeployConfig::max_skew_windows`] is rejected and scored
     /// by the health layer.
     DriftOnset {

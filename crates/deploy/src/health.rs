@@ -176,11 +176,6 @@ impl FleetHealth {
         self.aps.push(ApHealth::fresh());
     }
 
-    /// Number of tracked APs.
-    pub fn n_aps(&self) -> usize {
-        self.aps.len()
-    }
-
     /// Current score for `ap`, `[0, 1]`.
     pub fn score(&self, ap: usize) -> f64 {
         self.aps[ap].score

@@ -67,10 +67,12 @@
 //!   a crashed worker, a watchdog reap — ends its membership the same
 //!   way, with one consensus re-baseline; AP ids are never reused.
 //!   The coordinator never polls for dead workers: each worker thread
-//!   ends by sending an `Exited` message — after an ordered shutdown,
-//!   a hung-up input, a crash or a panic alike — which arrives after
-//!   its last report, and each `(AP, window)` settles into one ledger
-//!   outcome that closes the window and feeds fusion and health.
+//!   ends by sending an `Exited` message — after a hung-up input, a
+//!   crash or a panic alike — which arrives after its last report, and
+//!   each `(AP, window)` settles into one ledger outcome that closes
+//!   the window and feeds fusion and health. Every dispatch is
+//!   numbered per AP, so a lost end-of-window marker settles exactly,
+//!   in its own window, and no call waits forever.
 //!
 //! ```no_run
 //! use sa_deploy::{DeployConfig, Deployment, Transmission};

@@ -123,11 +123,10 @@ counter_block! {
     /// table in `docs/DEPLOYMENT.md`.
     pub skew_rejections: u64,
     /// End-of-window markers from this AP lost on the control path
-    /// ([`crate::FaultEvent::MarkerLoss`]): the coordinator
-    /// never heard this AP finish those windows, and they closed via
-    /// the gap-detection policy
-    /// ([`crate::DeployConfig::marker_timeout_windows`]) or the
-    /// worker's flushed exit instead.
+    /// ([`crate::FaultEvent::MarkerLoss`]): the coordinator never heard
+    /// this AP finish those windows. Each closed when a later marker, a
+    /// flush reply or the worker's exit notice showed the window's
+    /// dispatch number finished.
     pub markers_lost: u64,
     /// Window reports from this AP rejected because their payload
     /// failed the report-wire checksum (on-path corruption: bit-flipped
@@ -219,8 +218,8 @@ pub struct FusedWindow {
     /// the skew tolerance.
     pub skew_rejected: usize,
     /// APs whose end-of-window marker for this window was lost: the
-    /// window closed via gap detection (or the worker's flushed exit),
-    /// without ever hearing from them.
+    /// window closed when a later message from each showed the window's
+    /// dispatch finished, without ever hearing its marker.
     pub markers_lost: usize,
     /// AP reports rejected because their payload failed the wire
     /// checksum.
@@ -272,8 +271,8 @@ pub struct DeployMetrics {
     /// skew tolerance.
     pub skew_rejections: u64,
     /// End-of-window markers lost on the control path (summed over
-    /// APs; each left one window to close by gap detection or by the
-    /// worker's flushed exit).
+    /// APs; each window closed on a later marker, a flush reply or the
+    /// worker's exit notice).
     pub markers_lost: u64,
     /// Windows fused with at least one live AP's data missing (lost,
     /// rejected, or the AP died mid-window).

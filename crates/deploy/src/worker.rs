@@ -29,15 +29,19 @@ pub(crate) struct WorkerPacket {
     pub seq: u64,
 }
 
-/// Coordinator → worker messages.
+/// Coordinator → worker messages. The worker exits once the
+/// coordinator hangs up and the queue is drained.
 pub(crate) enum WorkerMsg {
-    /// Process one window's captures, in `seq` order.
+    /// Process one window's captures, in `seq` order. `dispatch` is this
+    /// AP's dispatch number for the window, echoed on its marker.
     Window {
         window: u64,
+        dispatch: u64,
         packets: Vec<WorkerPacket>,
     },
-    /// Drain and exit.
-    Shutdown,
+    /// Reply with [`CoordinatorMsg::Flushed`] once everything queued
+    /// before this request is done.
+    Flush,
 }
 
 /// Worker → coordinator, on one shared inbox. One sender's messages
@@ -50,13 +54,19 @@ pub(crate) enum CoordinatorMsg {
     /// receive, and one waiting for room in this worker's full input
     /// queue must wake when the worker takes a window off it.
     MarkerLost,
-    /// The thread ended (shutdown, hung-up input, crash or panic); sent
-    /// by [`ExitNotice`]. `flushed`: it ended on [`WorkerMsg::Shutdown`]
-    /// after processing its whole queue, so any window still owed lost
-    /// its marker.
+    /// Reply to [`WorkerMsg::Flush`]: the worker has finished its
+    /// dispatches numbered below `finished`, so any of them still owed
+    /// lost its marker.
+    Flushed {
+        ap_id: usize,
+        finished: u64,
+    },
+    /// The thread ended (hung-up input, crash or panic); sent by
+    /// [`ExitNotice`]. `finished` as in [`CoordinatorMsg::Flushed`]: a
+    /// crashed worker's count stops below the window it died in.
     Exited {
         ap_id: usize,
-        flushed: bool,
+        finished: u64,
     },
 }
 
@@ -65,14 +75,16 @@ pub(crate) enum CoordinatorMsg {
 /// wake-up cost per *window* instead of per packet, which matters once
 /// windows carry dozens of packets.
 ///
-/// The window is identified by the worker's **local** `label` (skewed
-/// clock); the coordinator's aligner maps it back to the global window
-/// by per-AP FIFO order and checks the label against the learned
-/// offset. `lost: true` means the report's packet payload was dropped
-/// by the lossy link after exhausting retries — the marker itself
-/// models the reliable control path, so windows still close.
+/// The window is identified by the echoed `dispatch` number; the
+/// worker's **local** `label` (skewed clock) is checked against the
+/// offset the coordinator's aligner learned. `lost: true` means the
+/// report's packet payload was dropped by the lossy link after
+/// exhausting retries — the marker itself models the reliable control
+/// path, so windows still close.
 pub(crate) struct WindowDone {
     pub ap_id: usize,
+    /// The dispatch number of the window this marker closes.
+    pub dispatch: u64,
     /// Local window label (global + skew).
     pub label: i64,
     /// Local sequence label of the window's first *dispatched* packet
@@ -97,11 +109,11 @@ pub(crate) struct WindowDone {
 
 /// Sends [`CoordinatorMsg::Exited`] when dropped — on return or during
 /// a panic's unwind — after every send [`run_worker`] made.
-pub(crate) struct ExitNotice {
-    pub ap_id: usize,
-    pub up: SyncSender<CoordinatorMsg>,
-    /// Set by [`run_worker`] when it ends on [`WorkerMsg::Shutdown`].
-    pub flushed: bool,
+struct ExitNotice {
+    ap_id: usize,
+    up: SyncSender<CoordinatorMsg>,
+    /// Dispatches finished so far (one past the last finished number).
+    finished: u64,
 }
 
 impl Drop for ExitNotice {
@@ -109,7 +121,7 @@ impl Drop for ExitNotice {
         // An error means the coordinator is gone.
         let _ = self.up.send(CoordinatorMsg::Exited {
             ap_id: self.ap_id,
-            flushed: self.flushed,
+            finished: self.finished,
         });
     }
 }
@@ -173,27 +185,43 @@ impl LossStream {
 /// per-AP stream), the worker retries up to the configured budget, and
 /// an exhausted budget abandons the payload — the end-of-window marker
 /// still goes out so the coordinator never stalls on this AP. Returns
-/// the AP (with its trained state) and the run totals when it stops;
-/// `flushed` is set when it stops on [`WorkerMsg::Shutdown`].
+/// the AP (with its trained state) and the run totals when the
+/// coordinator hangs up; its last message is always
+/// [`CoordinatorMsg::Exited`].
 pub(crate) fn run_worker(
     ap_id: usize,
     mut ap: AccessPoint,
     cfg: WorkerCfg,
     rx: Receiver<WorkerMsg>,
     tx: SyncSender<CoordinatorMsg>,
-    flushed: &mut bool,
 ) -> (AccessPoint, ApStats) {
+    // Dropped after the return value is built, or during a panic's
+    // unwind, so `Exited` is this thread's last message either way.
+    let mut exit = ExitNotice {
+        ap_id,
+        up: tx.clone(),
+        finished: 0,
+    };
     let mut engine = None;
     let mut totals = ApStats::default();
     let mut loss = LossStream::new(cfg.link.seed, ap_id);
     while let Ok(msg) = rx.recv() {
-        let (window, packets) = match msg {
-            WorkerMsg::Shutdown => {
-                // Everything queued before the Shutdown was processed.
-                *flushed = true;
-                break;
+        let (window, dispatch, packets) = match msg {
+            WorkerMsg::Flush => {
+                let reply = CoordinatorMsg::Flushed {
+                    ap_id,
+                    finished: exit.finished,
+                };
+                if tx.send(reply).is_err() {
+                    break;
+                }
+                continue;
             }
-            WorkerMsg::Window { window, packets } => (window, packets),
+            WorkerMsg::Window {
+                window,
+                dispatch,
+                packets,
+            } => (window, dispatch, packets),
         };
         // Scripted faults for this window: a pure function of the plan
         // and the window number, so nothing here depends on scheduling.
@@ -204,7 +232,8 @@ pub(crate) fn run_worker(
         };
         if wf.crash {
             // Die mid-window: no payload, no marker, thread gone — only
-            // the exit notice (unflushed) reaches the coordinator.
+            // the exit notice, which does not count this window, reaches
+            // the coordinator.
             return (ap, totals);
         }
         let mut stats = ApStats {
@@ -297,8 +326,11 @@ pub(crate) fn run_worker(
             }
         }
 
+        // The window's work is done, whatever becomes of its marker.
+        exit.finished = dispatch + 1;
+
         // Marker loss: the whole end-of-window message vanishes, and
-        // only a later marker's gap (or the flushed exit) reveals it.
+        // only a later marker, flush reply or exit notice reveals it.
         // The window's stats fold into the worker's run totals.
         if wf.marker_lost {
             stats.markers_lost += 1;
@@ -343,6 +375,7 @@ pub(crate) fn run_worker(
         }
         let done = WindowDone {
             ap_id,
+            dispatch,
             label,
             seq_base,
             packets: packets_out,

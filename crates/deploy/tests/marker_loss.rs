@@ -1,15 +1,19 @@
 //! End-to-end tests for lost end-of-window markers: a dropped marker
-//! must degrade the run deterministically — revealed by a later
-//! marker's gap (within [`DeployConfig::marker_timeout_windows`]) or by
-//! the worker's final flush — never stall it. Losses are scripted with
-//! [`FaultEvent::MarkerLoss`], so every test knows exactly which
-//! `(AP, window)` markers vanish.
+//! must degrade the run deterministically — settled exactly by the next
+//! message that shows its numbered dispatch finished (a later marker, a
+//! flush reply or the worker's exit notice) — and never stall it.
+//! Losses are scripted with [`FaultEvent::MarkerLoss`], so every test
+//! knows exactly which `(AP, window)` markers vanish. The tests of
+//! calls that must return fail after a generous bound instead of
+//! stalling the suite.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_deploy::{DeployConfig, Deployment, FaultEvent, FaultPlan, Transmission};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
 
 fn split(tb: Testbed) -> Vec<AccessPoint> {
     tb.nodes.into_iter().map(|n| n.ap).collect()
@@ -45,34 +49,153 @@ fn masked_report(r: &sa_deploy::DeploymentReport) -> String {
     format!("{:?}", r)
 }
 
-/// Marker loss without gap detection would stall a window forever; the
-/// deployment refuses the configuration at construction.
-#[test]
-#[should_panic(expected = "marker_timeout_windows")]
-fn marker_loss_without_gap_detection_is_rejected() {
-    let tb = Testbed::deployment(2, 319);
-    let cfg = DeployConfig {
-        faults: marker_loss(&[(1, 3)]),
-        marker_timeout_windows: 0,
-        ..DeployConfig::default()
-    };
-    let _ = Deployment::new(split(tb), cfg);
+/// Run `f` on its own thread and fail if it has not returned within
+/// `secs` seconds; a panic inside `f` is passed on as is.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("no return within {secs} s"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the thread sends before it ends"),
+        },
+    }
 }
 
-/// Markers dropped mid-run are revealed by the next surviving marker's
-/// gap: AP 1 loses two markers in a row (windows 1 and 2, both closed
-/// by its window-3 marker) and AP 2 loses one (window 3, closed by its
+/// A marker lost before an AP's first report still settles its own
+/// window: with AP 1's window-0 marker gone, window 0 counts one lost
+/// marker, and every window fuses its own client only — AP 1's later
+/// bearings are not shifted one window early.
+#[test]
+fn first_marker_lost_keeps_every_window_on_its_own_client() {
+    const CLIENTS: [usize; 5] = [3, 6, 9, 12, 15];
+    let fused = within(300, || {
+        let tb = Testbed::deployment(3, 321);
+        let mut rng = ChaCha8Rng::seed_from_u64(322);
+        let windows: Vec<Vec<Transmission>> = CLIENTS
+            .iter()
+            .enumerate()
+            .map(|(w, &c)| window(&tb, &[c], w as u16, &mut rng))
+            .collect();
+        let cfg = DeployConfig {
+            faults: marker_loss(&[(1, 0)]),
+            ..DeployConfig::default()
+        };
+        let mut deployment = Deployment::new(split(tb), cfg);
+        for w in windows {
+            deployment.submit_window(w).expect("submit");
+        }
+        let fused: Vec<_> = (0..CLIENTS.len())
+            .map(|_| deployment.collect_window().expect("window closes"))
+            .collect();
+        let _ = deployment.finish();
+        fused
+    });
+    let lost: Vec<usize> = fused.iter().map(|f| f.markers_lost).collect();
+    assert_eq!(lost, vec![1, 0, 0, 0, 0]);
+    for (w, f) in fused.iter().enumerate() {
+        let macs: Vec<_> = f.clients.iter().map(|c| c.mac).collect();
+        assert_eq!(macs, vec![Testbed::client_mac(CLIENTS[w])], "window {w}");
+    }
+}
+
+/// Two markers lost in a row, with every window submitted before the
+/// first collect: the later marker settles both, and every collect
+/// returns.
+#[test]
+fn consecutive_lost_markers_never_hang_a_collect() {
+    let lost = within(300, || {
+        let tb = Testbed::deployment(3, 321);
+        let mut rng = ChaCha8Rng::seed_from_u64(322);
+        let windows: Vec<Vec<Transmission>> = (0..5)
+            .map(|w| window(&tb, &[5], w as u16, &mut rng))
+            .collect();
+        let cfg = DeployConfig {
+            faults: marker_loss(&[(1, 1), (1, 2)]),
+            ..DeployConfig::default()
+        };
+        let mut deployment = Deployment::new(split(tb), cfg);
+        for w in windows {
+            deployment.submit_window(w).expect("submit");
+        }
+        let lost: Vec<usize> = (0..5)
+            .map(|_| deployment.collect_window().expect("window").markers_lost)
+            .collect();
+        let _ = deployment.finish();
+        lost
+    });
+    assert_eq!(lost, vec![0, 1, 1, 0, 0]);
+}
+
+/// An AP loses the markers of its last two windows, both submitted
+/// before the first collect. When window 1 is collected, window 2 is
+/// already queued at that AP, yet no marker of its will ever arrive:
+/// the flush request must go to every AP still silent on the window,
+/// not only to those whose newest dispatch is that window.
+#[test]
+fn lost_markers_at_the_tail_of_a_stream_never_hang() {
+    let lost = within(300, || {
+        let tb = Testbed::deployment(2, 327);
+        let mut rng = ChaCha8Rng::seed_from_u64(328);
+        let windows: Vec<Vec<Transmission>> = (0..3)
+            .map(|w| window(&tb, &[5], w as u16, &mut rng))
+            .collect();
+        let cfg = DeployConfig {
+            faults: marker_loss(&[(1, 1), (1, 2)]),
+            windows_in_flight: 3,
+            ..DeployConfig::default()
+        };
+        let mut deployment = Deployment::new(split(tb), cfg);
+        let fused = deployment.run_stream(windows).expect("stream");
+        let _ = deployment.finish();
+        fused.iter().map(|f| f.markers_lost).collect::<Vec<_>>()
+    });
+    assert_eq!(lost, vec![0, 1, 1]);
+}
+
+/// A synchronous `run_window` whose marker is lost has no later window
+/// to reveal it: the flush request settles it, and the call returns.
+#[test]
+fn synchronous_run_window_returns_after_a_lost_marker() {
+    let lost = within(300, || {
+        let tb = Testbed::deployment(2, 319);
+        let mut rng = ChaCha8Rng::seed_from_u64(320);
+        let windows: Vec<Vec<Transmission>> = (0..2)
+            .map(|w| window(&tb, &[5, 7], w as u16, &mut rng))
+            .collect();
+        let cfg = DeployConfig {
+            faults: marker_loss(&[(1, 0)]),
+            ..DeployConfig::default()
+        };
+        let mut deployment = Deployment::new(split(tb), cfg);
+        let lost: Vec<usize> = windows
+            .into_iter()
+            .map(|w| deployment.run_window(w).expect("window").markers_lost)
+            .collect();
+        let (report, _) = deployment.finish();
+        (lost, report.metrics.markers_lost)
+    });
+    assert_eq!(lost, (vec![1, 0], 1));
+}
+
+/// Markers dropped mid-run are settled by the next surviving marker:
+/// AP 1 loses two markers in a row (windows 1 and 2, both settled by
+/// its window-3 marker) and AP 2 loses one (window 3, settled by its
 /// window-4 marker). Each affected window closes without that AP's
 /// bearings and with exactly one lost marker. AP 0's marker for the
-/// last window has nothing after it, so only the shutdown flush in
-/// `finish` closes that window. The coordinator's detected-loss count
-/// agrees with the workers' own, and the whole degraded run is
+/// last window has nothing after it, so its exit notice in `finish`
+/// closes that window. The coordinator's detected-loss count agrees
+/// with the workers' own, and the whole degraded run is
 /// byte-deterministic across repeats.
 #[test]
 fn lost_markers_degrade_deterministically_without_stalling() {
     const WINDOWS: usize = 6;
-    // Windows 0..=4 close on markers (or the gaps they reveal); window
-    // 5 can only close in finish().
+    // Windows 0..=4 close on markers (or the losses they reveal);
+    // window 5 closes in finish().
     const EXPLICIT: usize = 5;
     const LOST: [(usize, u64); 4] = [(1, 1), (1, 2), (2, 3), (0, 5)];
     let run = || {
@@ -84,7 +207,6 @@ fn lost_markers_degrade_deterministically_without_stalling() {
         let aps = split(tb);
         let cfg = DeployConfig {
             faults: marker_loss(&LOST),
-            marker_timeout_windows: 2,
             ..DeployConfig::default()
         };
         let mut deployment = Deployment::new(aps, cfg);
@@ -112,8 +234,8 @@ fn lost_markers_degrade_deterministically_without_stalling() {
             assert!(c.n_aps <= f.expected_aps - f.markers_lost, "{:?}", c);
         }
     }
-    // Every window closed — the explicitly collected ones and the
-    // flushed tail — and every scripted loss was detected.
+    // Every window closed — the explicitly collected ones and the tail
+    // closed in finish() — and every scripted loss was detected.
     assert_eq!(report.metrics.windows, WINDOWS as u64);
     assert_eq!(report.metrics.markers_lost, LOST.len() as u64);
     assert_eq!(report.metrics.degraded_windows, 4, "windows 1, 2, 3 and 5");
@@ -130,35 +252,6 @@ fn lost_markers_degrade_deterministically_without_stalling() {
     let (fused2, report2) = run();
     assert_eq!(format!("{:?}", fused), format!("{:?}", fused2));
     assert_eq!(masked_report(&report), masked_report(&report2));
-}
-
-/// With no marker lost, enabling the gap-detection tolerance is
-/// byte-transparent: in-order markers never present a gap, so the
-/// fused output and report are identical to the default configuration.
-#[test]
-fn gap_tolerance_is_transparent_without_loss() {
-    let run = |cfg: DeployConfig| {
-        let tb = Testbed::deployment(2, 323);
-        let mut rng = ChaCha8Rng::seed_from_u64(324);
-        let windows: Vec<Vec<Transmission>> = (0..3)
-            .map(|w| window(&tb, &[5, 7], w as u16, &mut rng))
-            .collect();
-        let mut deployment = Deployment::new(split(tb), cfg);
-        let fused: Vec<_> = windows
-            .into_iter()
-            .map(|w| deployment.run_window(w).expect("window"))
-            .collect();
-        let (report, _) = deployment.finish();
-        (fused, report)
-    };
-    let (base_fused, base_report) = run(DeployConfig::default());
-    let (tol_fused, tol_report) = run(DeployConfig {
-        marker_timeout_windows: 2,
-        ..DeployConfig::default()
-    });
-    assert_eq!(format!("{:?}", base_fused), format!("{:?}", tol_fused));
-    assert_eq!(masked_report(&base_report), masked_report(&tol_report));
-    assert_eq!(base_report.metrics.markers_lost, 0);
 }
 
 /// A worker that takes a window off a full input queue and loses its
@@ -183,7 +276,6 @@ fn lost_markers_on_a_full_input_queue_never_hang_dispatch() {
         .collect();
     let cfg = DeployConfig {
         faults: marker_loss(&lost),
-        marker_timeout_windows: 2,
         channel_capacity: 1,
         windows_in_flight: 8,
         ..DeployConfig::default()

@@ -14,7 +14,7 @@ fn run_ap(aligner: &mut SkewAligner, ap: usize, skew: &ApSkew, n_windows: u64) -
     (0..n_windows)
         .map(|w| {
             aligner
-                .align(ap, skew.window_label(w), Some(skew.seq_label(w * 3)))
+                .align(ap, w, skew.window_label(w), Some(skew.seq_label(w * 3)))
                 .expect("dispatched")
         })
         .collect()
@@ -92,7 +92,7 @@ proptest! {
         let mut got_b = vec![Vec::new(); skews.len()];
         for w in 0..n_windows {
             for (ap, skew) in skews.iter().enumerate() {
-                got_b[ap].push(order_b.align(ap, skew.window_label(w), None).expect("dispatched"));
+                got_b[ap].push(order_b.align(ap, w, skew.window_label(w), None).expect("dispatched"));
             }
         }
         for ap in 0..skews.len() {
@@ -121,7 +121,7 @@ proptest! {
             aligner.note_dispatch(ap, w, None);
         }
         for w in 0..n_windows {
-            let got = aligner.align(ap, skew.window_label(w), None).expect("dispatched");
+            let got = aligner.align(ap, w, skew.window_label(w), None).expect("dispatched");
             prop_assert_eq!(got.global, w);
             prop_assert!(
                 got.deviation.unsigned_abs() <= 2,
@@ -151,7 +151,7 @@ proptest! {
             aligner.note_dispatch(ap, w, None);
         }
         for w in 0..n_windows {
-            let got = aligner.align(ap, skew.window_label(w), None).expect("dispatched");
+            let got = aligner.align(ap, w, skew.window_label(w), None).expect("dispatched");
             prop_assert_eq!(got.global, w);
             prop_assert_eq!(got.accepted, w == 0, "window {}: {:?}", w, got);
         }

@@ -14,7 +14,6 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// `re` is the in-phase (I) component, `im` the quadrature (Q) component.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct C64 {
     /// Real / in-phase component.
     pub re: f64,

@@ -15,7 +15,6 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// `Default` is the empty `0 × 0` matrix — the natural seed for workspace
 /// buffers that grow on first use (see [`CMat::reset_zero`]).
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CMat {
     rows: usize,
     cols: usize,
@@ -214,25 +213,6 @@ impl CMat {
         for z in &mut self.data {
             *z = z.scale(s);
         }
-    }
-
-    /// Multiply every element by a complex scalar.
-    pub fn scale_c(&self, s: C64) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&z| z * s).collect(),
-        }
-    }
-
-    /// Reshape in place to a copy of `src`, reusing the existing
-    /// allocation (see [`CMat::reset_zero`]). The buffer-recycling
-    /// sibling of `Clone::clone`.
-    pub fn copy_from(&mut self, src: &Self) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
     }
 
     /// Matrix product `self * rhs`. Panics on dimension mismatch.

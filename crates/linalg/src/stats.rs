@@ -63,7 +63,6 @@ pub fn ecdf(xs: &[f64], x: f64) -> f64 {
 
 /// A two-sided confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfidenceInterval {
     /// Sample mean.
     pub mean: f64,

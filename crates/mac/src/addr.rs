@@ -10,7 +10,6 @@ use std::str::FromStr;
 
 /// A 48-bit IEEE MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {

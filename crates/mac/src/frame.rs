@@ -27,7 +27,6 @@ pub const FCS_LEN: usize = 4;
 
 /// Frame types the simulated network uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FrameType {
     /// Access-point beacon.
     Beacon,

@@ -47,17 +47,6 @@ pub fn eig_split_snr(eigenvalues_ascending: &[f64], n_sources: usize) -> f64 {
     ((signal - noise) / noise).max(0.0)
 }
 
-/// [`eig_split_snr`] in decibels, floored at `-300.0` dB for zero or
-/// degenerate SNR so the value stays finite and totally ordered.
-pub fn eig_split_snr_db(eigenvalues_ascending: &[f64], n_sources: usize) -> f64 {
-    let snr = eig_split_snr(eigenvalues_ascending, n_sources);
-    if snr > 0.0 {
-        (10.0 * snr.log10()).max(-300.0)
-    } else {
-        -300.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +63,6 @@ mod tests {
         let eigs = [0.5, 0.5, 0.5, 6.5, 10.5];
         let snr = eig_split_snr(&eigs, 2);
         assert!((snr - 16.0).abs() < 1e-12, "snr {}", snr);
-        assert!((eig_split_snr_db(&eigs, 2) - 12.041).abs() < 0.01);
     }
 
     #[test]
@@ -83,7 +71,6 @@ mod tests {
         assert_eq!(eig_split_snr(&[1.0, 2.0], 0), 0.0);
         assert_eq!(eig_split_snr(&[1.0, 2.0], 2), 0.0);
         assert_eq!(eig_split_snr(&[0.0, 0.0, 5.0], 1), 0.0);
-        assert_eq!(eig_split_snr_db(&[0.0, 0.0, 5.0], 1), -300.0);
         // Signal below the noise floor clamps to zero, not negative.
         assert_eq!(eig_split_snr(&[1.0, 1.0, 0.5], 1), 0.0);
     }
@@ -113,7 +100,7 @@ mod tests {
             // A single rank-1 source across M elements concentrates M×
             // the per-element power in one eigenvalue: the split SNR is
             // the *subspace* SNR, M·snr_element.
-            let est_db = eig_split_snr_db(&eig.values, 1);
+            let est_db = 10.0 * eig_split_snr(&eig.values, 1).log10();
             let expect_db = snr_db + 10.0 * (m as f64).log10();
             assert!(
                 (est_db - expect_db).abs() < 1.5,

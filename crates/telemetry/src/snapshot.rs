@@ -139,11 +139,6 @@ impl TelemetrySnapshot {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("Value rendering is infallible")
     }
-
-    /// The JSON document model behind [`TelemetrySnapshot::to_json`].
-    pub fn to_json_value(&self) -> Value {
-        self.to_value()
-    }
 }
 
 fn owned(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -300,7 +295,7 @@ mod tests {
         let reparsed = crate::json::parse(&json).expect("own JSON parses");
         assert_eq!(
             crate::json::render_pretty(&reparsed),
-            crate::json::render_pretty(&s.to_json_value())
+            crate::json::render_pretty(&s.to_value())
         );
     }
 }

@@ -349,18 +349,6 @@ impl Office {
             .to_degrees()
             .rem_euclid(360.0)
     }
-
-    /// Ground-truth azimuth from an arbitrary AP position.
-    pub fn azimuth_from(&self, ap: Point, id: usize) -> f64 {
-        ap.azimuth_to(self.client(id).position)
-            .to_degrees()
-            .rem_euclid(360.0)
-    }
-
-    /// Distance from the primary AP to a client, meters.
-    pub fn distance_to(&self, id: usize) -> f64 {
-        self.ap_position.dist(self.client(id).position)
-    }
 }
 
 #[cfg(test)]
@@ -455,9 +443,10 @@ mod tests {
     #[test]
     fn near_and_far_clients_match_the_papers_text() {
         let o = Office::paper_figure4();
-        assert!(o.distance_to(5) < 3.5, "client 5 should be near");
-        assert!(o.distance_to(10) > 8.0, "client 10 should be far");
-        assert!(o.distance_to(6) > 12.0, "client 6 should be farthest-ish");
+        let distance_to = |id| o.ap_position.dist(o.client(id).position);
+        assert!(distance_to(5) < 3.5, "client 5 should be near");
+        assert!(distance_to(10) > 8.0, "client 10 should be far");
+        assert!(distance_to(6) > 12.0, "client 6 should be farthest-ish");
         // Client 2 is behind wall A.
         let loss = o
             .plan

@@ -10,7 +10,7 @@ use crate::office::Office;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_array::geometry::{Array, ArrayKind};
+use sa_array::geometry::Array;
 use sa_array::rf::FrontEnd;
 use sa_channel::apply::{apply_channel, ApplyConfig};
 use sa_channel::geom::Point;
@@ -370,11 +370,6 @@ impl Testbed {
             .iter()
             .map(|p| p.gain.norm_sqr())
             .sum()
-    }
-
-    /// Is this testbed's node array linear (Fig 6/7 presentations)?
-    pub fn is_linear(&self, node: usize) -> bool {
-        self.nodes[node].ap.config().array.kind() == ArrayKind::Linear
     }
 }
 
