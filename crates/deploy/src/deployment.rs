@@ -457,6 +457,7 @@ impl Deployment {
         self.route(msg);
     }
 
+    /// Apply one inbox message to the ledger and the worker slots.
     fn route(&mut self, msg: CoordinatorMsg) {
         match msg {
             CoordinatorMsg::Window(done) => self.settle_report(done),
@@ -660,21 +661,21 @@ impl Deployment {
             .ok_or(DeployError::NothingSubmitted)?;
         let mut asked = false;
         while !self.closable(window) {
-            match self.up_rx.try_recv() {
-                Ok(msg) => self.route(msg),
-                Err(_) if asked => self.route_next(),
-                Err(_) => {
-                    asked = true;
-                    let bin = &self.bins[&window];
-                    let silent: Vec<usize> = bin
-                        .expected
-                        .iter()
-                        .copied()
-                        .filter(|k| !bin.settled.contains_key(k))
-                        .collect();
-                    for k in silent {
-                        self.send_to_worker(k, WorkerMsg::Flush);
-                    }
+            if let Ok(msg) = self.up_rx.try_recv() {
+                self.route(msg);
+            } else if asked {
+                self.route_next();
+            } else {
+                asked = true;
+                let bin = &self.bins[&window];
+                let silent: Vec<usize> = bin
+                    .expected
+                    .iter()
+                    .copied()
+                    .filter(|k| !bin.settled.contains_key(k))
+                    .collect();
+                for k in silent {
+                    self.send_to_worker(k, WorkerMsg::Flush);
                 }
             }
         }
