@@ -44,5 +44,5 @@ pub use pipeline::{
 };
 pub use rss::{RssDetector, RssPrint, RssVerdict};
 pub use signature::{AoaSignature, SignatureMatch, SignatureTracker};
-pub use spoof::{ConsensusVerdict, CrossApConsensus, SpoofDetector, SpoofVerdict};
+pub use spoof::{ConsensusVerdict, SpoofDetector, SpoofVerdict};
 pub use tracking::MobilityTracker;

@@ -21,8 +21,8 @@
 //! One path runs the stages above: stage 1 yields a [`DecodedPacket`]
 //! ([`decode_reference`]), [`PacketBatch::push_predecoded`] stages its
 //! window, and [`PacketBatch::process`] runs stages 2–5 over every
-//! staged packet with the AoA setup built once. [`AccessPoint::observe`],
-//! `observe_batch` and `observe_all` are thin loops over those steps.
+//! staged packet with the AoA setup built once. [`AccessPoint::observe`]
+//! and `observe_batch` are thin loops over those steps.
 //!
 //! ```
 //! use sa_channel::geom::pt;
@@ -58,7 +58,7 @@ use sa_array::calib::Calibration;
 use sa_array::geometry::{Array, ArrayKind};
 use sa_array::rf::FrontEnd;
 use sa_channel::geom::Point;
-use sa_linalg::{CMat, C64};
+use sa_linalg::CMat;
 use sa_mac::{AccessControlList, Frame, MacAddr};
 use sa_phy::ppdu::{PhyError, Receiver, Transmitter};
 use sa_phy::Modulation;
@@ -147,12 +147,7 @@ pub fn decode_reference(
     if buffer.rows() == 0 || buffer.cols() == 0 {
         return Err(ObserveError::BadBuffer);
     }
-    decode_row(buffer.row_view(0), modulation)
-}
-
-/// [`decode_reference`] on one reference-chain row (`start` is
-/// relative to `ref_chain`).
-fn decode_row(ref_chain: &[C64], modulation: Modulation) -> Result<DecodedPacket, ObserveError> {
+    let ref_chain = buffer.row_view(0);
     let rx = Receiver::new(modulation);
     match rx.decode(ref_chain) {
         Ok(pkt) => {
@@ -504,31 +499,6 @@ impl AccessPoint {
             .into_iter()
             .map(|r| r.map(|()| produced.next().expect("one observation per staged packet")))
             .collect()
-    }
-
-    /// Process every packet in a long capture (the paper's WARP buffers
-    /// 0.4 ms — 8000 samples — which can hold several frames). Returns
-    /// observations in arrival order; scanning resumes after each
-    /// packet's extent; starts are in the capture's own coordinates.
-    /// Every detected packet is staged into one [`PacketBatch`], so the
-    /// AoA setup is amortised across the buffer.
-    pub fn observe_all(&self, buffer: &CMat) -> Vec<Observation> {
-        let mut batch = self.batch();
-        if buffer.rows() == self.cfg.array.len() {
-            let row = buffer.row_view(0);
-            let mut cursor = 0usize;
-            while cursor + 2 * sa_phy::preamble::SC_HALF_LEN < buffer.cols() {
-                let Ok(mut d) = decode_row(&row[cursor..], self.cfg.modulation) else {
-                    break;
-                };
-                d.start += cursor;
-                if batch.push_predecoded(buffer, &d).is_err() {
-                    break;
-                }
-                cursor = d.start + d.pkt_len.min(buffer.cols() - d.start);
-            }
-        }
-        batch.process()
     }
 
     /// Train the spoof profile for a client from an authenticated
@@ -1036,61 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_all_finds_every_packet_in_a_long_capture() {
-        // Two clients transmit back-to-back inside one WARP-sized
-        // buffer; observe_all must recover both frames with their own
-        // bearings.
-        let plan = room();
-        let mut ap = make_ap();
-        let pos_a = pt(4.0, 3.0);
-        let pos_b = pt(-3.0, 5.0);
-        let rx_pow = rx_power_at(&ap, &plan, pos_a);
-        let fe = quiet_front_end(&ap, rx_pow, 25.0, 70);
-        let mut rng = ChaCha8Rng::seed_from_u64(71);
-        ap.calibrate(&fe, &mut rng);
-
-        let make_capture = |ap: &AccessPoint, pos, mac_idx: u32, seed| {
-            let frame = Frame::data(
-                MacAddr::local_from_index(mac_idx),
-                MacAddr::BROADCAST,
-                MacAddr::local_from_index(0),
-                1,
-                b"pkt",
-            );
-            capture(ap, &plan, pos, &frame, &fe, seed)
-        };
-        let cap_a = make_capture(&ap, pos_a, 1, 72);
-        let cap_b = make_capture(&ap, pos_b, 2, 73);
-
-        // Concatenate the two captures into one long buffer.
-        let total = cap_a.cols() + cap_b.cols();
-        let buffer = CMat::from_fn(8, total, |m, t| {
-            if t < cap_a.cols() {
-                cap_a[(m, t)]
-            } else {
-                cap_b[(m, t - cap_a.cols())]
-            }
-        });
-
-        let all = ap.observe_all(&buffer);
-        assert_eq!(all.len(), 2, "found {} packets", all.len());
-        assert_eq!(
-            all[0].frame.as_ref().unwrap().src,
-            MacAddr::local_from_index(1)
-        );
-        assert_eq!(
-            all[1].frame.as_ref().unwrap().src,
-            MacAddr::local_from_index(2)
-        );
-        assert!(all[1].start > all[0].start);
-        // Each packet got its own bearing.
-        let t_a = ap.config().position.azimuth_to(pos_a).to_degrees();
-        let t_b = ap.config().position.azimuth_to(pos_b).to_degrees();
-        assert!(angle_diff_deg(all[0].bearing_deg, t_a, true) < 6.0);
-        assert!(angle_diff_deg(all[1].bearing_deg, t_b, true) < 6.0);
-    }
-
-    #[test]
     fn batched_observations_match_single_packet_path_exactly() {
         // The batch amortises setup; it must never change the numbers.
         let plan = room();
@@ -1166,7 +1081,7 @@ mod tests {
     #[test]
     fn staging_rejects_an_empty_extent_and_clamps_an_overlong_one() {
         let ap = make_ap();
-        let buf = CMat::from_fn(8, 300, |m, t| C64::new((m + t) as f64, 1.0));
+        let buf = CMat::from_fn(8, 300, |m, t| sa_linalg::C64::new((m + t) as f64, 1.0));
         let decoded = |start, pkt_len| DecodedPacket {
             frame: None,
             start,

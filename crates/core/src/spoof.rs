@@ -137,8 +137,8 @@ pub const MIN_FIX_APS: usize = 2;
 /// than a desk away. Heavily shadowed clients (e.g. the office's
 /// pillar-blocked client 11) can exceed it on occasional windows, so —
 /// exactly like the per-AP signature threshold — treat single flags as
-/// evidence and alert on k-of-n ([`CrossApConsensus::flag_count`]
-/// accumulates them).
+/// evidence and alert on k-of-n (the deployment's fusion stage counts
+/// them per client).
 pub(crate) const MAX_DISPLACEMENT_M: f64 = 2.0;
 
 /// A fused fix whose bearing lines disagree by more than this RMS
@@ -150,10 +150,9 @@ pub const MAX_RESIDUAL_M: f64 = 2.5;
 /// Extra displacement allowance per *missing* AP when a window is
 /// partial (fewer bearings than the deployment expects — lost reports,
 /// skew rejections, churn), meters. A fix fused from fewer bearings is
-/// geometrically noisier, so [`CrossApConsensus::check_degraded`]
-/// relaxes the displacement gate by `PARTIAL_SLACK_M × (expected −
-/// contributed)` instead of spraying false spoof flags through every
-/// degraded window. The full-quorum threshold is unchanged.
+/// geometrically noisier, so [`ConsensusVerdict::judge`] relaxes the
+/// displacement gate by `PARTIAL_SLACK_M × (expected − contributed)`
+/// instead of spraying false spoof flags through every degraded window. The full-quorum threshold is unchanged.
 ///
 /// Half a meter per missing AP: a 4-AP deployment down to the 2-bearing
 /// minimum gets 3 m of displacement headroom — still well inside the
@@ -204,113 +203,46 @@ impl ConsensusVerdict {
             ConsensusVerdict::Insufficient => "insufficient (below the AP quorum)".to_string(),
         }
     }
-}
 
-/// The cross-AP spoof consensus detector (deployment-level, §2.3.1
-/// turned into a defense): localization fixes fused from *several* APs'
-/// bearings are checked against each client's trained reference
-/// position. A single AP can only compare pseudospectra — an attacker
-/// sitting on the ray from that AP through the victim presents the same
-/// direct-path angle and can slip through the per-AP signature check.
-/// But geometry is unforgiving across APs: the other bearings drag the
-/// fused fix to the attacker's true position, and the displacement (or
-/// the residual, when the spoofed bearing refuses to intersect) gives
-/// it away. This detector therefore expresses a check no single-AP
-/// [`SpoofDetector`] can.
-#[derive(Debug, Default)]
-pub struct CrossApConsensus {
-    refs: HashMap<MacAddr, Point>,
-    flags: HashMap<MacAddr, usize>,
-    rebaselines: u64,
-}
-
-impl CrossApConsensus {
-    /// New detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Train (or move) the reference position for a MAC — normally the
-    /// fused fix from an authenticated training window. Clears the
-    /// MAC's flags.
-    pub fn train(&mut self, mac: MacAddr, position: Point) {
-        self.refs.insert(mac, position);
-        self.flags.remove(&mac);
-    }
-
-    /// The trained reference position, if any.
-    pub fn reference(&self, mac: &MacAddr) -> Option<Point> {
-        self.refs.get(mac).copied()
-    }
-
-    /// True if a reference position exists for the MAC.
-    pub fn is_trained(&self, mac: &MacAddr) -> bool {
-        self.refs.contains_key(mac)
-    }
-
-    /// Number of trained clients.
-    pub fn trained_count(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Consensus flags accumulated for a MAC.
-    pub fn flag_count(&self, mac: &MacAddr) -> usize {
-        self.flags.get(mac).copied().unwrap_or(0)
-    }
-
-    /// Forget every trained reference position (flag history is kept:
-    /// flags already raised remain evidence). Deployments call this on
-    /// AP membership change — a client's fused fix shifts when the
-    /// contributing geometry shifts, so references trained under the
-    /// old membership would read as displacement. Clients re-baseline
-    /// from their next clean fix (see auto-training in the deployment
-    /// layer) or an explicit [`CrossApConsensus::train`].
-    pub fn rebaseline(&mut self) {
-        self.refs.clear();
-        self.rebaselines += 1;
-    }
-
-    /// How many times [`CrossApConsensus::rebaseline`] has run — the
-    /// membership-churn pressure on trained references, surfaced as the
-    /// deployment's `fusion.rebaselines` gauge.
-    pub fn rebaseline_count(&self) -> u64 {
-        self.rebaselines
-    }
-
-    /// Check one fused fix (from `n_bearings` distinct APs) against the
-    /// MAC's reference position.
-    pub fn check(&mut self, mac: MacAddr, fix: &Fix, n_bearings: usize) -> ConsensusVerdict {
-        self.check_degraded(mac, fix, n_bearings, n_bearings)
-    }
-
-    /// [`CrossApConsensus::check`] for a *partial* window: `n_bearings`
-    /// distinct APs contributed out of the `expected_aps` the deployment
-    /// currently fields. Each missing AP relaxes the displacement gate
-    /// by `PARTIAL_SLACK_M`; the residual and
-    /// behind-AP gates are unchanged (fewer bearings make the residual
-    /// easier to satisfy, not harder). With `n_bearings == expected_aps`
-    /// this is exactly [`CrossApConsensus::check`].
-    pub fn check_degraded(
-        &mut self,
-        mac: MacAddr,
+    /// The cross-AP spoof consensus rule (deployment-level, §2.3.1
+    /// turned into a defense): judge a localization fix fused from
+    /// *several* APs' bearings against the client's trained
+    /// `reference` position. A single AP can only compare
+    /// pseudospectra — an attacker sitting on the ray from that AP
+    /// through the victim presents the same direct-path angle and can
+    /// slip through the per-AP signature check. But geometry is
+    /// unforgiving across APs: the other bearings drag the fused fix to
+    /// the attacker's true position, and the displacement (or the
+    /// residual, when the spoofed bearing refuses to intersect) gives it
+    /// away — a check no single-AP [`SpoofDetector`] can express.
+    ///
+    /// `supporting` distinct APs contributed to the fix out of the
+    /// `expected` a healthy window would have had. Below [`MIN_FIX_APS`]
+    /// the verdict is `Insufficient`; with no reference it is
+    /// `Untrained`. Each missing AP relaxes the displacement gate by
+    /// `PARTIAL_SLACK_M`; the residual and behind-AP gates are unchanged
+    /// (fewer bearings make the residual easier to satisfy, not harder).
+    /// The rule is pure: the caller owns the reference and counts the
+    /// `Spoof` verdicts as the client's consensus flags.
+    pub fn judge(
+        reference: Option<Point>,
         fix: &Fix,
-        n_bearings: usize,
-        expected_aps: usize,
+        supporting: usize,
+        expected: usize,
     ) -> ConsensusVerdict {
-        if n_bearings < MIN_FIX_APS {
+        if supporting < MIN_FIX_APS {
             return ConsensusVerdict::Insufficient;
         }
-        let Some(reference) = self.refs.get(&mac) else {
+        let Some(reference) = reference else {
             return ConsensusVerdict::Untrained;
         };
-        let missing = expected_aps.saturating_sub(n_bearings) as f64;
+        let missing = expected.saturating_sub(supporting) as f64;
         let allowed_displacement = MAX_DISPLACEMENT_M + PARTIAL_SLACK_M * missing;
         let displacement_m = reference.dist(fix.position);
         if displacement_m > allowed_displacement
             || fix.residual_m > MAX_RESIDUAL_M
             || fix.behind_count > 0
         {
-            *self.flags.entry(mac).or_insert(0) += 1;
             ConsensusVerdict::Spoof {
                 displacement_m,
                 residual_m: fix.residual_m,
@@ -516,109 +448,76 @@ mod tests {
         }
     }
 
+    const HOME: Option<Point> = Some(pt(5.0, 5.0));
+
     #[test]
     fn consensus_untrained_and_insufficient() {
-        let mut c = CrossApConsensus::new();
+        let fix = fix_at(0.0, 0.0, 0.1, 0);
         assert_eq!(
-            c.check(mac(1), &fix_at(0.0, 0.0, 0.1, 0), 1),
+            ConsensusVerdict::judge(None, &fix, 1, 1),
+            ConsensusVerdict::Insufficient
+        );
+        // The quorum is checked before the reference.
+        assert_eq!(
+            ConsensusVerdict::judge(HOME, &fix, 1, 1),
             ConsensusVerdict::Insufficient
         );
         assert_eq!(
-            c.check(mac(1), &fix_at(0.0, 0.0, 0.1, 0), 3),
+            ConsensusVerdict::judge(None, &fix, 3, 3),
             ConsensusVerdict::Untrained
         );
-        assert_eq!(c.flag_count(&mac(1)), 0);
     }
 
     #[test]
     fn consensus_consistent_fix_passes() {
-        let mut c = CrossApConsensus::new();
-        c.train(mac(1), pt(5.0, 5.0));
-        let v = c.check(mac(1), &fix_at(5.4, 4.8, 0.3, 0), 3);
+        let v = ConsensusVerdict::judge(HOME, &fix_at(5.4, 4.8, 0.3, 0), 3, 3);
         match v {
             ConsensusVerdict::Consistent { displacement_m } => {
                 assert!(displacement_m < 0.5, "displacement {}", displacement_m)
             }
             other => panic!("expected consistent, got {:?}", other),
         }
-        assert_eq!(c.flag_count(&mac(1)), 0);
     }
 
     #[test]
     fn consensus_flags_displaced_fix() {
-        let mut c = CrossApConsensus::new();
-        c.train(mac(1), pt(5.0, 5.0));
-        let v = c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3);
+        let displaced = fix_at(12.0, 5.0, 0.2, 0);
+        let v = ConsensusVerdict::judge(HOME, &displaced, 3, 3);
         assert!(v.is_spoof(), "verdict {:?}", v);
-        assert_eq!(c.flag_count(&mac(1)), 1);
-        // Flags accumulate, and retraining clears them.
-        assert!(c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3).is_spoof());
-        assert_eq!(c.flag_count(&mac(1)), 2);
-        c.train(mac(1), pt(12.0, 5.0));
-        assert_eq!(c.flag_count(&mac(1)), 0);
-        assert!(!c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3).is_spoof());
+        // A reference moved to the new spot accepts the same fix.
+        let moved = Some(pt(12.0, 5.0));
+        assert!(!ConsensusVerdict::judge(moved, &displaced, 3, 3).is_spoof());
     }
 
     #[test]
     fn consensus_flags_high_residual_and_behind_fixes() {
-        let mut c = CrossApConsensus::new();
-        c.train(mac(1), pt(5.0, 5.0));
         // Near the reference, but the bearing lines barely intersect:
         // the §3.1 false-positive signature.
-        assert!(c.check(mac(1), &fix_at(5.0, 5.5, 9.0, 0), 2).is_spoof());
+        assert!(ConsensusVerdict::judge(HOME, &fix_at(5.0, 5.5, 9.0, 0), 2, 2).is_spoof());
         // Or a bearing points away from the fix entirely.
-        assert!(c.check(mac(1), &fix_at(5.0, 5.0, 0.1, 1), 2).is_spoof());
+        assert!(ConsensusVerdict::judge(HOME, &fix_at(5.0, 5.0, 0.1, 1), 2, 2).is_spoof());
     }
 
     #[test]
     fn degraded_check_relaxes_displacement_per_missing_ap() {
-        let mut c = CrossApConsensus::new();
-        c.train(mac(1), pt(5.0, 5.0));
+        let judge = |fix: &Fix, supporting, expected| {
+            ConsensusVerdict::judge(HOME, fix, supporting, expected)
+        };
         // 2.8 m displacement: over the 2.0 m full-quorum gate, inside
         // the 2 + 2×0.5 = 3.0 m gate of a 2-of-4 partial window.
         let fix = fix_at(7.8, 5.0, 0.2, 0);
-        assert!(c.check(mac(1), &fix, 4).is_spoof());
+        assert!(judge(&fix, 4, 4).is_spoof());
         assert!(matches!(
-            c.check_degraded(mac(1), &fix, 2, 4),
+            judge(&fix, 2, 4),
             ConsensusVerdict::Consistent { .. }
         ));
         // A genuinely displaced attacker is flagged even with the slack.
-        assert!(c
-            .check_degraded(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 2, 4)
-            .is_spoof());
-        // Full quorum degrades to the plain check exactly.
-        assert_eq!(
-            c.check_degraded(mac(1), &fix, 4, 4),
-            c.check(mac(1), &fix, 4)
-        );
+        assert!(judge(&fix_at(12.0, 5.0, 0.2, 0), 2, 4).is_spoof());
+        // More expected than supporting is the only source of slack.
+        assert!(judge(&fix, 2, 2).is_spoof());
         // The residual and behind gates get no slack.
-        assert!(c
-            .check_degraded(mac(1), &fix_at(5.0, 5.2, 9.0, 0), 2, 4)
-            .is_spoof());
-        assert!(c
-            .check_degraded(mac(1), &fix_at(5.0, 5.0, 0.1, 2), 2, 4)
-            .is_spoof());
-    }
-
-    #[test]
-    fn rebaseline_clears_references_but_keeps_flags() {
-        let mut c = CrossApConsensus::new();
-        c.train(mac(1), pt(5.0, 5.0));
-        c.train(mac(2), pt(9.0, 2.0));
-        assert!(c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3).is_spoof());
-        assert_eq!(c.trained_count(), 2);
-        c.rebaseline();
-        assert_eq!(c.trained_count(), 0);
-        assert!(!c.is_trained(&mac(1)));
-        // Flag history survives as evidence…
-        assert_eq!(c.flag_count(&mac(1)), 1);
-        // …and checks fall back to Untrained until retrained.
-        assert_eq!(
-            c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3),
-            ConsensusVerdict::Untrained
-        );
-        c.train(mac(1), pt(12.0, 5.0));
-        assert!(!c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3).is_spoof());
+        assert!(judge(&fix_at(5.0, 5.2, 9.0, 0), 2, 4).is_spoof());
+        assert!(judge(&fix_at(5.0, 5.0, 0.1, 2), 2, 4).is_spoof());
     }
 
     #[test]

@@ -25,13 +25,13 @@ use crate::faults::payload_checksum;
 use crate::fusion::{bearing_err_deg, Fusion};
 use crate::health::{ApWindowEvidence, FleetHealth, HealthAction, BEARING_ERR_WARN_DEG};
 use crate::report::{ApStats, DeployMetrics, DeploymentReport, FusedWindow};
-use crate::telemetry::{DeployTelemetry, WorkerTap};
+use crate::telemetry::{self, WorkerTap};
 use crate::worker::{run_worker, CoordinatorMsg, WindowDone, WorkerCfg, WorkerMsg, WorkerPacket};
 use sa_channel::geom::Point;
 use sa_linalg::CMat;
 use sa_mac::MacAddr;
 use sa_phy::Modulation;
-use sa_telemetry::{Histogram, StageTimer, TelemetrySnapshot};
+use sa_telemetry::{Histogram, Registry, StageTimer, TelemetrySnapshot};
 use secureangle::pipeline::decode_reference;
 use secureangle::AccessPoint;
 use std::collections::{BTreeMap, VecDeque};
@@ -168,9 +168,9 @@ pub struct Deployment {
     bins: BTreeMap<u64, WindowBin>,
     metrics: DeployMetrics,
     per_ap_window_stats: Vec<ApStats>,
-    /// The shared telemetry bundle; `None` when
+    /// The stage-histogram registry; `None` when
     /// [`DeployConfig::telemetry`] is disabled (the default).
-    telemetry: Option<Arc<DeployTelemetry>>,
+    registry: Option<Registry>,
     /// `stage.decode` histogram handle (`None` with telemetry off).
     decode_hist: Option<Arc<Histogram>>,
 }
@@ -196,10 +196,8 @@ impl Deployment {
             aps.iter().all(|ap| ap.config().modulation == modulation),
             "deployment APs must share one modulation"
         );
-        let telemetry = DeployTelemetry::new(cfg.telemetry);
-        let decode_hist = telemetry
-            .as_ref()
-            .map(|t| t.registry.histogram("stage.decode", &[]));
+        let (mut registry, fusion_taps) = telemetry::build(cfg.telemetry).unzip();
+        let decode_hist = registry.as_mut().map(|r| r.histogram("stage.decode", &[]));
 
         let n_aps = aps.len();
         let positions = aps.iter().map(|ap| ap.config().position).collect();
@@ -214,17 +212,17 @@ impl Deployment {
             .map(|(ap_id, (ap, skew))| {
                 aligner.add_ap();
                 health.add_ap();
-                let tap = worker_tap(telemetry.as_ref(), ap_id);
+                let tap = worker_tap(registry.as_mut(), ap_id);
                 spawn_worker(ap_id, ap, &cfg, skew, up_tx.clone(), tap)
             })
             .collect();
 
-        if let Some(t) = &telemetry {
-            fusion.attach_telemetry(t);
+        if let Some(taps) = fusion_taps {
+            fusion.attach_telemetry(taps);
         }
         Self {
             fusion,
-            telemetry,
+            registry,
             decode_hist,
             cfg,
             health,
@@ -279,12 +277,6 @@ impl Deployment {
         &self.per_ap_window_stats
     }
 
-    /// Train a client's consensus reference position by hand (see
-    /// [`Fusion::train_reference`]).
-    pub fn train_reference(&mut self, mac: MacAddr, position: Point) {
-        self.fusion.train_reference(mac, position);
-    }
-
     /// A client's trained consensus reference position.
     pub fn reference(&self, mac: &MacAddr) -> Option<Point> {
         self.fusion.reference(mac)
@@ -308,7 +300,7 @@ impl Deployment {
         self.health.add_ap();
         self.fusion.add_ap(ap.config().position);
         self.per_ap_window_stats.push(ApStats::default());
-        let tap = worker_tap(self.telemetry.as_ref(), ap_id);
+        let tap = worker_tap(self.registry.as_mut(), ap_id);
         self.slots.push(spawn_worker(
             ap_id,
             ap,
@@ -714,7 +706,10 @@ impl Deployment {
             .partition(|p| !quarantined.contains(&p.ap_id));
         // Down-weighting: a degraded AP's report confidence is scaled by
         // its health score (exactly 1.0 when healthy, so clean runs stay
-        // byte-identical).
+        // byte-identical). Only confidence-weighted fusion
+        // (`weight_bearings_by_confidence`, off by default) lets that
+        // move a fix; otherwise it shows only in
+        // `ClientFix::mean_confidence` and the flight-recorder evidence.
         if self.health.enabled() {
             for p in &mut packets {
                 if let Some(r) = &mut p.report {
@@ -858,10 +853,10 @@ impl Deployment {
         per_ap: &[ApStats],
         store_occupancy: &[(usize, usize)],
     ) -> TelemetrySnapshot {
-        let Some(t) = &self.telemetry else {
+        let Some(registry) = &self.registry else {
             return TelemetrySnapshot::default();
         };
-        let mut s = t.registry.snapshot();
+        let mut s = registry.snapshot();
         self.metrics
             .for_each(|name, v| s.push_counter(format!("fleet.{name}"), &[], v));
         for (ap_id, stats) in per_ap.iter().enumerate() {
@@ -888,7 +883,10 @@ impl Deployment {
                 "fusion.tracked_clients",
                 self.fusion.tracked_clients() as u64,
             ),
-            ("recorder.clients", t.recorder.client_count() as u64),
+            (
+                "recorder.clients",
+                self.fusion.recorder().map_or(0, |r| r.client_count()) as u64,
+            ),
         ] {
             s.push_gauge(name.into(), &[], v as i64);
         }
@@ -902,14 +900,14 @@ impl Deployment {
     /// each decision — the evidence trail behind a spoof flag. `None`
     /// when the flight recorder is off or has nothing for this client.
     pub fn explain(&self, mac: &MacAddr) -> Option<String> {
-        let events = self.telemetry.as_ref()?.recorder.events(*mac)?;
+        let events = self.fusion.recorder()?.events(*mac)?;
         let flags = events.iter().filter(|e| e.verdict.is_spoof()).count();
         let mut out = format!(
             "client {mac}: {} recorded window(s), {} spoof verdict(s)\n",
             events.len(),
             flags
         );
-        for e in &events {
+        for e in events {
             out.push_str(&e.render());
         }
         Some(out)
@@ -1025,12 +1023,12 @@ impl Deployment {
 
 /// The per-AP stage-histogram handles for one worker, when telemetry
 /// is on.
-fn worker_tap(telemetry: Option<&Arc<DeployTelemetry>>, ap_id: usize) -> Option<WorkerTap> {
-    let t = telemetry?;
+fn worker_tap(registry: Option<&mut Registry>, ap_id: usize) -> Option<WorkerTap> {
+    let registry = registry?;
     let ap = ap_id.to_string();
     Some(WorkerTap {
-        dsp: t.registry.histogram("stage.worker_dsp", &[("ap", &ap)]),
-        enforce: t.registry.histogram("stage.enforce", &[("ap", &ap)]),
+        dsp: registry.histogram("stage.worker_dsp", &[("ap", &ap)]),
+        enforce: registry.histogram("stage.enforce", &[("ap", &ap)]),
     })
 }
 

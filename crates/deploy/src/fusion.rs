@@ -7,24 +7,25 @@
 //! the output is independent of how the worker threads interleaved on
 //! the report channel.
 //!
-//! The stage is the single owner of all per-client fusion state (α–β
-//! tracker, consensus baseline, flags): one [`CrossApConsensus`] and
-//! one MAC-ordered map of client states, drained on the coordinator's
-//! thread. Fusion is well under 1% of a deployment window, so there is
-//! nothing to gain from spreading it over threads.
+//! The stage is the plain, single owner of all per-client fusion state:
+//! one MAC-ordered map holding each client's α–β tracker, fix
+//! statistics, consensus reference and consensus flags, plus the
+//! flight recorder, all drained on the coordinator's thread. The
+//! consensus rule itself is the pure [`ConsensusVerdict::judge`].
+//! Fusion is well under 1% of a deployment window, so there is nothing
+//! to gain from spreading it over threads.
 
 use crate::config::DeployConfig;
 use crate::health::BEARING_ERR_WARN_DEG;
 use crate::report::{ApBearingError, ApPacket, ClientFix, ClientSummary, FusedWindow};
-use crate::telemetry::{BearingEvidence, ClientWindowEvent, DeployTelemetry, FusionTaps};
+use crate::telemetry::{BearingEvidence, ClientWindowEvent, FusionTaps};
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
-use sa_telemetry::StageTimer;
+use sa_telemetry::{FlightRecorder, StageTimer};
 use secureangle::localize::{localize_robust, localize_robust_weighted, BearingObservation};
-use secureangle::spoof::{ConsensusVerdict, CrossApConsensus, MAX_RESIDUAL_M, MIN_FIX_APS};
+use secureangle::spoof::{ConsensusVerdict, MAX_RESIDUAL_M, MIN_FIX_APS};
 use secureangle::tracking::MobilityTracker;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Nominal duration of one observation window, seconds — the `dt` fed
 /// to each client's α–β tracker between fused fixes. Purely logical
@@ -40,12 +41,17 @@ const REFERENCE_TRAIN_MAX_RESIDUAL_M: f64 = 1.0;
 // A reference the consensus residual gate would flag must never train.
 const _: () = assert!(REFERENCE_TRAIN_MAX_RESIDUAL_M <= MAX_RESIDUAL_M);
 
-/// Per-client fusion state.
+/// Per-client fusion state, created at the client's first fix.
 struct ClientState {
     tracker: MobilityTracker,
     last_window: u64,
     fixes: u64,
     residual_sum: f64,
+    /// The consensus reference position: trained from the first clean
+    /// fix, forgotten on [`Fusion::rebaseline`].
+    reference: Option<Point>,
+    /// Consensus `Spoof` verdicts since the reference last trained.
+    consensus_flags: usize,
 }
 
 /// The fusion stage. [`crate::Deployment`] owns one, but it is usable
@@ -75,13 +81,14 @@ pub struct Fusion {
     /// their position slot (historical packets may still reference it)
     /// but stop counting toward the expected quorum.
     live: Vec<bool>,
-    consensus: CrossApConsensus,
     /// Per-client state in MAC order, which is the order fixes leave in.
     clients: BTreeMap<MacAddr, ClientState>,
+    /// How many times [`Fusion::rebaseline`] has run.
+    rebaselines: u64,
     /// Telemetry taps (drain/consensus histograms and the flight
-    /// recorder) — `None` until a deployment attaches its telemetry
-    /// bundle. Strictly out-of-band: every fused byte is identical with
-    /// taps attached or not.
+    /// recorder) — `None` until a deployment attaches them. Strictly
+    /// out-of-band: every fused byte is identical with taps attached or
+    /// not.
     taps: Option<FusionTaps>,
 }
 
@@ -91,8 +98,8 @@ impl Fusion {
     /// [`DeployConfig::weight_bearings_by_confidence`].
     pub fn new(ap_positions: Vec<Point>, cfg: DeployConfig) -> Self {
         Self {
-            consensus: CrossApConsensus::new(),
             clients: BTreeMap::new(),
+            rebaselines: 0,
             weight_bearings_by_confidence: cfg.weight_bearings_by_confidence,
             live: vec![true; ap_positions.len()],
             ap_positions,
@@ -105,19 +112,21 @@ impl Fusion {
         &self.ap_positions
     }
 
-    /// Attach a deployment's telemetry bundle: creates the
-    /// `stage.fusion_drain` and `stage.consensus` histograms and routes
-    /// per-client window events into the flight recorder.
-    pub(crate) fn attach_telemetry(&mut self, telemetry: &Arc<DeployTelemetry>) {
-        self.taps = Some(FusionTaps {
-            drain: telemetry.registry.histogram("stage.fusion_drain", &[]),
-            consensus: telemetry.registry.histogram("stage.consensus", &[]),
-            telemetry: telemetry.clone(),
-        });
+    /// Attach a deployment's telemetry taps: the `stage.fusion_drain`
+    /// and `stage.consensus` histograms and the flight recorder that
+    /// per-client window events go into.
+    pub(crate) fn attach_telemetry(&mut self, taps: FusionTaps) {
+        self.taps = Some(taps);
     }
 
-    /// Number of clients with fusion state (tracker + consensus
-    /// baseline) — the `fusion.tracked_clients` gauge.
+    /// The flight recorder, when telemetry taps are attached.
+    pub(crate) fn recorder(&self) -> Option<&FlightRecorder<MacAddr, ClientWindowEvent>> {
+        self.taps.as_ref().map(|t| &t.recorder)
+    }
+
+    /// Number of clients with fusion state (tracker, fix statistics,
+    /// consensus reference and flags) — the `fusion.tracked_clients`
+    /// gauge.
     pub fn tracked_clients(&self) -> usize {
         self.clients.len()
     }
@@ -142,7 +151,7 @@ impl Fusion {
     /// How many consensus re-baselines this stage has performed
     /// (membership churn plus health quarantine/readmit events).
     pub fn rebaseline_count(&self) -> u64 {
-        self.consensus.rebaseline_count()
+        self.rebaselines
     }
 
     /// Number of live APs.
@@ -156,25 +165,24 @@ impl Fusion {
     /// with the contributing AP set, and references trained under the
     /// old membership would read as displacement — i.e. as spoofs.
     /// Mobility trackers are *not* reset (a client's position estimate
-    /// stays valid; only the spoof baseline is geometry-dependent).
+    /// stays valid; only the spoof baseline is geometry-dependent), and
+    /// neither are flags: flags already raised remain evidence.
     pub fn rebaseline(&mut self) {
-        self.consensus.rebaseline();
-    }
-
-    /// Train (or move) a client's consensus reference position by hand
-    /// (e.g. from a commissioning survey instead of auto-training).
-    pub fn train_reference(&mut self, mac: MacAddr, position: Point) {
-        self.consensus.train(mac, position);
+        for state in self.clients.values_mut() {
+            state.reference = None;
+        }
+        self.rebaselines += 1;
     }
 
     /// A client's trained consensus reference position.
     pub fn reference(&self, mac: &MacAddr) -> Option<Point> {
-        self.consensus.reference(mac)
+        self.clients.get(mac).and_then(|s| s.reference)
     }
 
-    /// Consensus flags accumulated for a client.
+    /// Consensus flags accumulated for a client since its reference
+    /// last trained.
     pub fn consensus_flags(&self, mac: &MacAddr) -> usize {
-        self.consensus.flag_count(mac)
+        self.clients.get(mac).map_or(0, |s| s.consensus_flags)
     }
 
     /// Fuse one closed window. `packets` is everything every AP
@@ -197,7 +205,7 @@ impl Fusion {
     /// reports are *known* not to have arrived (lost on the link,
     /// rejected for skew, marker lost, or the worker died). Only
     /// `missing_aps` earns the consensus displacement slack
-    /// ([`secureangle::spoof::CrossApConsensus::check_degraded`]) — a
+    /// ([`ConsensusVerdict::judge`]) — a
     /// client that some delivered AP simply could not hear is a
     /// coverage fact, not link degradation, and gets no slack.
     ///
@@ -216,14 +224,19 @@ impl Fusion {
         missing_aps: usize,
         quarantined_aps: usize,
     ) -> FusedWindow {
+        // Groups are pre-sized from the live membership — the expected
+        // report count per client — instead of growing through
+        // reallocation.
+        let group_capacity = self.live_aps().max(1);
         // A detached fusion stage — or one whose deployment left
         // telemetry disabled — has no taps, so every span and recorder
         // call below is a single branch.
-        let taps = self.taps.as_ref();
-        let recorder = taps.map(|t| &t.telemetry.recorder);
-        let consensus_hist = taps.map(|t| &*t.consensus);
+        let (drain_hist, consensus_hist, mut recorder) = match &mut self.taps {
+            Some(t) => (Some(&*t.drain), Some(&*t.consensus), Some(&mut t.recorder)),
+            None => (None, None, None),
+        };
         // Times the whole drain (sort + group + fuse + consensus).
-        let _drain_span = StageTimer::start(taps.map(|t| &*t.drain));
+        let _drain_span = StageTimer::start(drain_hist);
 
         let n_packets = packets.len();
         // One (ap, seq) sort; every per-client group below then comes
@@ -232,10 +245,7 @@ impl Fusion {
 
         // Group by claimed MAC, preserving the (ap, seq) order. Packets
         // without a decoded MAC carry no client state — they count
-        // toward the window's packet total and nothing else. Groups are
-        // pre-sized from the live membership — the expected report
-        // count per client — instead of growing through reallocation.
-        let group_capacity = self.live_aps().max(1);
+        // toward the window's packet total and nothing else.
         let mut by_mac: BTreeMap<MacAddr, Vec<&ApPacket>> = BTreeMap::new();
         for p in &packets {
             if let Some(mac) = p.mac {
@@ -255,7 +265,8 @@ impl Fusion {
             // clean fix below may auto-train it) so the flight-recorder
             // event shows what the verdict was actually compared against.
             let reference_at_check = recorder
-                .and_then(|_| self.consensus.reference(&mac))
+                .as_ref()
+                .and_then(|_| self.clients.get(&mac)?.reference)
                 .map(|p| (p.x, p.y));
             let mut evidence = Vec::new();
             let mut bearings = Vec::new();
@@ -324,6 +335,8 @@ impl Fusion {
                             last_window: window,
                             fixes: 0,
                             residual_sum: 0.0,
+                            reference: None,
+                            consensus_flags: 0,
                         });
                         let dt = window.saturating_sub(state.last_window) as f64 * WINDOW_DT_S;
                         let track = state.tracker.update(fix.position, dt);
@@ -349,18 +362,23 @@ impl Fusion {
                         let supporting = distinct_aps(&supporting_aps);
                         let verdict = {
                             let _span = StageTimer::start(consensus_hist);
-                            self.consensus.check_degraded(
-                                mac,
+                            ConsensusVerdict::judge(
+                                state.reference,
                                 &fix,
                                 supporting,
                                 supporting + missing_aps,
                             )
                         };
-                        if verdict == ConsensusVerdict::Untrained
+                        if verdict.is_spoof() {
+                            state.consensus_flags += 1;
+                        } else if verdict == ConsensusVerdict::Untrained
                             && fix.behind_count == 0
                             && fix.residual_m <= REFERENCE_TRAIN_MAX_RESIDUAL_M
                         {
-                            self.consensus.train(mac, fix.position);
+                            // Training moves the reference and clears the
+                            // client's flags.
+                            state.reference = Some(fix.position);
+                            state.consensus_flags = 0;
                         }
                         (Some(fix), Some(track), verdict)
                     }
@@ -392,7 +410,7 @@ impl Fusion {
                 }
             }
 
-            if let Some(recorder) = recorder {
+            if let Some(recorder) = recorder.as_deref_mut() {
                 recorder.record(
                     mac,
                     ClientWindowEvent {
@@ -458,8 +476,8 @@ impl Fusion {
                 } else {
                     0.0
                 },
-                consensus_flags: self.consensus.flag_count(mac),
-                reference: self.consensus.reference(mac),
+                consensus_flags: s.consensus_flags,
+                reference: s.reference,
                 last_track: s.tracker.state().copied(),
             })
             .collect()
@@ -640,6 +658,92 @@ mod tests {
         let newref = fusion.reference(&mac).expect("retrained");
         assert!(newref.dist(pt(8.0, 2.0)) < 1e-6);
         assert_eq!(fusion.consensus_flags(&mac), 0);
+    }
+
+    #[test]
+    fn rebaseline_clears_references_but_keeps_flags() {
+        let aps = square_aps();
+        let mut fusion = Fusion::new(aps.clone(), DeployConfig::default());
+        let mac = MacAddr::local_from_index(1);
+        let (home, away) = (pt(4.0, 6.0), pt(9.0, 9.0));
+        fusion.fuse_window(0, bearings_to(&aps, home, 1));
+        for w in 1..3 {
+            let out = fusion.fuse_window(w, bearings_to(&aps, away, 1));
+            assert!(out.clients[0].consensus.is_spoof());
+        }
+        assert_eq!(fusion.consensus_flags(&mac), 2);
+        fusion.rebaseline();
+        assert_eq!(fusion.rebaseline_count(), 1);
+        assert!(fusion.reference(&mac).is_none());
+        // Flag history survives as evidence…
+        assert_eq!(fusion.consensus_flags(&mac), 2);
+        // …and an unclean fix (AP 3's bearing 40° off pushes the residual
+        // over the training gate) reads Untrained without training.
+        let mut unclean = bearings_to(&aps, away, 1);
+        if let Some(r) = unclean[3].report.as_mut() {
+            r.azimuth += 40f64.to_radians();
+        }
+        let out = fusion.fuse_window(3, unclean);
+        let fix = out.clients[0].fix.expect("fix");
+        assert!(fix.residual_m > REFERENCE_TRAIN_MAX_RESIDUAL_M, "{fix:?}");
+        assert_eq!(out.clients[0].consensus, ConsensusVerdict::Untrained);
+        assert!(fusion.reference(&mac).is_none());
+        assert_eq!(fusion.consensus_flags(&mac), 2);
+        // The next clean fix retrains the reference and resets the flags,
+        // which is what the run summary reports.
+        let out = fusion.fuse_window(4, bearings_to(&aps, away, 1));
+        assert_eq!(out.clients[0].consensus, ConsensusVerdict::Untrained);
+        let reference = fusion.reference(&mac).expect("retrained");
+        assert!(reference.dist(away) < 1e-6);
+        assert_eq!(fusion.consensus_flags(&mac), 0);
+        let summary = &fusion.client_summaries()[0];
+        assert_eq!(summary.consensus_flags, 0);
+        assert_eq!(summary.reference, Some(reference));
+        let out = fusion.fuse_window(5, bearings_to(&aps, away, 1));
+        assert!(matches!(
+            out.clients[0].consensus,
+            ConsensusVerdict::Consistent { .. }
+        ));
+    }
+
+    #[test]
+    fn clients_never_share_references_or_flags() {
+        let aps = square_aps();
+        let mut fusion = Fusion::new(aps.clone(), DeployConfig::default());
+        let (a, b) = (MacAddr::local_from_index(1), MacAddr::local_from_index(2));
+        let (home_a, home_b) = (pt(4.0, 6.0), pt(8.0, 2.0));
+        let both = |pos_a: Point, pos_b: Point| {
+            let mut pkts = bearings_to(&aps, pos_a, 1);
+            pkts.extend(bearings_to(&aps, pos_b, 2));
+            pkts
+        };
+        fusion.fuse_window(0, both(home_a, home_b));
+        assert!(fusion.reference(&a).expect("a trained").dist(home_a) < 1e-6);
+        assert!(fusion.reference(&b).expect("b trained").dist(home_b) < 1e-6);
+        // Client b moves onto a's reference: b is flagged, a is not.
+        let out = fusion.fuse_window(1, both(home_a, home_a));
+        assert!(matches!(
+            out.clients[0].consensus,
+            ConsensusVerdict::Consistent { .. }
+        ));
+        assert!(out.clients[1].consensus.is_spoof());
+        assert_eq!(fusion.consensus_flags(&a), 0);
+        assert_eq!(fusion.consensus_flags(&b), 1);
+        // A rebaseline keeps b's flag alone, and each client retrains at
+        // its own next clean fix.
+        fusion.rebaseline();
+        assert_eq!(fusion.consensus_flags(&a), 0);
+        assert_eq!(fusion.consensus_flags(&b), 1);
+        fusion.fuse_window(2, both(home_b, home_a));
+        assert!(fusion.reference(&a).expect("a").dist(home_b) < 1e-6);
+        assert!(fusion.reference(&b).expect("b").dist(home_a) < 1e-6);
+        let flags: Vec<usize> = fusion
+            .client_summaries()
+            .iter()
+            .map(|s| s.consensus_flags)
+            .collect();
+        assert_eq!(flags, [0, 0]);
+        assert_eq!(fusion.tracked_clients(), 2);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! AP's data was unavailable (lost, rejected, or its marker lost), and
 //! whether it was stalled. [`FleetHealth`] folds that evidence into a
 //! per-AP score in `[0, 1]`; persistent outliers are first *down-weighted*
-//! (their report confidence scaled by the score before fusion) and
-//! then *quarantined* — excluded from fusion and consensus entirely,
+//! (their report confidence scaled by the score before fusion, which
+//! moves a fix only under
+//! [`crate::DeployConfig::weight_bearings_by_confidence`]) and then
+//! *quarantined* — excluded from fusion and consensus entirely,
 //! with a consensus re-baseline — until a configurable clean streak
 //! earns re-admission. A wedged worker (consecutive stalled markers)
 //! is reaped by a window-count watchdog, never a wall clock, so the
@@ -26,7 +28,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Master switch. `false` (default) makes the layer byte-transparent:
-    /// no scoring, no down-weighting, no quarantine, no watchdog.
+    /// no scoring, no down-weighting, no quarantine, no watchdog. On,
+    /// quarantine is what keeps a liar out of fixes: down-weighting
+    /// scales report confidence, which reaches a fix only under
+    /// [`crate::DeployConfig::weight_bearings_by_confidence`] (off by
+    /// default).
     pub enabled: bool,
     /// Clean windows required (while quarantined) to be re-admitted.
     pub readmit_after_clean: u32,
@@ -198,7 +204,12 @@ impl FleetHealth {
 
     /// Confidence weight for `ap`'s reports this window: 1.0 when
     /// healthy, the score when degraded (down-weighting), irrelevant
-    /// when quarantined (reports are excluded outright).
+    /// when quarantined (reports are excluded outright). The coordinator
+    /// multiplies each report's confidence by it. Without
+    /// [`crate::DeployConfig::weight_bearings_by_confidence`] (off by
+    /// default) fixes ignore confidence, so the weight then changes only
+    /// [`crate::ClientFix::mean_confidence`] and the flight-recorder
+    /// evidence.
     pub fn weight(&self, ap: usize) -> f64 {
         if !self.cfg.enabled {
             return 1.0;

@@ -21,7 +21,7 @@
 //!   intersects them (`secureangle::localize`), smooths each client's
 //!   trace with a per-client α–β tracker (`secureangle::tracking`), and
 //!   runs the **cross-AP spoof consensus**
-//!   ([`secureangle::CrossApConsensus`]) — a detector no single AP can
+//!   ([`secureangle::ConsensusVerdict::judge`]) — a detector no single AP can
 //!   express, because it checks position-level geometry rather than one
 //!   pseudospectrum.
 //! * Scheduling is deterministic by construction: windows close when

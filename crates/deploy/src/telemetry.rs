@@ -1,7 +1,8 @@
-//! Deployment-side telemetry glue: the shared registry/flight-recorder
-//! bundle threaded through the coordinator, workers and fusion stage,
-//! plus the rich per-client window event the flight
-//! recorder keeps.
+//! Deployment-side telemetry glue: the stage-histogram handles the
+//! workers and the fusion stage record into, the flight recorder the
+//! fusion stage owns, and the rich per-client window event that
+//! recorder keeps. The coordinator owns the [`Registry`]; the only
+//! thing threads share is the `Arc` histogram atomics.
 //!
 //! Everything here is **strictly out-of-band**: stage timers record
 //! wall-clock latencies but nothing ever reads them back into control
@@ -130,25 +131,20 @@ const RECORDER_DEPTH: usize = 8;
 /// least-recently-updated client's ring is evicted.
 const RECORDER_CLIENTS: usize = 4096;
 
-/// The telemetry bundle a [`crate::Deployment`] owns when
-/// [`crate::DeployConfig::telemetry`] is enabled, shared (`Arc`) with
-/// the worker threads and fusion stage.
-pub(crate) struct DeployTelemetry {
-    pub registry: Registry,
-    pub recorder: FlightRecorder<MacAddr, ClientWindowEvent>,
-}
-
-impl DeployTelemetry {
-    /// Build the bundle — `None` when telemetry is disabled, which is
-    /// what reduces every downstream tap to a single branch.
-    pub fn new(cfg: TelemetryConfig) -> Option<Arc<Self>> {
-        cfg.enabled.then(|| {
-            Arc::new(Self {
-                registry: Registry::new(),
-                recorder: FlightRecorder::new(RECORDER_DEPTH, RECORDER_CLIENTS),
-            })
-        })
-    }
+/// Build a deployment's telemetry: the registry the coordinator owns
+/// and the fusion stage's taps, registered in it. `None` when telemetry
+/// is disabled, which is what reduces every downstream tap to a single
+/// branch.
+pub(crate) fn build(cfg: TelemetryConfig) -> Option<(Registry, FusionTaps)> {
+    cfg.enabled.then(|| {
+        let mut registry = Registry::new();
+        let taps = FusionTaps {
+            drain: registry.histogram("stage.fusion_drain", &[]),
+            consensus: registry.histogram("stage.consensus", &[]),
+            recorder: FlightRecorder::new(RECORDER_DEPTH, RECORDER_CLIENTS),
+        };
+        (registry, taps)
+    })
 }
 
 /// The two stage-histogram handles one AP worker thread records into.
@@ -159,15 +155,14 @@ pub(crate) struct WorkerTap {
     pub enforce: Arc<Histogram>,
 }
 
-/// Fusion tap handles, built by the deployment when it attaches
-/// telemetry to its fusion stage.
+/// The fusion stage's taps, which it owns once attached.
 pub(crate) struct FusionTaps {
     /// `stage.fusion_drain`.
     pub drain: Arc<Histogram>,
     /// `stage.consensus`.
     pub consensus: Arc<Histogram>,
-    /// The shared bundle (for the flight recorder).
-    pub telemetry: Arc<DeployTelemetry>,
+    /// The per-client flight recorder: only fusion records into it.
+    pub recorder: FlightRecorder<MacAddr, ClientWindowEvent>,
 }
 
 #[cfg(test)]
@@ -176,11 +171,25 @@ mod tests {
 
     #[test]
     fn disabled_config_builds_no_bundle() {
-        assert!(DeployTelemetry::new(TelemetryConfig::disabled()).is_none());
-        let t = DeployTelemetry::new(TelemetryConfig::full()).expect("enabled");
-        t.registry.histogram("stage.decode", &[]).record(5);
-        assert_eq!(t.registry.snapshot().histograms[0].count, 1);
-        assert_eq!(t.recorder.depth(), RECORDER_DEPTH);
+        assert!(build(TelemetryConfig::disabled()).is_none());
+        let (mut registry, taps) = build(TelemetryConfig::full()).expect("enabled");
+        taps.drain.record(5);
+        registry.histogram("stage.decode", &[]).record(7);
+        let names: Vec<(String, u64)> = registry
+            .snapshot()
+            .histograms
+            .into_iter()
+            .map(|h| (h.name, h.count))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("stage.consensus".to_string(), 0),
+                ("stage.decode".to_string(), 1),
+                ("stage.fusion_drain".to_string(), 1),
+            ]
+        );
+        assert_eq!(taps.recorder.depth(), RECORDER_DEPTH);
     }
 
     #[test]

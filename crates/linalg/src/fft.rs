@@ -233,17 +233,6 @@ pub fn dft_naive(x: &[C64]) -> Vec<C64> {
     out
 }
 
-/// Swap the two halves of a spectrum so DC moves to the centre — the usual
-/// presentation order for OFDM subcarrier grids.
-pub fn fftshift<T: Copy>(x: &[T]) -> Vec<T> {
-    let n = x.len();
-    let half = n.div_ceil(2);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&x[half..]);
-    out.extend_from_slice(&x[..half]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,12 +448,6 @@ mod tests {
             let slow = dft_naive(&x);
             assert_close(&fast, &slow, 1e-9);
         }
-    }
-
-    #[test]
-    fn fftshift_even_odd() {
-        assert_eq!(fftshift(&[0, 1, 2, 3]), vec![2, 3, 0, 1]);
-        assert_eq!(fftshift(&[0, 1, 2, 3, 4]), vec![3, 4, 0, 1, 2]);
     }
 
     #[test]

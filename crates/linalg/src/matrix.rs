@@ -309,23 +309,6 @@ impl CMat {
         true
     }
 
-    /// Copy a contiguous block of rows `r0..r1` (half-open) into a new matrix.
-    pub fn row_block(&self, r0: usize, r1: usize) -> Self {
-        assert!(r0 <= r1 && r1 <= self.rows);
-        Self::from_rows(
-            r1 - r0,
-            self.cols,
-            &self.data[r0 * self.cols..r1 * self.cols],
-        )
-    }
-
-    /// Submatrix of the given rows and columns (used to truncate an
-    /// 8-antenna covariance down to the first k antennas for the Fig-7
-    /// antenna-count experiment).
-    pub fn select(&self, rows: &[usize], cols: &[usize]) -> Self {
-        Self::from_fn(rows.len(), cols.len(), |i, j| self[(rows[i], cols[j])])
-    }
-
     /// Element-wise approximate equality.
     pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
         self.rows == other.rows
@@ -483,16 +466,6 @@ pub fn vnorm(v: &[C64]) -> f64 {
     v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
 }
 
-/// Normalise a vector to unit Euclidean norm (no-op on the zero vector).
-pub fn vnormalize(v: &mut [C64]) {
-    let n = vnorm(v);
-    if n > 0.0 {
-        for z in v.iter_mut() {
-            *z = z.scale(1.0 / n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,20 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_gives_unit_norm() {
-        let mut v = vec![c64(3.0, 0.0), c64(0.0, 4.0)];
-        vnormalize(&mut v);
-        assert!((vnorm(&v) - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut v = vec![ZERO, ZERO];
-        vnormalize(&mut v);
-        assert_eq!(v, vec![ZERO, ZERO]);
-    }
-
-    #[test]
     fn row_col_extraction() {
         let a = CMat::from_fn(3, 4, |i, j| c64(i as f64, j as f64));
         assert_eq!(a.row(1).len(), 4);
@@ -607,25 +566,6 @@ mod tests {
         assert!(a.row(1)[3].approx_eq(c64(1.0, 3.0), 0.0));
         assert!(a.col(2)[2].approx_eq(c64(2.0, 2.0), 0.0));
         assert_eq!(a.row_view(2), &a.row(2)[..]);
-    }
-
-    #[test]
-    fn select_submatrix() {
-        let a = CMat::from_fn(4, 4, |i, j| c64((10 * i + j) as f64, 0.0));
-        let s = a.select(&[0, 2], &[1, 3]);
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.cols(), 2);
-        assert_eq!(s[(1, 0)].re, 21.0);
-        assert_eq!(s[(1, 1)].re, 23.0);
-    }
-
-    #[test]
-    fn row_block_slices_rows() {
-        let a = CMat::from_fn(4, 2, |i, j| c64(i as f64, j as f64));
-        let b = a.row_block(1, 3);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b[(0, 0)].re, 1.0);
-        assert_eq!(b[(1, 0)].re, 2.0);
     }
 
     #[test]

@@ -53,14 +53,6 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 0.5)
 }
 
-/// Empirical CDF evaluated at `x`: fraction of samples `<= x`.
-pub fn ecdf(xs: &[f64], x: f64) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.iter().filter(|&&v| v <= x).count() as f64 / xs.len() as f64
-}
-
 /// A two-sided confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
@@ -249,22 +241,6 @@ pub fn t_quantile(p: f64, nu: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Standard normal CDF (via the relationship to the error function,
-/// computed from the incomplete gamma–free Abramowitz–Stegun 7.1.26
-/// rational approximation; |error| < 1.5e-7, ample for reporting).
-pub fn normal_cdf(x: f64) -> f64 {
-    // erf via A&S 7.1.26.
-    let z = x / std::f64::consts::SQRT_2;
-    let t = 1.0 / (1.0 + 0.3275911 * z.abs());
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-z * z).exp();
-    let erf = if z >= 0.0 { y } else { -y };
-    0.5 * (1.0 + erf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +258,6 @@ mod tests {
         assert!(mean(&[]).is_nan());
         assert!(variance(&[1.0]).is_nan());
         assert!(percentile(&[], 0.5).is_nan());
-        assert!(ecdf(&[], 0.0).is_nan());
     }
 
     #[test]
@@ -294,14 +269,6 @@ mod tests {
         // Order must not matter.
         let sh = [4.0, 1.0, 3.0, 2.0];
         assert!((median(&sh) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ecdf_counts_fraction() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((ecdf(&xs, 2.5) - 0.5).abs() < 1e-12);
-        assert!((ecdf(&xs, 0.0) - 0.0).abs() < 1e-12);
-        assert!((ecdf(&xs, 4.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -376,12 +343,5 @@ mod tests {
         let ci = t_confidence_interval(&[3.0], 0.95);
         assert_eq!(ci.mean, 3.0);
         assert!(ci.half_width.is_infinite());
-    }
-
-    #[test]
-    fn normal_cdf_reference() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.959964) - 0.975).abs() < 1e-5);
-        assert!((normal_cdf(-1.0) - 0.15865525).abs() < 1e-5);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Address spoofing prevention — one of SecureAngle's two applications —
 //! is about the binding between these addresses and physical-layer
-//! signatures, so the address type carries the usual EUI-48 semantics
-//! (unicast/multicast and local/universal bits, formatting, parsing).
+//! signatures, so the address type is a plain EUI-48 value with
+//! formatting and parsing.
 
 use std::fmt;
 use std::str::FromStr;
@@ -15,21 +15,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// True if the group (multicast) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True for the all-ones broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
 
     /// A deterministic locally-administered unicast address derived from
     /// an index — handy for simulated clients ("client 7 of the testbed").
@@ -103,12 +88,12 @@ mod tests {
 
     #[test]
     fn bit_semantics() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
+        // Indexed addresses are locally administered (bit 1 set) unicast
+        // (group bit 0 clear) addresses, never the broadcast address.
         let local = MacAddr::local_from_index(7);
-        assert!(local.is_local());
-        assert!(!local.is_multicast());
-        assert!(!local.is_broadcast());
+        assert_eq!(local.0[0] & 0x03, 0x02);
+        assert_ne!(local, MacAddr::BROADCAST);
+        assert_eq!(MacAddr::BROADCAST.0, [0xff; 6]);
     }
 
     #[test]

@@ -71,17 +71,6 @@ pub fn sample_covariance_into(x: &Snapshots, out: &mut CMat) {
     }
 }
 
-/// The exchange (anti-identity) matrix `J` of size `n`.
-pub fn exchange_matrix(n: usize) -> CMat {
-    CMat::from_fn(n, n, |i, j| {
-        if i + j == n - 1 {
-            C64::new(1.0, 0.0)
-        } else {
-            ZERO
-        }
-    })
-}
-
 /// Forward–backward averaging: `R_fb = (R + J·R*·J) / 2`.
 ///
 /// For a centro-symmetric manifold (ULA), the backward array sees the same
@@ -350,12 +339,6 @@ mod tests {
             let fused = smooth_fb(&r, sub);
             assert_eq!(fused, two_pass, "sub_len {}", sub);
         }
-    }
-
-    #[test]
-    fn exchange_matrix_is_involution() {
-        let j = exchange_matrix(5);
-        assert!(j.matmul(&j).approx_eq(&CMat::identity(5), 1e-14));
     }
 
     #[test]

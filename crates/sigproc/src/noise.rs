@@ -27,12 +27,6 @@ pub fn add_noise<R: Rng + ?Sized>(rng: &mut R, x: &mut [C64], sigma2: f64) {
     }
 }
 
-/// Noise variance that yields a given SNR (dB) against a signal of mean
-/// power `signal_power`.
-pub fn noise_var_for_snr(signal_power: f64, snr_db: f64) -> f64 {
-    signal_power / crate::iq::from_db(snr_db)
-}
-
 /// Standard normal sample by Box–Muller (the `rand` crate is kept to its
 /// core `Rng` trait; we do not depend on `rand_distr`). Public because
 /// the channel's temporal-evolution model needs real Gaussian draws too.
@@ -88,15 +82,6 @@ mod tests {
         let a = cn_vector(&mut ChaCha8Rng::seed_from_u64(42), 16, 1.0);
         let b = cn_vector(&mut ChaCha8Rng::seed_from_u64(42), 16, 1.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn snr_arithmetic() {
-        // 10 dB SNR on unit-power signal → noise var 0.1.
-        let v = noise_var_for_snr(1.0, 10.0);
-        assert!((v - 0.1).abs() < 1e-12);
-        // 0 dB → equal powers.
-        assert!((noise_var_for_snr(3.0, 0.0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn full_registry_round_trips() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         let h = r.histogram("stage.decode", &[("shard", "0")]);
         for v in [10u64, 20, 30] {
             h.record(v);

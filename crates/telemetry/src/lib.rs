@@ -33,7 +33,7 @@
 //! ```
 //! use sa_telemetry::{Registry, StageTimer};
 //!
-//! let registry = Registry::new();
+//! let mut registry = Registry::new();
 //! let hist = registry.histogram("stage.worker_dsp", &[("ap", "0")]);
 //! {
 //!     let _span = StageTimer::start(Some(&hist));

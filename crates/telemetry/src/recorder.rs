@@ -16,7 +16,6 @@
 //! pipeline.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
 
 struct Ring<E> {
     events: VecDeque<E>,
@@ -25,28 +24,22 @@ struct Ring<E> {
     last_touch: u64,
 }
 
-struct Inner<K, E> {
+/// A bounded multi-ring event recorder, owned by the one stage that
+/// records into it.
+pub struct FlightRecorder<K, E> {
     rings: BTreeMap<K, Ring<E>>,
     tick: u64,
-}
-
-/// A bounded multi-ring event recorder. Shareable across threads behind
-/// an `Arc`; all methods take `&self`.
-pub struct FlightRecorder<K, E> {
-    inner: Mutex<Inner<K, E>>,
     depth: usize,
     max_clients: usize,
 }
 
-impl<K: Ord + Copy, E: Clone> FlightRecorder<K, E> {
+impl<K: Ord + Copy, E> FlightRecorder<K, E> {
     /// A recorder keeping up to `depth` events for up to `max_clients`
     /// keys. Either bound at zero makes the recorder a no-op.
     pub fn new(depth: usize, max_clients: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                rings: BTreeMap::new(),
-                tick: 0,
-            }),
+            rings: BTreeMap::new(),
+            tick: 0,
             depth,
             max_clients,
         }
@@ -60,25 +53,24 @@ impl<K: Ord + Copy, E: Clone> FlightRecorder<K, E> {
     /// Append an event to `key`'s ring, evicting the oldest event of
     /// that ring (beyond `depth`) and, if `key` is new and the client
     /// cap is full, the least-recently-updated *other* key.
-    pub fn record(&self, key: K, event: E) {
+    pub fn record(&mut self, key: K, event: E) {
         if self.depth == 0 || self.max_clients == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("flight recorder poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.rings.contains_key(&key) && inner.rings.len() >= self.max_clients {
+        self.tick += 1;
+        let tick = self.tick;
+        if !self.rings.contains_key(&key) && self.rings.len() >= self.max_clients {
             // Evict the stalest ring; key order breaks exact ties.
-            if let Some(&victim) = inner
+            if let Some(&victim) = self
                 .rings
                 .iter()
                 .min_by_key(|(k, r)| (r.last_touch, **k))
                 .map(|(k, _)| k)
             {
-                inner.rings.remove(&victim);
+                self.rings.remove(&victim);
             }
         }
-        let ring = inner.rings.entry(key).or_insert_with(|| Ring {
+        let ring = self.rings.entry(key).or_insert_with(|| Ring {
             events: VecDeque::new(),
             last_touch: tick,
         });
@@ -91,31 +83,17 @@ impl<K: Ord + Copy, E: Clone> FlightRecorder<K, E> {
 
     /// The recorded events for `key`, oldest first. `None` when the key
     /// was never recorded (or has been evicted).
-    pub fn events(&self, key: K) -> Option<Vec<E>> {
-        let inner = self.inner.lock().expect("flight recorder poisoned");
-        inner
-            .rings
-            .get(&key)
-            .map(|r| r.events.iter().cloned().collect())
-    }
-
-    /// All currently tracked keys, in key order.
-    pub fn keys(&self) -> Vec<K> {
-        let inner = self.inner.lock().expect("flight recorder poisoned");
-        inner.rings.keys().copied().collect()
+    pub fn events(&self, key: K) -> Option<&VecDeque<E>> {
+        self.rings.get(&key).map(|r| &r.events)
     }
 
     /// Number of keys currently tracked (≤ `max_clients`).
     pub fn client_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("flight recorder poisoned")
-            .rings
-            .len()
+        self.rings.len()
     }
 }
 
-impl<K: Ord + Copy, E: Clone> std::fmt::Debug for FlightRecorder<K, E> {
+impl<K: Ord + Copy, E> std::fmt::Debug for FlightRecorder<K, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("depth", &self.depth)
@@ -129,55 +107,40 @@ impl<K: Ord + Copy, E: Clone> std::fmt::Debug for FlightRecorder<K, E> {
 mod tests {
     use super::*;
 
+    fn events<K: Ord + Copy, E: Clone>(rec: &FlightRecorder<K, E>, key: K) -> Option<Vec<E>> {
+        rec.events(key).map(|ring| ring.iter().cloned().collect())
+    }
+
     #[test]
     fn ring_keeps_the_last_depth_events() {
-        let rec = FlightRecorder::new(3, 8);
+        let mut rec = FlightRecorder::new(3, 8);
         for i in 0..10u32 {
             rec.record(1u8, i);
         }
-        assert_eq!(rec.events(1), Some(vec![7, 8, 9]));
-        assert_eq!(rec.events(2), None);
+        assert_eq!(events(&rec, 1), Some(vec![7, 8, 9]));
+        assert_eq!(events(&rec, 2), None);
     }
 
     #[test]
     fn eviction_drops_the_least_recently_updated_key() {
-        let rec = FlightRecorder::new(2, 2);
+        let mut rec = FlightRecorder::new(2, 2);
         rec.record(10u8, "a");
         rec.record(20u8, "b");
         rec.record(10u8, "a2"); // key 20 is now stalest
         rec.record(30u8, "c"); // cap hit: 20 evicted
-        assert_eq!(rec.keys(), vec![10, 30]);
-        assert_eq!(rec.events(20), None);
-        assert_eq!(rec.events(10), Some(vec!["a", "a2"]));
+        assert_eq!(events(&rec, 20), None);
+        assert_eq!(events(&rec, 10), Some(vec!["a", "a2"]));
+        assert_eq!(events(&rec, 30), Some(vec!["c"]));
         assert_eq!(rec.client_count(), 2);
     }
 
     #[test]
     fn zero_bounds_make_it_a_no_op() {
-        let none = FlightRecorder::new(0, 100);
+        let mut none = FlightRecorder::new(0, 100);
         none.record(1u8, 1u8);
         assert_eq!(none.client_count(), 0);
-        let none = FlightRecorder::new(4, 0);
+        let mut none = FlightRecorder::new(4, 0);
         none.record(1u8, 1u8);
-        assert_eq!(none.events(1), None);
-    }
-
-    #[test]
-    fn concurrent_records_stay_bounded() {
-        let rec = std::sync::Arc::new(FlightRecorder::new(4, 16));
-        std::thread::scope(|s| {
-            for t in 0..4u8 {
-                let rec = rec.clone();
-                s.spawn(move || {
-                    for i in 0..100u32 {
-                        rec.record(t * 8 + (i % 8) as u8, i);
-                    }
-                });
-            }
-        });
-        assert!(rec.client_count() <= 16);
-        for k in rec.keys() {
-            assert!(rec.events(k).unwrap().len() <= 4);
-        }
+        assert!(none.events(1).is_none());
     }
 }

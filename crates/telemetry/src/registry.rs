@@ -1,11 +1,12 @@
 //! The stage-histogram registry.
 //!
 //! A [`Registry`] maps hierarchical, dot-separated metric names (plus an
-//! optional label set) to shared [`Histogram`]s. Registration takes a
-//! lock; the returned handles are `Arc`-backed atomics, so the *record*
-//! path never touches the registry again — register once at setup,
-//! record lock-free on the hot path, and call [`Registry::snapshot`] to
-//! read every histogram out in one deterministically ordered
+//! optional label set) to shared [`Histogram`]s. Its owner registers
+//! through `&mut self`; the returned handles are `Arc`-backed atomics,
+//! so the *record* path — on whichever thread holds a handle — never
+//! touches the registry again: register once at setup, record lock-free
+//! on the hot path, and call [`Registry::snapshot`] to read every
+//! histogram out in one deterministically ordered
 //! [`TelemetrySnapshot`]. Counters and gauges are not registered here:
 //! their owners already keep them as plain values and push them into a
 //! snapshot ([`TelemetrySnapshot::push_counter`]) when one is taken.
@@ -13,7 +14,7 @@
 use crate::histogram::Histogram;
 use crate::snapshot::TelemetrySnapshot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Metric identity: `(name, labels as given)`. Labels are part of the
 /// key, so `stage.worker_dsp{ap=0}` and `stage.worker_dsp{ap=1}` are
@@ -21,11 +22,11 @@ use std::sync::{Arc, Mutex};
 type Key = (String, Vec<(String, String)>);
 
 /// The registry: get-or-create histograms by `(name, labels)`, snapshot
-/// them all at once. Shareable across threads behind an `Arc`; all
-/// methods take `&self`.
+/// them all at once. One owner registers; the histograms it hands out
+/// are what threads share.
 #[derive(Debug, Default)]
 pub struct Registry {
-    histograms: Mutex<BTreeMap<Key, Arc<Histogram>>>,
+    histograms: BTreeMap<Key, Arc<Histogram>>,
 }
 
 impl Registry {
@@ -39,7 +40,7 @@ impl Registry {
     /// should register distinct labels (e.g. `ap="3"`) and let
     /// [`TelemetrySnapshot::merged_histogram`] fold them, rather than
     /// share one instance across cores.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let key = (
             name.to_string(),
             labels
@@ -47,16 +48,15 @@ impl Registry {
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
         );
-        let mut histograms = self.histograms.lock().expect("telemetry registry poisoned");
-        histograms.entry(key).or_default().clone()
+        self.histograms.entry(key).or_default().clone()
     }
 
     /// A point-in-time copy of every registered histogram, ordered by
     /// `(name, labels)`; the snapshot's counters and gauges are empty.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let histograms = self.histograms.lock().expect("telemetry registry poisoned");
         TelemetrySnapshot {
-            histograms: histograms
+            histograms: self
+                .histograms
                 .iter()
                 .map(|((name, labels), h)| h.snapshot(name, labels))
                 .collect(),
@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn same_identity_shares_the_atomic() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         let a = r.histogram("stage.worker_dsp", &[("ap", "0")]);
         let b = r.histogram("stage.worker_dsp", &[("ap", "0")]);
         a.record(3);
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.histogram("stage.x", &[("ap", "1")]).record(100);
         r.histogram("stage.x", &[("ap", "0")]).record(50);
         r.histogram("a.first", &[]).record(1);

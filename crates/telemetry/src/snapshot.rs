@@ -226,7 +226,7 @@ mod tests {
     use crate::Registry;
 
     fn sample() -> TelemetrySnapshot {
-        let r = Registry::new();
+        let mut r = Registry::new();
         let h = r.histogram("stage.decode", &[]);
         for v in [100u64, 900, 40_000] {
             h.record(v);

@@ -63,7 +63,7 @@ fn snapshot() -> impl Strategy<Value = TelemetrySnapshot> {
         vec((name(), labels(), vec(0u64..1_000_000, 0..6)), 0..3),
     )
         .prop_map(|(counters, gauges, histograms)| {
-            let registry = Registry::new();
+            let mut registry = Registry::new();
             for (name, labels, samples) in &histograms {
                 let h = registry.histogram(name, &as_refs(labels));
                 for &v in samples {
@@ -84,7 +84,7 @@ fn snapshot() -> impl Strategy<Value = TelemetrySnapshot> {
 
 /// A fixed, realistic snapshot in both export formats.
 fn rendered_sample() -> (String, String) {
-    let registry = Registry::new();
+    let mut registry = Registry::new();
     for (shard, v) in [("0", 1_200u64), ("1", 90_000)] {
         registry
             .histogram("stage.decode", &[("shard", shard)])
