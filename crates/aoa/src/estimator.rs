@@ -404,8 +404,7 @@ impl AoaEngine {
         #[cfg(not(test))]
         let jacobi_oracle = false;
         if jacobi_oracle {
-            let params = sa_linalg::eigen::JacobiParams::default();
-            self.eig_ws.eigh_into(ra, params, &mut self.eig);
+            self.eig_ws.eigh_into(ra, &mut self.eig);
         } else {
             self.eig_ws.eigh(ra, &mut self.eig);
         }

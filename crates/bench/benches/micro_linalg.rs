@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sa_linalg::complex::C64;
 use sa_linalg::eigen::{eigh, eigh_jacobi};
-use sa_linalg::fft::{fft_owned, ifft_owned, FftPlan};
+use sa_linalg::fft::{fft64, ifft64, FFT_LEN};
 use sa_linalg::CMat;
 
 fn hermitian(n: usize, seed: u64) -> CMat {
@@ -39,25 +39,23 @@ fn bench_eigh(c: &mut Criterion) {
 }
 
 fn bench_fft(c: &mut Criterion) {
-    // Free functions run on the process-wide plan cache (one lock +
-    // Arc clone per call); the `planned_*` rows hold the plan across
-    // calls — the modem's per-packet pattern.
-    let mut group = c.benchmark_group("fft_radix2");
-    for n in [64usize, 256, 1024] {
-        let x: Vec<C64> = (0..n)
-            .map(|i| C64::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-        group.bench_function(format!("forward_{n}"), |b| b.iter(|| fft_owned(&x)));
-        group.bench_function(format!("inverse_{n}"), |b| b.iter(|| ifft_owned(&x)));
-        let plan = FftPlan::new(n);
-        group.bench_function(format!("planned_forward_{n}"), |b| {
-            let mut buf = x.clone();
-            b.iter(|| {
-                buf.copy_from_slice(&x);
-                plan.fft(&mut buf);
-            })
-        });
-    }
+    // The modem's one transform size, in place on a copy of the input.
+    let mut group = c.benchmark_group("fft64");
+    let x: [C64; FFT_LEN] = std::array::from_fn(|i| C64::new((i as f64).sin(), (i as f64).cos()));
+    group.bench_function("forward", |b| {
+        b.iter(|| {
+            let mut y = x;
+            fft64(&mut y);
+            y
+        })
+    });
+    group.bench_function("inverse", |b| {
+        b.iter(|| {
+            let mut y = x;
+            ifft64(&mut y);
+            y
+        })
+    });
     group.finish();
 }
 

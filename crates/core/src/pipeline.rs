@@ -355,6 +355,11 @@ impl AccessPoint {
 
     /// Administrative release: lift the quarantine and retrain the
     /// profile from a fresh, authenticated observation.
+    ///
+    /// Part of the library-only containment API, with
+    /// [`AccessPoint::deauth_frame`]: nothing in the multi-AP deployment
+    /// calls it, so a quarantine there lasts for the AP's lifetime. It is
+    /// the only way to lift one, for an operator tool built on this crate.
     pub fn release_and_retrain(&mut self, mac: MacAddr, obs: &Observation) {
         self.quarantined.remove(&mac);
         self.spoof.train(mac, obs.signature.clone());
@@ -362,6 +367,11 @@ impl AccessPoint {
 
     /// The deauthentication/containment frame an AP would transmit for a
     /// quarantined identity.
+    ///
+    /// Part of the library-only containment API, with
+    /// [`AccessPoint::release_and_retrain`]: the simulated APs have no
+    /// transmit path, so the multi-AP deployment never builds or sends
+    /// this frame; an integration that owns a radio would.
     pub fn deauth_frame(&self, mac: MacAddr, bssid: MacAddr, seq: u16) -> Frame {
         Frame {
             frame_type: sa_mac::FrameType::Deauth,

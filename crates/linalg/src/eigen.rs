@@ -82,26 +82,14 @@ impl EigH {
     }
 }
 
-/// Tolerance policy for [`eigh`]: iteration stops when every off-diagonal
-/// magnitude falls below `rel_tol * ‖A‖_F`, or after `max_sweeps` full
-/// cyclic sweeps (whichever comes first).
-#[derive(Debug, Clone, Copy)]
-pub struct JacobiParams {
-    /// Relative off-diagonal tolerance. Default `1e-14`.
-    pub rel_tol: f64,
-    /// Maximum number of cyclic sweeps. Default 64; Jacobi converges
-    /// quadratically, so well-conditioned 16×16 inputs need ~6 sweeps.
-    pub max_sweeps: usize,
-}
+/// Relative off-diagonal tolerance of the Jacobi oracle: iteration stops
+/// when every off-diagonal magnitude falls below `JACOBI_REL_TOL · ‖A‖_F`,
+/// or after [`JACOBI_MAX_SWEEPS`] full cyclic sweeps, whichever comes first.
+const JACOBI_REL_TOL: f64 = 1e-14;
 
-impl Default for JacobiParams {
-    fn default() -> Self {
-        Self {
-            rel_tol: 1e-14,
-            max_sweeps: 64,
-        }
-    }
-}
+/// Most cyclic sweeps the Jacobi oracle runs. Jacobi converges
+/// quadratically, so well-conditioned 16×16 inputs need ~6 sweeps.
+const JACOBI_MAX_SWEEPS: usize = 64;
 
 /// Eigendecomposition of a Hermitian matrix on the tridiagonal path.
 ///
@@ -119,20 +107,15 @@ pub fn eigh(a: &CMat) -> EigH {
     out
 }
 
-/// Eigendecomposition by the cyclic Jacobi reference path with default
-/// parameters — the oracle the tridiagonal solver is pinned against.
+/// Eigendecomposition by the cyclic Jacobi reference path — the oracle
+/// the tridiagonal solver is pinned against.
 pub fn eigh_jacobi(a: &CMat) -> EigH {
-    eigh_with(a, JacobiParams::default())
-}
-
-/// [`eigh_jacobi`] with explicit iteration parameters.
-pub fn eigh_with(a: &CMat, params: JacobiParams) -> EigH {
     let mut ws = EighWorkspace::new();
     let mut out = EigH {
         values: Vec::new(),
         vectors: CMat::zeros(0, 0),
     };
-    ws.eigh_into(a, params, &mut out);
+    ws.eigh_into(a, &mut out);
     out
 }
 
@@ -169,12 +152,12 @@ impl EighWorkspace {
         Self::default()
     }
 
-    /// The cyclic Jacobi reference path with explicit iteration
-    /// parameters (it is what [`eigh_with`] and the oracle tests run).
+    /// The cyclic Jacobi reference path (it is what [`eigh_jacobi`] and
+    /// the oracle tests run).
     ///
-    /// Identical results to the free function [`eigh_with`]; the only
+    /// Identical results to the free function [`eigh_jacobi`]; the only
     /// difference is allocation reuse. Panics if `a` is not square.
-    pub fn eigh_into(&mut self, a: &CMat, params: JacobiParams, out: &mut EigH) {
+    pub fn eigh_into(&mut self, a: &CMat, out: &mut EigH) {
         assert!(a.is_square(), "eigh: matrix must be square");
         let n = a.rows();
 
@@ -193,9 +176,9 @@ impl EighWorkspace {
         }
 
         let scale = w.fro_norm().max(f64::MIN_POSITIVE);
-        let tol = params.rel_tol * scale;
+        let tol = JACOBI_REL_TOL * scale;
 
-        for _sweep in 0..params.max_sweeps {
+        for _sweep in 0..JACOBI_MAX_SWEEPS {
             if w.max_offdiag() <= tol {
                 break;
             }
@@ -420,7 +403,7 @@ impl EighWorkspace {
         // Hermitian input; if the iteration ever stalls (it should not),
         // fall back to the Jacobi oracle rather than return garbage.
         if !ql_implicit_shift(diag, sub, v) {
-            self.eigh_into(a, JacobiParams::default(), out);
+            self.eigh_into(a, out);
             return;
         }
 
@@ -769,7 +752,7 @@ mod tests {
         };
         for (n, seed) in [(4usize, 2u64), (8, 6)] {
             let a = hermitian_from_seed(n, seed);
-            ws.eigh_into(&a, JacobiParams::default(), &mut out);
+            ws.eigh_into(&a, &mut out);
             let oracle = eigh_jacobi(&a);
             assert_eq!(out.values, oracle.values);
             assert_eq!(out.vectors, oracle.vectors);

@@ -1,222 +1,107 @@
-//! Radix-2 fast Fourier transform with precomputed plans.
+//! The 64-point radix-2 FFT of the OFDM modem.
 //!
-//! The OFDM modem in `sa-phy` builds 64-subcarrier symbols (the 802.11
-//! 20 MHz grid), so only power-of-two sizes are required. We implement the
-//! standard iterative in-place Cooley–Tukey algorithm with bit-reversal
-//! permutation. An [`FftPlan`] precomputes the per-size setup — the
-//! bit-reversal table and every butterfly's twiddle factor — so the hot
-//! loop is pure multiply-add with no trigonometry; the free [`fft`]/
-//! [`ifft`] functions run on a process-wide plan cache keyed by size, so
-//! every call site gets the planned path without API churn. The naive
-//! `O(n²)` DFT is kept (non-`cfg(test)`, it is also useful for odd-sized
-//! diagnostics) as the reference implementation the tests and the
-//! property suite compare against.
+//! `sa-phy` builds 64-subcarrier symbols (the 802.11 20 MHz grid), so the
+//! one transform the workspace needs is 64 points long: [`fft64`] and
+//! [`ifft64`] run the standard iterative in-place Cooley–Tukey algorithm
+//! on a `[C64; 64]`. The bit-reversal permutation is a `const` table and
+//! every butterfly's twiddle factor sits in one static, stage-packed
+//! table built on first use, so the hot loop is pure multiply-add with no
+//! trigonometry. The naive `O(n²)` DFT is kept (non-`cfg(test)`, it also
+//! takes any length) as the reference the tests and the property suite
+//! compare against.
 //!
-//! Convention: `fft` computes `X[k] = Σ_n x[n]·e^{−j2πkn/N}` (no scaling);
-//! `ifft` applies the `1/N` factor so `ifft(fft(x)) == x`.
+//! Convention: `fft64` computes `X[k] = Σ_n x[n]·e^{−j2πkn/64}` (no
+//! scaling); `ifft64` applies the `1/64` factor so `ifft64(fft64(x)) == x`.
 
 use crate::complex::{C64, ZERO};
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::LazyLock;
 
-/// A precomputed radix-2 FFT of one size: bit-reversal permutation table
-/// plus per-stage twiddle factors for both directions. Building a plan
-/// costs one pass of trigonometry; running it is pure arithmetic. Plans
-/// are immutable and shareable (`Arc`) across threads; get a cached one
-/// from [`plan_for`], or build an owned one with [`FftPlan::new`].
+/// Transform length of [`fft64`] and [`ifft64`].
+pub const FFT_LEN: usize = 64;
+
+/// `BITREV[i]` = the 6-bit reversal of `i` (the permutation's swap
+/// targets).
+const BITREV: [u8; FFT_LEN] = {
+    let mut t = [0u8; FFT_LEN];
+    let mut i = 0;
+    while i < FFT_LEN {
+        t[i] = (i.reverse_bits() >> (usize::BITS - FFT_LEN.trailing_zeros())) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Twiddles packed per stage: for `len = 2, 4, …, 64` the stage's `len/2`
+/// roots `e^{−j2πk/len}`, 63 entries in all. `[0]` is the forward table,
+/// `[1]` its conjugate for the inverse.
+static TWIDDLES: LazyLock<[[C64; FFT_LEN - 1]; 2]> = LazyLock::new(|| {
+    let mut fwd = [ZERO; FFT_LEN - 1];
+    let mut base = 0;
+    let mut len = 2;
+    while len <= FFT_LEN {
+        let ang = -2.0 * PI / len as f64;
+        for k in 0..len / 2 {
+            fwd[base + k] = C64::cis(ang * k as f64);
+        }
+        base += len / 2;
+        len <<= 1;
+    }
+    [fwd, fwd.map(|w| w.conj())]
+});
+
+/// In-place forward 64-point FFT.
 ///
 /// ```
 /// use sa_linalg::complex::c64;
-/// use sa_linalg::fft::{plan_for, dft_naive};
+/// use sa_linalg::fft::{dft_naive, fft64};
 ///
-/// let plan = plan_for(8);
-/// let x: Vec<_> = (0..8).map(|i| c64(i as f64, 0.0)).collect();
-/// let mut y = x.clone();
-/// plan.fft(&mut y);
+/// let x: [_; 64] = std::array::from_fn(|i| c64(i as f64, 0.0));
+/// let mut y = x;
+/// fft64(&mut y);
 /// let slow = dft_naive(&x);
 /// assert!(y.iter().zip(&slow).all(|(a, b)| a.approx_eq(*b, 1e-9)));
 /// ```
-#[derive(Debug)]
-pub struct FftPlan {
-    n: usize,
-    /// `bitrev[i]` = bit-reversed index of `i` (swap targets).
-    bitrev: Vec<u32>,
-    /// Forward twiddles, packed per stage: for `len = 2, 4, …, n` the
-    /// stage's `len/2` roots `e^{−j2πk/len}` — `n − 1` entries total.
-    tw_fwd: Vec<C64>,
-    /// Inverse twiddles (the conjugates), same layout.
-    tw_inv: Vec<C64>,
+pub fn fft64(x: &mut [C64; FFT_LEN]) {
+    butterflies(x, &TWIDDLES[0]);
 }
 
-impl FftPlan {
-    /// Build a plan for transforms of length `n`. Panics unless `n` is a
-    /// power of two (`n == 1` is the trivial identity plan).
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two(),
-            "fft: length {} is not a power of two",
-            n
-        );
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n)
-            .map(|i| ((i.reverse_bits() >> (usize::BITS - bits.max(1))) & (n - 1)) as u32)
-            .collect();
-        let mut tw_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut len = 2;
-        while len <= n {
-            let ang = -2.0 * PI / len as f64;
-            for k in 0..len / 2 {
-                tw_fwd.push(C64::cis(ang * k as f64));
-            }
-            len <<= 1;
-        }
-        let tw_inv = tw_fwd.iter().map(|w| w.conj()).collect();
-        Self {
-            n,
-            bitrev,
-            tw_fwd,
-            tw_inv,
+/// In-place inverse 64-point FFT (includes the `1/64` normalisation).
+pub fn ifft64(x: &mut [C64; FFT_LEN]) {
+    butterflies(x, &TWIDDLES[1]);
+    let inv = 1.0 / FFT_LEN as f64;
+    for z in x.iter_mut() {
+        *z = z.scale(inv);
+    }
+}
+
+fn butterflies(x: &mut [C64; FFT_LEN], tw: &[C64; FFT_LEN - 1]) {
+    for (i, &j) in BITREV.iter().enumerate() {
+        let j = j as usize;
+        if j > i {
+            x.swap(i, j);
         }
     }
-
-    /// Transform length this plan was built for.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false — a plan's length is at least 1 (this exists only to
-    /// pair with [`FftPlan::len`]).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place forward FFT. Panics if `x.len()` differs from the plan's.
-    pub fn fft(&self, x: &mut [C64]) {
-        self.run(x, false);
-    }
-
-    /// In-place inverse FFT (includes the `1/N` normalisation). Panics
-    /// if `x.len()` differs from the plan's.
-    pub fn ifft(&self, x: &mut [C64]) {
-        self.run(x, true);
-        let inv = 1.0 / self.n as f64;
-        for z in x.iter_mut() {
-            *z = z.scale(inv);
-        }
-    }
-
-    /// Out-of-place convenience wrapper over [`FftPlan::fft`].
-    pub fn fft_owned(&self, x: &[C64]) -> Vec<C64> {
-        let mut y = x.to_vec();
-        self.fft(&mut y);
-        y
-    }
-
-    /// Out-of-place convenience wrapper over [`FftPlan::ifft`].
-    pub fn ifft_owned(&self, x: &[C64]) -> Vec<C64> {
-        let mut y = x.to_vec();
-        self.ifft(&mut y);
-        y
-    }
-
-    fn run(&self, x: &mut [C64], inverse: bool) {
-        let n = self.n;
-        assert_eq!(
-            x.len(),
-            n,
-            "fft: buffer length {} for plan of {}",
-            x.len(),
-            n
-        );
-        if n <= 1 {
-            return;
-        }
-        // Bit-reversal permutation from the table.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                x.swap(i, j);
+    // Each stage walks its `len`-blocks as (low, high) half pairs zipped
+    // with the stage's twiddles, so the inner loop carries no index
+    // arithmetic or bounds checks.
+    let mut len = 2;
+    let mut base = 0;
+    while len <= FFT_LEN {
+        let half = len / 2;
+        let stage = &tw[base..base + half];
+        for block in x.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                let u = *a;
+                let v = *b * *w;
+                *a = u + v;
+                *b = u - v;
             }
         }
-        // Butterflies with precomputed twiddles.
-        let tw = if inverse { &self.tw_inv } else { &self.tw_fwd };
-        // Each stage walks its `len`-blocks as (low, high) half pairs
-        // zipped with the stage's twiddles, so the inner loop carries no
-        // index arithmetic or bounds checks.
-        let mut len = 2;
-        let mut base = 0;
-        while len <= n {
-            let half = len / 2;
-            let stage = &tw[base..base + half];
-            for block in x.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                    let u = *a;
-                    let v = *b * *w;
-                    *a = u + v;
-                    *b = u - v;
-                }
-            }
-            base += half;
-            len <<= 1;
-        }
+        base += half;
+        len <<= 1;
     }
-}
-
-/// The process-wide plan cache behind the free [`fft`]/[`ifft`]
-/// functions: one immutable [`FftPlan`] per size, built on first use and
-/// shared from then on (the modem asks for the 64-point plan once per
-/// packet instead of re-deriving twiddles per symbol).
-pub fn plan_for(n: usize) -> Arc<FftPlan> {
-    assert!(
-        n.is_power_of_two(),
-        "fft: length {} is not a power of two",
-        n
-    );
-    static PLANS: OnceLock<Mutex<Vec<Option<Arc<FftPlan>>>>> = OnceLock::new();
-    let cache = PLANS.get_or_init(|| Mutex::new(Vec::new()));
-    let slot = n.trailing_zeros() as usize;
-    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if cache.len() <= slot {
-        cache.resize(slot + 1, None);
-    }
-    cache[slot]
-        .get_or_insert_with(|| Arc::new(FftPlan::new(n)))
-        .clone()
-}
-
-/// In-place forward FFT on the cached plan for `x.len()`. Panics unless
-/// `x.len()` is a power of two.
-pub fn fft(x: &mut [C64]) {
-    if x.len() <= 1 {
-        return;
-    }
-    plan_for(x.len()).fft(x);
-}
-
-/// In-place inverse FFT (includes the `1/N` normalisation), on the
-/// cached plan for `x.len()`. Panics unless `x.len()` is a power of two.
-pub fn ifft(x: &mut [C64]) {
-    if x.len() <= 1 {
-        return;
-    }
-    plan_for(x.len()).ifft(x);
-}
-
-/// Out-of-place convenience wrapper over [`fft`].
-pub fn fft_owned(x: &[C64]) -> Vec<C64> {
-    let mut y = x.to_vec();
-    fft(&mut y);
-    y
-}
-
-/// Out-of-place convenience wrapper over [`ifft`].
-pub fn ifft_owned(x: &[C64]) -> Vec<C64> {
-    let mut y = x.to_vec();
-    ifft(&mut y);
-    y
 }
 
 /// Naive `O(n²)` DFT, any length. Reference implementation for tests and
@@ -251,11 +136,17 @@ mod tests {
         }
     }
 
+    fn fft_of(x: &[C64; FFT_LEN]) -> [C64; FFT_LEN] {
+        let mut y = *x;
+        fft64(&mut y);
+        y
+    }
+
     #[test]
     fn impulse_transforms_to_flat() {
-        let mut x = vec![ZERO; 8];
+        let mut x = [ZERO; FFT_LEN];
         x[0] = c64(1.0, 0.0);
-        fft(&mut x);
+        fft64(&mut x);
         for z in &x {
             assert!(z.approx_eq(c64(1.0, 0.0), 1e-12));
         }
@@ -263,9 +154,9 @@ mod tests {
 
     #[test]
     fn dc_transforms_to_impulse() {
-        let mut x = vec![c64(1.0, 0.0); 16];
-        fft(&mut x);
-        assert!(x[0].approx_eq(c64(16.0, 0.0), 1e-12));
+        let mut x = [c64(1.0, 0.0); FFT_LEN];
+        fft64(&mut x);
+        assert!(x[0].approx_eq(c64(64.0, 0.0), 1e-12));
         for z in &x[1..] {
             assert!(z.approx_eq(ZERO, 1e-12));
         }
@@ -273,12 +164,11 @@ mod tests {
 
     #[test]
     fn single_tone_lands_on_its_bin() {
-        let n = 64;
+        let n = FFT_LEN;
         let k0 = 5;
-        let x: Vec<C64> = (0..n)
-            .map(|i| C64::cis(2.0 * PI * (k0 * i) as f64 / n as f64))
-            .collect();
-        let y = fft_owned(&x);
+        let x: [C64; FFT_LEN] =
+            std::array::from_fn(|i| C64::cis(2.0 * PI * (k0 * i) as f64 / n as f64));
+        let y = fft_of(&x);
         for (k, z) in y.iter().enumerate() {
             if k == k0 {
                 assert!((z.abs() - n as f64).abs() < 1e-9);
@@ -290,29 +180,25 @@ mod tests {
 
     #[test]
     fn matches_naive_dft() {
-        let x: Vec<C64> = (0..32)
-            .map(|i| c64((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
-            .collect();
-        let fast = fft_owned(&x);
-        let slow = dft_naive(&x);
-        assert_close(&fast, &slow, 1e-9);
+        let x: [C64; FFT_LEN] =
+            std::array::from_fn(|i| c64((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()));
+        assert_close(&fft_of(&x), &dft_naive(&x), 1e-9);
     }
 
     #[test]
     fn ifft_inverts_fft() {
-        let x: Vec<C64> = (0..128)
-            .map(|i| c64((i as f64 * 1.1).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        let y = ifft_owned(&fft_owned(&x));
+        let x: [C64; FFT_LEN] =
+            std::array::from_fn(|i| c64((i as f64 * 1.1).sin(), (i as f64 * 0.3).cos()));
+        let mut y = fft_of(&x);
+        ifft64(&mut y);
         assert_close(&x, &y, 1e-10);
     }
 
     #[test]
     fn parseval_energy_conservation() {
-        let x: Vec<C64> = (0..64)
-            .map(|i| c64((i as f64).sin(), (i as f64 * 2.0).cos()))
-            .collect();
-        let y = fft_owned(&x);
+        let x: [C64; FFT_LEN] =
+            std::array::from_fn(|i| c64((i as f64).sin(), (i as f64 * 2.0).cos()));
+        let y = fft_of(&x);
         let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / 64.0;
         assert!((ex - ey).abs() < 1e-9 * ex);
@@ -320,63 +206,39 @@ mod tests {
 
     #[test]
     fn linearity() {
-        let a: Vec<C64> = (0..16).map(|i| c64(i as f64, -(i as f64))).collect();
-        let b: Vec<C64> = (0..16).map(|i| c64((i as f64).cos(), 0.5)).collect();
-        let sum: Vec<C64> = a.iter().zip(b.iter()).map(|(x, y)| *x + *y).collect();
-        let fa = fft_owned(&a);
-        let fb = fft_owned(&b);
-        let fsum = fft_owned(&sum);
+        let a: [C64; FFT_LEN] = std::array::from_fn(|i| c64(i as f64, -(i as f64)));
+        let b: [C64; FFT_LEN] = std::array::from_fn(|i| c64((i as f64).cos(), 0.5));
+        let sum: [C64; FFT_LEN] = std::array::from_fn(|i| a[i] + b[i]);
+        let (fa, fb) = (fft_of(&a), fft_of(&b));
         let fa_fb: Vec<C64> = fa.iter().zip(fb.iter()).map(|(x, y)| *x + *y).collect();
-        assert_close(&fsum, &fa_fb, 1e-9);
+        assert_close(&fft_of(&sum), &fa_fb, 1e-9);
     }
 
-    #[test]
-    fn tiny_sizes() {
-        let mut x1 = vec![c64(2.5, -1.0)];
-        fft(&mut x1);
-        assert!(x1[0].approx_eq(c64(2.5, -1.0), 0.0));
-
-        let mut x2 = vec![c64(1.0, 0.0), c64(0.0, 1.0)];
-        fft(&mut x2);
-        assert!(x2[0].approx_eq(c64(1.0, 1.0), 1e-14));
-        assert!(x2[1].approx_eq(c64(1.0, -1.0), 1e-14));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_panics() {
-        let mut x = vec![ZERO; 12];
-        fft(&mut x);
-    }
-
-    #[test]
-    fn plan_matches_free_functions_bitwise() {
-        // The free functions run on the cached plan; an owned plan of
-        // the same size must agree exactly.
-        for n in [1usize, 2, 8, 64, 256] {
-            let x: Vec<C64> = (0..n)
-                .map(|i| c64((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos()))
-                .collect();
-            let plan = FftPlan::new(n);
-            assert_eq!(plan.len(), n);
-            assert!(!plan.is_empty());
-            assert_eq!(plan.fft_owned(&x), fft_owned(&x), "fft n={}", n);
-            assert_eq!(plan.ifft_owned(&x), ifft_owned(&x), "ifft n={}", n);
-        }
-    }
-
-    /// The butterfly loop as it was before it moved to
-    /// `chunks_exact_mut`/`split_at_mut`: explicit indices, same
-    /// operations in the same order.
-    fn indexed_butterflies(plan: &FftPlan, x: &mut [C64]) {
-        let n = plan.n;
+    /// The 64-point transform as the runtime-size plan ran it: bit
+    /// reversal and twiddles derived at run time, butterflies with
+    /// explicit indices, the same operations in the same order, and the
+    /// inverse as the conjugate twiddles plus a `1/n` scale.
+    fn indexed_butterflies(x: &mut [C64], inverse: bool) {
+        let n = x.len();
+        let bits = n.trailing_zeros();
         for i in 0..n {
-            let j = plan.bitrev[i] as usize;
+            let j = (i.reverse_bits() >> (usize::BITS - bits.max(1))) & (n - 1);
             if j > i {
                 x.swap(i, j);
             }
         }
-        let tw = &plan.tw_fwd;
+        let mut tw = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * PI / len as f64;
+            for k in 0..len / 2 {
+                tw.push(C64::cis(ang * k as f64));
+            }
+            len <<= 1;
+        }
+        if inverse {
+            tw = tw.iter().map(|w| w.conj()).collect();
+        }
         let mut len = 2;
         let mut base = 0;
         while len <= n {
@@ -395,6 +257,12 @@ mod tests {
             base += half;
             len <<= 1;
         }
+        if inverse {
+            let inv = 1.0 / n as f64;
+            for z in x.iter_mut() {
+                *z = z.scale(inv);
+            }
+        }
     }
 
     #[test]
@@ -406,47 +274,22 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
         };
-        for bits in 1..=10 {
-            let n = 1usize << bits;
-            let plan = FftPlan::new(n);
-            for _ in 0..8 {
-                let x: Vec<C64> = (0..n).map(|_| c64(next(), next())).collect();
-                let mut old = x.clone();
-                indexed_butterflies(&plan, &mut old);
-                let new = plan.fft_owned(&x);
-                let same = old.iter().zip(&new).all(|(a, b)| {
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-                });
-                assert!(same, "n={} differs from the indexed loop", n);
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for _ in 0..64 {
+            let x: [C64; FFT_LEN] = std::array::from_fn(|_| c64(next(), next()));
+            for inverse in [false, true] {
+                let mut old = x;
+                indexed_butterflies(&mut old, inverse);
+                let mut new = x;
+                if inverse {
+                    ifft64(&mut new);
+                } else {
+                    fft64(&mut new);
+                }
+                assert_eq!(bits(&old), bits(&new), "inverse={}", inverse);
             }
-        }
-    }
-
-    #[test]
-    fn plan_cache_returns_shared_plans() {
-        let a = plan_for(64);
-        let b = plan_for(64);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(plan_for(128).len(), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn plan_rejects_wrong_length() {
-        let plan = FftPlan::new(8);
-        let mut x = vec![ZERO; 16];
-        plan.fft(&mut x);
-    }
-
-    #[test]
-    fn plan_matches_naive_dft() {
-        for n in [4usize, 32, 128] {
-            let x: Vec<C64> = (0..n)
-                .map(|i| c64((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
-                .collect();
-            let fast = FftPlan::new(n).fft_owned(&x);
-            let slow = dft_naive(&x);
-            assert_close(&fast, &slow, 1e-9);
         }
     }
 

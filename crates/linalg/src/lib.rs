@@ -9,8 +9,8 @@
 //! * [`eigen`] — Hermitian eigendecomposition (Householder tridiagonal +
 //!   implicit-shift QL, with the cyclic Jacobi method kept as reference
 //!   oracle), the core of MUSIC's eigenstructure analysis;
-//! * [`fft`] — radix-2 FFT with precomputed, cached plans for the OFDM
-//!   modem;
+//! * [`fft`] — the OFDM modem's 64-point radix-2 FFT (`const`
+//!   bit-reversal, one static twiddle table), with a naive DFT oracle;
 //! * [`bessel`] — integer-order `J_n` for the circular-array phase-mode
 //!   transform;
 //! * [`stats`] — means, percentiles and Student-t confidence intervals
@@ -33,5 +33,4 @@ pub mod stats;
 
 pub use complex::{c64, C64};
 pub use eigen::{eigh, EigH};
-pub use fft::FftPlan;
 pub use matrix::CMat;

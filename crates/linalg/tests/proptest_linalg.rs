@@ -4,13 +4,18 @@
 use proptest::prelude::*;
 use sa_linalg::complex::{c64, C64};
 use sa_linalg::eigen::{eigh, eigh_jacobi, hermitian_inverse};
-use sa_linalg::fft::{dft_naive, fft_owned, ifft_owned, FftPlan};
+use sa_linalg::fft::{dft_naive, fft64, ifft64, FFT_LEN};
 use sa_linalg::matrix::{vdot, vnorm};
 use sa_linalg::stats;
 use sa_linalg::CMat;
 
 fn finite_c64() -> impl Strategy<Value = C64> {
     (-1e3f64..1e3, -1e3f64..1e3).prop_map(|(re, im)| c64(re, im))
+}
+
+fn signal64() -> impl Strategy<Value = [C64; FFT_LEN]> {
+    proptest::collection::vec(finite_c64(), FFT_LEN)
+        .prop_map(|v| v.try_into().expect("the strategy yields 64 samples"))
 }
 
 fn hermitian(n: usize) -> impl Strategy<Value = CMat> {
@@ -154,54 +159,40 @@ proptest! {
     // ---------------- FFT ----------------
 
     #[test]
-    fn fft_roundtrip(v in proptest::collection::vec(finite_c64(), 64)) {
-        let back = ifft_owned(&fft_owned(&v));
+    fn fft_roundtrip(v in signal64()) {
+        let mut back = v;
+        fft64(&mut back);
+        ifft64(&mut back);
         for (x, y) in v.iter().zip(&back) {
             prop_assert!(x.approx_eq(*y, 1e-6 * vnorm(&v).max(1.0)));
         }
     }
 
+    // Both directions against the naive DFT: the inverse of `x` is the
+    // conjugate of the forward transform of `conj(x)`, over 64.
     #[test]
-    fn fft_matches_naive(v in proptest::collection::vec(finite_c64(), 32)) {
-        let fast = fft_owned(&v);
-        let slow = dft_naive(&v);
-        for (x, y) in fast.iter().zip(&slow) {
-            prop_assert!(x.approx_eq(*y, 1e-6 * vnorm(&v).max(1.0)));
-        }
-    }
-
-    // The PR-5 plan pin: a precomputed FftPlan against the naive DFT
-    // at every power-of-two size the modem could ask for, both
-    // directions, and bit-identical to the cached free functions.
-    #[test]
-    fn fft_plan_matches_naive_dft(
-        (v, _) in (0usize..=8).prop_flat_map(|log_n| {
-            let n = 1usize << log_n;
-            (proptest::collection::vec(finite_c64(), n), Just(n))
-        })
-    ) {
-        let plan = FftPlan::new(v.len());
-        let fast = plan.fft_owned(&v);
-        let slow = dft_naive(&v);
+    fn fft_matches_naive(v in signal64()) {
         let tol = 1e-6 * vnorm(&v).max(1.0);
-        for (x, y) in fast.iter().zip(&slow) {
-            prop_assert!(x.approx_eq(*y, tol), "{} vs {}", x, y);
+        let mut fast = v;
+        fft64(&mut fast);
+        for (x, y) in fast.iter().zip(&dft_naive(&v)) {
+            prop_assert!(x.approx_eq(*y, tol), "forward {} vs {}", x, y);
         }
-        // Round trip through the same plan.
-        let back = plan.ifft_owned(&fast);
-        for (x, y) in v.iter().zip(&back) {
-            prop_assert!(x.approx_eq(*y, tol));
+        let mut inv = v;
+        ifft64(&mut inv);
+        let conj: Vec<C64> = v.iter().map(|z| z.conj()).collect();
+        for (x, y) in inv.iter().zip(&dft_naive(&conj)) {
+            let slow = y.conj().scale(1.0 / FFT_LEN as f64);
+            prop_assert!(x.approx_eq(slow, tol), "inverse {} vs {}", x, slow);
         }
-        // The free functions run on the cached plan of the same size —
-        // identical to the last bit.
-        prop_assert_eq!(fft_owned(&v), fast);
     }
 
     #[test]
-    fn parseval(v in proptest::collection::vec(finite_c64(), 128)) {
-        let f = fft_owned(&v);
+    fn parseval(v in signal64()) {
+        let mut f = v;
+        fft64(&mut f);
         let et: f64 = v.iter().map(|z| z.norm_sqr()).sum();
-        let ef: f64 = f.iter().map(|z| z.norm_sqr()).sum::<f64>() / 128.0;
+        let ef: f64 = f.iter().map(|z| z.norm_sqr()).sum::<f64>() / FFT_LEN as f64;
         prop_assert!((et - ef).abs() <= 1e-6 * et.max(1.0));
     }
 

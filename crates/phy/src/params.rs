@@ -10,6 +10,9 @@
 /// FFT size (subcarrier count).
 pub const N_FFT: usize = 64;
 
+// The modem runs every symbol through the fixed-size kernel.
+const _: () = assert!(N_FFT == sa_linalg::fft::FFT_LEN);
+
 /// Cyclic-prefix length in samples.
 pub const N_CP: usize = 16;
 

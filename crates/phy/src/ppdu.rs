@@ -35,10 +35,10 @@
 use crate::modulation::{bytes_to_bits, Modulation};
 use crate::params::{DATA_BINS, N_CP, N_FFT, PILOT_BINS, SYMBOL_LEN};
 use crate::preamble::{
-    ltf_symbol_freq, preamble_time, preamble_time_ref, LTF_SYMBOL_OFFSET, PREAMBLE_LEN, SC_HALF_LEN,
+    ltf_symbol_freq, preamble_time_ref, LTF_SYMBOL_OFFSET, PREAMBLE_LEN, SC_HALF_LEN,
 };
 use sa_linalg::complex::{C64, ZERO};
-use sa_linalg::fft::plan_for;
+use sa_linalg::fft::{fft64, ifft64};
 use sa_sigproc::schmidl_cox::SchmidlCox;
 
 /// Errors the receiver can report.
@@ -122,8 +122,8 @@ impl Transmitter {
         let symbols = self.modulation.map_stream(&bits);
 
         let n_sym = self.n_symbols(payload.len());
-        let mut out = preamble_time();
-        out.reserve(n_sym * SYMBOL_LEN);
+        let mut out = Vec::with_capacity(PREAMBLE_LEN + n_sym * SYMBOL_LEN);
+        out.extend_from_slice(preamble_time_ref());
         let mut it = symbols.into_iter();
         // Unused tail slots carry a valid constellation point (all-zero
         // bits), not spectral nulls: zeros are not constellation points
@@ -132,10 +132,9 @@ impl Transmitter {
             .modulation
             .map(&vec![0u8; self.modulation.bits_per_symbol()]);
         let scale = crate::preamble::time_scale();
-        // One cached FFT plan and one symbol buffer for the whole
-        // packet: the per-symbol loop is IFFT + copies, no allocation.
-        let plan = plan_for(N_FFT);
-        let mut sym = vec![ZERO; N_FFT];
+        // One symbol buffer for the whole packet: the per-symbol loop is
+        // IFFT + copies, no allocation.
+        let mut sym = [ZERO; N_FFT];
         for s in 0..n_sym {
             sym.fill(ZERO);
             for (p, &bin) in PILOT_BINS.iter().enumerate() {
@@ -144,7 +143,7 @@ impl Transmitter {
             for &bin in &DATA_BINS {
                 sym[bin] = it.next().unwrap_or(pad);
             }
-            plan.ifft(&mut sym);
+            ifft64(&mut sym);
             for z in sym.iter_mut() {
                 *z = z.scale(scale);
             }
@@ -234,17 +233,15 @@ impl Receiver {
         };
 
         // Channel estimate from the LTF symbol, kept as `1/h` plus a
-        // live-bin mask. One cached FFT plan serves the LTF and every
-        // data symbol of this packet.
-        let plan = plan_for(N_FFT);
+        // live-bin mask.
         let ltf_start = start + LTF_SYMBOL_OFFSET;
         if ltf_start + N_FFT > buffer.len() {
             return Err(PhyError::TooShort);
         }
         let mut yf = [ZERO; N_FFT];
         load(ltf_start, &mut yf);
-        plan.fft(&mut yf);
-        let x = ltf_freq();
+        fft64(&mut yf);
+        let x = ltf_symbol_freq();
         let mut h_inv = [ZERO; N_FFT];
         let mut live = [false; N_FFT];
         for bin in 0..N_FFT {
@@ -278,7 +275,7 @@ impl Receiver {
                 return Err(PhyError::TooShort);
             }
             load(sym_start, &mut yf);
-            plan.fft(&mut yf);
+            fft64(&mut yf);
             // Equalise, then pilot common-phase correction (residual CFO
             // accumulates a per-symbol rotation).
             let mut rot_acc = ZERO;
@@ -343,13 +340,6 @@ impl Receiver {
 
 /// Most payload bytes one OFDM symbol can carry (48 carriers × 4 bits).
 const N_DATA_BYTES_MAX: usize = DATA_BINS.len() * 4 / 8;
-
-/// The LTF's frequency-domain contents, built once: the receiver's
-/// least-squares channel estimate divides by it for every packet.
-fn ltf_freq() -> &'static [C64] {
-    static CACHE: std::sync::OnceLock<Vec<C64>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(ltf_symbol_freq)
-}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,8 @@
 
 use crate::params::{carrier_to_bin, MAX_CARRIER, N_CP, N_FFT};
 use sa_linalg::complex::{C64, ZERO};
-use sa_linalg::fft::ifft_owned;
+use sa_linalg::fft::ifft64;
+use std::sync::OnceLock;
 
 /// Deterministic ±1 PN value for subcarrier `k` (any `k != 0`);
 /// a tiny xorshift keeps this self-contained and stable across runs.
@@ -29,26 +30,6 @@ fn pn(k: i32, salt: u64) -> f64 {
     }
 }
 
-/// Frequency-domain contents of the Schmidl–Cox symbol: PN on even
-/// non-zero occupied carriers, boosted √2 to keep symbol energy nominal.
-pub fn sc_symbol_freq() -> Vec<C64> {
-    let mut f = vec![ZERO; N_FFT];
-    for k in (-MAX_CARRIER..=MAX_CARRIER).filter(|k| *k != 0 && k % 2 == 0) {
-        f[carrier_to_bin(k)] = C64::new(pn(k, 0xA) * std::f64::consts::SQRT_2, 0.0);
-    }
-    f
-}
-
-/// Frequency-domain contents of the channel-estimation symbol: PN on all
-/// occupied carriers.
-pub fn ltf_symbol_freq() -> Vec<C64> {
-    let mut f = vec![ZERO; N_FFT];
-    for k in (-MAX_CARRIER..=MAX_CARRIER).filter(|k| *k != 0) {
-        f[carrier_to_bin(k)] = C64::new(pn(k, 0xB), 0.0);
-    }
-    f
-}
-
 /// Scale applied to IFFT output so a fully-loaded symbol has O(1) mean
 /// time-domain power (the IFFT's 1/N convention would otherwise leave
 /// ~52/N² ≈ 0.013, making SNR bookkeeping unreadable).
@@ -56,40 +37,76 @@ pub fn time_scale() -> f64 {
     (N_FFT as f64).sqrt()
 }
 
-/// Time-domain preamble: CP + S&C symbol, then CP + LTF symbol.
-/// Length = 2 × (16 + 64) = 160 samples. Allocates a fresh copy; the
-/// receiver's matched filter runs on [`preamble_time_ref`] instead.
-pub fn preamble_time() -> Vec<C64> {
-    preamble_time_ref().to_vec()
+/// The preamble's constants, built once: both training symbols'
+/// frequency-domain contents and the time-domain waveform. The receiver
+/// reads the waveform (matched filter) and the LTF (channel estimate)
+/// for every packet, so neither is rebuilt per packet.
+struct Preamble {
+    sc_freq: [C64; N_FFT],
+    ltf_freq: [C64; N_FFT],
+    time: [C64; PREAMBLE_LEN],
 }
 
-/// The cached time-domain preamble — it is a pure constant, but the
-/// receiver used to rebuild it (two IFFTs plus allocations) for every
-/// decoded packet, which is pure per-packet overhead at deployment
-/// scale.
-pub fn preamble_time_ref() -> &'static [C64] {
-    static CACHE: std::sync::OnceLock<Vec<C64>> = std::sync::OnceLock::new();
+fn preamble() -> &'static Preamble {
+    static CACHE: OnceLock<Preamble> = OnceLock::new();
     CACHE.get_or_init(|| {
-        let scale = time_scale();
-        let mut out = Vec::with_capacity(2 * (N_CP + N_FFT));
-        for freq in [sc_symbol_freq(), ltf_symbol_freq()] {
-            let t: Vec<C64> = ifft_owned(&freq).iter().map(|z| z.scale(scale)).collect();
-            out.extend_from_slice(&t[N_FFT - N_CP..]);
-            out.extend_from_slice(&t);
+        let mut sc_freq = [ZERO; N_FFT];
+        for k in (-MAX_CARRIER..=MAX_CARRIER).filter(|k| *k != 0 && k % 2 == 0) {
+            sc_freq[carrier_to_bin(k)] = C64::new(pn(k, 0xA) * std::f64::consts::SQRT_2, 0.0);
         }
-        out
+        let mut ltf_freq = [ZERO; N_FFT];
+        for k in (-MAX_CARRIER..=MAX_CARRIER).filter(|k| *k != 0) {
+            ltf_freq[carrier_to_bin(k)] = C64::new(pn(k, 0xB), 0.0);
+        }
+        let scale = time_scale();
+        let mut time = [ZERO; PREAMBLE_LEN];
+        for (freq, out) in [&sc_freq, &ltf_freq]
+            .into_iter()
+            .zip(time.chunks_exact_mut(N_CP + N_FFT))
+        {
+            let mut t = *freq;
+            ifft64(&mut t);
+            for z in t.iter_mut() {
+                *z = z.scale(scale);
+            }
+            out[..N_CP].copy_from_slice(&t[N_FFT - N_CP..]);
+            out[N_CP..].copy_from_slice(&t);
+        }
+        Preamble {
+            sc_freq,
+            ltf_freq,
+            time,
+        }
     })
 }
 
+/// Frequency-domain contents of the Schmidl–Cox symbol: PN on even
+/// non-zero occupied carriers, boosted √2 to keep symbol energy nominal.
+pub fn sc_symbol_freq() -> &'static [C64; N_FFT] {
+    &preamble().sc_freq
+}
+
+/// Frequency-domain contents of the channel-estimation symbol: PN on all
+/// occupied carriers.
+pub fn ltf_symbol_freq() -> &'static [C64; N_FFT] {
+    &preamble().ltf_freq
+}
+
+/// Time-domain preamble: CP + S&C symbol, then CP + LTF symbol.
+/// Length = 2 × (16 + 64) = 160 samples.
+pub fn preamble_time_ref() -> &'static [C64; PREAMBLE_LEN] {
+    &preamble().time
+}
+
 /// Offset of the start of the S&C symbol's two identical halves within
-/// [`preamble_time`] (after its CP).
+/// [`preamble_time_ref`] (after its CP).
 pub const SC_SYMBOL_OFFSET: usize = N_CP;
 
 /// Half-length of the S&C symbol — feed this to
 /// [`sa_sigproc::schmidl_cox::SchmidlCox::new`].
 pub const SC_HALF_LEN: usize = N_FFT / 2;
 
-/// Offset of the LTF symbol (post-CP) within [`preamble_time`].
+/// Offset of the LTF symbol (post-CP) within [`preamble_time_ref`].
 pub const LTF_SYMBOL_OFFSET: usize = 2 * N_CP + N_FFT;
 
 /// Total preamble length in samples.
@@ -100,9 +117,15 @@ mod tests {
     use super::*;
     use sa_sigproc::schmidl_cox::SchmidlCox;
 
+    fn time_symbol(freq: &[C64; N_FFT]) -> [C64; N_FFT] {
+        let mut t = *freq;
+        ifft64(&mut t);
+        t
+    }
+
     #[test]
     fn sc_symbol_halves_are_identical() {
-        let t = ifft_owned(&sc_symbol_freq());
+        let t = time_symbol(sc_symbol_freq());
         for i in 0..N_FFT / 2 {
             assert!(
                 t[i].approx_eq(t[i + N_FFT / 2], 1e-12),
@@ -114,7 +137,7 @@ mod tests {
 
     #[test]
     fn ltf_halves_differ() {
-        let t = ifft_owned(&ltf_symbol_freq());
+        let t = time_symbol(ltf_symbol_freq());
         let diff: f64 = (0..N_FFT / 2)
             .map(|i| (t[i] - t[i + N_FFT / 2]).norm_sqr())
             .sum();
@@ -123,13 +146,10 @@ mod tests {
 
     #[test]
     fn preamble_layout() {
-        let p = preamble_time();
+        let p = preamble_time_ref();
         assert_eq!(p.len(), PREAMBLE_LEN);
         // CP is a copy of the symbol tail.
-        let sc: Vec<C64> = ifft_owned(&sc_symbol_freq())
-            .iter()
-            .map(|z| z.scale(time_scale()))
-            .collect();
+        let sc = time_symbol(sc_symbol_freq()).map(|z| z.scale(time_scale()));
         for i in 0..N_CP {
             assert!(p[i].approx_eq(sc[N_FFT - N_CP + i], 1e-12));
         }
@@ -142,8 +162,8 @@ mod tests {
     #[test]
     fn schmidl_cox_detects_own_preamble() {
         let mut buf = vec![ZERO; 512];
-        let p = preamble_time();
-        buf[100..100 + p.len()].copy_from_slice(&p);
+        let p = preamble_time_ref();
+        buf[100..100 + p.len()].copy_from_slice(p);
         // Realistic trailing payload to suppress boundary plateaus.
         // (Pseudo-random, NOT a tone — a pure complex exponential is
         // periodic and would itself light up the S&C metric.)
@@ -178,8 +198,8 @@ mod tests {
 
     #[test]
     fn preamble_energy_is_reasonable() {
-        let p = preamble_time();
-        let pw = sa_sigproc::iq::mean_power(&p);
+        let p = preamble_time_ref();
+        let pw = sa_sigproc::iq::mean_power(p);
         // 52 occupied carriers of unit/√2-boosted power in a 64-FFT:
         // mean time power is comfortably O(1).
         assert!(pw > 0.3 && pw < 3.0, "preamble power {}", pw);

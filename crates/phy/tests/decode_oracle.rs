@@ -34,7 +34,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_linalg::complex::{C64, ZERO};
-use sa_linalg::fft::plan_for;
+use sa_linalg::fft::fft64;
 use sa_phy::modulation::{bits_to_bytes, Modulation};
 use sa_phy::params::{carrier_to_bin, data_carriers, N_CP, N_FFT, PILOT_CARRIERS, SYMBOL_LEN};
 use sa_phy::ppdu::{DecodedPacket, PhyError, Receiver, Transmitter, MAX_PAYLOAD};
@@ -121,14 +121,14 @@ fn reference_decode(rx: &Receiver, buffer: &[C64]) -> Result<DecodedPacket, PhyE
     }
     let start = best.0;
 
-    // Channel estimate from the LTF symbol. One cached FFT plan
-    // serves the LTF and every data symbol of this packet.
-    let plan = plan_for(N_FFT);
+    // Channel estimate from the LTF symbol.
     let ltf_start = start + sa_phy::preamble::LTF_SYMBOL_OFFSET;
     if ltf_start + N_FFT > rx_.len() {
         return Err(PhyError::TooShort);
     }
-    let y = plan.fft_owned(&rx_[ltf_start..ltf_start + N_FFT]);
+    let mut y = [ZERO; N_FFT];
+    y.copy_from_slice(&rx_[ltf_start..ltf_start + N_FFT]);
+    fft64(&mut y);
     let x = ltf_symbol_freq();
     let mut h = vec![ZERO; N_FFT];
     for bin in 0..N_FFT {
@@ -145,7 +145,7 @@ fn reference_decode(rx: &Receiver, buffer: &[C64]) -> Result<DecodedPacket, PhyE
     let mut evm_num = 0.0f64;
     let mut evm_den = 0.0f64;
     let mut s = 0usize;
-    let mut yf = vec![ZERO; N_FFT];
+    let mut yf = [ZERO; N_FFT];
     loop {
         if let Some(nb) = needed_bytes {
             if bits.len() >= nb * 8 {
@@ -157,7 +157,7 @@ fn reference_decode(rx: &Receiver, buffer: &[C64]) -> Result<DecodedPacket, PhyE
             return Err(PhyError::TooShort);
         }
         yf.copy_from_slice(&rx_[sym_start..sym_start + N_FFT]);
-        plan.fft(&mut yf);
+        fft64(&mut yf);
         // Equalise, then pilot common-phase correction (residual CFO
         // accumulates a per-symbol rotation).
         let mut rot_acc = ZERO;

@@ -77,7 +77,7 @@ proptest! {
     fn preamble_is_waveform_prefix(m in any_modulation(), len in 0usize..64) {
         let tx = Transmitter::new(m);
         let wave = tx.encode(&vec![1u8; len]);
-        let pre = sa_phy::preamble::preamble_time();
+        let pre = sa_phy::preamble::preamble_time_ref();
         for (a, b) in pre.iter().zip(wave.iter()) {
             prop_assert!(a.approx_eq(*b, 1e-12));
         }
