@@ -1,8 +1,8 @@
 //! Scan backends: how the MUSIC pseudospectrum search is executed.
 //!
-//! The exhaustive grid scan in [`crate::music`] evaluates the noise
-//! projection at every grid point — simple, oracle-grade, and O(grid ×
-//! subspace). This module holds the production scan behind
+//! Both return a spectrum and candidate peaks. The exhaustive oracle
+//! evaluates the noise projection at every grid point — simple,
+//! oracle-grade, and O(grid × subspace). The production scan behind
 //! [`crate::estimator::ScanBackend::CoarseToFine`]: scan a decimated
 //! grid, rescan the full-rate grid only inside windows around coarse
 //! local maxima, then polish each surviving peak on the *continuous*
@@ -15,23 +15,13 @@
 //! are *not* quantised to that grid.
 
 use crate::manifold::{ScanSpace, SteeringTable};
-use crate::music::NoiseProjector;
-use crate::pseudospectrum::Pseudospectrum;
+use crate::music::{music_spectrum_from_table, NoiseProjector};
+use crate::pseudospectrum::{Peak, Pseudospectrum};
 use sa_linalg::complex::C64;
 use sa_linalg::eigen::EigH;
 
-/// A candidate arrival direction produced by a scan backend: an angle in
-/// presentation degrees (possibly off-grid) and the MUSIC pseudospectrum
-/// value there.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    pub angle_deg: f64,
-    pub value: f64,
-}
-
-/// Peak-extraction parameters shared with the exhaustive path (see
-/// `rank_peaks` in the estimator): minimum prominence in dB and maximum
-/// peak count.
+/// Peak-extraction parameters shared by both backends: minimum
+/// prominence in dB and maximum peak count.
 const PEAK_MIN_PROMINENCE_DB: f64 = 1.0;
 const PEAK_MAX_COUNT: usize = 8;
 
@@ -63,6 +53,18 @@ fn coarse_stride(used: usize) -> usize {
 /// (degrees).
 const REFINE_TOL_DEG: f64 = 0.05;
 
+/// The exhaustive oracle: MUSIC at every grid point, with the
+/// spectrum's own peaks (on the grid) as the candidates.
+pub(crate) fn exhaustive_scan(
+    eig: &EigH,
+    table: &SteeringTable,
+    n_sources: usize,
+) -> (Pseudospectrum, Vec<Peak>) {
+    let spectrum = music_spectrum_from_table(eig, table, n_sources);
+    let peaks = spectrum.find_peaks(PEAK_MIN_PROMINENCE_DB, PEAK_MAX_COUNT);
+    (spectrum, peaks)
+}
+
 /// MUSIC via decimated scan + local refinement.
 ///
 /// Returns the spectrum on the **fixed** decimated grid (same grid every
@@ -73,7 +75,7 @@ pub(crate) fn coarse_to_fine_scan(
     space: &ScanSpace,
     n_sources: usize,
     steer_buf: &mut Vec<C64>,
-) -> (Pseudospectrum, Vec<Candidate>) {
+) -> (Pseudospectrum, Vec<Peak>) {
     let n = table.len();
     let proj = NoiseProjector::new(eig, n_sources);
     let wraps = table.wraps();
@@ -182,7 +184,7 @@ pub(crate) fn coarse_to_fine_scan(
         1.0 / proj.value_auto(buf)
     };
     let nu = union_spec.len();
-    let candidates: Vec<Candidate> = peaks
+    let candidates: Vec<Peak> = peaks
         .iter()
         .enumerate()
         .map(|(rank, p)| {
@@ -197,10 +199,7 @@ pub(crate) fn coarse_to_fine_scan(
             let (il, ir) = if wraps {
                 ((ui + nu - 1) % nu, (ui + 1) % nu)
             } else if ui == 0 || ui == nu - 1 {
-                return Candidate {
-                    angle_deg: p.angle_deg,
-                    value: p.value,
-                };
+                return *p;
             } else {
                 (ui - 1, ui + 1)
             };
@@ -232,9 +231,9 @@ pub(crate) fn coarse_to_fine_scan(
                         t = v;
                     }
                 }
-                return Candidate {
+                return Peak {
                     angle_deg: if wraps { t.rem_euclid(360.0) } else { t },
-                    value: p.value,
+                    ..*p
                 };
             }
             let (mut best_t, mut best_y) = (t0, y0);
@@ -284,9 +283,10 @@ pub(crate) fn coarse_to_fine_scan(
             } else {
                 best_t
             };
-            Candidate {
+            Peak {
                 angle_deg: angle,
                 value: 1.0 / best_y,
+                ..*p
             }
         })
         .collect();

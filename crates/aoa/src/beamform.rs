@@ -15,6 +15,7 @@
 
 use crate::manifold::ScanSpace;
 use crate::pseudospectrum::Pseudospectrum;
+use sa_linalg::complex::{C64, ZERO};
 use sa_linalg::eigen::hermitian_inverse;
 use sa_linalg::matrix::{vdot, vnorm};
 use sa_linalg::CMat;
@@ -27,14 +28,33 @@ pub fn bartlett_spectrum(r: &CMat, space: &ScanSpace, step_deg: f64) -> Pseudosp
     let mut angles = Vec::with_capacity(grid.len());
     let mut values = Vec::with_capacity(grid.len());
     for &az in &grid {
-        let a = space.steering(az);
-        let ra = r.matvec(&a);
-        let num = vdot(&a, &ra).re.max(0.0);
-        let den = vnorm(&a).powi(2).max(1e-30);
         angles.push(space.present_deg(az));
-        values.push(num / den);
+        values.push(bartlett_power(r, &space.steering(az)));
     }
     Pseudospectrum::new(angles, values, space.wraps())
+}
+
+/// The Bartlett power `a^H R a / ‖a‖²` toward the direction `a` steers
+/// at, without allocating — also how the estimator ranks MUSIC peaks.
+/// Panics unless `R` is `a.len()` square.
+pub(crate) fn bartlett_power(r: &CMat, a: &[C64]) -> f64 {
+    assert_eq!(
+        (r.rows(), r.cols()),
+        (a.len(), a.len()),
+        "bartlett_power: {}x{} covariance for a {}-element steering vector",
+        r.rows(),
+        r.cols(),
+        a.len()
+    );
+    let mut quad = ZERO;
+    for (i, &ai) in a.iter().enumerate() {
+        let mut row = ZERO;
+        for (j, &aj) in a.iter().enumerate() {
+            row += r[(i, j)] * aj;
+        }
+        quad += ai.conj() * row;
+    }
+    (quad.re / vnorm(a).powi(2).max(1e-30)).max(0.0)
 }
 
 /// Capon / MVDR spectrum, `P(θ) = 1 / (a^H R⁻¹ a)`, with relative
@@ -85,6 +105,19 @@ mod tests {
         let spec = bartlett_spectrum(&r, &space, 0.5);
         let (peak, _) = spec.peak();
         assert!((peak - 22.0).abs() < 1.5, "peak {}", peak);
+    }
+
+    #[test]
+    #[should_panic(expected = "bartlett_power")]
+    fn bartlett_rejects_a_covariance_that_is_not_the_scan_space_square() {
+        // The top five rows of an 8-element R: as many rows as the
+        // truncated scan space has elements, but eight columns, which
+        // must not be read as a 5x5 block.
+        let array = Array::paper_linear(8);
+        let space = ScanSpace::physical(&array).truncated(5);
+        let r = one_source_cov(&array, 10.0, 0.01);
+        let top = CMat::from_fn(5, 8, |i, j| r[(i, j)]);
+        bartlett_spectrum(&top, &space, 1.0);
     }
 
     #[test]

@@ -31,17 +31,16 @@
 //! assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 //! ```
 
-use crate::backends::{coarse_to_fine_scan, Candidate};
+use crate::backends::{coarse_to_fine_scan, exhaustive_scan};
 use crate::confidence::ConfidenceModel;
 use crate::manifold::{ScanSpace, SteeringTable};
-use crate::music::music_spectrum_from_table;
-use crate::pseudospectrum::Pseudospectrum;
+use crate::pseudospectrum::{Peak, Pseudospectrum};
 use crate::source_count::SourceCount;
 use sa_array::geometry::{Array, ArrayKind};
 use sa_linalg::complex::C64;
 use sa_linalg::eigen::{EigH, EighWorkspace};
 use sa_linalg::CMat;
-use sa_sigproc::covariance::{forward_backward_into, sample_covariance, smooth_fb_into};
+use sa_sigproc::covariance::{forward_backward, sample_covariance, smooth_fb};
 use sa_sigproc::snr::eig_split_snr;
 
 /// Decorrelation preprocessing applied to the covariance.
@@ -85,8 +84,8 @@ pub enum Smoothing {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanBackend {
-    /// Evaluate the pseudospectrum at every grid point (the reference
-    /// oracle; bit-identical to the historical 1° pipeline).
+    /// Evaluate the pseudospectrum at every grid point and take the
+    /// spectrum's own peaks (the reference oracle).
     Exhaustive,
     /// The production scan: evaluate a decimated grid (every 6th point
     /// on the paper's octagon; the stride shrinks as the scan aperture
@@ -220,7 +219,9 @@ impl AoaEstimate {
 /// Per-packet setup would dominate once traffic scales past a handful of
 /// clients, so the engine hoists all of it to construction time:
 ///
-/// * the mode-space transform matrix (circular arrays);
+/// * the analysis step — the mode-space transform (circular arrays)
+///   and the decorrelation — resolved to one function of the physical
+///   covariance;
 /// * the post-smoothing [`ScanSpace`] and its [`SteeringTable`]
 ///   (the full grid of steering vectors and their norms);
 /// * an [`EighWorkspace`] so repeated eigendecompositions reuse their
@@ -258,13 +259,13 @@ pub struct AoaEngine {
     space: ScanSpace,
     /// Precomputed steering vectors over `space`'s grid.
     table: SteeringTable,
-    /// Decorrelation as applied: [`Smoothing::None`] on the physical
-    /// circular manifold, and under [`Smoothing::FbSpatial`] the
-    /// subarray length is `space.len()`.
-    smoothing: Smoothing,
+    /// The analysis step: physical covariance → the matrix MUSIC
+    /// decomposes.
+    analyse: Analysis,
     /// The MUSIC scan.
     backend: ScanBackend,
-    /// Steering-vector scratch for continuous refinement evaluations.
+    /// Steering-vector scratch for off-grid evaluations (refinement and
+    /// ranking).
     steer_buf: Vec<C64>,
     /// Reusable eigensolver buffers.
     eig_ws: EighWorkspace,
@@ -274,12 +275,6 @@ pub struct AoaEngine {
     jacobi_oracle: bool,
     /// Reusable eigendecomposition output.
     eig: EigH,
-    /// Analysis-domain covariance scratch (mode-space output).
-    cov_a: CMat,
-    /// Mode-space transform intermediate (`T·R`).
-    cov_tmp: CMat,
-    /// Smoothed covariance scratch.
-    cov_s: CMat,
 }
 
 impl AoaEngine {
@@ -292,8 +287,8 @@ impl AoaEngine {
     /// Build an engine that deviates from the production pipeline as
     /// `setup` says — how tests, benches and ablations reach the
     /// exhaustive oracle and the decorrelation and grid variants.
-    /// Resolves the analysis domain and smoothing, then precomputes
-    /// the manifold.
+    /// Resolves the analysis domain and smoothing into one analysis
+    /// step, then precomputes the manifold.
     pub fn reference(array: &Array, cfg: &AoaConfig, setup: ReferenceSetup) -> Self {
         // 1. Analysis domain (where the covariance will live). A
         //    virtual-ULA space carries the Davies transform itself.
@@ -319,7 +314,18 @@ impl AoaEngine {
             _ => base_space,
         };
 
-        // 3. The manifold, evaluated once (MUSIC's hot path).
+        // 3. Both steps as one function of the physical covariance, so
+        //    a packet runs no match on the setup.
+        let analyse: Analysis = match (space.modespace().is_some(), smoothing) {
+            (false, Smoothing::None) => |r, _| r.clone(),
+            (false, Smoothing::ForwardBackward) => |r, _| forward_backward(r),
+            (false, Smoothing::FbSpatial) => |r, s| smooth_fb(r, s.len()),
+            (true, Smoothing::None) => mode_space,
+            (true, Smoothing::ForwardBackward) => |r, s| forward_backward(&mode_space(r, s)),
+            (true, Smoothing::FbSpatial) => |r, s| smooth_fb(&mode_space(r, s), s.len()),
+        };
+
+        // 4. The manifold, evaluated once (MUSIC's hot path).
         let table = space.steering_table(setup.grid_step_deg);
 
         Self {
@@ -327,7 +333,7 @@ impl AoaEngine {
             array_len: array.len(),
             space,
             table,
-            smoothing,
+            analyse,
             backend: setup.scan,
             steer_buf: Vec::new(),
             eig_ws: EighWorkspace::new(),
@@ -337,9 +343,6 @@ impl AoaEngine {
                 values: Vec::new(),
                 vectors: CMat::default(),
             },
-            cov_a: CMat::default(),
-            cov_tmp: CMat::default(),
-            cov_s: CMat::default(),
         }
     }
 
@@ -369,32 +372,10 @@ impl AoaEngine {
             self.array_len
         );
 
-        // 1. Move to the analysis domain. Both stages run through the
-        // engine's scratch matrices — the per-packet hot path allocates
-        // nothing once the buffers have grown to the problem size.
-        let ra: &CMat = match self.space.modespace() {
-            Some(ms) => {
-                ms.transform_cov_into(r, &mut self.cov_tmp, &mut self.cov_a);
-                &self.cov_a
-            }
-            None => r,
-        };
+        // 1. The analysis step (mode space and decorrelation).
+        let ra = (self.analyse)(r, &self.space);
 
-        // 2. Decorrelation (FB + spatial smoothing fused into one
-        // traversal — bit-identical to the two-pass pipeline).
-        let ra: &CMat = match self.smoothing {
-            Smoothing::None => ra,
-            Smoothing::ForwardBackward => {
-                forward_backward_into(ra, &mut self.cov_s);
-                &self.cov_s
-            }
-            Smoothing::FbSpatial => {
-                smooth_fb_into(ra, self.space.len(), &mut self.cov_s);
-                &self.cov_s
-            }
-        };
-
-        // 3. Eigenstructure and source count. The count is additionally
+        // 2. Eigenstructure and source count. The count is additionally
         //    capped to keep a ≥2-dimensional noise subspace whenever the
         //    aperture allows (m ≥ 4): a 1-dimensional noise subspace makes
         //    MUSIC peaks fragile under the residual inter-path correlation
@@ -404,9 +385,9 @@ impl AoaEngine {
         #[cfg(not(test))]
         let jacobi_oracle = false;
         if jacobi_oracle {
-            self.eig_ws.eigh_into(ra, &mut self.eig);
+            self.eig_ws.eigh_into(&ra, &mut self.eig);
         } else {
-            self.eig_ws.eigh(ra, &mut self.eig);
+            self.eig_ws.eigh(&ra, &mut self.eig);
         }
         let m = self.eig.values.len();
         let n_sources = if m >= 2 {
@@ -423,30 +404,24 @@ impl AoaEngine {
             1
         };
 
-        // 4. Spectrum. The coarse-to-fine scan knows its peaks already
-        //    (off-grid, refined) and hands back an explicit candidate
-        //    list; the exhaustive oracle extracts peaks from its
-        //    full-grid spectrum.
+        // 3. Spectrum and candidate peaks. The coarse-to-fine scan
+        //    knows its peaks already (off-grid, refined); the exhaustive
+        //    oracle extracts them from its full-grid spectrum. Either
+        //    way they are ranked by Bartlett power on `ra`.
         let k_music = n_sources.min(m.saturating_sub(1)).max(1);
-        let (spectrum, ranked_peaks) = match self.backend {
-            ScanBackend::Exhaustive => {
-                let s = music_spectrum_from_table(&self.eig, &self.table, k_music);
-                let ranked = rank_peaks(&s, ra, &self.table);
-                (s, ranked)
-            }
-            ScanBackend::CoarseToFine => {
-                let (s, c) = coarse_to_fine_scan(
-                    &self.eig,
-                    &self.table,
-                    &self.space,
-                    k_music,
-                    &mut self.steer_buf,
-                );
-                (s, rank_candidates(&c, ra, &self.space))
-            }
+        let (spectrum, candidates) = match self.backend {
+            ScanBackend::Exhaustive => exhaustive_scan(&self.eig, &self.table, k_music),
+            ScanBackend::CoarseToFine => coarse_to_fine_scan(
+                &self.eig,
+                &self.table,
+                &self.space,
+                k_music,
+                &mut self.steer_buf,
+            ),
         };
+        let ranked_peaks = rank_candidates(&candidates, &ra, &self.space, &mut self.steer_buf);
 
-        // 6. Per-packet SNR and the CRLB it implies. The eigenvalue
+        // 4. Per-packet SNR and the CRLB it implies. The eigenvalue
         //    split reports the *subspace* SNR over the m-dimensional
         //    analysis domain; dividing by m recovers the per-element
         //    SNR the CRLB is stated in. The bound uses the full
@@ -487,67 +462,41 @@ impl AoaEngine {
     }
 }
 
-/// Extract the spectrum's peaks and rank them by Bartlett power on the
-/// analysis covariance (descending).
-///
-/// The exhaustive spectrum lives on the table's grid, so each peak's
-/// steering vector is looked up there and the quadratic form `a^H·R·a`
-/// is evaluated in place — nothing is rebuilt or allocated per peak.
-fn rank_peaks(spectrum: &Pseudospectrum, ra: &CMat, table: &SteeringTable) -> Vec<RankedPeak> {
-    let mut ranked: Vec<RankedPeak> = spectrum
-        .find_peaks(1.0, 8)
-        .iter()
-        .map(|p| {
-            let i = table
-                .angles_deg()
-                .binary_search_by(|v| v.total_cmp(&p.angle_deg))
-                .expect("peak angle comes from the table grid");
-            RankedPeak {
-                angle_deg: p.angle_deg,
-                music_value: p.value,
-                power: bartlett_power(ra, table.steering(i), table.norm_sqr(i)),
-            }
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.power.total_cmp(&a.power));
-    ranked
+/// The analysis step resolved from a [`ReferenceSetup`]: the physical
+/// covariance and the post-smoothing scan space → the matrix MUSIC
+/// decomposes.
+type Analysis = fn(&CMat, &ScanSpace) -> CMat;
+
+/// The Davies transform into a virtual-ULA space's mode space.
+fn mode_space(r: &CMat, space: &ScanSpace) -> CMat {
+    space
+        .modespace()
+        .expect("a mode-space analysis step scans a virtual ULA")
+        .transform_cov(r)
 }
 
-/// Rank explicit backend candidates (possibly off-grid) by Bartlett
-/// power — the candidate-list counterpart of [`rank_peaks`], sharing its
-/// power computation and ordering.
-fn rank_candidates(cands: &[Candidate], ra: &CMat, space: &ScanSpace) -> Vec<RankedPeak> {
-    use sa_linalg::matrix::vnorm;
+/// Rank candidate peaks (possibly off-grid) by Bartlett power on the
+/// analysed covariance, descending. Each candidate's steering vector is
+/// built into the caller's buffer, so ranking allocates only its output.
+fn rank_candidates(
+    cands: &[Peak],
+    ra: &CMat,
+    space: &ScanSpace,
+    steer_buf: &mut Vec<C64>,
+) -> Vec<RankedPeak> {
     let mut ranked: Vec<RankedPeak> = cands
         .iter()
         .map(|c| {
-            let az = space.azimuth_of_present(c.angle_deg);
-            let a = space.steering(az);
+            space.steering_into(space.azimuth_of_present(c.angle_deg), steer_buf);
             RankedPeak {
                 angle_deg: c.angle_deg,
                 music_value: c.value,
-                power: bartlett_power(ra, &a, vnorm(&a).powi(2)),
+                power: crate::beamform::bartlett_power(ra, steer_buf),
             }
         })
         .collect();
     ranked.sort_by(|a, b| b.power.total_cmp(&a.power));
     ranked
-}
-
-/// Normalised Bartlett quadratic form `a^H·R·a / ‖a‖²` — physical
-/// received power toward the direction `a` steers at.
-fn bartlett_power(ra: &CMat, a: &[C64], norm_sqr: f64) -> f64 {
-    use sa_linalg::complex::ZERO;
-    let m = ra.rows();
-    let mut quad = ZERO;
-    for i in 0..m {
-        let mut row = ZERO;
-        for (j, &aj) in a.iter().enumerate() {
-            row += ra[(i, j)] * aj;
-        }
-        quad += a[i].conj() * row;
-    }
-    (quad.re / norm_sqr.max(1e-30)).max(0.0)
 }
 
 #[cfg(test)]
@@ -807,6 +756,59 @@ mod tests {
                 );
                 let fresh = AoaEngine::new(&array, &cfg).estimate_cov(&r, x.cols());
                 assert_eq!(p, bits(&fresh), "seed {}: reuse vs fresh engine", seed);
+            }
+        }
+    }
+
+    #[test]
+    fn analysis_step_is_the_reference_pipeline() {
+        // The resolved analysis step against the step-by-step reference
+        // pipeline — mode space (`transform_cov`) for a virtual ULA, then
+        // the decorrelation (`forward_backward`, `smooth_fb` or none) —
+        // bit for bit, for every smoothing × circular variant on both
+        // array kinds, on a full-rank and a rank-one covariance.
+        use sa_sigproc::covariance::{forward_backward, smooth_fb};
+        use sa_sigproc::noise::cn_sample;
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for array in [Array::paper_octagon(), Array::paper_linear(8)] {
+            let m = array.len();
+            let cases = [2 * m, 1].map(|n| {
+                let x = CMat::from_fn(m, n, |_, _| cn_sample(&mut rng, 1.0));
+                x.matmul(&x.hermitian())
+            });
+            for smoothing in [
+                Smoothing::None,
+                Smoothing::ForwardBackward,
+                Smoothing::FbSpatial,
+            ] {
+                for circular in [CircularHandling::ModeSpace, CircularHandling::Physical] {
+                    let setup = ReferenceSetup {
+                        smoothing,
+                        circular,
+                        ..ReferenceSetup::default()
+                    };
+                    let engine = AoaEngine::reference(&array, &AoaConfig::default(), setup);
+                    let space = &engine.space;
+                    for r in &cases {
+                        let domain = match space.modespace() {
+                            Some(ms) => ms.transform_cov(r),
+                            None => r.clone(),
+                        };
+                        let want = match (space, smoothing) {
+                            (ScanSpace::Circular { .. }, _) | (_, Smoothing::None) => domain,
+                            (_, Smoothing::ForwardBackward) => forward_backward(&domain),
+                            (_, Smoothing::FbSpatial) => smooth_fb(&domain, space.len()),
+                        };
+                        assert_eq!(
+                            (engine.analyse)(r, space),
+                            want,
+                            "{:?} {:?} {:?}",
+                            array.kind(),
+                            smoothing,
+                            circular
+                        );
+                    }
+                }
             }
         }
     }

@@ -14,9 +14,8 @@
 //! * [`two_antenna`] — the paper's Equation 1 (and its multipath
 //!   breakdown);
 //! * [`source_count`] — AIC/MDL signal-subspace dimension estimation;
-//! * [`backends`] — the coarse-to-fine scan, the production
-//!   [`estimator::ScanBackend`]; the exhaustive grid scan in [`music`]
-//!   is the reference oracle, reached through [`AoaEngine::reference`];
+//! * [`backends`] — the coarse-to-fine production scan and the
+//!   exhaustive reference oracle (via [`AoaEngine::reference`]);
 //! * [`confidence`] — CRLB-weighted per-bearing confidence from the
 //!   eigenvalue-split SNR;
 //! * [`estimator`] — the end-to-end pipeline shared by the AP

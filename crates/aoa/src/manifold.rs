@@ -112,47 +112,26 @@ impl ScanSpace {
 
     /// Steering vector at azimuth `az` (radians, global frame).
     pub fn steering(&self, az: f64) -> Vec<C64> {
-        match self {
-            Self::Ula { array, used } => {
-                let mut s = array.steering(az);
-                s.truncate(*used);
-                s
-            }
-            Self::Circular { array } => array.steering(az),
-            Self::Virtual { modespace, used } => {
-                let mut s = modespace.steering(az);
-                s.truncate(*used);
-                s
-            }
-        }
+        let mut s = Vec::with_capacity(self.len());
+        self.steering_into(az, &mut s);
+        s
     }
 
     /// Evaluate the steering vector at azimuth `az` into a caller-owned
     /// buffer — the allocation-free form of [`ScanSpace::steering`].
     ///
-    /// The coarse-to-fine backend's refinement loop evaluates the
-    /// manifold at off-grid angles many times per peak; routing those
-    /// evaluations through a reused buffer keeps the per-packet hot path
-    /// allocation-free (the same discipline as `AoaEngine`'s covariance
-    /// scratch). Produces exactly the values of [`ScanSpace::steering`].
+    /// The refinement loop and the peak ranking evaluate the manifold
+    /// off-grid on every packet through one reused buffer. Produces
+    /// exactly the array's (or the mode space's) own steering vector,
+    /// truncated to the space's length.
     pub fn steering_into(&self, az: f64, out: &mut Vec<C64>) {
         out.clear();
         match self {
-            Self::Ula { array, used } => {
+            Self::Ula { array, .. } | Self::Circular { array } => {
                 let k = 2.0 * std::f64::consts::PI / array.wavelength();
                 let (ux, uy) = (az.cos(), az.sin());
                 out.extend(
-                    array.elements()[..*used]
-                        .iter()
-                        .map(|&(x, y)| C64::cis(k * (x * ux + y * uy))),
-                );
-            }
-            Self::Circular { array } => {
-                let k = 2.0 * std::f64::consts::PI / array.wavelength();
-                let (ux, uy) = (az.cos(), az.sin());
-                out.extend(
-                    array
-                        .elements()
+                    array.elements()[..self.len()]
                         .iter()
                         .map(|&(x, y)| C64::cis(k * (x * ux + y * uy))),
                 );
@@ -167,8 +146,7 @@ impl ScanSpace {
     /// Scan grid of azimuths (radians) in presentation order.
     pub fn grid(&self, step_deg: f64) -> Vec<f64> {
         match self {
-            Self::Ula { array, .. } => array.scan_grid(step_deg),
-            Self::Circular { array } => array.scan_grid(step_deg),
+            Self::Ula { array, .. } | Self::Circular { array } => array.scan_grid(step_deg),
             Self::Virtual { .. } => {
                 assert!(step_deg > 0.0);
                 let step = step_deg.to_radians();
@@ -225,13 +203,13 @@ impl ScanSpace {
         let dim = self.len();
         let mut steering = Vec::with_capacity(azimuths.len() * dim);
         let mut norm_sqr = Vec::with_capacity(azimuths.len());
+        let mut a = Vec::with_capacity(dim);
         for &az in &azimuths {
-            let a = self.steering(az);
+            self.steering_into(az, &mut a);
             norm_sqr.push(sa_linalg::matrix::vnorm(&a).powi(2));
             steering.extend_from_slice(&a);
         }
         SteeringTable {
-            azimuths,
             angles_deg,
             dim,
             steering,
@@ -241,7 +219,7 @@ impl ScanSpace {
     }
 }
 
-/// A precomputed scan grid: azimuths, presentation angles, steering
+/// A precomputed scan grid: presentation angles, steering
 /// vectors and their squared norms for one [`ScanSpace`] at one
 /// resolution. Built by [`ScanSpace::steering_table`] and shared across
 /// every packet of a batch. Steering vectors live in one contiguous
@@ -249,7 +227,6 @@ impl ScanSpace {
 /// instead of chasing a pointer per grid point.
 #[derive(Debug, Clone)]
 pub struct SteeringTable {
-    azimuths: Vec<f64>,
     angles_deg: Vec<f64>,
     /// Steering-vector length (scan-space dimension).
     dim: usize,
@@ -263,22 +240,17 @@ pub struct SteeringTable {
 impl SteeringTable {
     /// Number of grid points.
     pub fn len(&self) -> usize {
-        self.azimuths.len()
+        self.angles_deg.len()
     }
 
     /// True if the grid is empty (a degenerate `step_deg`).
     pub fn is_empty(&self) -> bool {
-        self.azimuths.is_empty()
+        self.angles_deg.is_empty()
     }
 
     /// Manifold dimension (length of each steering vector).
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Scan azimuths, radians, in presentation order.
-    pub fn azimuths(&self) -> &[f64] {
-        &self.azimuths
     }
 
     /// Presentation angles, degrees, ascending.
@@ -363,6 +335,10 @@ mod tests {
 
     #[test]
     fn steering_into_matches_steering_all_variants() {
+        // Each scan manifold against its reference definition, bit for
+        // bit: the array's own steering vector for physical spaces,
+        // `ModeSpace::steering` for the virtual ULA — truncated to
+        // `used` either way. `steering` is `steering_into` allocated.
         let spaces = [
             ScanSpace::physical(&Array::paper_linear(8)),
             ScanSpace::physical(&Array::paper_linear(8)).truncated(5),
@@ -374,19 +350,15 @@ mod tests {
         for space in &spaces {
             for i in 0..12 {
                 let az = -1.0 + 0.55 * i as f64;
-                let want = space.steering(az);
+                let mut want = match space {
+                    ScanSpace::Ula { array, .. } | ScanSpace::Circular { array } => {
+                        array.steering(az)
+                    }
+                    ScanSpace::Virtual { modespace, .. } => modespace.steering(az),
+                };
+                want.truncate(space.len());
                 space.steering_into(az, &mut buf);
-                assert_eq!(buf.len(), want.len());
-                for (a, b) in buf.iter().zip(&want) {
-                    assert!(
-                        a.approx_eq(*b, 0.0),
-                        "{:?} az {}: {:?} vs {:?}",
-                        space,
-                        az,
-                        a,
-                        b
-                    );
-                }
+                assert_eq!(buf, want, "{:?} az {}", space, az);
             }
         }
     }

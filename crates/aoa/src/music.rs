@@ -34,21 +34,11 @@ pub fn music_spectrum(
     step_deg: f64,
 ) -> Pseudospectrum {
     let eig = sa_linalg::eigen::eigh(r);
-    music_spectrum_from_eig(&eig, space, n_sources, step_deg)
+    music_spectrum_from_table(&eig, &space.steering_table(step_deg), n_sources)
 }
 
-/// [`music_spectrum`] when the eigendecomposition is already available
-/// (the estimator reuses it for source counting).
-pub fn music_spectrum_from_eig(
-    eig: &EigH,
-    space: &ScanSpace,
-    n_sources: usize,
-    step_deg: f64,
-) -> Pseudospectrum {
-    music_spectrum_from_table(eig, &space.steering_table(step_deg), n_sources)
-}
-
-/// [`music_spectrum_from_eig`] against a precomputed [`SteeringTable`] —
+/// [`music_spectrum`] from an eigendecomposition against a precomputed
+/// [`SteeringTable`] —
 /// the batched hot path. The table amortises the manifold evaluation
 /// (grid, steering vectors, norms) across every packet that shares an
 /// array and scan configuration; only the noise-subspace projections

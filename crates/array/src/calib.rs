@@ -101,6 +101,30 @@ impl Calibration {
         }
     }
 
+    /// Calibrate a covariance in place: `R ← D·R·Dᴴ` with
+    /// `D = diag(corrections)`, the covariance of the window
+    /// [`Calibration::apply`] would produce. Reads the upper triangle and
+    /// the real diagonal of the Hermitian `R` and writes the result
+    /// exactly Hermitian (lower triangle mirrored, diagonal real).
+    pub fn apply_cov(&self, r: &mut CMat) {
+        let c = &self.corrections;
+        assert!(
+            r.rows() == c.len() && r.cols() == c.len(),
+            "Calibration::apply_cov: {}x{} covariance for {} corrections",
+            r.rows(),
+            r.cols(),
+            c.len()
+        );
+        for i in 0..c.len() {
+            r[(i, i)] = C64::new(c[i].norm_sqr() * r[(i, i)].re, 0.0);
+            for j in i + 1..c.len() {
+                let v = c[i] * r[(i, j)] * c[j].conj();
+                r[(i, j)] = v;
+                r[(j, i)] = v.conj();
+            }
+        }
+    }
+
     /// Truncate to the first `k` chains (Fig-7 antenna-count experiment).
     pub fn truncated(&self, k: usize) -> Self {
         assert!(k >= 1 && k <= self.len());
@@ -234,6 +258,31 @@ mod tests {
         // corrected gain = |correction| * chain gain == chain0 gain (1.0)
         for (c, ch) in cal.corrections().iter().zip(fe.chains()) {
             assert!((c.abs() * ch.gain - 1.0).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn apply_cov_is_the_covariance_of_the_calibrated_window() {
+        // D·R·Dᴴ against the covariance of the window `apply` corrects,
+        // for a measured (phase and gain) calibration.
+        use sa_sigproc::covariance::sample_covariance;
+        let fe = skewed_front_end(0.01);
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let cal = Calibration::from_tone_capture(&fe.receive_calibration_tone(256, 1.0, &mut rng));
+        let x = CMat::from_fn(4, 96, |i, t| {
+            C64::cis(0.37 * (i * t) as f64 + 0.2 * t as f64).scale(1.0 + i as f64)
+        });
+        let mut corrected = x.clone();
+        cal.apply(&mut corrected);
+        let want = sample_covariance(&corrected);
+        let mut got = sample_covariance(&x);
+        cal.apply_cov(&mut got);
+        assert!(got.approx_eq(&want, 1e-12 * want.fro_norm()));
+        for i in 0..4 {
+            assert_eq!(got[(i, i)].im, 0.0);
+            for j in 0..i {
+                assert_eq!(got[(i, j)], got[(j, i)].conj());
+            }
         }
     }
 

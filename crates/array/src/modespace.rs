@@ -92,25 +92,15 @@ impl ModeSpace {
     }
 
     /// Transform a physical covariance: `R_v = T·R·T^H`.
-    pub fn transform_cov(&self, r: &CMat) -> CMat {
-        let mut tmp = CMat::default();
-        let mut out = CMat::default();
-        self.transform_cov_into(r, &mut tmp, &mut out);
-        out
-    }
-
-    /// [`ModeSpace::transform_cov`] through caller-provided scratch and
-    /// output matrices, reusing both allocations — the per-packet hot
-    /// path of `sa_aoa::estimator::AoaEngine`.
     ///
     /// For Hermitian `R` the result is Hermitian, so only the upper
     /// triangle of the second product is computed and the lower is
     /// mirrored (making the output *exactly* Hermitian instead of
     /// Hermitian-to-round-off).
-    pub fn transform_cov_into(&self, r: &CMat, tmp: &mut CMat, out: &mut CMat) {
-        self.t.matmul_into(r, tmp);
+    pub fn transform_cov(&self, r: &CMat) -> CMat {
+        let tmp = self.t.matmul(r);
         let v = self.virtual_len();
-        out.reset_zero(v, v);
+        let mut out = CMat::zeros(v, v);
         for i in 0..v {
             for k in 0..tmp.cols() {
                 let a = tmp[(i, k)];
@@ -123,6 +113,7 @@ impl ModeSpace {
                 out[(j, i)] = out[(i, j)].conj();
             }
         }
+        out
     }
 
     /// Virtual-array steering vector: `v_m(φ) = e^{jmφ}`, `m = −h..h`.

@@ -1,8 +1,8 @@
 //! Microbenches for the AoA estimators: MUSIC vs the Bartlett/Capon
 //! baselines, the smoothing and scan variants of the reference engine,
-//! the mode-space transform, source counting and peak extraction — the
-//! ablation dimensions of experiment E8 measured in time rather than
-//! accuracy.
+//! the mode-space transform and the whole per-packet analysis step,
+//! source counting and peak extraction — the ablation dimensions of
+//! experiment E8 measured in time rather than accuracy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sa_aoa::beamform::{bartlett_spectrum, capon_spectrum};
@@ -82,6 +82,16 @@ fn bench_modespace_transform(c: &mut Criterion) {
     c.bench_function("modespace_build", |b| {
         b.iter(|| ModeSpace::for_array(&array))
     });
+    // The production analysis step `AoaEngine` runs per packet: mode
+    // space, then FB + spatial smoothing to the engine's scan aperture.
+    let sub_len = AoaEngine::new(&array, &AoaConfig::default())
+        .scan_space()
+        .len();
+    let mut group = c.benchmark_group("aoa_analysis");
+    group.bench_function("apply_octagon", |b| {
+        b.iter(|| smooth_fb(&ms.transform_cov(&r), sub_len))
+    });
+    group.finish();
 }
 
 /// The estimator-layer amortisation: a fresh [`AoaEngine`] per call

@@ -5,9 +5,11 @@
 //! 1. **Packet detection + decode** on the reference chain (Schmidl–Cox
 //!    → CFO → OFDM receive), recovering the MAC frame and the packet's
 //!    sample extent;
-//! 2. **Calibration** — apply the stored per-chain corrections (§2.2);
-//! 3. **Correlation** — "compute the correlation matrix to obtain mean
+//! 2. **Correlation** — "compute the correlation matrix to obtain mean
 //!    phase differences with each entire packet" (§3);
+//! 3. **Calibration** — apply the stored per-chain corrections (§2.2)
+//!    to that matrix as `D·R·Dᴴ`, the correlation of the corrected
+//!    samples;
 //! 4. **AoA estimation** — the configured MUSIC pipeline from `sa-aoa`;
 //! 5. **Signature** + per-frame RSS;
 //! 6. **Enforcement** — ACL, then signature check against the trained
@@ -417,47 +419,6 @@ impl AccessPoint {
         decode_reference(buffer, self.cfg.modulation)
     }
 
-    /// Stage 5: signature, bearing and RSS from a *calibrated* window and
-    /// its AoA estimate. The signature is the pseudospectrum (paper
-    /// §2.1) on the production scan's fixed coarse grid (60 bins at the
-    /// 1° default); the scalar bearing is the power-ranked peak (see
-    /// `AoaEstimate::bearing_deg`), which is what keeps the direct path
-    /// on top "most of the time" (paper §3.1).
-    fn assemble_observation(
-        &self,
-        window: &CMat,
-        frame: Option<Frame>,
-        start: usize,
-        cfo: f64,
-        estimate: AoaEstimate,
-    ) -> Observation {
-        let signature = AoaSignature::from_spectrum(&estimate.spectrum);
-        let bearing_deg = estimate.bearing_deg();
-        let global_azimuth = match self.cfg.array.kind() {
-            ArrayKind::Circular => Some(
-                (bearing_deg.to_radians() + self.cfg.orientation)
-                    .rem_euclid(2.0 * std::f64::consts::PI),
-            ),
-            ArrayKind::Linear => None,
-        };
-        let mean_pow = (0..window.rows())
-            .map(|m| sa_sigproc::iq::mean_power(window.row_view(m)))
-            .sum::<f64>()
-            / window.rows() as f64;
-
-        Observation {
-            signature,
-            bearing_deg,
-            global_azimuth,
-            rss_db: to_db(mean_pow.max(1e-300)),
-            frame,
-            start,
-            extent: window.cols(),
-            cfo,
-            estimate,
-        }
-    }
-
     /// Process one multi-antenna capture (rows = antennas) into an
     /// [`Observation`].
     ///
@@ -562,10 +523,10 @@ struct StagedPacket {
 }
 
 /// The batched ingest path: accumulate decoded packets, then run
-/// calibration → covariance → MUSIC over all of them in one pass.
+/// covariance → calibration → MUSIC over all of them in one pass.
 ///
-/// The AoA estimation setup — the mode-space transform, the scan
-/// manifold with its full grid of steering vectors, and the eigensolver
+/// The AoA estimation setup — the resolved analysis step, the scan manifold
+/// with its full grid of steering vectors, and the eigensolver
 /// buffers — is built once per batch (via
 /// [`sa_aoa::estimator::AoaEngine`]) and reused, along with a recycled
 /// covariance buffer, for every staged packet. Observations do not
@@ -677,30 +638,46 @@ impl PacketBatch<'_> {
         self.staged.is_empty()
     }
 
-    /// Run calibration, covariance and AoA estimation over every staged
+    /// Run covariance, calibration and AoA estimation over every staged
     /// packet in one pass, draining the batch. Observations come back in
     /// staging order. The engine (and its buffers) survive, so the batch
     /// can be refilled and processed again.
     pub fn process(&mut self) -> Vec<Observation> {
+        let cfg = &self.ap.cfg;
         let mut out = Vec::with_capacity(self.staged.len());
         for staged in std::mem::take(&mut self.staged) {
-            let StagedPacket {
-                mut window,
-                frame,
-                start,
-                cfo,
-            } = staged;
-            // 2b. Calibrate (per-chain corrections, §2.2).
-            self.ap.calibration.apply(&mut window);
-            // 3–4. Covariance of the staged window into the recycled
-            // buffer, then AoA through the shared engine.
-            sample_covariance_into(&window, &mut self.cov);
-            let estimate = self.engine.estimate_cov(&self.cov, window.cols());
-            // 5. Signature + RSS.
-            out.push(
-                self.ap
-                    .assemble_observation(&window, frame, start, cfo, estimate),
-            );
+            // 2–3. Covariance of the raw staged window into the recycled
+            // buffer — the one pass over its samples — calibrated as
+            // D·R·Dᴴ (per-chain corrections, §2.2).
+            let extent = staged.window.cols();
+            sample_covariance_into(&staged.window, &mut self.cov);
+            self.ap.calibration.apply_cov(&mut self.cov);
+            // 4. AoA through the shared engine.
+            let estimate = self.engine.estimate_cov(&self.cov, extent);
+            // 5. Signature: the pseudospectrum (§2.1) on the scan's fixed
+            // coarse grid. Bearing: the power-ranked peak, which keeps the
+            // direct path on top "most of the time" (§3.1). RSS: the mean
+            // per-chain power, trace(R)/M.
+            let bearing_deg = estimate.bearing_deg();
+            let global_azimuth = match cfg.array.kind() {
+                ArrayKind::Circular => Some(
+                    (bearing_deg.to_radians() + cfg.orientation)
+                        .rem_euclid(2.0 * std::f64::consts::PI),
+                ),
+                ArrayKind::Linear => None,
+            };
+            let mean_pow = self.cov.trace().re / self.cov.rows() as f64;
+            out.push(Observation {
+                signature: AoaSignature::from_spectrum(&estimate.spectrum),
+                bearing_deg,
+                global_azimuth,
+                rss_db: to_db(mean_pow.max(1e-300)),
+                frame: staged.frame,
+                start: staged.start,
+                extent,
+                cfo: staged.cfo,
+                estimate,
+            });
         }
         out
     }
@@ -1055,6 +1032,39 @@ mod tests {
             assert_eq!(b.estimate.spectrum, single.estimate.spectrum);
             assert_eq!(b.estimate.eigenvalues, single.estimate.eigenvalues);
         }
+    }
+
+    #[test]
+    fn rss_from_the_trace_is_the_mean_row_power_of_the_calibrated_window() {
+        // `rss_db` comes from trace(R)/M of the calibrated covariance;
+        // it must be the per-chain mean power of the calibrated window.
+        let plan = room();
+        let mut ap = make_ap();
+        let pos = pt(4.0, 3.0);
+        let fe = quiet_front_end(&ap, rx_power_at(&ap, &plan, pos), 25.0, 60);
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        ap.calibrate(&fe, &mut rng);
+        let frame = Frame::data(
+            MacAddr::local_from_index(1),
+            MacAddr::BROADCAST,
+            MacAddr::local_from_index(0),
+            1,
+            b"rss",
+        );
+        let buf = capture(&ap, &plan, pos, &frame, &fe, 62);
+        let obs = ap.observe(&buf).expect("packet");
+        let mut window = CMat::from_fn(buf.rows(), obs.extent, |m, t| buf[(m, obs.start + t)]);
+        ap.calibration().apply(&mut window);
+        let mean_pow = (0..window.rows())
+            .map(|m| sa_sigproc::iq::mean_power(window.row_view(m)))
+            .sum::<f64>()
+            / window.rows() as f64;
+        assert!(
+            (obs.rss_db - to_db(mean_pow)).abs() < 1e-9,
+            "{} dB vs {} dB",
+            obs.rss_db,
+            to_db(mean_pow)
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   **once** per client transmission — the frame is the same at every
 //!   AP — and fans the per-AP captures plus the shared
 //!   [`secureangle::DecodedPacket`] out over bounded MPSC channels.
-//!   Workers run only the per-AP DSP (calibrate → covariance → MUSIC →
+//!   Workers run only the per-AP DSP (covariance → calibrate → MUSIC →
 //!   signature → enforcement), so aggregate packet throughput scales
 //!   with AP count instead of re-paying the decode N times.
 //! * Per-AP `(mac, azimuth, confidence, seq)` bearing reports flow back

@@ -217,21 +217,12 @@ impl CMat {
 
     /// Matrix product `self * rhs`. Panics on dimension mismatch.
     pub fn matmul(&self, rhs: &Self) -> Self {
-        let mut out = Self::default();
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`CMat::matmul`] written into a caller-provided matrix, reusing
-    /// its allocation (identical results — same accumulation order).
-    /// Panics on dimension mismatch.
-    pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, rhs.rows,
             "CMat::matmul: inner dimensions {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        out.reset_zero(self.rows, rhs.cols);
+        let mut out = Self::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self[(i, k)];
@@ -243,6 +234,7 @@ impl CMat {
                 }
             }
         }
+        out
     }
 
     /// Matrix–vector product `self * v`.

@@ -78,21 +78,12 @@ pub fn sample_covariance_into(x: &Snapshots, out: &mut CMat) {
 /// coherent paths (doubles the effective source rank, up to the manifold
 /// limit).
 pub fn forward_backward(r: &CMat) -> CMat {
-    let mut out = CMat::default();
-    forward_backward_into(r, &mut out);
-    out
-}
-
-/// [`forward_backward`] written into a caller-provided matrix, reusing
-/// its allocation and skipping the intermediate reflected matrix
-/// (identical results: same per-element operations).
-pub fn forward_backward_into(r: &CMat, out: &mut CMat) {
     assert!(r.is_square(), "forward_backward: square matrix required");
     let n = r.rows();
     // (J·R*·J)[i, j] = conj(R[n−1−i, n−1−j])
-    out.reset_from_fn(n, n, |i, j| {
+    CMat::from_fn(n, n, |i, j| {
         (r[(i, j)] + r[(n - 1 - i, n - 1 - j)].conj()).scale(0.5)
-    });
+    })
 }
 
 /// Spatial smoothing: average the `K = M − L + 1` covariances of
@@ -123,21 +114,15 @@ pub fn spatial_smooth(r: &CMat, sub_len: usize) -> CMat {
 
 /// Forward–backward averaging followed by spatial smoothing — the default
 /// decorrelation pipeline for linear (and virtual-linear) arrays.
-pub fn smooth_fb(r: &CMat, sub_len: usize) -> CMat {
-    let mut out = CMat::default();
-    smooth_fb_into(r, sub_len, &mut out);
-    out
-}
-
-/// [`smooth_fb`] fused into one traversal and written into a
-/// caller-provided matrix: the forward–backward average and the subarray
-/// sum are combined per element, so neither the FB matrix nor any
-/// per-subarray intermediate is ever materialised. Bit-identical to
+///
+/// One traversal: the forward–backward average and the subarray sum are
+/// combined per element, so neither the FB matrix nor any per-subarray
+/// intermediate is materialised. Bit-identical to
 /// `spatial_smooth(&forward_backward(r), sub_len)` — the `×0.5` scaling
 /// is exact and the accumulation order is unchanged — which the
 /// `smoothing_fused_matches_two_pass` test pins. Panics on the same
 /// conditions as the two-pass pipeline.
-pub fn smooth_fb_into(r: &CMat, sub_len: usize, out: &mut CMat) {
+pub fn smooth_fb(r: &CMat, sub_len: usize) -> CMat {
     assert!(r.is_square(), "forward_backward: square matrix required");
     let m = r.rows();
     assert!(
@@ -147,7 +132,7 @@ pub fn smooth_fb_into(r: &CMat, sub_len: usize, out: &mut CMat) {
         m
     );
     let k = m - sub_len + 1;
-    out.reset_zero(sub_len, sub_len);
+    let mut out = CMat::zeros(sub_len, sub_len);
     for s in 0..k {
         for i in 0..sub_len {
             for j in 0..sub_len {
@@ -163,6 +148,7 @@ pub fn smooth_fb_into(r: &CMat, sub_len: usize, out: &mut CMat) {
             out[(i, j)] = out[(i, j)].scale(0.5).scale(inv_k);
         }
     }
+    out
 }
 
 /// Effective numerical rank: number of eigenvalues above
@@ -327,8 +313,8 @@ mod tests {
 
     #[test]
     fn smoothing_fused_matches_two_pass() {
-        // The fused single-traversal smooth_fb_into must be bit-identical
-        // to the textbook two-pass pipeline it replaced.
+        // The single-traversal smooth_fb must be bit-identical to the
+        // textbook two-pass pipeline it replaced.
         let m = 8;
         let x = CMat::from_fn(m, 200, |i, t| {
             c64(((3 * i + 2 * t) as f64).sin(), ((i * t) as f64 * 0.7).cos())
