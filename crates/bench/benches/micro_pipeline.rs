@@ -1,7 +1,9 @@
 //! Microbenches for the packet-facing pipeline stages: Schmidl–Cox
 //! scanning of a WARP-sized buffer, OFDM encode/decode, MAC framing,
-//! calibration, the channel simulator itself, and the headline
-//! batched-vs-single AP ingest comparison (`ap_pipeline`).
+//! calibration, the channel simulator itself, the headline
+//! batched-vs-single AP ingest comparison (`ap_pipeline`), and the two
+//! ingest hot loops — stage-1 decode and the staging gather — on
+//! captures read from memory (`*_cold`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
@@ -66,6 +68,74 @@ fn bench_ofdm_roundtrip(c: &mut Criterion) {
     group.bench_function("decode_1024B_qpsk_office", |b| {
         b.iter(|| rx.decode(&buf).expect("decode"))
     });
+    // The same capture as fleetbench meets it: one of a ring of copies
+    // too large to stay cached, so every decode reads its row from
+    // memory.
+    let ring = cold_ring(&[buf], |b| std::mem::size_of_val(&b[..]));
+    let mut next = 0;
+    group.bench_function("decode_1024B_qpsk_office_cold", |b| {
+        b.iter(|| {
+            next = (next + 1) % ring.len();
+            rx.decode(&ring[next]).expect("decode")
+        })
+    });
+    group.finish();
+}
+
+/// Bytes of captures a cold-cache row cycles through. fleetbench cycles
+/// 90–250 MB of pre-generated inputs, so its captures come from memory;
+/// every other row here re-reads one capture that stays in cache.
+const COLD_RING_BYTES: usize = 64 << 20;
+
+/// Copies of `distinct`, in turn, until they fill [`COLD_RING_BYTES`].
+fn cold_ring<T: Clone>(distinct: &[T], bytes: impl Fn(&T) -> usize) -> Vec<T> {
+    let each = distinct.iter().map(&bytes).min().expect("captures").max(1);
+    let n = COLD_RING_BYTES.div_ceil(each).max(distinct.len());
+    (0..n)
+        .map(|i| distinct[i % distinct.len()].clone())
+        .collect()
+}
+
+/// `PacketBatch::push_predecoded` as fleetbench's deployments run it
+/// (`snapshot_cap` 128), one capture per iteration from a cold ring:
+/// office's 1024-B frames (a wide stride) and campus's 64-B frames (a
+/// narrow one). The push is the gather of the 8×128 window out of a
+/// capture the AP has not touched since its decode.
+fn bench_push_predecoded_cold(c: &mut Criterion) {
+    use sa_testbed::Testbed;
+    let mut group = c.benchmark_group("pipeline");
+    for (label, mut tb) in [
+        ("office", Testbed::deployment(4, 1)),
+        ("campus", Testbed::campus_with(200, 4, 1)),
+    ] {
+        tb.cfg.payload_len = if label == "office" { 1024 } else { 64 };
+        let ap = &tb.nodes[0].ap;
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let captures: Vec<(sa_linalg::CMat, secureangle::pipeline::DecodedPacket)> = tb
+            .office
+            .clients
+            .iter()
+            .take(8)
+            .map(|client| {
+                let buf = tb.client_capture(0, client.id, 1, 0.0, &mut rng);
+                let decoded = ap.decode_capture(&buf).expect("decoded packet");
+                (buf, decoded)
+            })
+            .collect();
+        let ring = cold_ring(&captures, |(buf, _)| std::mem::size_of_val(buf.data()));
+        let mut engine = Some(ap.batch().into_engine());
+        let mut next = 0;
+        group.bench_function(format!("push_predecoded_cold_{label}"), |b| {
+            b.iter(|| {
+                next = (next + 1) % ring.len();
+                let (buf, decoded) = &ring[next];
+                let mut batch = ap.batch_with_engine(engine.take().expect("engine"));
+                batch.set_snapshot_cap(128);
+                batch.push_predecoded(buf, decoded).expect("staged packet");
+                engine = Some(batch.into_engine());
+            })
+        });
+    }
     group.finish();
 }
 
@@ -193,6 +263,7 @@ criterion_group!(
     bench_mac_framing,
     bench_calibration,
     bench_channel_simulation,
-    bench_ap_batched_vs_single
+    bench_ap_batched_vs_single,
+    bench_push_predecoded_cold
 );
 criterion_main!(benches);

@@ -582,15 +582,23 @@ impl PacketBatch<'_> {
         } else {
             1
         };
+        // Snapshot-major: all rows of snapshot `t`, then `t + 1`. The
+        // capture is usually cold, and the rows' interleaved loads miss
+        // in parallel where one strided row at a time would miss in turn.
         // `x · 0` is ±0 for a finite `x` and NaN for NaN or ±∞, so
-        // `poison` stays 0 only if every gathered sample is finite: a
-        // branch-free `is_finite` that keeps pace with the strided loads.
+        // `poison` stays 0 only if every gathered sample is finite, in
+        // any order: a branch-free `is_finite` that keeps pace with the
+        // strided loads.
+        let rows = buffer.rows();
+        let mut window = CMat::zeros(rows, len.div_ceil(stride));
         let mut poison = 0.0;
-        let window = CMat::from_fn(buffer.rows(), len.div_ceil(stride), |m, t| {
-            let z = buffer[(m, start + t * stride)];
-            poison += z.re * 0.0 + z.im * 0.0;
-            z
-        });
+        for t in 0..window.cols() {
+            for m in 0..rows {
+                let z = buffer[(m, start + t * stride)];
+                poison += z.re * 0.0 + z.im * 0.0;
+                window[(m, t)] = z;
+            }
+        }
         if poison != 0.0 {
             return Err(ObserveError::BadBuffer);
         }
@@ -686,6 +694,7 @@ impl PacketBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sa_aoa::pseudospectrum::angle_diff_deg;
@@ -1212,6 +1221,87 @@ mod tests {
             assert_eq!(capped.signature, plain.signature, "cap {cap}");
             assert_eq!(capped.rss_db, plain.rss_db, "cap {cap}");
             assert_eq!(capped.start, d.start);
+        }
+    }
+
+    /// The gather before it went snapshot-major: `CMat::from_fn`, row
+    /// by row.
+    fn row_major_gather(buffer: &CMat, start: usize, len: usize, stride: usize) -> CMat {
+        CMat::from_fn(buffer.rows(), len.div_ceil(stride), |m, t| {
+            buffer[(m, start + t * stride)]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn snapshot_major_gather_stages_the_row_major_window(
+            rows in 2usize..=16,
+            cols in 1usize..=600,
+            start_frac in 0.0f64..1.0,
+            pkt_len in 1usize..=700,
+            seed in any::<u64>(),
+            pick in any::<u64>(),
+            poison in prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+            ],
+        ) {
+            let cfg = ApConfig {
+                array: Array::paper_linear(rows),
+                ..ApConfig::paper_prototype(pt(0.0, 0.0))
+            };
+            let ap = AccessPoint::new(cfg, AccessControlList::new(AclPolicy::AllowListed));
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let buf = CMat::from_fn(rows, cols, |_, _| sa_sigproc::noise::cn_sample(&mut rng, 1.0));
+            let start = ((cols as f64 * start_frac) as usize).min(cols - 1);
+            let d = DecodedPacket { frame: None, start, cfo: 0.0, pkt_len };
+            let len = pkt_len.min(cols - start);
+            let plant = |col: usize| {
+                let mut bad = buf.clone();
+                let z = &mut bad[((pick >> 32) as usize % rows, col)];
+                if pick & 1 == 0 {
+                    z.re = poison;
+                } else {
+                    z.im = poison;
+                }
+                bad
+            };
+            let mut batch = ap.batch();
+            for cap in [0, 1, 97, 128, len, len + 5] {
+                batch.set_snapshot_cap(cap);
+                prop_assert_eq!(batch.push_predecoded(&buf, &d), Ok(()));
+                let stride = if cap > 0 { len.div_ceil(cap) } else { 1 };
+                let want = row_major_gather(&buf, start, len, stride);
+                let got = &batch.staged.last().expect("staged").window;
+                prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                let bits = |w: &CMat| -> Vec<(u64, u64)> {
+                    w.data().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(got), bits(&want), "cap {}", cap);
+
+                // A bad sample the gather reads is caught; one it skips
+                // (between strided snapshots or outside the extent) is not.
+                let gathered = start + (pick as usize >> 1) % want.cols() * stride;
+                prop_assert_eq!(
+                    batch.push_predecoded(&plant(gathered), &d),
+                    Err(ObserveError::BadBuffer),
+                    "cap {}, column {}", cap, gathered
+                );
+                let skipped: Vec<usize> = (0..cols)
+                    .filter(|&c| c < start || c >= start + len || !(c - start).is_multiple_of(stride))
+                    .collect();
+                if !skipped.is_empty() {
+                    let col = skipped[(pick as usize >> 1) % skipped.len()];
+                    prop_assert_eq!(
+                        batch.push_predecoded(&plant(col), &d),
+                        Ok(()),
+                        "cap {}, column {}", cap, col
+                    );
+                }
+            }
         }
     }
 

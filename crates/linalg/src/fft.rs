@@ -6,9 +6,10 @@
 //! on a `[C64; 64]`. The bit-reversal permutation is a `const` table and
 //! every butterfly's twiddle factor sits in one static, stage-packed
 //! table built on first use, so the hot loop is pure multiply-add with no
-//! trigonometry. The naive `O(n²)` DFT is kept (non-`cfg(test)`, it also
-//! takes any length) as the reference the tests and the property suite
-//! compare against.
+//! trigonometry. Each of the six stages is its own const-generic
+//! function, so the compiler unrolls it with every index known. The
+//! naive `O(n²)` DFT is kept (non-`cfg(test)`, it also takes any length)
+//! as the reference the tests and the property suite compare against.
 //!
 //! Convention: `fft64` computes `X[k] = Σ_n x[n]·e^{−j2πkn/64}` (no
 //! scaling); `ifft64` applies the `1/64` factor so `ifft64(fft64(x)) == x`.
@@ -82,25 +83,31 @@ fn butterflies(x: &mut [C64; FFT_LEN], tw: &[C64; FFT_LEN - 1]) {
             x.swap(i, j);
         }
     }
-    // Each stage walks its `len`-blocks as (low, high) half pairs zipped
-    // with the stage's twiddles, so the inner loop carries no index
-    // arithmetic or bounds checks.
-    let mut len = 2;
-    let mut base = 0;
-    while len <= FFT_LEN {
-        let half = len / 2;
-        let stage = &tw[base..base + half];
-        for block in x.chunks_exact_mut(len) {
-            let (lo, hi) = block.split_at_mut(half);
-            for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                let u = *a;
-                let v = *b * *w;
-                *a = u + v;
-                *b = u - v;
-            }
+    stage::<1>(x, tw);
+    stage::<2>(x, tw);
+    stage::<4>(x, tw);
+    stage::<8>(x, tw);
+    stage::<16>(x, tw);
+    stage::<32>(x, tw);
+}
+
+/// One radix-2 stage of span `2·HALF`: every `2·HALF`-block's (low,
+/// high) half pairs zipped with the stage's `HALF` twiddles, which sit at
+/// `HALF − 1` in the packed table (the earlier stages hold `1 + 2 + … +
+/// HALF/2` entries). With the span a constant the compiler unrolls the
+/// stage completely; the butterflies and their order are the same as a
+/// loop over the spans.
+#[inline(always)]
+fn stage<const HALF: usize>(x: &mut [C64; FFT_LEN], tw: &[C64; FFT_LEN - 1]) {
+    let w = &tw[HALF - 1..2 * HALF - 1];
+    for block in x.chunks_exact_mut(2 * HALF) {
+        let (lo, hi) = block.split_at_mut(HALF);
+        for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
+            let u = *a;
+            let v = *b * *w;
+            *a = u + v;
+            *b = u - v;
         }
-        base += half;
-        len <<= 1;
     }
 }
 
@@ -290,6 +297,78 @@ mod tests {
                 }
                 assert_eq!(bits(&old), bits(&new), "inverse={}", inverse);
             }
+        }
+    }
+
+    /// The butterflies as one loop over the spans, before each stage
+    /// became its own unrolled function: the same table, the same
+    /// butterflies, the same order.
+    fn stage_loop_butterflies(x: &mut [C64; FFT_LEN], tw: &[C64; FFT_LEN - 1]) {
+        for (i, &j) in BITREV.iter().enumerate() {
+            let j = j as usize;
+            if j > i {
+                x.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        let mut base = 0;
+        while len <= FFT_LEN {
+            let half = len / 2;
+            let stage = &tw[base..base + half];
+            for block in x.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let u = *a;
+                    let v = *b * *w;
+                    *a = u + v;
+                    *b = u - v;
+                }
+            }
+            base += half;
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn unrolled_stages_match_the_stage_loop_bitwise() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Uniform values, signed zeros, subnormals and values near 1e300.
+        let special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300];
+        let mut value = || {
+            let r = next();
+            let u = (r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+            match r % 4 {
+                0 => special[(r >> 2) as usize % special.len()],
+                1 => u * 1e300,
+                2 => u * 1e-310,
+                _ => u,
+            }
+        };
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for _ in 0..256 {
+            let x: [C64; FFT_LEN] = std::array::from_fn(|_| c64(value(), value()));
+            let mut old = x;
+            stage_loop_butterflies(&mut old, &TWIDDLES[0]);
+            let mut new = x;
+            fft64(&mut new);
+            assert_eq!(bits(&old), bits(&new), "forward");
+
+            let mut old = x;
+            stage_loop_butterflies(&mut old, &TWIDDLES[1]);
+            for z in old.iter_mut() {
+                *z = z.scale(1.0 / FFT_LEN as f64);
+            }
+            let mut new = x;
+            ifft64(&mut new);
+            assert_eq!(bits(&old), bits(&new), "inverse");
         }
     }
 

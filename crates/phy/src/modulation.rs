@@ -77,6 +77,7 @@ impl Modulation {
     /// This is the one decision rule: [`Modulation::demap`] unpacks it,
     /// and the receiver writes the bits straight into its payload bytes
     /// and measures EVM against the point without re-mapping.
+    #[inline]
     pub fn slice(&self, z: C64) -> (u8, C64) {
         match self {
             Modulation::Bpsk => {
@@ -87,11 +88,17 @@ impl Modulation {
                 }
             }
             Modulation::Qpsk => {
-                let s = std::f64::consts::FRAC_1_SQRT_2;
-                let axis = |v: f64| if v >= 0.0 { (1, s) } else { (0, -s) };
-                let (bi, i) = axis(z.re);
-                let (bq, q) = axis(z.im);
-                ((bi << 1) | bq, c64(i, q))
+                // Each axis's bit indexes its level: a select, no branch.
+                const LEVEL: [f64; 2] = [
+                    -std::f64::consts::FRAC_1_SQRT_2,
+                    std::f64::consts::FRAC_1_SQRT_2,
+                ];
+                let bi = u8::from(z.re >= 0.0);
+                let bq = u8::from(z.im >= 0.0);
+                (
+                    (bi << 1) | bq,
+                    c64(LEVEL[usize::from(bi)], LEVEL[usize::from(bq)]),
+                )
             }
             Modulation::Qam16 => {
                 // Gray per axis: 00→−3, 01→−1, 11→+1, 10→+3; scale 1/√10.

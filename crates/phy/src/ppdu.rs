@@ -20,6 +20,9 @@
 //!   rotating everything). Each 64-sample FFT window (the LTF and every
 //!   data symbol) gets a per-window anchor `e^{−jφn₀}` times a
 //!   per-packet table `e^{−jφk}`, one `cis` per window instead of 64.
+//! - **Fine timing** computes each span sample's `|r|²` once and scores
+//!   the lags four at a time on independent sums, each lag in the same
+//!   sample order as a one-lag loop, so `start` is bit-for-bit the same.
 //! - **Equalisation** multiplies by a per-packet `1/h` table (the same
 //!   arithmetic as dividing by `h`) over static pilot and data bin
 //!   tables ([`PILOT_BINS`], [`DATA_BINS`]).
@@ -207,20 +210,7 @@ impl Receiver {
         for (i, (o, &z)) in span.iter_mut().zip(&buffer[lo..]).enumerate() {
             *o = z * C64::cis(phi * (lo + i) as f64);
         }
-        let mut best = (lo, f64::NEG_INFINITY);
-        for (p, win) in (lo..=hi).zip(span.windows(pre.len())) {
-            let mut acc = ZERO;
-            let mut energy = 1e-30;
-            for (&pi, &r) in pre.iter().zip(win) {
-                acc += pi.conj() * r;
-                energy += r.norm_sqr();
-            }
-            let score = acc.norm_sqr() / energy;
-            if score > best.1 {
-                best = (p, score);
-            }
-        }
-        let start = best.0;
+        let start = lo + fine_timing(span, pre);
 
         // An FFT window starting at n₀ is rotated by cis(phi·n₀)·cis(phi·k):
         // one anchor phasor per window times this per-packet table.
@@ -336,6 +326,65 @@ impl Receiver {
             evm_db,
         })
     }
+}
+
+/// Lags the matched filter scores at once, each on its own accumulators.
+const LAG_BLOCK: usize = 4;
+
+/// Matched-filter fine timing: the lag (offset into the CFO-rotated
+/// `span`) whose window best matches the preamble `pre`, scored as
+/// `|Σ pre*·r|² / (1e-30 + Σ |r|²)`; the first maximum wins.
+///
+/// `|r|²` is computed once per sample, and lags run in blocks of
+/// [`LAG_BLOCK`] whose independent sums overlap in the pipeline. Each
+/// lag still sums its own window in sample order from the same start,
+/// so every score has the bits a one-lag-at-a-time loop gives it; the
+/// lags after the last full block take that loop.
+fn fine_timing(span: &[C64], pre: &[C64]) -> usize {
+    let mut pow = [0.0; 2 * N_CP + PREAMBLE_LEN];
+    let pow = &mut pow[..span.len()];
+    for (e, r) in pow.iter_mut().zip(span) {
+        *e = r.norm_sqr();
+    }
+    let n_lags = span.len() + 1 - pre.len();
+    let mut best = (0, f64::NEG_INFINITY);
+    let mut offer = |lag: usize, acc: C64, energy: f64| {
+        let score = acc.norm_sqr() / energy;
+        if score > best.1 {
+            best = (lag, score);
+        }
+    };
+    let full = n_lags - n_lags % LAG_BLOCK;
+    for lag in (0..full).step_by(LAG_BLOCK) {
+        let win = &span[lag..lag + pre.len() + LAG_BLOCK - 1];
+        let pw = &pow[lag..lag + pre.len() + LAG_BLOCK - 1];
+        let mut acc = [ZERO; LAG_BLOCK];
+        let mut energy = [1e-30; LAG_BLOCK];
+        for ((&pi, r), e) in pre
+            .iter()
+            .zip(win.windows(LAG_BLOCK))
+            .zip(pw.windows(LAG_BLOCK))
+        {
+            let c = pi.conj();
+            for j in 0..LAG_BLOCK {
+                acc[j] += c * r[j];
+                energy[j] += e[j];
+            }
+        }
+        for j in 0..LAG_BLOCK {
+            offer(lag + j, acc[j], energy[j]);
+        }
+    }
+    for lag in full..n_lags {
+        let mut acc = ZERO;
+        let mut energy = 1e-30;
+        for ((&pi, &r), &e) in pre.iter().zip(&span[lag..]).zip(&pow[lag..]) {
+            acc += pi.conj() * r;
+            energy += e;
+        }
+        offer(lag, acc, energy);
+    }
+    best.0
 }
 
 /// Most payload bytes one OFDM symbol can carry (48 carriers × 4 bits).
@@ -478,6 +527,60 @@ mod tests {
         }
         let pkt = rx.decode(&buf).expect("decode through 2-tap channel");
         assert_eq!(pkt.payload, payload);
+    }
+
+    /// Fine timing one lag at a time, as the receiver ran it before the
+    /// lag blocks.
+    fn one_lag_fine_timing(span: &[C64], pre: &[C64]) -> usize {
+        let mut best = (0, f64::NEG_INFINITY);
+        for (p, win) in span.windows(pre.len()).enumerate() {
+            let mut acc = ZERO;
+            let mut energy = 1e-30;
+            for (&pi, &r) in pre.iter().zip(win) {
+                acc += pi.conj() * r;
+                energy += r.norm_sqr();
+            }
+            let score = acc.norm_sqr() / energy;
+            if score > best.1 {
+                best = (p, score);
+            }
+        }
+        best.0
+    }
+
+    #[test]
+    fn lag_blocks_pick_the_lag_one_lag_at_a_time_picks() {
+        // Every span length the receiver can cut (1 to 33 lags), over
+        // noise, a buried preamble, a periodic span whose lags tie, and
+        // spans holding zeros or a NaN.
+        let pre = preamble_time_ref();
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        for len in pre.len()..=2 * N_CP + PREAMBLE_LEN {
+            for kind in 0..5 {
+                let mut span = cn_vector(&mut rng, len, 1.0);
+                match kind {
+                    1 => {
+                        let at = len - pre.len();
+                        for (s, &p) in span[at / 2..].iter_mut().zip(pre.iter()) {
+                            *s += p * C64::new(4.0, -1.0);
+                        }
+                    }
+                    2 => {
+                        for i in 0..len {
+                            span[i] = span[i % 16];
+                        }
+                    }
+                    3 => span.fill(ZERO),
+                    4 => span[len / 3] = C64::new(f64::NAN, 0.0),
+                    _ => {}
+                }
+                assert_eq!(
+                    fine_timing(&span, pre),
+                    one_lag_fine_timing(&span, pre),
+                    "span {len}, kind {kind}"
+                );
+            }
+        }
     }
 
     #[test]

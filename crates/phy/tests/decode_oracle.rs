@@ -344,6 +344,42 @@ proptest! {
         assert_matches_reference(m, &buf)?;
     }
 
+    /// The preamble starts within `N_CP` samples of the buffer, so the
+    /// matched filter's first lag clamps to sample 0: it scores fewer
+    /// than its usual 33 lags, mostly not a whole number of lag blocks.
+    #[test]
+    fn decode_matches_the_reference_when_the_preamble_opens_the_buffer(
+        m in any_modulation(),
+        payload_len in prop_oneof![Just(1024usize), 0usize..=300],
+        seed in any::<u64>(),
+        lead_in in 0usize..N_CP,
+        tail in 0usize..200,
+        cfo in -0.05f64..0.05,
+        snr_db in prop_oneof![Just(None), Just(Some(30.0)), Just(Some(10.0))],
+    ) {
+        let buf = capture(m, payload_len, seed, lead_in, tail, None, cfo, snr_db);
+        assert_matches_reference(m, &buf)?;
+    }
+
+    /// The buffer ends within `N_CP` samples of the preamble's end, so
+    /// the matched filter's last lag mostly clamps to the buffer's end
+    /// (not where the detector fires up to a CP early). No data symbol
+    /// fits, so both decoders must stop at the same error.
+    #[test]
+    fn decode_matches_the_reference_when_the_buffer_ends_at_the_preamble(
+        m in any_modulation(),
+        payload_len in 0usize..=300,
+        seed in any::<u64>(),
+        lead_in in 0usize..=400,
+        end in PREAMBLE_LEN - N_CP..PREAMBLE_LEN + N_CP,
+        cfo in -0.05f64..0.05,
+        snr_db in prop_oneof![Just(None), Just(Some(30.0)), Just(Some(10.0))],
+    ) {
+        let mut buf = capture(m, payload_len, seed, lead_in, 0, None, cfo, snr_db);
+        buf.truncate(lead_in + end);
+        assert_matches_reference(m, &buf)?;
+    }
+
     #[test]
     fn decode_matches_the_reference_on_adversarial_buffers(
         m in any_modulation(),
