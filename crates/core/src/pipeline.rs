@@ -1305,6 +1305,89 @@ mod tests {
         }
     }
 
+    /// The bit patterns of everything an observation reports.
+    fn observation_bits(o: &Observation) -> Vec<u64> {
+        let mut bits = vec![
+            o.bearing_deg.to_bits(),
+            o.rss_db.to_bits(),
+            o.global_azimuth.map_or(u64::MAX, f64::to_bits),
+            o.extent as u64,
+        ];
+        bits.extend(o.signature.spectrum().values.iter().map(|v| v.to_bits()));
+        bits.extend(o.estimate.spectrum.values.iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One `process` over N staged packets equals N rounds of push →
+        /// process through the engine the whole batch used, handed on
+        /// with `into_engine`/`batch_with_engine`: observations do not
+        /// depend on how packets are grouped into batches, nor on what
+        /// the engine processed before.
+        #[test]
+        fn one_batch_equals_one_packet_at_a_time(
+            circular in any::<bool>(),
+            lens in proptest::collection::vec(8usize..=300, 1..=6),
+            cap in prop_oneof![Just(0usize), Just(64)],
+            seed in any::<u64>(),
+        ) {
+            let prototype = ApConfig::paper_prototype(pt(0.0, 0.0));
+            let cfg = if circular {
+                prototype
+            } else {
+                ApConfig {
+                    array: Array::paper_linear(8),
+                    ..prototype
+                }
+            };
+            let ap = AccessPoint::new(cfg, AccessControlList::new(AclPolicy::AllowListed));
+            let rows = ap.config().array.len();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // One dominant source (a random per-chain gain on a random
+            // waveform) over a noise floor, per capture.
+            let captures: Vec<(CMat, DecodedPacket)> = lens
+                .iter()
+                .map(|&len| {
+                    let gain: Vec<sa_linalg::C64> = (0..rows)
+                        .map(|_| sa_sigproc::noise::cn_sample(&mut rng, 1.0))
+                        .collect();
+                    let wave: Vec<sa_linalg::C64> = (0..len + 20)
+                        .map(|_| sa_sigproc::noise::cn_sample(&mut rng, 4.0))
+                        .collect();
+                    let buf = CMat::from_fn(rows, len + 20, |m, t| {
+                        gain[m] * wave[t] + sa_sigproc::noise::cn_sample(&mut rng, 0.1)
+                    });
+                    let d = DecodedPacket { frame: None, start: 10, cfo: 0.0, pkt_len: len };
+                    (buf, d)
+                })
+                .collect();
+
+            let mut batch = ap.batch();
+            batch.set_snapshot_cap(cap);
+            for (buf, d) in &captures {
+                prop_assert_eq!(batch.push_predecoded(buf, d), Ok(()));
+            }
+            let whole = batch.process();
+            let mut engine = batch.into_engine();
+            let mut streamed = Vec::new();
+            for (buf, d) in &captures {
+                let mut one = ap.batch_with_engine(engine);
+                one.set_snapshot_cap(cap);
+                prop_assert_eq!(one.push_predecoded(buf, d), Ok(()));
+                streamed.extend(one.process());
+                engine = one.into_engine();
+            }
+
+            prop_assert_eq!(whole.len(), captures.len());
+            prop_assert_eq!(streamed.len(), captures.len());
+            for (k, (a, b)) in whole.iter().zip(&streamed).enumerate() {
+                prop_assert_eq!(observation_bits(a), observation_bits(b), "packet {}", k);
+            }
+        }
+    }
+
     #[test]
     fn noise_only_buffer_has_no_packet() {
         let ap = make_ap();

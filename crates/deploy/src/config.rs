@@ -123,10 +123,15 @@ impl Default for LinkConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeployConfig {
-    /// Capacity of each bounded MPSC channel (coordinator → worker and
-    /// worker → fusion). Full channels block the sender after bumping a
-    /// backpressure counter; nothing is ever silently dropped, so runs
-    /// stay deterministic under load.
+    /// Queue bounds, counted in windows: how many windows each worker
+    /// may have in flight (sent, not yet reported) before
+    /// [`crate::Deployment::submit_window`] waits for one to complete,
+    /// and the capacity of the worker → coordinator report channel. A
+    /// worker's input is one message per decoded packet, so the window
+    /// count — not a packet count — is what bounds it. A full queue
+    /// makes the sender wait after bumping a backpressure counter;
+    /// nothing is ever silently dropped, so runs stay deterministic
+    /// under load.
     pub channel_capacity: usize,
     /// Covariance snapshot budget per packet, forwarded to
     /// [`secureangle::PacketBatch::set_snapshot_cap`]. A few hundred

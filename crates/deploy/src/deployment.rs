@@ -2,6 +2,11 @@
 //! threads, skew-tolerant window scheduling, AP churn, and the fusion
 //! drain.
 //!
+//! Each transmission goes to every live worker as soon as it decodes,
+//! one message per packet, and the window's numbered end message
+//! follows its last packet. The worker queues are unbounded; the window
+//! gate in [`Deployment::submit_window`] bounds them in windows.
+//!
 //! Windows close on end-of-window markers (never wall clocks), but the
 //! markers are no longer assumed perfect: workers stamp them with their
 //! own skewed clocks (checked by [`crate::align::SkewAligner`]), their
@@ -35,7 +40,7 @@ use sa_telemetry::{Histogram, Registry, StageTimer, TelemetrySnapshot};
 use secureangle::pipeline::decode_reference;
 use secureangle::AccessPoint;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -62,7 +67,11 @@ impl Transmission {
 /// the deployment and never reused; a removed or crashed AP keeps its
 /// slot (for stats attribution) with `alive = false`.
 struct WorkerSlot {
-    tx: Option<SyncSender<WorkerMsg>>,
+    tx: Option<Sender<WorkerMsg>>,
+    /// Windows whose end message went to the worker and that have not
+    /// completed yet (no report, lost-marker notice or exit): what the
+    /// window gate in [`Deployment::submit_window`] bounds.
+    in_flight: usize,
     join: Option<JoinHandle<(AccessPoint, ApStats)>>,
     alive: bool,
     /// The worker's `Exited` message has arrived (after all its
@@ -364,11 +373,21 @@ impl Deployment {
     }
 
     /// Ingest one observation window of traffic: run the shared stage-1
-    /// decode per transmission and dispatch the per-AP captures (plus
-    /// the shared [`secureangle::DecodedPacket`]) to every live worker.
-    /// Returns the window number. Transmissions whose reference capture
-    /// contains no detectable packet are counted in
-    /// [`DeployMetrics::decode_failures`] and skipped fleet-wide.
+    /// decode per transmission and stream each decoded transmission's
+    /// per-AP captures (plus the shared [`secureangle::DecodedPacket`])
+    /// to every live worker as soon as it decodes, so the workers' DSP
+    /// overlaps the decode of the rest of the window; an end message
+    /// follows the last one. Returns the window number. Transmissions
+    /// whose reference capture contains no detectable packet are
+    /// counted in [`DeployMetrics::decode_failures`] and skipped
+    /// fleet-wide.
+    ///
+    /// Before the window's first packet goes out, the call routes the
+    /// inbox while any live worker has
+    /// [`DeployConfig::channel_capacity`] windows in flight (each wait
+    /// counts in [`DeployMetrics::ingest_backpressure_events`]). Each
+    /// of those windows has been sent whole, so its worker completes it
+    /// without further input, and the wait ends.
     pub fn submit_window(&mut self, transmissions: Vec<Transmission>) -> Result<u64, DeployError> {
         let live = self.live_ap_ids();
         if live.is_empty() {
@@ -386,10 +405,23 @@ impl Deployment {
         }
         let window = self.next_window;
         self.next_window += 1;
+        self.wait_for_room(&live);
+        self.bins.insert(
+            window,
+            WindowBin {
+                expected: live.clone(),
+                ..WindowBin::default()
+            },
+        );
 
         // Stage 1, inline, once per transmission (reference capture =
-        // the first live AP's), in sequence order.
-        let mut per_worker: Vec<Vec<WorkerPacket>> = (0..live.len()).map(|_| Vec::new()).collect();
+        // the first live AP's), in sequence order, each result sent on
+        // at once. An exited worker is still a *member* — its
+        // membership ends at the collect of its first unreported window
+        // — so the dispatch is accounted identically whether its exit
+        // arrived before this send, during it, or not yet at all: *when*
+        // a crash is noticed never changes a byte.
+        let mut first_seq = None;
         for (seq, t) in transmissions.into_iter().enumerate() {
             self.metrics.transmissions += 1;
             let decoded = {
@@ -400,47 +432,45 @@ impl Deployment {
                 self.metrics.decode_failures += 1;
                 continue;
             };
+            let seq = seq as u64;
+            first_seq.get_or_insert(seq);
             let decoded = Arc::new(decoded);
-            for (k, buffer) in t.per_ap.into_iter().enumerate() {
-                per_worker[k].push(WorkerPacket {
+            self.metrics.packets_dispatched += live.len() as u64;
+            for (&ap_id, buffer) in live.iter().zip(t.per_ap) {
+                let packet = WorkerPacket {
                     buffer,
                     decoded: decoded.clone(),
-                    seq: seq as u64,
-                });
+                    seq,
+                };
+                self.send_to_worker(ap_id, WorkerMsg::Packet { window, packet });
             }
         }
-
-        self.bins.insert(
-            window,
-            WindowBin {
-                expected: live.clone(),
-                ..WindowBin::default()
-            },
-        );
-
-        // Dispatch, with ingest backpressure accounting. An exited
-        // worker is still a *member* — its membership ends at the
-        // collect of its first unreported window — so the dispatch is
-        // accounted identically whether its exit arrived before this
-        // send, during it, or not yet at all: *when* a crash is noticed
-        // never changes a byte.
-        for (k, packets) in per_worker.into_iter().enumerate() {
-            let ap_id = live[k];
-            let dispatch =
-                self.aligner
-                    .note_dispatch(ap_id, window, packets.first().map(|p| p.seq));
-            self.metrics.packets_dispatched += packets.len() as u64;
-            let msg = WorkerMsg::Window {
-                window,
-                dispatch,
-                packets,
-            };
-            if self.send_to_worker(ap_id, msg) {
-                self.metrics.ingest_backpressure_events += 1;
+        for &ap_id in &live {
+            let dispatch = self.aligner.note_dispatch(ap_id, window, first_seq);
+            if self.send_to_worker(ap_id, WorkerMsg::End { window, dispatch }) {
+                self.slots[ap_id].in_flight += 1;
             }
         }
         self.pending.push_back(window);
         Ok(window)
+    }
+
+    /// The window gate: route the inbox until no live worker of `live`
+    /// has [`DeployConfig::channel_capacity`] windows in flight. The
+    /// worker queues are unbounded, so this is the one bound on them; a
+    /// bound counted in packets could leave the coordinator waiting on
+    /// a worker that drains packets without sending anything.
+    fn wait_for_room(&mut self, live: &[usize]) {
+        let cap = self.cfg.channel_capacity.max(1);
+        let full = |slot: &WorkerSlot| slot.tx.is_some() && slot.in_flight >= cap;
+        for &ap_id in live {
+            if full(&self.slots[ap_id]) {
+                self.metrics.ingest_backpressure_events += 1;
+                while full(&self.slots[ap_id]) {
+                    self.route_next();
+                }
+            }
+        }
     }
 
     /// Block for the next inbox message and route it.
@@ -452,9 +482,13 @@ impl Deployment {
     /// Apply one inbox message to the ledger and the worker slots.
     fn route(&mut self, msg: CoordinatorMsg) {
         match msg {
-            CoordinatorMsg::Window(done) => self.settle_report(done),
-            // Lost in transit: the coordinator never heard it.
-            CoordinatorMsg::MarkerLost => {}
+            CoordinatorMsg::Window(done) => {
+                self.window_completed(done.ap_id);
+                self.settle_report(done);
+            }
+            // Lost in transit: the coordinator never heard it, so only
+            // the window gate counts it.
+            CoordinatorMsg::MarkerLost { ap_id } => self.window_completed(ap_id),
             CoordinatorMsg::Flushed { ap_id, finished } => self.settle_lost(ap_id, finished),
             CoordinatorMsg::Exited { ap_id, finished } => {
                 self.settle_lost(ap_id, finished);
@@ -463,6 +497,12 @@ impl Deployment {
                 slot.exited = true;
             }
         }
+    }
+
+    /// One of AP `ap_id`'s in-flight windows completed.
+    fn window_completed(&mut self, ap_id: usize) {
+        let slot = &mut self.slots[ap_id];
+        slot.in_flight = slot.in_flight.saturating_sub(1);
     }
 
     /// Settle one worker report in its window's ledger: settle the
@@ -545,27 +585,16 @@ impl Deployment {
     }
 
     /// Send `msg` to a worker unless it is gone (its `Exited` is then on
-    /// the way). A full input queue is waited out by routing the inbox,
-    /// so a worker blocked publishing always makes progress; each window
-    /// a worker dequeues yields an inbox message, so each wait ends.
-    /// Returns whether the queue was full.
-    fn send_to_worker(&mut self, ap_id: usize, mut msg: WorkerMsg) -> bool {
-        let mut waited = false;
-        while let Some(tx) = self.slots[ap_id].tx.clone() {
-            match tx.try_send(msg) {
-                Ok(()) => break,
-                Err(TrySendError::Full(m)) => {
-                    msg = m;
-                    waited = true;
-                    self.route_next();
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.slots[ap_id].tx = None;
-                    break;
-                }
-            }
+    /// the way). Never blocks: the worker queues are unbounded, and
+    /// [`Deployment::wait_for_room`] bounds them in windows. Returns
+    /// whether the message went out.
+    fn send_to_worker(&mut self, ap_id: usize, msg: WorkerMsg) -> bool {
+        let slot = &mut self.slots[ap_id];
+        let sent = slot.tx.as_ref().is_some_and(|tx| tx.send(msg).is_ok());
+        if !sent {
+            slot.tx = None;
         }
-        waited
+        sent
     }
 
     /// Route the inbox until each of `ap_ids`' workers has sent its
@@ -930,12 +959,14 @@ impl Deployment {
     }
 
     /// Run a sequence of windows with up to
-    /// [`DeployConfig::windows_in_flight`] of them in flight: while the
-    /// workers chew on window *w*'s DSP, the coordinator already runs
-    /// stage-1 decode for *w+1* (and beyond, up to the depth) instead
-    /// of idling until the fuse. Fused windows come back in submission
-    /// order and are byte-identical to the depth-1 (submit-then-collect)
-    /// loop — streaming changes the overlap, never the numbers.
+    /// [`DeployConfig::windows_in_flight`] of them in flight. Within a
+    /// window the workers' DSP already overlaps the decode (each packet
+    /// goes out as it decodes); across windows, while the workers finish
+    /// window *w*, the coordinator already runs stage-1 decode for
+    /// *w+1* (and beyond, up to the depth) instead of idling until the
+    /// fuse. Fused windows come back in submission order and are
+    /// byte-identical to the depth-1 (submit-then-collect) loop —
+    /// streaming changes the overlap, never the numbers.
     ///
     /// On an error the windows fused so far are lost to the caller;
     /// in-flight ones remain collectable via
@@ -1041,7 +1072,7 @@ fn spawn_worker(
     up: SyncSender<CoordinatorMsg>,
     tap: Option<WorkerTap>,
 ) -> WorkerSlot {
-    let (tx, rx) = sync_channel(cfg.channel_capacity.max(1));
+    let (tx, rx) = channel();
     let wcfg = WorkerCfg {
         snapshot_cap: cfg.snapshot_cap,
         auto_train_signatures: cfg.auto_train_signatures,
@@ -1061,6 +1092,7 @@ fn spawn_worker(
         .expect("spawn AP worker");
     WorkerSlot {
         tx: Some(tx),
+        in_flight: 0,
         join: Some(join),
         alive: true,
         exited: false,

@@ -10,11 +10,15 @@
 //!   each on its own worker thread. The coordinator runs stage 1
 //!   (detect + decode, [`secureangle::pipeline::decode_reference`])
 //!   **once** per client transmission — the frame is the same at every
-//!   AP — and fans the per-AP captures plus the shared
-//!   [`secureangle::DecodedPacket`] out over bounded MPSC channels.
-//!   Workers run only the per-AP DSP (covariance → calibrate → MUSIC →
-//!   signature → enforcement), so aggregate packet throughput scales
-//!   with AP count instead of re-paying the decode N times.
+//!   AP — and streams each transmission's per-AP captures plus the
+//!   shared [`secureangle::DecodedPacket`] to the workers the moment it
+//!   decodes, one message per packet, bounded in windows per worker
+//!   ([`DeployConfig::channel_capacity`]). Workers run only the per-AP
+//!   DSP (covariance → calibrate → MUSIC → signature → enforcement),
+//!   one capture at a time while it is still in cache and overlapped
+//!   with the decode of the rest of the window, so aggregate packet
+//!   throughput scales with AP count instead of re-paying the decode N
+//!   times.
 //! * Per-AP `(mac, azimuth, confidence, seq)` bearing reports flow back
 //!   through a bounded report channel into the [`fusion`] stage, which
 //!   groups them by client and observation window, least-squares

@@ -255,8 +255,9 @@ pub struct DeployMetrics {
     pub localize_failures: u64,
     /// Cross-AP consensus spoof flags raised.
     pub consensus_flags: u64,
-    /// Times the coordinator found a worker's input channel full (the
-    /// submit then blocked until the worker caught up).
+    /// Times a submit found a worker with
+    /// [`crate::DeployConfig::channel_capacity`] windows in flight (the
+    /// submit then waited at the window gate until one completed).
     pub ingest_backpressure_events: u64,
     /// Times a worker found the report channel full (summed over
     /// workers; each send then blocked).

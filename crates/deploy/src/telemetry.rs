@@ -149,7 +149,9 @@ pub(crate) fn build(cfg: TelemetryConfig) -> Option<(Registry, FusionTaps)> {
 
 /// The two stage-histogram handles one AP worker thread records into.
 pub(crate) struct WorkerTap {
-    /// `stage.worker_dsp`: the whole calibrate→cov→MUSIC batch pass.
+    /// `stage.worker_dsp`: one sample per window the worker processed
+    /// (none for a stalled window), worth the window's summed per-packet
+    /// DSP time — each capture's covariance → calibrate → MUSIC pass.
     pub dsp: Arc<Histogram>,
     /// `stage.enforce`: one per-observation signature/ACL enforcement.
     pub enforce: Arc<Histogram>,

@@ -1,6 +1,10 @@
 //! The per-AP worker thread: the DSP half of the pipeline, driven by
-//! pre-decoded packets from the coordinator.
+//! pre-decoded packets from the coordinator, one message per decoded
+//! transmission.
 //!
+//! Each capture is staged, processed and enforced as it arrives, so the
+//! worker's DSP overlaps the coordinator's stage-1 decode of the rest of
+//! the window; the window's end message then publishes its reports.
 //! Deployment realism lives at this layer's edges: the worker stamps
 //! its reports with *local* window/sequence labels (its own clock, see
 //! [`ApSkew`]) and publishes them over a lossy link model
@@ -15,11 +19,12 @@ use crate::report::{ApPacket, ApStats};
 use crate::telemetry::WorkerTap;
 use sa_linalg::CMat;
 use sa_telemetry::StageTimer;
-use secureangle::pipeline::{DecodedPacket, DropReason, FrameVerdict};
+use secureangle::pipeline::{DecodedPacket, DropReason, FrameVerdict, Observation};
 use secureangle::spoof::SpoofVerdict;
 use secureangle::AccessPoint;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One pre-decoded capture for a worker: the AP's own buffer plus the
 /// shared stage-1 result.
@@ -29,16 +34,17 @@ pub(crate) struct WorkerPacket {
     pub seq: u64,
 }
 
-/// Coordinator → worker messages. The worker exits once the
-/// coordinator hangs up and the queue is drained.
+/// Coordinator → worker messages, on an unbounded channel (the
+/// coordinator bounds it in windows, not packets). The worker exits
+/// once the coordinator hangs up and the queue is drained.
 pub(crate) enum WorkerMsg {
-    /// Process one window's captures, in `seq` order. `dispatch` is this
-    /// AP's dispatch number for the window, echoed on its marker.
-    Window {
-        window: u64,
-        dispatch: u64,
-        packets: Vec<WorkerPacket>,
-    },
+    /// One decoded transmission of `window`, sent as soon as it
+    /// decodes. A window's packets arrive in `seq` order.
+    Packet { window: u64, packet: WorkerPacket },
+    /// The window's last message, after its last packet (the only one
+    /// for a window with none). `dispatch` is this AP's dispatch number
+    /// for the window, echoed on its marker.
+    End { window: u64, dispatch: u64 },
     /// Reply with [`CoordinatorMsg::Flushed`] once everything queued
     /// before this request is done.
     Flush,
@@ -49,11 +55,14 @@ pub(crate) enum WorkerMsg {
 #[allow(clippy::large_enum_variant)] // nearly every message is a `Window`; boxing would only add an allocation
 pub(crate) enum CoordinatorMsg {
     Window(WindowDone),
-    /// A window whose marker was lost in transit: dropped on arrival.
+    /// A window whose marker was lost in transit: it settles nothing.
     /// It still travels because every coordinator wait is a blocking
-    /// receive, and one waiting for room in this worker's full input
-    /// queue must wake when the worker takes a window off it.
-    MarkerLost,
+    /// receive, and one waiting at the window gate for this AP to
+    /// complete a window must wake when it does; `ap_id` is read only
+    /// for that count.
+    MarkerLost {
+        ap_id: usize,
+    },
     /// Reply to [`WorkerMsg::Flush`]: the worker has finished its
     /// dispatches numbered below `finished`, so any of them still owed
     /// lost its marker.
@@ -177,140 +186,134 @@ impl LossStream {
     }
 }
 
-/// The worker loop: for each window, stage every pre-decoded capture
-/// into a `PacketBatch` (the AoA engine survives across windows via
-/// `batch_with_engine`/`into_engine`), run the DSP pass, enforce, and
-/// publish the window's reports to fusion. The publish path models the
-/// lossy report link: each delivery attempt may drop (deterministic
-/// per-AP stream), the worker retries up to the configured budget, and
-/// an exhausted budget abandons the payload — the end-of-window marker
-/// still goes out so the coordinator never stalls on this AP. Returns
-/// the AP (with its trained state) and the run totals when the
-/// coordinator hangs up; its last message is always
-/// [`CoordinatorMsg::Exited`].
-pub(crate) fn run_worker(
-    ap_id: usize,
-    mut ap: AccessPoint,
-    cfg: WorkerCfg,
-    rx: Receiver<WorkerMsg>,
-    tx: SyncSender<CoordinatorMsg>,
-) -> (AccessPoint, ApStats) {
-    // Dropped after the return value is built, or during a panic's
-    // unwind, so `Exited` is this thread's last message either way.
-    let mut exit = ExitNotice {
-        ap_id,
-        up: tx.clone(),
-        finished: 0,
-    };
-    let mut engine = None;
-    let mut totals = ApStats::default();
-    let mut loss = LossStream::new(cfg.link.seed, ap_id);
-    while let Ok(msg) = rx.recv() {
-        let (window, dispatch, packets) = match msg {
-            WorkerMsg::Flush => {
-                let reply = CoordinatorMsg::Flushed {
-                    ap_id,
-                    finished: exit.finished,
-                };
-                if tx.send(reply).is_err() {
-                    break;
-                }
-                continue;
-            }
-            WorkerMsg::Window {
-                window,
-                dispatch,
-                packets,
-            } => (window, dispatch, packets),
-        };
-        // Scripted faults for this window: a pure function of the plan
-        // and the window number, so nothing here depends on scheduling.
-        let wf = if cfg.faults.is_empty() {
+/// The window a worker is part-way through: opened by the window's
+/// first message, which resolves its scripted faults, and closed by its
+/// [`WorkerMsg::End`].
+struct OpenWindow {
+    faults: WindowFaults,
+    stats: ApStats,
+    /// Local window label (global + skew).
+    label: i64,
+    /// Local sequence label of the window's first packet.
+    seq_base: Option<u64>,
+    reports: Vec<ApPacket>,
+    /// The window's summed per-packet `process` time, nanoseconds
+    /// (clocked only with telemetry on).
+    dsp_ns: u64,
+}
+
+/// The open window, opened by this message if none is. Faults are a
+/// pure function of the plan and the window number, so nothing here
+/// depends on scheduling. `None` means the worker crashes here: it dies
+/// mid-window with no payload and no marker, and only the exit notice,
+/// which does not count this window, reaches the coordinator.
+fn open_window<'w>(
+    open: &'w mut Option<OpenWindow>,
+    window: u64,
+    cfg: &WorkerCfg,
+) -> Option<&'w mut OpenWindow> {
+    if open.is_none() {
+        let faults = if cfg.faults.is_empty() {
             WindowFaults::default()
         } else {
             cfg.faults.at(window)
         };
-        if wf.crash {
-            // Die mid-window: no payload, no marker, thread gone — only
-            // the exit notice, which does not count this window, reaches
-            // the coordinator.
-            return (ap, totals);
+        if faults.crash {
+            return None;
         }
-        let mut stats = ApStats {
-            windows: 1,
-            ..ApStats::default()
-        };
-        let label = cfg.skew.window_label(window) + wf.extra_label;
-        let seq_base = packets.first().map(|p| cfg.skew.seq_label(p.seq));
+        *open = Some(OpenWindow {
+            faults,
+            stats: ApStats {
+                windows: 1,
+                windows_stalled: u64::from(faults.stall),
+                ..ApStats::default()
+            },
+            label: cfg.skew.window_label(window) + faults.extra_label,
+            seq_base: None,
+            reports: Vec::new(),
+            dsp_ns: 0,
+        });
+    }
+    open.as_mut()
+}
 
-        let mut reports = Vec::new();
-        if wf.stall {
-            // Wedged DSP: the window's captures are dropped on the
-            // floor, but the marker still goes out (flagged stalled) on
-            // the live control path so the window closes.
-            stats.windows_stalled += 1;
-        } else {
-            // DSP pass over the whole window through one batch; the
-            // engine (manifold, steering table, eigensolver buffers)
-            // carries over from the previous window.
-            let mut batch = match engine.take() {
-                Some(e) => ap.batch_with_engine(e),
-                None => ap.batch(),
-            };
-            batch.set_snapshot_cap(cfg.snapshot_cap);
-            let mut seqs = Vec::with_capacity(packets.len());
-            for p in &packets {
-                stats.packets += 1;
-                match batch.push_predecoded(&p.buffer, &p.decoded) {
-                    Ok(()) => seqs.push(p.seq),
-                    Err(_) => stats.observe_failures += 1,
+impl OpenWindow {
+    /// Enforce one observation and assemble its report. Reports carry
+    /// the worker's local labels — the coordinator's aligner maps them
+    /// back to global numbering.
+    fn enforce(
+        &mut self,
+        ap_id: usize,
+        ap: &mut AccessPoint,
+        cfg: &WorkerCfg,
+        obs: &Observation,
+        seq: u64,
+    ) {
+        let stats = &mut self.stats;
+        stats.observed += 1;
+        let verdict = {
+            let _span = StageTimer::start(cfg.tap.as_ref().map(|t| &*t.enforce));
+            ap.enforce(obs)
+        };
+        match verdict {
+            FrameVerdict::Admit { spoof } => {
+                stats.admitted += 1;
+                if cfg.auto_train_signatures && spoof == SpoofVerdict::Untrained {
+                    if let Some(frame) = &obs.frame {
+                        ap.train_client(frame.src, obs);
+                        stats.trained += 1;
+                    }
                 }
             }
-            let observations = {
-                let _span = StageTimer::start(cfg.tap.as_ref().map(|t| &*t.dsp));
-                batch.process()
-            };
-            engine = Some(batch.into_engine());
+            FrameVerdict::Drop(DropReason::SpoofSuspected { .. })
+            | FrameVerdict::Drop(DropReason::Quarantined) => stats.dropped_spoof += 1,
+            FrameVerdict::Drop(_) => stats.dropped_other += 1,
+        }
+        let local_seq = cfg.skew.seq_label(seq);
+        let report = obs.bearing_report(local_seq);
+        if report.is_some() {
+            stats.bearings += 1;
+        }
+        self.reports.push(ApPacket {
+            ap_id,
+            window: self.label.max(0) as u64,
+            seq: local_seq,
+            mac: obs.frame.as_ref().map(|f| f.src),
+            report,
+            bearing_deg: obs.bearing_deg,
+            rss_db: obs.rss_db,
+            verdict,
+        });
+    }
 
-            // Enforcement + report assembly, in seq order. Reports
-            // carry the worker's local labels — the coordinator's
-            // aligner maps them back to global numbering.
-            reports.reserve(observations.len());
-            for (obs, &seq) in observations.iter().zip(&seqs) {
-                stats.observed += 1;
-                let verdict = {
-                    let _span = StageTimer::start(cfg.tap.as_ref().map(|t| &*t.enforce));
-                    ap.enforce(obs)
-                };
-                match verdict {
-                    FrameVerdict::Admit { spoof } => {
-                        stats.admitted += 1;
-                        if cfg.auto_train_signatures && spoof == SpoofVerdict::Untrained {
-                            if let Some(frame) = &obs.frame {
-                                ap.train_client(frame.src, obs);
-                                stats.trained += 1;
-                            }
-                        }
-                    }
-                    FrameVerdict::Drop(DropReason::SpoofSuspected { .. })
-                    | FrameVerdict::Drop(DropReason::Quarantined) => stats.dropped_spoof += 1,
-                    FrameVerdict::Drop(_) => stats.dropped_other += 1,
-                }
-                let local_seq = cfg.skew.seq_label(seq);
-                let report = obs.bearing_report(local_seq);
-                if report.is_some() {
-                    stats.bearings += 1;
-                }
-                reports.push(ApPacket {
-                    ap_id,
-                    window: label.max(0) as u64,
-                    seq: local_seq,
-                    mac: obs.frame.as_ref().map(|f| f.src),
-                    report,
-                    bearing_deg: obs.bearing_deg,
-                    rss_db: obs.rss_db,
-                    verdict,
-                });
+    /// Close the window: apply its end-of-window faults and publish its
+    /// reports with the marker for dispatch `dispatch`. The publish path
+    /// models the lossy report link: each delivery attempt may drop
+    /// (deterministic per-AP stream), the worker retries up to the
+    /// configured budget, and an exhausted budget abandons the payload —
+    /// the marker still goes out so the coordinator never stalls on this
+    /// AP. The window's stats fold into `totals`. Returns `false` once
+    /// the coordinator is gone.
+    fn close(
+        self,
+        ap_id: usize,
+        dispatch: u64,
+        cfg: &WorkerCfg,
+        loss: &mut LossStream,
+        totals: &mut ApStats,
+        tx: &SyncSender<CoordinatorMsg>,
+    ) -> bool {
+        let OpenWindow {
+            faults: wf,
+            mut stats,
+            label,
+            seq_base,
+            mut reports,
+            dsp_ns,
+        } = self;
+        if !wf.stall {
+            if let Some(tap) = &cfg.tap {
+                tap.dsp.record(dsp_ns);
             }
         }
 
@@ -326,19 +329,12 @@ pub(crate) fn run_worker(
             }
         }
 
-        // The window's work is done, whatever becomes of its marker.
-        exit.finished = dispatch + 1;
-
         // Marker loss: the whole end-of-window message vanishes, and
         // only a later marker, flush reply or exit notice reveals it.
-        // The window's stats fold into the worker's run totals.
         if wf.marker_lost {
             stats.markers_lost += 1;
             totals.absorb(&stats);
-            if tx.send(CoordinatorMsg::MarkerLost).is_err() {
-                break;
-            }
-            continue;
+            return tx.send(CoordinatorMsg::MarkerLost { ap_id }).is_ok();
         }
 
         // Lossy-link publish: roll each delivery attempt; an exhausted
@@ -394,8 +390,95 @@ pub(crate) fn run_worker(
             Err(_) => false,
         };
         totals.absorb(&stats);
-        if !delivered {
-            break;
+        delivered
+    }
+}
+
+/// The worker loop. Each decoded transmission arrives as its own
+/// [`WorkerMsg::Packet`] and is staged, processed and enforced at once,
+/// in seq order, while its staged window is still in cache: one capture
+/// through a one-packet `PacketBatch` (the AoA engine survives from
+/// packet to packet via `batch_with_engine`/`into_engine`), which gives
+/// the observation a whole-window batch would. The window's
+/// [`WorkerMsg::End`] then publishes its reports to fusion (see
+/// [`OpenWindow::close`]). Returns the AP (with its trained state) and
+/// the run totals when the coordinator hangs up; its last message is
+/// always [`CoordinatorMsg::Exited`].
+pub(crate) fn run_worker(
+    ap_id: usize,
+    mut ap: AccessPoint,
+    cfg: WorkerCfg,
+    rx: Receiver<WorkerMsg>,
+    tx: SyncSender<CoordinatorMsg>,
+) -> (AccessPoint, ApStats) {
+    // Dropped after the return value is built, or during a panic's
+    // unwind, so `Exited` is this thread's last message either way.
+    let mut exit = ExitNotice {
+        ap_id,
+        up: tx.clone(),
+        finished: 0,
+    };
+    let mut engine = None;
+    let mut totals = ApStats::default();
+    let mut loss = LossStream::new(cfg.link.seed, ap_id);
+    let mut open = None;
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            WorkerMsg::Flush => {
+                let reply = CoordinatorMsg::Flushed {
+                    ap_id,
+                    finished: exit.finished,
+                };
+                if tx.send(reply).is_err() {
+                    break;
+                }
+            }
+            WorkerMsg::Packet { window, packet: p } => {
+                let Some(w) = open_window(&mut open, window, &cfg) else {
+                    return (ap, totals);
+                };
+                w.seq_base.get_or_insert(cfg.skew.seq_label(p.seq));
+                if w.faults.stall {
+                    // Wedged DSP: the capture is dropped on the floor,
+                    // but the marker still goes out (flagged stalled)
+                    // on the live control path so the window closes.
+                    continue;
+                }
+                w.stats.packets += 1;
+                let mut batch = match engine.take() {
+                    Some(e) => ap.batch_with_engine(e),
+                    None => ap.batch(),
+                };
+                batch.set_snapshot_cap(cfg.snapshot_cap);
+                let obs = match batch.push_predecoded(&p.buffer, &p.decoded) {
+                    Ok(()) => {
+                        let t0 = cfg.tap.is_some().then(Instant::now);
+                        let obs = batch.process().pop();
+                        if let Some(t0) = t0 {
+                            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                            w.dsp_ns = w.dsp_ns.saturating_add(ns);
+                        }
+                        obs
+                    }
+                    Err(_) => None,
+                };
+                engine = Some(batch.into_engine());
+                match obs {
+                    Some(obs) => w.enforce(ap_id, &mut ap, &cfg, &obs, p.seq),
+                    None => w.stats.observe_failures += 1,
+                }
+            }
+            WorkerMsg::End { window, dispatch } => {
+                if open_window(&mut open, window, &cfg).is_none() {
+                    return (ap, totals);
+                }
+                let w = open.take().expect("opened above");
+                // The window's work is done, whatever becomes of its marker.
+                exit.finished = dispatch + 1;
+                if !w.close(ap_id, dispatch, &cfg, &mut loss, &mut totals, &tx) {
+                    break;
+                }
+            }
         }
     }
     (ap, totals)

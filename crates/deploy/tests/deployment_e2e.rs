@@ -522,3 +522,55 @@ fn streamed_windows_are_byte_identical_to_sequential() {
         }
     }
 }
+
+/// Telemetry keeps one `stage.worker_dsp` sample per AP-window the
+/// worker processed, worth the window's summed per-packet DSP time; a
+/// stalled window runs no DSP and records none. `stage.enforce` keeps
+/// one sample per observation.
+#[test]
+fn worker_dsp_records_one_sample_per_processed_window() {
+    const WINDOWS: u64 = 5;
+    const STALLED: u64 = 2;
+    let tb = Testbed::deployment(3, 331);
+    let mut rng = ChaCha8Rng::seed_from_u64(332);
+    let windows: Vec<Vec<Transmission>> = (0..WINDOWS)
+        .map(|w| window(&tb, &[3, 5, 9], w as u16, &mut rng))
+        .collect();
+    let (_, aps) = split(tb);
+    let cfg = DeployConfig {
+        telemetry: TelemetryConfig::full(),
+        faults: Some(FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent::Stall {
+                ap: 2,
+                from_window: 1,
+                for_windows: STALLED,
+            }],
+        }),
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
+    deployment.run_stream(windows).expect("stream");
+    let (report, _) = deployment.finish();
+    let hist = |name: &str, ap: usize| {
+        let labels = vec![("ap".to_string(), ap.to_string())];
+        report
+            .telemetry
+            .histograms
+            .iter()
+            .find(|h| h.name == name && h.labels == labels)
+            .unwrap_or_else(|| panic!("no {name} histogram for AP {ap}"))
+            .clone()
+    };
+    for ap in 0..3 {
+        let stats = &report.per_ap[ap];
+        let stalled = if ap == 2 { STALLED } else { 0 };
+        assert_eq!(stats.windows, WINDOWS, "AP {ap}");
+        assert_eq!(stats.windows_stalled, stalled, "AP {ap}");
+        let dsp = hist("stage.worker_dsp", ap);
+        assert_eq!(dsp.count, WINDOWS - stalled, "AP {ap}");
+        assert!(dsp.sum > 0, "AP {ap}: DSP time is recorded");
+        assert_eq!(hist("stage.enforce", ap).count, stats.observed, "AP {ap}");
+    }
+    assert_eq!(report.per_ap[2].observed, 3 * (WINDOWS - STALLED));
+}

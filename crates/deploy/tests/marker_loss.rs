@@ -288,3 +288,55 @@ fn lost_markers_on_a_full_input_queue_never_hang_dispatch() {
     let (report, _) = deployment.finish();
     assert_eq!(report.metrics.markers_lost, lost.len() as u64);
 }
+
+/// The window gate bounds each worker's queue in windows, not packets.
+/// Three APs with `channel_capacity: 1`, six 8-transmission windows
+/// submitted before any collect, and lost markers scattered over them:
+/// every submit after the first waits at the gate for the window before
+/// it, at times on a lost-marker notice, and every window still closes,
+/// in order, with its own losses. The gate never changes a byte: without
+/// faults, the run fuses what a capacity-64 run fuses.
+#[test]
+fn the_window_gate_never_hangs_and_never_changes_a_byte() {
+    const WINDOWS: u64 = 6;
+    const CLIENTS: [usize; 8] = [2, 4, 5, 7, 9, 12, 14, 16];
+    const LOST: [(usize, u64); 5] = [(0, 1), (1, 1), (2, 3), (1, 4), (0, 5)];
+    let run = |channel_capacity: usize, faults: Option<FaultPlan>| {
+        within(300, move || {
+            let tb = Testbed::deployment(3, 329);
+            let mut rng = ChaCha8Rng::seed_from_u64(330);
+            let windows: Vec<Vec<Transmission>> = (0..WINDOWS)
+                .map(|w| window(&tb, &CLIENTS, w as u16, &mut rng))
+                .collect();
+            let cfg = DeployConfig {
+                faults,
+                channel_capacity,
+                ..DeployConfig::default()
+            };
+            let mut deployment = Deployment::new(split(tb), cfg);
+            for w in windows {
+                deployment.submit_window(w).expect("submit");
+            }
+            let fused: Vec<_> = (0..WINDOWS)
+                .map(|_| deployment.collect_window().expect("window closes"))
+                .collect();
+            let (report, _) = deployment.finish();
+            (fused, report)
+        })
+    };
+
+    let (fused, report) = run(1, marker_loss(&LOST));
+    let order: Vec<u64> = fused.iter().map(|f| f.window).collect();
+    assert_eq!(order, (0..WINDOWS).collect::<Vec<_>>());
+    let lost: Vec<usize> = fused.iter().map(|f| f.markers_lost).collect();
+    assert_eq!(lost, vec![0, 2, 0, 1, 1, 1]);
+    assert_eq!(report.metrics.markers_lost, LOST.len() as u64);
+    assert!(report.metrics.ingest_backpressure_events > 0);
+
+    let (gated, gated_report) = run(1, None);
+    let (open, open_report) = run(64, None);
+    assert!(gated_report.metrics.ingest_backpressure_events > 0);
+    assert_eq!(open_report.metrics.ingest_backpressure_events, 0);
+    assert_eq!(format!("{gated:?}"), format!("{open:?}"));
+    assert_eq!(masked_report(&gated_report), masked_report(&open_report));
+}
